@@ -130,14 +130,6 @@ def ellipticity_constants(sigma: Conductivity | np.ndarray) -> tuple[float, floa
     return alpha, 1.0 / inv_min
 
 
-def is_elliptic(mat: np.ndarray) -> bool:
-    try:
-        ellipticity_constants(mat)
-        return True
-    except NonEllipticError:
-        return False
-
-
 def sigma_from_beltrami(pair: BeltramiPair) -> Conductivity:
     """Matrix form of a dilatation pair.
 

@@ -20,15 +20,6 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def sample_matrix_function(mesh: TriMesh, fn) -> ElementMatrixField:
-    """Evaluate a matrix-valued function of position at every barycenter."""
-    bary = mesh.barycenters
-    mats = np.empty((mesh.n_triangles, 2, 2))
-    for t in range(mesh.n_triangles):
-        mats[t] = fn(bary[t, 0], bary[t, 1])
-    return ElementMatrixField(mesh, mats)
-
-
 def constant_field(mesh: TriMesh, matrix) -> ElementMatrixField:
     matrix = np.asarray(matrix, dtype=float)
     return ElementMatrixField(mesh, np.broadcast_to(matrix, (mesh.n_triangles, 2, 2)).copy())
@@ -46,15 +37,20 @@ def _infer_resolution(mesh: TriMesh) -> int:
     return n
 
 
-def laminate_field(
-    mesh: TriMesh, a: float, b: float, direction: str = "x1", fraction: float = 0.5
-) -> ElementMatrixField:
-    """Isotropic two-phase strips: value a where the coordinate is below ``fraction``."""
+def _check_strip_interface(mesh: TriMesh, fraction: float) -> None:
+    """Reject a strip interface at ``fraction`` that falls between mesh lines."""
     n = _infer_resolution(mesh)
     if abs(fraction * n - round(fraction * n)) > 1e-9:
         raise ValueError(
             f"strip interface at {fraction} does not sit on mesh lines at resolution {n}"
         )
+
+
+def laminate_field(
+    mesh: TriMesh, a: float, b: float, direction: str = "x1", fraction: float = 0.5
+) -> ElementMatrixField:
+    """Isotropic two-phase strips: value a where the coordinate is below ``fraction``."""
+    _check_strip_interface(mesh, fraction)
     axis = {"x1": 0, "x2": 1}[direction]
     coord = mesh.barycenters[:, axis]
     vals = np.where(coord % 1.0 < fraction, a, b)
@@ -81,7 +77,7 @@ def checkerboard_field(mesh: TriMesh, a: float, b: float) -> ElementMatrixField:
 
 def hall_laminate_field(mesh: TriMesh, c: float, direction: str = "x1") -> ElementMatrixField:
     """Strips of [[1, +/-c], [-/+c, 1]]: unit symmetric part, alternating gap sign."""
-    n = _infer_resolution(mesh)
+    _check_strip_interface(mesh, 0.5)
     axis = {"x1": 0, "x2": 1}[direction]
     coord = mesh.barycenters[:, axis]
     sign = np.where(coord % 1.0 < 0.5, 1.0, -1.0)

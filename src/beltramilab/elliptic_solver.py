@@ -4,7 +4,9 @@ The coefficient matrix may be non-symmetric, so the assembled system is
 genuinely non-symmetric (test gradient . sigma . trial gradient ordering);
 the default solver is sparse LU, the iterative option a non-symmetric
 Krylov method (GMRES).  Assembly order is the triangle index order so
-results are bit-reproducible at a fixed thread count.
+results are bit-reproducible at a fixed thread count.  Each solver takes a
+stack of right-hand sides for one operator and assembles, validates and
+factors it once per call.
 """
 
 from __future__ import annotations
@@ -37,15 +39,6 @@ class SolveOptions:
             raise ValueError("tolerance must be positive")
         if self.method not in ("direct_lu", "iterative_nonsymmetric"):
             raise ValueError(f"unknown method {self.method!r}")
-
-
-@dataclass
-class LinearSystem:
-    """Assembled sparse system on the free degrees of freedom."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    dof_map: np.ndarray  # vertex -> equation index, -1 for eliminated vertices
 
 
 def validate_coefficient(sigma: ElementMatrixField) -> None:
@@ -101,11 +94,18 @@ def _assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
 
 
 def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, opts: SolveOptions) -> tuple[np.ndarray, dict]:
-    rhs_norm = float(np.linalg.norm(rhs))
+    """Solve for one right-hand side (n,) or a stack (n, k) with one factorization.
+
+    The LU path factors once and back-substitutes column by column; the
+    iterative path builds one ILU preconditioner and runs GMRES per column.
+    Every column must meet the relative-residual tolerance; the stats report
+    the worst column and the iterations summed over columns.
+    """
+    columns = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
     if opts.method == "direct_lu":
         try:
             lu = spla.splu(matrix.tocsc())
-            x = lu.solve(rhs)
+            xs = [lu.solve(b) for b in columns]
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
         iters = None
@@ -117,43 +117,52 @@ def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, opts: SolveOptions) ->
         def cb(_):
             counter["n"] += 1
 
-        x, info = spla.gmres(
-            matrix,
-            rhs,
-            rtol=opts.tolerance,
-            maxiter=opts.max_iterations,
-            M=precond,
-            callback=cb,
-            callback_type="pr_norm",
-        )
-        iters = counter["n"]
-        if info > 0:
-            resid = float(np.linalg.norm(matrix @ x - rhs))
-            raise SolverError(
-                f"GMRES stagnated after {info} iterations", residual=resid
+        xs = []
+        for b in columns:
+            x, info = spla.gmres(
+                matrix,
+                b,
+                rtol=opts.tolerance,
+                maxiter=opts.max_iterations,
+                M=precond,
+                callback=cb,
+                callback_type="pr_norm",
             )
-        if info < 0:
-            raise SolverError(f"GMRES received illegal input (info={info})")
-    residual = float(np.linalg.norm(matrix @ x - rhs))
-    rel = residual / rhs_norm if rhs_norm > 0 else residual
-    if rel > max(opts.tolerance, 1e-8):
-        raise SolverError(f"relative residual {rel:.3e} above tolerance", residual=residual)
-    stats = {"n": matrix.shape[0], "nnz": matrix.nnz, "method": opts.method,
+            if info > 0:
+                resid = float(np.linalg.norm(matrix @ x - b))
+                raise SolverError(
+                    f"GMRES stagnated after {info} iterations", residual=resid
+                )
+            if info < 0:
+                raise SolverError(f"GMRES received illegal input (info={info})")
+            xs.append(x)
+        iters = counter["n"]
+    residual = rel = 0.0
+    for x, b in zip(xs, columns):
+        col_residual = float(np.linalg.norm(matrix @ x - b))
+        rhs_norm = float(np.linalg.norm(b))
+        col_rel = col_residual / rhs_norm if rhs_norm > 0 else col_residual
+        if col_rel > max(opts.tolerance, 1e-8):
+            raise SolverError(f"relative residual {col_rel:.3e} above tolerance", residual=col_residual)
+        residual, rel = max(residual, col_residual), max(rel, col_rel)
+    stats = {"n": matrix.shape[0], "nnz": matrix.nnz, "nrhs": len(xs), "method": opts.method,
              "residual": residual, "relative_residual": rel, "iterations": iters}
     log.info(
-        "linear solve: n=%d nnz=%d method=%s residual=%.3e iterations=%s",
-        stats["n"], stats["nnz"], stats["method"], residual, iters,
+        "linear solve: n=%d nnz=%d nrhs=%d method=%s residual=%.3e iterations=%s",
+        stats["n"], stats["nnz"], stats["nrhs"], stats["method"], residual, iters,
     )
+    x = np.column_stack(xs) if rhs.ndim == 2 else xs[0]
     return x, stats
 
 
 def _boundary_values(mesh: TriMesh, g: BoundaryData) -> np.ndarray:
+    """Boundary values (m,), or stacked (m, k), ordered like the boundary loop."""
     loop = mesh.boundary_loop
     if callable(g):
         vals = np.asarray(g(mesh.vertices[loop]), dtype=float)
     else:
         vals = np.asarray(g, dtype=float)
-    if vals.shape != (len(loop),):
+    if vals.ndim not in (1, 2) or vals.shape[0] != len(loop):
         raise ValueError(f"boundary data must give {len(loop)} values, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("boundary data contains non-finite values")
@@ -162,12 +171,14 @@ def _boundary_values(mesh: TriMesh, g: BoundaryData) -> np.ndarray:
 
 def solve_dirichlet(
     sigma: ElementMatrixField, g: BoundaryData, opts: SolveOptions | None = None
-) -> ScalarFieldP1:
+) -> ScalarFieldP1 | list[ScalarFieldP1]:
     """Discrete weak solution with Dirichlet data g at the boundary vertices.
 
     ``g`` is either a callable taking an (m, 2) array of boundary vertex
     positions or an array of per-boundary-vertex values ordered like the
-    boundary loop.
+    boundary loop.  Values of shape (m,) give one solution; stacked values
+    of shape (m, k) give a list of k solutions of the same operator,
+    assembled and factored once.
     """
     opts = opts or SolveOptions()
     mesh = sigma.mesh
@@ -178,35 +189,13 @@ def solve_dirichlet(
 
     full = _assemble(mesh, sigma.matrices)
     boundary = mesh.boundary_loop
-    is_free = np.ones(mesh.n_vertices, dtype=bool)
-    is_free[boundary] = False
-    free = np.nonzero(is_free)[0]
-    dof_map = -np.ones(mesh.n_vertices, dtype=np.int64)
-    dof_map[free] = np.arange(len(free))
-
-    u_full = np.zeros(mesh.n_vertices)
-    u_full[boundary] = g_vals
+    free = np.flatnonzero(~mesh.boundary_mask)
     rhs = -(full[free][:, boundary] @ g_vals)
-    matrix = full[free][:, free].tocsr()
-    x, _ = _solve_system(matrix, rhs, opts)
-    u_full[free] = x
-    return ScalarFieldP1(mesh, u_full)
-
-
-def dirichlet_system(sigma: ElementMatrixField, g: BoundaryData) -> LinearSystem:
-    """Assembled reduced system for inspection/testing; mirrors solve_dirichlet."""
-    mesh = sigma.mesh
-    validate_coefficient(sigma)
-    g_vals = _boundary_values(mesh, g)
-    full = _assemble(mesh, sigma.matrices)
-    boundary = mesh.boundary_loop
-    is_free = np.ones(mesh.n_vertices, dtype=bool)
-    is_free[boundary] = False
-    free = np.nonzero(is_free)[0]
-    dof_map = -np.ones(mesh.n_vertices, dtype=np.int64)
-    dof_map[free] = np.arange(len(free))
-    rhs = -(full[free][:, boundary] @ g_vals)
-    return LinearSystem(matrix=full[free][:, free].tocsr(), rhs=rhs, dof_map=dof_map)
+    x, _ = _solve_system(full[free][:, free].tocsr(), rhs, opts)
+    u = np.zeros((mesh.n_vertices, *g_vals.shape[1:]))
+    u[boundary] = g_vals
+    u[free] = x
+    return ScalarFieldP1(mesh, u) if u.ndim == 1 else [ScalarFieldP1(mesh, v) for v in u.T.copy()]
 
 
 def interior_residual(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
@@ -233,14 +222,30 @@ def _pin_dof(matrix: sp.csr_matrix, rhs: np.ndarray, dof: int = 0) -> tuple[sp.c
     return lil.tocsr(), rhs
 
 
+def _load_vector(mesh: TriMesh, contribs: list[np.ndarray]) -> np.ndarray:
+    """(n_free, k) load vectors from one (nt, 3) array of per-vertex element loads per column."""
+    rhs = np.zeros((mesh.n_free, len(contribs)))
+    np.add.at(rhs, mesh.vertex_dofs().ravel(), np.stack(contribs, axis=-1).reshape(-1, len(contribs)))
+    return rhs
+
+
+def _solve_pinned(matrix: sp.csr_matrix, rhs: np.ndarray, opts: SolveOptions) -> np.ndarray:
+    """Solve a singular cell or Neumann system with dof 0 pinned."""
+    pinned, rhs_p = _pin_dof(matrix, rhs)
+    x, _ = _solve_system(pinned, rhs_p, opts)
+    return x
+
+
 def solve_periodic_cell(
     sigma: ElementMatrixField, xi: np.ndarray, opts: SolveOptions | None = None
-) -> ScalarFieldP1:
+) -> ScalarFieldP1 | list[ScalarFieldP1]:
     """Cell solution u = xi . x + w with w periodic and of zero mean over the cell.
 
     Returns u on the unwrapped fundamental domain (identified vertices share
     the periodic part but keep their own affine part).  For constant
-    coefficients the corrector w vanishes and u = xi . x exactly.
+    coefficients the corrector w vanishes and u = xi . x exactly.  ``xi`` of
+    shape (2,) gives one solution; stacked rows of shape (k, 2) give a list
+    of k solutions of the same operator, assembled and factored once.
     """
     opts = opts or SolveOptions()
     mesh = sigma.mesh
@@ -248,24 +253,26 @@ def solve_periodic_cell(
         raise ValueError("cell solve needs a periodic mesh")
     validate_coefficient(sigma)
     xi = np.asarray(xi, dtype=float)
+    xis = xi.reshape(-1, 2)
 
     matrix = _assemble(mesh, sigma.matrices)
     # rhs_i = - sum_e A_e grad(phi_i) . sigma_e xi
-    flux = np.einsum("tab,b->ta", sigma.matrices, xi)
-    contrib = -np.einsum("tia,ta,t->ti", mesh.hat_gradients, flux, mesh.areas)
-    rhs = np.zeros(mesh.n_free)
-    np.add.at(rhs, mesh.vertex_dofs().ravel(), contrib.ravel())
+    rhs = _load_vector(mesh, [
+        -np.einsum("tia,ta,t->ti", mesh.hat_gradients,
+                   np.einsum("tab,b->ta", sigma.matrices, x), mesh.areas)
+        for x in xis
+    ])
+    w = _solve_pinned(matrix, rhs, opts)
 
-    pinned, rhs_p = _pin_dof(matrix, rhs)
-    w_free, _ = _solve_system(pinned, rhs_p, opts)
-
-    # Shift the periodic part to zero mean over the cell.
-    w_at_tri = w_free[mesh.vertex_dofs()]
-    mean_w = float(np.dot(mesh.areas, w_at_tri.mean(axis=1)) / mesh.areas.sum())
-    w_free = w_free - mean_w
-
-    u = mesh.vertices @ xi + w_free[mesh.free_index]
-    return ScalarFieldP1(mesh, u)
+    fields = []
+    for j, x in enumerate(xis):
+        # Shift the periodic part to zero mean over the cell.
+        w_free = w[:, j]
+        w_at_tri = w_free[mesh.vertex_dofs()]
+        mean_w = float(np.dot(mesh.areas, w_at_tri.mean(axis=1)) / mesh.areas.sum())
+        w_free = w_free - mean_w
+        fields.append(ScalarFieldP1(mesh, mesh.vertices @ x + w_free[mesh.free_index]))
+    return fields[0] if xi.ndim == 1 else fields
 
 
 def rotated_flux(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
@@ -302,8 +309,10 @@ def vertex_circulations(mesh: TriMesh, field: np.ndarray) -> np.ndarray:
 
 
 def stream_function(
-    sigma: ElementMatrixField, u: ScalarFieldP1, opts: SolveOptions | None = None
-) -> tuple[ScalarFieldP1, float]:
+    sigma: ElementMatrixField,
+    u: ScalarFieldP1 | list[ScalarFieldP1],
+    opts: SolveOptions | None = None,
+) -> tuple[ScalarFieldP1, float] | list[tuple[ScalarFieldP1, float]]:
     """Least-squares potential of the rotated flux, anchored to zero at vertex 0.
 
     Solves the discrete Neumann problem
@@ -314,35 +323,32 @@ def stream_function(
     linear part that is split off, solved around, and added back on the
     unwrapped cell.  Returns the field and the L2 norm of the gradient
     mismatch (decreases under refinement; zero when the target is exact).
+    A list of fields gives a list of (field, residual) pairs from one
+    factorization of the mesh Laplacian.
     """
     opts = opts or SolveOptions()
     mesh = sigma.mesh
-    target = rotated_flux(sigma, u)
+    us = [u] if isinstance(u, ScalarFieldP1) else list(u)
+    targets = [rotated_flux(sigma, f) for f in us]
+    linears = [ROT90 @ mean_flux(sigma, f) if mesh.periodic else None for f in us]
 
-    if mesh.periodic:
-        linear = ROT90 @ mean_flux(sigma, u)
-        target_periodic = target - linear[None, :]
-    else:
-        linear = None
-        target_periodic = target
+    laplacian = _assemble(mesh, np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy())
+    rhs = _load_vector(mesh, [
+        np.einsum("tia,ta,t->ti", mesh.hat_gradients,
+                  target if linear is None else target - linear[None, :], mesh.areas)
+        for target, linear in zip(targets, linears)
+    ])
+    w = _solve_pinned(laplacian, rhs, opts)
 
-    identity = ElementMatrixField(
-        mesh, np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy()
-    )
-    matrix = _assemble(mesh, identity.matrices)
-    contrib = np.einsum("tia,ta,t->ti", mesh.hat_gradients, target_periodic, mesh.areas)
-    rhs = np.zeros(mesh.n_free)
-    np.add.at(rhs, mesh.vertex_dofs().ravel(), contrib.ravel())
+    results = []
+    for j, (target, linear) in enumerate(zip(targets, linears)):
+        values = w[mesh.free_index, j]
+        if linear is not None:
+            values = values + mesh.vertices @ linear
+        values = values - values[0]  # anchor at the lowest vertex index
+        field = ScalarFieldP1(mesh, values)
 
-    pinned, rhs_p = _pin_dof(matrix, rhs)
-    w, _ = _solve_system(pinned, rhs_p, opts)
-
-    values = w[mesh.free_index]
-    if linear is not None:
-        values = values + mesh.vertices @ linear
-    values = values - values[0]  # anchor at the lowest vertex index
-    field = ScalarFieldP1(mesh, values)
-
-    mismatch = element_gradient(field) - target
-    residual = float(np.sqrt(np.dot(mesh.areas, np.einsum("ta,ta->t", mismatch, mismatch))))
-    return field, residual
+        mismatch = element_gradient(field) - target
+        residual = float(np.sqrt(np.dot(mesh.areas, np.einsum("ta,ta->t", mismatch, mismatch))))
+        results.append((field, residual))
+    return results[0] if isinstance(u, ScalarFieldP1) else results

@@ -151,19 +151,6 @@ def element_gradient(f: ScalarFieldP1) -> np.ndarray:
     return np.einsum("ti,tid->td", vals, f.mesh.hat_gradients)
 
 
-def integrate_element_field(mesh: TriMesh, values: np.ndarray) -> float | np.ndarray:
-    """Integral over the mesh of a per-triangle constant field (scalar or vector)."""
-    if values.ndim == 1:
-        return float(np.dot(mesh.areas, values))
-    return np.tensordot(mesh.areas, values, axes=(0, 0))
-
-
-def field_mean(f: ScalarFieldP1) -> float:
-    """Area-weighted mean of a P1 field (exact for the piecewise-linear interpolant)."""
-    tri_means = f.values[f.mesh.triangles].mean(axis=1)
-    return float(np.dot(f.mesh.areas, tri_means) / f.mesh.areas.sum())
-
-
 # ---------------------------------------------------------------------------
 # Mesh builders
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ import numpy as np
 
 from .elliptic_solver import SolveOptions, mean_flux, solve_periodic_cell, stream_function
 from .grid import ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
-from .sigma_harmonic import ComplexMap, SigmaHarmonicMap, injectivity_check, make_map
+from .sigma_harmonic import (
+    ComplexMap,
+    SigmaHarmonicMap,
+    _det_from_gradients,
+    injectivity_check,
+    make_map,
+)
 
 log = logging.getLogger(__name__)
 
@@ -67,8 +73,7 @@ def effective_conductivity(
     """
     opts = opts or SolveOptions()
     mesh = sigma.mesh
-    u1 = solve_periodic_cell(sigma, np.array([1.0, 0.0]), opts)
-    u2 = solve_periodic_cell(sigma, np.array([0.0, 1.0]), opts)
+    u1, u2 = solve_periodic_cell(sigma, np.eye(2), opts)
     col1 = mean_flux(sigma, u1)
     col2 = mean_flux(sigma, u2)
     u12 = ScalarFieldP1(mesh, u1.values + u2.values)
@@ -98,10 +103,9 @@ def cell_map(
     opts = opts or SolveOptions()
     A = np.asarray(A, dtype=float)
     mesh = sigma.mesh
-    u1 = solve_periodic_cell(sigma, A[0], opts)
-    u2 = solve_periodic_cell(sigma, A[1], opts)
-    e1 = solve_periodic_cell(sigma, np.array([1.0, 0.0]), opts)
-    e2 = solve_periodic_cell(sigma, np.array([0.0, 1.0]), opts)
+    # A[0], A[1], e1 and e2 stay separate right-hand sides, so the linearity
+    # check compares independent solves of one factorization.
+    u1, u2, e1, e2 = solve_periodic_cell(sigma, np.vstack([A, np.eye(2)]), opts)
     lin1 = A[0, 0] * e1.values + A[0, 1] * e2.values
     lin2 = A[1, 0] * e1.values + A[1, 1] * e2.values
     err = max(
@@ -126,9 +130,9 @@ def _element_dets(map_like) -> tuple[TriMesh, np.ndarray]:
     if isinstance(map_like, SigmaHarmonicMap):
         return map_like.mesh, map_like.det_DU
     if isinstance(map_like, ComplexMap):
-        g1 = element_gradient(map_like.re)
-        g2 = element_gradient(map_like.im)
-        return map_like.mesh, g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
+        return map_like.mesh, _det_from_gradients(
+            element_gradient(map_like.re), element_gradient(map_like.im)
+        )
     raise TypeError(f"expected a map, got {type(map_like)!r}")
 
 

@@ -168,10 +168,8 @@ def primary_pair(
     mesh = sigma.mesh
     check_convex_domain(mesh)
     opts = opts or SolveOptions()
-    u1 = solve_dirichlet(sigma, lambda p: p[:, 0], opts)
-    u2 = solve_dirichlet(sigma, lambda p: p[:, 1], opts)
-    ut1, res1 = stream_function(sigma, u1, opts)
-    ut2, res2 = stream_function(sigma, u2, opts)
+    u1, u2 = solve_dirichlet(sigma, lambda p: p, opts)
+    (ut1, res1), (ut2, res2) = stream_function(sigma, [u1, u2], opts)
     log.info("primary pair stream residuals: %.3e %.3e", res1, res2)
     return (
         ComplexMap(u1, ut1),
@@ -191,7 +189,7 @@ def sigma_harmonic_map(
     phi2,
     opts: SolveOptions | None = None,
 ) -> SigmaHarmonicMap:
-    """Two Dirichlet solves with vector boundary data (phi1, phi2).
+    """Dirichlet solves for the two components of vector boundary data (phi1, phi2).
 
     When the sampled boundary data is not a sense-preserving convex
     embedding the homeomorphism guarantee is void; a warning is emitted
@@ -208,8 +206,7 @@ def sigma_harmonic_map(
             "boundary data is not a sense-preserving convex embedding; "
             "injectivity is not guaranteed"
         )
-    u1 = solve_dirichlet(sigma, v1, opts)
-    u2 = solve_dirichlet(sigma, v2, opts)
+    u1, u2 = solve_dirichlet(sigma, np.column_stack([v1, v2]), opts)
     return make_map(u1, u2, sigma)
 
 

@@ -161,6 +161,18 @@ class TestSweep:
         assert ",ok," in lines[1]
         assert ",error," in lines[2]
 
+    def test_mesh_budget_error_recorded_and_sweep_continues(self, tmp_path):
+        # 2 * 1001^2 triangles exceed the budget; the check runs before allocation
+        huge = {"task": "primary-pair", "domain": "unit_square", "resolution": 1001,
+                "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]}}
+        good = {"task": "primary-pair", "domain": "unit_square", "resolution": 8,
+                "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]}}
+        path = sweep([huge, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert ",error," in lines[1] and "budget" in lines[1]
+        assert ",ok," in lines[2]
+
     def test_heterogeneous_tasks_rejected(self, tmp_path):
         a = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0, 0], "nu": [0, 0]}}
         b = {"task": "solve", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]}}
@@ -209,6 +221,20 @@ class TestMainEntry:
         cfg = write_config(tmp_path, "c.json", {"task": "solve",
                                                 "coefficient": {"family": "random_piecewise"}})
         assert main(["solve", "--config", str(cfg)]) == 1
+
+    def test_value_error_reported_with_exit_one(self, tmp_path, caplog):
+        # this draw's recovered stream function folds a boundary triangle, so
+        # change_coordinates raises ValueError inside the diagnose task
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"task": "diagnose", "domain": "unit_square", "resolution": 32, "seed": 106,
+             "coefficient": {"family": "random_piecewise", "k_max": 5, "cells": 4,
+                             "symmetric": False},
+             "diagnostics": {"max_level": 5}, "output_dir": str(tmp_path / "out")},
+        )
+        assert main(["diagnose", "--config", str(cfg)]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert any("not locally injective" in r.getMessage() for r in errors)
 
     def test_sweep_verb(self, tmp_path):
         cfg = write_config(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from beltramilab.coefficients import (
     constant_field,
@@ -8,7 +9,6 @@ from beltramilab.coefficients import (
 )
 from beltramilab.elliptic_solver import (
     SolveOptions,
-    dirichlet_system,
     interior_residual,
     mean_flux,
     rotated_flux,
@@ -18,7 +18,9 @@ from beltramilab.elliptic_solver import (
     vertex_circulations,
 )
 from beltramilab.errors import NonEllipticError
-from beltramilab.grid import build_periodic_cell, build_unit_square, element_gradient
+from beltramilab.grid import ScalarFieldP1, build_periodic_cell, build_unit_square, element_gradient
+from beltramilab.homogenization import cell_map, effective_conductivity
+from beltramilab.sigma_harmonic import primary_pair
 
 
 def resistor_profile(x, a, b):
@@ -69,7 +71,10 @@ class TestDirichlet:
         g = lambda p: p[:, 0]
         u = solve_dirichlet(sig, g)
         res = interior_residual(sig, u)
-        rhs_norm = np.linalg.norm(dirichlet_system(sig, g).rhs)
+        # the reduced right-hand side is minus the residual of the boundary lift
+        lift = np.zeros(m.n_vertices)
+        lift[m.boundary_loop] = g(m.vertices[m.boundary_loop])
+        rhs_norm = np.linalg.norm(interior_residual(sig, ScalarFieldP1(m, lift)))
         assert np.abs(res).max() <= 1e-10 * rhs_norm
 
     def test_non_elliptic_rejected_before_assembly(self):
@@ -196,3 +201,94 @@ class TestStreamFunction:
         g = element_gradient(ut)
         assert np.abs(g[:, 0]).max() < 1e-10
         assert np.abs(g[:, 1] - 5.0 / 3.0).max() < 1e-10
+
+
+class TestStackedRightHandSides:
+    """A stack of right-hand sides gives the bits of one-at-a-time solves."""
+
+    ITERATIVE = SolveOptions(method="iterative_nonsymmetric", tolerance=1e-12)
+
+    def test_dirichlet_stack_matches_single_solves(self):
+        m = build_unit_square(16)
+        sig = random_piecewise_field(m, 5.0, 4, seed=8)
+        p = m.vertices[m.boundary_loop]
+        data = np.column_stack([p[:, 0], p[:, 1], np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2])
+        stacked = solve_dirichlet(sig, data)
+        assert len(stacked) == 3
+        for k, u in enumerate(stacked):
+            assert np.array_equal(u.values, solve_dirichlet(sig, data[:, k]).values)
+        # a callable returning stacked data gives the same solves
+        u1, u2 = solve_dirichlet(sig, lambda q: q)
+        assert np.array_equal(u1.values, stacked[0].values)
+        assert np.array_equal(u2.values, stacked[1].values)
+        for it, lu in zip(solve_dirichlet(sig, data, self.ITERATIVE), stacked):
+            assert np.abs(it.values - lu.values).max() < 1e-8
+
+    def test_periodic_cell_stack_matches_single_solves(self):
+        m = build_periodic_cell(16)
+        sig = random_piecewise_field(m, 5.0, 4, seed=5)
+        xis = np.array([[2.0, 0.5], [0.3, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        stacked = solve_periodic_cell(sig, xis)
+        assert len(stacked) == 4
+        for xi, u in zip(xis, stacked):
+            assert np.array_equal(u.values, solve_periodic_cell(sig, xi).values)
+        for it, lu in zip(solve_periodic_cell(sig, xis, self.ITERATIVE), stacked):
+            assert np.abs(it.values - lu.values).max() < 1e-8
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_stream_stack_matches_single_solves(self, periodic):
+        if periodic:
+            m = build_periodic_cell(16)
+            sig = random_piecewise_field(m, 5.0, 4, seed=5)
+            fields = solve_periodic_cell(sig, np.eye(2))
+        else:
+            m = build_unit_square(16)
+            sig = random_piecewise_field(m, 5.0, 4, seed=8)
+            fields = solve_dirichlet(sig, lambda q: q)
+        stacked = stream_function(sig, fields)
+        assert len(stacked) == 2
+        for u, (ut, resid) in zip(fields, stacked):
+            single, single_resid = stream_function(sig, u)
+            assert np.array_equal(ut.values, single.values)
+            assert resid == single_resid
+        for (it, _), (lu, _) in zip(stream_function(sig, fields, self.ITERATIVE), stacked):
+            assert np.abs(it.values - lu.values).max() < 1e-8
+
+    def test_stacked_data_with_wrong_row_count_rejected(self):
+        m = build_unit_square(4)
+        sig = constant_field(m, np.eye(2))
+        n = len(m.boundary_loop)
+        with pytest.raises(ValueError, match="boundary data"):
+            solve_dirichlet(sig, np.zeros((n + 1, 2)))
+        with pytest.raises(ValueError, match="boundary data"):
+            solve_dirichlet(sig, lambda q: np.zeros((n - 1, 2)))
+
+
+class TestOneFactorizationPerOperator:
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        return calls
+
+    def test_primary_pair(self, factorizations):
+        m = build_unit_square(8)
+        primary_pair(random_piecewise_field(m, 5.0, 4, seed=2))
+        # the coefficient operator for u1 and u2, the mesh Laplacian for both streams
+        assert len(factorizations) == 2
+
+    def test_cell_map(self, factorizations):
+        m = build_periodic_cell(8)
+        cell_map(random_piecewise_field(m, 5.0, 4, seed=2), np.array([[2.0, 0.5], [0.3, 1.0]]))
+        assert len(factorizations) == 1
+
+    def test_effective_conductivity(self, factorizations):
+        m = build_periodic_cell(8)
+        effective_conductivity(random_piecewise_field(m, 5.0, 4, seed=2))
+        assert len(factorizations) == 1

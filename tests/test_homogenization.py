@@ -58,6 +58,15 @@ class TestEffectiveConductivity:
         oracle = np.diag([1.0, 1.0 + c * c])
         assert np.abs(eff.matrix - oracle).max() < 1e-9
 
+    @pytest.mark.parametrize("build", [
+        lambda m: hall_laminate_field(m, 0.5),
+        lambda m: laminate_field(m, 1.0, 5.0),
+    ], ids=["hall_laminate", "laminate"])
+    def test_strip_interface_off_mesh_lines_rejected(self, build):
+        # at resolution 5 the interface at 0.5 cuts through a column of cells
+        with pytest.raises(ValueError, match="mesh lines"):
+            build(build_periodic_cell(5))
+
     def test_energy_probe_matches_flux_tensor(self):
         # discrete identity: the corrector is orthogonal to the test space,
         # so the energy probes equal the flux quadratic form for any sigma
