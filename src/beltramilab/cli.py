@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coefficients as coeff
+from . import elliptic_solver
 from .coeff_algebra import (
     BeltramiPair,
     K_of_beltrami,
@@ -62,6 +63,7 @@ from .homogenization import (
     mean_matrices,
 )
 from .sigma_harmonic import (
+    ComplexMap,
     beltrami_residual,
     change_coordinates,
     equival_residual,
@@ -538,8 +540,9 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     if mesh.periodic:
         cm = cell_map(sigma, np.eye(2), cfg.solver)
         U = cm.U
-        f1, _ = cell_complex_map(sigma, np.array([1.0, 0.0]), cfg.solver)
-        Phi = f1
+        # U.u1 is the e1 cell solution; only its stream function is left to solve.
+        # Looked up through the module, where perfbench's tracer wraps it.
+        Phi = ComplexMap(U.u1, elliptic_solver.stream_function(sigma, U.u1, cfg.solver)[0])
     else:
         Phi, Psi, U = primary_pair(sigma, cfg.solver)
     det = U.det_DU

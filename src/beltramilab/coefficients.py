@@ -31,9 +31,26 @@ def hall_field(mesh: TriMesh, a: float, b: float) -> ElementMatrixField:
 
 
 def _infer_resolution(mesh: TriMesh) -> int:
+    """Resolution n of a structured unit-square or periodic-cell lattice.
+
+    The mesh must have 2 n^2 triangles and (n+1)^2 vertices, all on the grid
+    (Z/n)^2 inside [0, 1]^2.  The triangle count alone would read a regular
+    octagon (8 r^2 = 2 (2r)^2 triangles) as a square lattice.  The test is on
+    the geometry, not on ``mesh.domain``, so a lattice read back from CSV
+    (domain ``"custom"``) is accepted too.
+    """
     n = round((mesh.n_triangles / 2) ** 0.5)
-    if 2 * n * n != mesh.n_triangles:
-        raise ValueError("coefficient family needs a structured square mesh")
+    grid = mesh.vertices * n
+    if (
+        2 * n * n != mesh.n_triangles
+        or len(grid) != (n + 1) ** 2
+        or grid.min() < -1e-9
+        or grid.max() > n + 1e-9
+        or np.abs(grid - np.round(grid)).max() > 1e-9
+    ):
+        raise ValueError(
+            f"coefficient family needs a structured unit-square mesh, got domain {mesh.domain!r}"
+        )
     return n
 
 

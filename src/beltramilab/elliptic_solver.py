@@ -27,6 +27,12 @@ log = logging.getLogger(__name__)
 
 BoundaryData = Callable[[np.ndarray], np.ndarray] | np.ndarray
 
+# SuperLU column ordering: minimum degree on the pattern of A^T + A.  P1
+# stiffness matrices are structurally symmetric for every sigma, symmetric
+# or not, so this ordering keeps far less fill than the default COLAMD,
+# which orders the columns of A^T A.
+LU_ORDERING = "MMD_AT_PLUS_A"
+
 
 @dataclass
 class SolveOptions:
@@ -99,15 +105,19 @@ def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, opts: SolveOptions) ->
     The LU path factors once and back-substitutes column by column; the
     iterative path builds one ILU preconditioner and runs GMRES per column.
     Every column must meet the relative-residual tolerance; the stats report
-    the worst column and the iterations summed over columns.
+    the worst column, the iterations summed over columns and, for LU, the
+    factor fill (nonzeros of L and U) and the column ordering.
     """
     columns = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
+    fill = ordering = None
     if opts.method == "direct_lu":
         try:
-            lu = spla.splu(matrix.tocsc())
+            lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING)
             xs = [lu.solve(b) for b in columns]
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+        # SuperLU.nnz counts the factors in place; reading .L or .U would copy them.
+        fill, ordering = int(lu.nnz), LU_ORDERING
         iters = None
     else:
         ilu = spla.spilu(matrix.tocsc(), drop_tol=1e-5, fill_factor=20)
@@ -146,10 +156,12 @@ def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, opts: SolveOptions) ->
             raise SolverError(f"relative residual {col_rel:.3e} above tolerance", residual=col_residual)
         residual, rel = max(residual, col_residual), max(rel, col_rel)
     stats = {"n": matrix.shape[0], "nnz": matrix.nnz, "nrhs": len(xs), "method": opts.method,
+             "fill": fill, "ordering": ordering,
              "residual": residual, "relative_residual": rel, "iterations": iters}
     log.info(
-        "linear solve: n=%d nnz=%d nrhs=%d method=%s residual=%.3e iterations=%s",
-        stats["n"], stats["nnz"], stats["nrhs"], stats["method"], residual, iters,
+        "linear solve: n=%d nnz=%d nrhs=%d method=%s fill=%s ordering=%s residual=%.3e "
+        "iterations=%s",
+        stats["n"], stats["nnz"], stats["nrhs"], stats["method"], fill, ordering, residual, iters,
     )
     x = np.column_stack(xs) if rhs.ndim == 2 else xs[0]
     return x, stats
@@ -212,14 +224,19 @@ def _pin_dof(matrix: sp.csr_matrix, rhs: np.ndarray, dof: int = 0) -> tuple[sp.c
 
     Valid because the unpinned singular system is consistent (both the
     all-ones left and right kernels), so the pinned solution solves every
-    original equation.
+    original equation.  Works on the CSR arrays: every other stored entry,
+    explicit zeros included, is kept, and the input is not modified.
     """
-    lil = matrix.tolil()
-    lil.rows[dof] = [dof]
-    lil.data[dof] = [1.0]
+    lo, hi = matrix.indptr[dof], matrix.indptr[dof + 1]
+    indices = np.concatenate(
+        [matrix.indices[:lo], np.array([dof], dtype=matrix.indices.dtype), matrix.indices[hi:]]
+    )
+    data = np.concatenate([matrix.data[:lo], [1.0], matrix.data[hi:]])
+    indptr = matrix.indptr.copy()
+    indptr[dof + 1:] += 1 - (hi - lo)
     rhs = rhs.copy()
     rhs[dof] = 0.0
-    return lil.tocsr(), rhs
+    return sp.csr_matrix((data, indices, indptr), shape=matrix.shape), rhs
 
 
 def _load_vector(mesh: TriMesh, contribs: list[np.ndarray]) -> np.ndarray:

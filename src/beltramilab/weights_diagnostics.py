@@ -240,7 +240,7 @@ def ainfty_probe(w: np.ndarray, squares: DyadicSquareSet, subset_sampler) -> Ain
     ``subset_sampler(square)`` returns element-index arrays E inside the
     square; for each the probe records (|E|/|P|, mass(E)/mass(P)) with the
     discrete measures.  By construction the fitted envelopes bracket every
-    sample (asserted post-fit).
+    sample; this is checked post-fit and a miss raises ``RuntimeError``.
     """
     w = _check_positive(w)
     areas = squares.mesh.areas
@@ -263,8 +263,14 @@ def ainfty_probe(w: np.ndarray, squares: DyadicSquareSet, subset_sampler) -> Ain
     r_arr = np.asarray(r_all)
     c_upper, delta = _envelope_fit(t_arr, r_arr, upper=True)
     m_lower, eta = _envelope_fit(t_arr, r_arr, upper=False)
-    assert np.all(r_arr <= c_upper * t_arr ** delta * (1.0 + 1e-9))
-    assert np.all(r_arr >= m_lower * t_arr ** eta * (1.0 - 1e-9))
+    if not np.all(r_arr <= c_upper * t_arr ** delta * (1.0 + 1e-9)):
+        raise RuntimeError(
+            f"upper envelope C t^delta (C={c_upper:.6g}, delta={delta:.6g}) misses a sample"
+        )
+    if not np.all(r_arr >= m_lower * t_arr ** eta * (1.0 - 1e-9)):
+        raise RuntimeError(
+            f"lower envelope m t^eta (m={m_lower:.6g}, eta={eta:.6g}) misses a sample"
+        )
     return AinftyFit(
         c_upper=c_upper, delta=delta, m_lower=m_lower, eta=eta,
         area_fractions=t_arr, mass_fractions=r_arr,

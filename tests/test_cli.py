@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from beltramilab import elliptic_solver, weights_diagnostics
 from beltramilab.cli import ExperimentConfig, main, run, sweep
 from beltramilab.errors import ConfigError
 
@@ -142,6 +144,31 @@ class TestRunTasks:
         assert record.metrics["rh_det_dv_exp2"] >= 1.0
         assert (tmp_path / "out" / "square_stats.csv").exists()
 
+    def test_diagnose_periodic_solves_each_operator_once(self, tmp_path, monkeypatch):
+        factorizations, validations = [], []
+        splu, validate = spla.splu, elliptic_solver.validate_coefficient
+
+        def counting_splu(matrix, *args, **kwargs):
+            factorizations.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        def counting_validate(sigma):
+            validations.append(sigma)
+            return validate(sigma)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        monkeypatch.setattr(elliptic_solver, "validate_coefficient", counting_validate)
+        cfg = ExperimentConfig.from_dict(
+            {"task": "diagnose", "domain": "periodic_cell", "resolution": 16,
+             "coefficient": {"family": "checkerboard", "a": 1, "b": 4},
+             "seed": 0, "diagnostics": {"max_level": 2},
+             "output_dir": str(tmp_path / "out")}
+        )
+        run(cfg)
+        # the torus stiffness matrix (e1 and e2 together) and the mesh Laplacian
+        assert len(factorizations) == 2
+        assert len(validations) == 1
+
 
 class TestSweep:
     def test_empty_sweep_header_only(self, tmp_path):
@@ -171,6 +198,25 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert ",error," in lines[1] and "budget" in lines[1]
+        assert ",ok," in lines[2]
+
+    def test_envelope_miss_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
+        fit = weights_diagnostics._envelope_fit
+        calls = []
+
+        def first_upper_misses(t, r, upper):
+            const, slope = fit(t, r, upper)
+            calls.append(upper)
+            return (0.5 * const if upper and len(calls) == 1 else const), slope
+
+        monkeypatch.setattr(weights_diagnostics, "_envelope_fit", first_upper_misses)
+        cfg = {"task": "diagnose", "domain": "unit_square", "resolution": 32,
+               "coefficient": {"family": "checkerboard", "a": 1, "b": 4},
+               "seed": 0, "diagnostics": {"max_level": 3}}
+        path = sweep([cfg, cfg], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert ",error," in lines[1] and "upper envelope" in lines[1]
         assert ",ok," in lines[2]
 
     def test_heterogeneous_tasks_rejected(self, tmp_path):

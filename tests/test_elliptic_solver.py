@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from beltramilab.coefficients import (
@@ -9,6 +12,9 @@ from beltramilab.coefficients import (
 )
 from beltramilab.elliptic_solver import (
     SolveOptions,
+    _assemble,
+    _pin_dof,
+    _solve_system,
     interior_residual,
     mean_flux,
     rotated_flux,
@@ -271,7 +277,7 @@ class TestOneFactorizationPerOperator:
         splu = spla.splu
 
         def counting(matrix, *args, **kwargs):
-            calls.append(matrix.shape)
+            calls.append(kwargs.get("permc_spec"))
             return splu(matrix, *args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", counting)
@@ -281,14 +287,68 @@ class TestOneFactorizationPerOperator:
         m = build_unit_square(8)
         primary_pair(random_piecewise_field(m, 5.0, 4, seed=2))
         # the coefficient operator for u1 and u2, the mesh Laplacian for both streams
-        assert len(factorizations) == 2
+        assert factorizations == ["MMD_AT_PLUS_A"] * 2
 
     def test_cell_map(self, factorizations):
         m = build_periodic_cell(8)
         cell_map(random_piecewise_field(m, 5.0, 4, seed=2), np.array([[2.0, 0.5], [0.3, 1.0]]))
-        assert len(factorizations) == 1
+        assert factorizations == ["MMD_AT_PLUS_A"]
 
     def test_effective_conductivity(self, factorizations):
         m = build_periodic_cell(8)
         effective_conductivity(random_piecewise_field(m, 5.0, 4, seed=2))
-        assert len(factorizations) == 1
+        assert factorizations == ["MMD_AT_PLUS_A"]
+
+
+def _pattern(matrix: sp.csr_matrix, skip_row: int) -> set[tuple[int, int]]:
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    keep = rows != skip_row
+    return set(zip(rows[keep].tolist(), matrix.indices[keep].tolist()))
+
+
+class TestPinDof:
+    @pytest.mark.parametrize("dof", [0, 17])
+    def test_matches_lil_reference_and_keeps_input(self, dof):
+        # the torus Laplacian stores explicit zeros (diagonal edges of right triangles)
+        m = build_periodic_cell(6)
+        matrix = _assemble(m, np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)).copy())
+        assert np.count_nonzero(matrix.data == 0.0) > 0
+        before = (matrix.data.copy(), matrix.indices.copy(), matrix.indptr.copy())
+        rhs = np.arange(matrix.shape[0], dtype=float)
+
+        pinned, rhs_p = _pin_dof(matrix, rhs, dof)
+
+        lil = matrix.tolil()
+        lil.rows[dof] = [dof]
+        lil.data[dof] = [1.0]
+        reference = lil.tocsr()
+        assert np.array_equal(pinned.toarray(), reference.toarray())
+        assert _pattern(pinned, dof) == _pattern(reference, dof)
+        assert pinned.nnz == reference.nnz
+        assert pinned.indices[pinned.indptr[dof]:pinned.indptr[dof + 1]].tolist() == [dof]
+        assert rhs_p[dof] == 0.0 and rhs[dof] == dof
+        for kept, orig in zip((matrix.data, matrix.indices, matrix.indptr), before):
+            assert np.array_equal(kept, orig)
+
+    def test_solve_stats_report_fill_and_ordering(self, caplog):
+        m = build_periodic_cell(8)
+        sig = random_piecewise_field(m, 5.0, 4, seed=3)
+        pinned, rhs = _pin_dof(_assemble(m, sig.matrices), np.ones(m.n_free))
+        with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
+            _, stats = _solve_system(pinned, rhs, SolveOptions())
+        assert stats["ordering"] == "MMD_AT_PLUS_A"
+        assert stats["fill"] == spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
+        assert stats["fill"] >= pinned.nnz
+        assert f"fill={stats['fill']} ordering=MMD_AT_PLUS_A" in caplog.text
+        _, it_stats = _solve_system(pinned, rhs, SolveOptions(method="iterative_nonsymmetric"))
+        assert it_stats["fill"] is None and it_stats["ordering"] is None
+
+    def test_cell_map_linearity_under_ordering(self):
+        m = build_periodic_cell(32)
+        sig = random_piecewise_field(m, 5.0, 4, seed=4, symmetric=False)
+        A = np.array([[2.0, 0.5], [0.3, 1.0]])
+        cm = cell_map(sig, A)
+        e1, e2 = solve_periodic_cell(sig, np.eye(2))
+        for row, u in zip(A, (cm.U.u1, cm.U.u2)):
+            assert np.abs(u.values - (row[0] * e1.values + row[1] * e2.values)).max() < 1e-12
+        assert cm.linearity_error < 1e-12

@@ -8,7 +8,13 @@ from beltramilab.coefficients import (
     laminate_field,
     random_piecewise_field,
 )
-from beltramilab.grid import ScalarFieldP1, build_periodic_cell, build_unit_square
+from beltramilab.grid import (
+    ScalarFieldP1,
+    TriMesh,
+    build_periodic_cell,
+    build_regular_ngon,
+    build_unit_square,
+)
 from beltramilab.homogenization import (
     area_formula_check,
     cell_complex_map,
@@ -66,6 +72,25 @@ class TestEffectiveConductivity:
         # at resolution 5 the interface at 0.5 cuts through a column of cells
         with pytest.raises(ValueError, match="mesh lines"):
             build(build_periodic_cell(5))
+
+    def test_octagon_not_read_as_square_lattice(self):
+        # 8 * 4^2 triangles = 2 * 8^2 and 81 = 9^2 vertices, but the octagon spans [-1, 1]^2
+        m = build_regular_ngon(8, 1.0, 4)
+        assert m.n_triangles == 2 * 8 * 8
+        with pytest.raises(ValueError, match="unit-square mesh"):
+            laminate_field(m, 1.0, 5.0)
+        with pytest.raises(ValueError, match="unit-square mesh"):
+            random_piecewise_field(m, 5.0, 4, seed=1)
+
+    def test_lattice_without_domain_name_accepted(self):
+        # a unit-square lattice rebuilt from exported vertices and triangles
+        m = build_unit_square(8)
+        bare = TriMesh(vertices=m.vertices, triangles=m.triangles, boundary_loop=np.zeros(0))
+        assert bare.domain == "custom"
+        assert np.array_equal(
+            random_piecewise_field(bare, 5.0, 4, seed=3).matrices,
+            random_piecewise_field(m, 5.0, 4, seed=3).matrices,
+        )
 
     def test_energy_probe_matches_flux_tensor(self):
         # discrete identity: the corrector is orthogonal to the test space,

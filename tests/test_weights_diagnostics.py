@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from beltramilab import weights_diagnostics
 from beltramilab.coefficients import checkerboard_field, random_piecewise_field, rng_from_seed
 from beltramilab.grid import build_periodic_cell, build_unit_square, dyadic_squares
 from beltramilab.homogenization import cell_map
@@ -117,6 +118,22 @@ class TestAinftyProbe:
         t, r = fit.area_fractions, fit.mass_fractions
         assert np.all(r <= fit.c_upper * t ** fit.delta * (1 + 1e-9))
         assert np.all(r >= fit.m_lower * t ** fit.eta * (1 - 1e-9))
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_envelope_miss_raises(self, square_mesh, squares, monkeypatch, side):
+        fit = weights_diagnostics._envelope_fit
+
+        def shifted(t, r, upper):
+            # move one fitted envelope inside the samples
+            const, slope = fit(t, r, upper)
+            if upper == (side == "upper"):
+                const *= 0.5 if upper else 2.0
+            return const, slope
+
+        monkeypatch.setattr(weights_diagnostics, "_envelope_fit", shifted)
+        w = np.exp(rng_from_seed(2).normal(size=square_mesh.n_triangles))
+        with pytest.raises(RuntimeError, match=f"{side} envelope"):
+            ainfty_probe(w, squares, random_subset_sampler(seed=4))
 
     def test_degenerate_sampler_rejected(self, square_mesh, squares):
         with pytest.raises(ValueError):
