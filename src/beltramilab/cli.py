@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import coefficients as coeff
-from . import elliptic_solver
 from .coeff_algebra import (
     BeltramiPair,
     K_of_beltrami,
@@ -63,7 +62,6 @@ from .homogenization import (
     mean_matrices,
 )
 from .sigma_harmonic import (
-    ComplexMap,
     beltrami_residual,
     change_coordinates,
     equival_residual,
@@ -87,6 +85,16 @@ log = logging.getLogger(__name__)
 
 TASKS = ("convert", "solve", "primary-pair", "cell", "homogenize", "diagnose")
 RANDOM_FAMILIES = ("random_piecewise",)
+# The keys each coefficient family cannot do without; the others have defaults.
+FAMILY_KEYS = {"constant": ("matrix",), "laminate": ("a", "b"), "checkerboard": ("a", "b"),
+               "hall": ("a", "b"), "hall_laminate": ("c",), "random_piecewise": (),
+               "explicit": ("table", "cells"), "beltrami": ("mu", "nu")}
+# Tasks that need one kind of domain: (periodic, message when it is the other kind).
+DOMAIN_NEEDS = {
+    "primary-pair": (False, "primary-pair needs a bounded convex domain"),
+    "cell": (True, "cell task needs domain 'periodic_cell'"),
+    "homogenize": (True, "homogenize needs domain 'periodic_cell'"),
+}
 
 # Errors a run reports instead of raising: ConfigError, NonEllipticError and the
 # other ValueErrors of bad input, SolverError and MeshBudgetError.
@@ -142,11 +150,22 @@ class ExperimentConfig:
         if not isinstance(coefficient, dict) or "family" not in coefficient:
             raise ConfigError("coefficient.family", "coefficient spec with a family is required")
         family = coefficient["family"]
+        if family not in FAMILY_KEYS:
+            raise ConfigError("coefficient.family", f"unknown family {family!r}")
+        # convert reads any family but beltrami as a constant matrix
+        keys = ("matrix",) if task == "convert" and family != "beltrami" else FAMILY_KEYS[family]
+        for key in keys:
+            if key not in coefficient:
+                raise ConfigError(f"coefficient.{key}", f"required for family {family}")
         seed = raw.get("seed")
         if family in RANDOM_FAMILIES and seed is None and "seed" not in coefficient:
             raise ConfigError("seed", f"a seed is mandatory for the {family} family")
 
-        solver_raw = raw.get("solver", {})
+        for name in ("boundary", "solver", "diagnostics"):
+            if raw.get(name) is not None and not isinstance(raw[name], dict):
+                raise ConfigError(name, f"must be a JSON object, got {raw[name]!r}")
+
+        solver_raw = raw.get("solver") or {}
         try:
             solver = SolveOptions(
                 method=solver_raw.get("method", "direct_lu"),
@@ -174,7 +193,7 @@ class ExperimentConfig:
             solver=solver,
             seed=seed,
             output_dir=raw.get("output_dir", "out"),
-            diagnostics=raw.get("diagnostics", {}),
+            diagnostics=raw.get("diagnostics") or {},
             label=str(raw.get("label", "")),
             raw=raw,
         )
@@ -331,9 +350,18 @@ def _task_convert(cfg: ExperimentConfig, out: Path) -> RunRecord:
     return RunRecord("convert", metrics, invariants, [])
 
 
-def _task_solve(cfg: ExperimentConfig, out: Path) -> RunRecord:
+def _mesh_and_coefficient(cfg: ExperimentConfig):
+    """Build a task's mesh and coefficient, rejecting the domain kind the task cannot use."""
     mesh = build_mesh(cfg.domain, cfg.resolution)
-    sigma = build_coefficient(mesh, cfg.coefficient, cfg.seed)
+    if cfg.task in DOMAIN_NEEDS:
+        periodic, message = DOMAIN_NEEDS[cfg.task]
+        if mesh.periodic != periodic:
+            raise ConfigError("domain", message)
+    return mesh, build_coefficient(mesh, cfg.coefficient, cfg.seed)
+
+
+def _task_solve(cfg: ExperimentConfig, out: Path) -> RunRecord:
+    mesh, sigma = _mesh_and_coefficient(cfg)
     g = boundary_scalar_values(mesh, cfg.boundary)
     u = solve_dirichlet(sigma, g, cfg.solver)
     res = interior_residual(sigma, u)
@@ -390,10 +418,7 @@ def _primary_pair_metrics(sigma, Phi, Psi, U) -> tuple[dict, list[dict]]:
 
 
 def _task_primary_pair(cfg: ExperimentConfig, out: Path) -> RunRecord:
-    mesh = build_mesh(cfg.domain, cfg.resolution)
-    if mesh.periodic:
-        raise ConfigError("domain", "primary-pair needs a bounded convex domain")
-    sigma = build_coefficient(mesh, cfg.coefficient, cfg.seed)
+    mesh, sigma = _mesh_and_coefficient(cfg)
     if cfg.boundary is not None and cfg.boundary["kind"] == "polygon_trace":
         v1, v2 = _trace_by_arclength(mesh, cfg.boundary["vertices"])
         U = sigma_harmonic_map(sigma, v1, v2, cfg.solver)
@@ -426,10 +451,7 @@ def _task_primary_pair(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
 
 def _task_cell(cfg: ExperimentConfig, out: Path) -> RunRecord:
-    mesh = build_mesh(cfg.domain, cfg.resolution)
-    if not mesh.periodic:
-        raise ConfigError("domain", "cell task needs domain 'periodic_cell'")
-    sigma = build_coefficient(mesh, cfg.coefficient, cfg.seed)
+    mesh, sigma = _mesh_and_coefficient(cfg)
     A = np.asarray(cfg.diagnostics.get("affine_part", [[1, 0], [0, 1]]), dtype=float)
     cm = cell_map(sigma, A, cfg.solver)
     locally, globally = injectivity_check(cm.U)
@@ -453,10 +475,7 @@ def _task_cell(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
 
 def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
-    mesh = build_mesh(cfg.domain, cfg.resolution)
-    if not mesh.periodic:
-        raise ConfigError("domain", "homogenize needs domain 'periodic_cell'")
-    sigma = build_coefficient(mesh, cfg.coefficient, cfg.seed)
+    mesh, sigma = _mesh_and_coefficient(cfg)
     eff = effective_conductivity(sigma, cfg.solver)
     tensor = eff.matrix
     gap = eff.quadratic_form_gap()
@@ -472,13 +491,8 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
     family = cfg.coefficient["family"]
     if family in ("constant", "hall"):
-        mat = (
-            np.asarray(cfg.coefficient["matrix"], dtype=float)
-            if family == "constant"
-            else np.array([[cfg.coefficient["a"], cfg.coefficient["b"]],
-                           [-cfg.coefficient["b"], cfg.coefficient["a"]]], dtype=float)
-        )
-        err = float(np.abs(tensor - mat).max())
+        # a constant coefficient is its own effective tensor
+        err = float(np.abs(tensor - sigma.matrices[0]).max())
         metrics["constant_passthrough_error"] = err
         invariants.append(_invariant("constant_passthrough", err <= 1e-10 * max(scale, 1.0), err, 1e-10))
     elif family == "laminate":
@@ -507,7 +521,7 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
             invariants.append(_invariant("arithmetic_upper_bound", upper_ok, upper_ok, True))
 
     if cfg.diagnostics.get("area_check"):
-        f1, stream_resid = cell_complex_map(sigma, np.array([1.0, 0.0]), cfg.solver)
+        f1, stream_resid = cell_complex_map(sigma, eff.solutions["e1"], cfg.solver)
         area = image_area(f1)
         qf = float(tensor[0, 0])
         area_gap = abs(area - qf) / abs(qf)
@@ -519,7 +533,7 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
     rows = [[
         cfg.resolution,
-        tensor[0, 0], tensor[0, 1], tensor[1, 0], tensor[1, 1],
+        *tensor.ravel().tolist(),
         eff.quadratic_forms["e1"], eff.quadratic_forms["e2"], eff.quadratic_forms["e1+e2"],
         gap, metrics.get("laminate_oracle_error", metrics.get("checkerboard_oracle_error", 0.0)),
         family,
@@ -531,8 +545,7 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
 
 def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
-    mesh = build_mesh(cfg.domain, cfg.resolution)
-    sigma = build_coefficient(mesh, cfg.coefficient, cfg.seed)
+    mesh, sigma = _mesh_and_coefficient(cfg)
     diag = cfg.diagnostics
     max_level = int(diag.get("max_level", 4))
     subset_seed = int(diag.get("subset_seed", cfg.seed or 0))
@@ -540,9 +553,7 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     if mesh.periodic:
         cm = cell_map(sigma, np.eye(2), cfg.solver)
         U = cm.U
-        # U.u1 is the e1 cell solution; only its stream function is left to solve.
-        # Looked up through the module, where perfbench's tracer wraps it.
-        Phi = ComplexMap(U.u1, elliptic_solver.stream_function(sigma, U.u1, cfg.solver)[0])
+        Phi, _ = cell_complex_map(sigma, U.u1, cfg.solver)  # U.u1 is the e1 cell solution
     else:
         Phi, Psi, U = primary_pair(sigma, cfg.solver)
     det = U.det_DU

@@ -471,55 +471,43 @@ def _double_square_inside_polygon(corners_lo: np.ndarray, h: float, poly: np.nda
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows of Python scalars; ``csv`` writes floats as their shortest repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _indexed_rows(*arrays) -> zip:
+    """Row i is i followed by row i of each (n,) or (n, k) array, as Python scalars."""
+    n = len(arrays[0])
+    columns = []
+    for a in arrays:
+        a = np.asarray(a)
+        if a.shape[0] != n:
+            raise ValueError(f"expected {n} rows, got an array of shape {a.shape}")
+        columns += a.reshape(n, -1).T.tolist()
+    return zip(range(n), *columns)
 
 
 def export_vertices_csv(mesh: TriMesh, path) -> None:
-    rows = ((i, v[0], v[1]) for i, v in enumerate(mesh.vertices))
-    write_csv(path, ["index", "x", "y"], rows)
+    write_csv(path, ["index", "x", "y"], _indexed_rows(mesh.vertices))
 
 
 def export_triangles_csv(mesh: TriMesh, path) -> None:
-    rows = ((i, t[0], t[1], t[2]) for i, t in enumerate(mesh.triangles))
-    write_csv(path, ["index", "v0", "v1", "v2"], rows)
+    write_csv(path, ["index", "v0", "v1", "v2"], _indexed_rows(mesh.triangles))
 
 
 def export_vertex_values_csv(mesh: TriMesh, values: np.ndarray, path, name: str = "value") -> None:
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.shape[0] != mesh.n_vertices:
-        raise ValueError(f"expected {mesh.n_vertices} rows of vertex values, got {values.shape}")
-    cols = values.shape[1]
-    names = [name] if cols == 1 else [f"{name}{k}" for k in range(cols)]
-    rows = (
-        (i, mesh.vertices[i, 0], mesh.vertices[i, 1], *values[i])
-        for i in range(mesh.n_vertices)
-    )
-    write_csv(path, ["index", "x", "y", *names], rows)
+    cols = math.prod(values.shape[1:])
+    names = [name] if values.ndim == 1 else [f"{name}{k}" for k in range(cols)]
+    write_csv(path, ["index", "x", "y", *names], _indexed_rows(mesh.vertices, values))
 
 
 def export_element_values_csv(mesh: TriMesh, values: np.ndarray, path, name: str = "value") -> None:
     values = np.asarray(values, dtype=float)
-    bary = mesh.barycenters
-    if values.ndim == 1:
-        rows = ((i, bary[i, 0], bary[i, 1], values[i]) for i in range(mesh.n_triangles))
-        write_csv(path, ["index", "x", "y", name], rows)
-    else:
-        flat = values.reshape(mesh.n_triangles, -1)
-        names = [f"{name}{k}" for k in range(flat.shape[1])]
-        rows = (
-            (i, bary[i, 0], bary[i, 1], *flat[i]) for i in range(mesh.n_triangles)
-        )
-        write_csv(path, ["index", "x", "y", *names], rows)
+    cols = math.prod(values.shape[1:])
+    names = [name] if values.ndim == 1 else [f"{name}{k}" for k in range(cols)]
+    write_csv(path, ["index", "x", "y", *names], _indexed_rows(mesh.barycenters, values))

@@ -117,11 +117,9 @@ def cell_map(
 
 
 def cell_complex_map(
-    sigma: ElementMatrixField, xi: np.ndarray, opts: SolveOptions | None = None
+    sigma: ElementMatrixField, u: ScalarFieldP1, opts: SolveOptions | None = None
 ) -> tuple[ComplexMap, float]:
-    """u^xi + i * (recovered stream of u^xi) on the unwrapped cell."""
-    opts = opts or SolveOptions()
-    u = solve_periodic_cell(sigma, np.asarray(xi, dtype=float), opts)
+    """u + i * (recovered stream of u) on the unwrapped cell, for a solved cell field u."""
     ut, resid = stream_function(sigma, u, opts)
     return ComplexMap(u, ut), resid
 

@@ -83,7 +83,7 @@ def square_stats(
     for sq in squares.squares:
         if len(sq.elements) == 0:
             rows.append(
-                SquareStats(sq.level, tuple(sq.corner), sq.side, 0, np.nan, np.nan,
+                SquareStats(sq.level, tuple(sq.corner.tolist()), sq.side, 0, np.nan, np.nan,
                             {1.0 + t: np.nan for t in theta_grid}, np.nan, True, sq.twice_inside)
             )
             continue
@@ -93,7 +93,7 @@ def square_stats(
         mean_log = _square_mean(sq, areas, logw)
         osc = _square_mean(sq, areas, np.abs(logw - mean_log))
         rows.append(
-            SquareStats(sq.level, tuple(sq.corner), sq.side, len(sq.elements),
+            SquareStats(sq.level, tuple(sq.corner.tolist()), sq.side, len(sq.elements),
                         mean_w, mean_w2, powers, osc, sq.too_few, sq.twice_inside)
         )
     return SquareStatsTable(squares=squares, rows=rows, theta_grid=tuple(theta_grid))

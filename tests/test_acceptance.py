@@ -262,7 +262,7 @@ def test_criterion_09_image_area_identity():
     mesh = build_periodic_cell(128)
     sigma = laminate_field(mesh, 1.0, 5.0)
     eff = effective_conductivity(sigma)
-    f1, _ = cell_complex_map(sigma, np.array([1.0, 0.0]))
+    f1, _ = cell_complex_map(sigma, eff.solutions["e1"])
     area = image_area(f1)
     qf = float(eff.matrix[0, 0])
     gap = abs(area - qf) / qf

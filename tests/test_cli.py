@@ -41,6 +41,45 @@ class TestConfigValidation:
                  "boundary": {"kind": "wavelet"}}
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("boundary", 5), ("solver", "lu"), ("diagnostics", [1]),
+    ], ids=["boundary", "solver", "diagnostics"])
+    def test_non_object_section_rejected(self, field, value):
+        raw = {"task": "diagnose", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+               field: value}
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("spec, missing", [
+        ({"family": "laminate", "a": 1}, "b"),
+        ({"family": "checkerboard", "b": 4}, "a"),
+        ({"family": "hall_laminate"}, "c"),
+        ({"family": "explicit", "table": [[[1, 0], [0, 1]]]}, "cells"),
+        ({"family": "constant"}, "matrix"),
+    ])
+    def test_missing_family_key(self, spec, missing):
+        with pytest.raises(ConfigError, match=f"'coefficient.{missing}'"):
+            ExperimentConfig.from_dict({"task": "homogenize", "coefficient": spec})
+
+    def test_unknown_family(self):
+        with pytest.raises(ConfigError, match="coefficient.family"):
+            ExperimentConfig.from_dict({"task": "solve", "coefficient": {"family": "marble"}})
+
+    @pytest.mark.parametrize("task, domain, message", [
+        ("primary-pair", "periodic_cell", "bounded convex domain"),
+        ("cell", "unit_square", "cell task needs domain 'periodic_cell'"),
+        ("homogenize", "unit_square", "homogenize needs domain 'periodic_cell'"),
+    ])
+    def test_wrong_domain_kind(self, tmp_path, task, domain, message):
+        cfg = ExperimentConfig.from_dict(
+            {"task": task, "domain": domain, "resolution": 4,
+             "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+             "output_dir": str(tmp_path / "out")}
+        )
+        with pytest.raises(ConfigError, match=message) as info:
+            run(cfg)
+        assert info.value.field == "domain"
+
     def test_ngon_domain_fields(self):
         with pytest.raises(ConfigError, match="domain.radius"):
             ExperimentConfig.from_dict(
@@ -170,6 +209,26 @@ class TestRunTasks:
         assert len(validations) == 1
 
 
+    def test_homogenize_area_check_solves_each_operator_once(self, tmp_path, monkeypatch):
+        factorizations = []
+        splu = spla.splu
+
+        def counting_splu(matrix, *args, **kwargs):
+            factorizations.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        cfg = ExperimentConfig.from_dict(
+            {"task": "homogenize", "domain": "periodic_cell", "resolution": 32,
+             "coefficient": {"family": "laminate", "a": 1, "b": 5},
+             "diagnostics": {"area_check": True}, "output_dir": str(tmp_path / "out")}
+        )
+        record = run(cfg)
+        # the torus stiffness matrix (e1 and e2 together) and the mesh Laplacian
+        assert len(factorizations) == 2
+        assert record.metrics["image_area_gap"] < 0.02
+
+
 class TestSweep:
     def test_empty_sweep_header_only(self, tmp_path):
         path = sweep([], tmp_path / "sweep")
@@ -217,6 +276,17 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert ",error," in lines[1] and "upper envelope" in lines[1]
+        assert ",ok," in lines[2]
+
+    def test_malformed_config_recorded_and_sweep_continues(self, tmp_path):
+        bad = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
+               "coefficient": {"family": "laminate", "a": 1}}
+        good = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
+                "coefficient": {"family": "laminate", "a": 1, "b": 5}}
+        path = sweep([bad, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert ",error," in lines[1] and "coefficient.b" in lines[1]
         assert ",ok," in lines[2]
 
     def test_heterogeneous_tasks_rejected(self, tmp_path):

@@ -16,7 +16,9 @@ from beltramilab.grid import (
     export_vertex_values_csv,
     export_vertices_csv,
     regular_ngon_area,
+    write_csv,
 )
+from beltramilab.weights_diagnostics import SquareStats, square_stats
 
 
 class TestMeshBuilders:
@@ -166,3 +168,91 @@ class TestCsvExport:
         export_element_values_csv(m, m.areas, tmp_path / "a.csv", name="area")
         head = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert head == "index,x,y,area"
+
+
+# Values whose text form is easy to get wrong: signed zero, the smallest
+# subnormal, the switch to exponent notation, nan, inf and numpy scalars.
+SPECIAL_VALUES = [-0.0, 5e-324, 1e16, float("nan"), float("-inf"), np.float64(0.1),
+                  np.int64(7), 1.0 / 3.0, -2.5e-7, 123456789.125]
+
+
+def reference_csv(header, rows) -> bytes:
+    """The former per-value writer: repr(float(x)) for floats, str otherwise, CRLF line ends."""
+    def fmt(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    lines = [header, *([fmt(v) for v in row] for row in rows)]
+    return "".join(",".join(line) + "\r\n" for line in lines).encode()
+
+
+class TestCsvBytes:
+    @pytest.fixture
+    def mesh(self):
+        # irrational coordinates and barycenters
+        return build_regular_ngon(5, 1.0, 2)
+
+    def test_mesh_exports(self, mesh, tmp_path):
+        export_vertices_csv(mesh, tmp_path / "v.csv")
+        export_triangles_csv(mesh, tmp_path / "t.csv")
+        assert (tmp_path / "v.csv").read_bytes() == reference_csv(
+            ["index", "x", "y"], [(i, *v) for i, v in enumerate(mesh.vertices)]
+        )
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(
+            ["index", "v0", "v1", "v2"], [(i, *t) for i, t in enumerate(mesh.triangles)]
+        )
+
+    def test_vertex_values(self, mesh, tmp_path):
+        one = np.resize(np.array(SPECIAL_VALUES, dtype=object), mesh.n_vertices).tolist()
+        two = np.column_stack([one, one[::-1]]).astype(float)
+        export_vertex_values_csv(mesh, one, tmp_path / "one.csv", name="u")
+        export_vertex_values_csv(mesh, two, tmp_path / "two.csv", name="f")
+        flat = np.asarray(one, dtype=float)
+        assert (tmp_path / "one.csv").read_bytes() == reference_csv(
+            ["index", "x", "y", "u"], [(i, *mesh.vertices[i], flat[i]) for i in range(len(flat))]
+        )
+        assert (tmp_path / "two.csv").read_bytes() == reference_csv(
+            ["index", "x", "y", "f0", "f1"],
+            [(i, *mesh.vertices[i], *two[i]) for i in range(len(two))],
+        )
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    def test_element_values(self, mesh, tmp_path, shape):
+        n = mesh.n_triangles
+        values = np.resize(np.array(SPECIAL_VALUES, dtype=float), (n, *shape))
+        export_element_values_csv(mesh, values, tmp_path / "e.csv", name="det")
+        flat = values.reshape(n, -1)
+        names = ["det"] if not shape else [f"det{k}" for k in range(flat.shape[1])]
+        assert (tmp_path / "e.csv").read_bytes() == reference_csv(
+            ["index", "x", "y", *names], [(i, *mesh.barycenters[i], *flat[i]) for i in range(n)]
+        )
+
+    def test_wrong_row_count_rejected(self, mesh, tmp_path):
+        with pytest.raises(ValueError, match="rows"):
+            export_element_values_csv(mesh, np.ones(2 * mesh.n_triangles), tmp_path / "e.csv")
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_write_csv(self, tmp_path):
+        rows = [[i, "lbl", True, *SPECIAL_VALUES[i:], *SPECIAL_VALUES[:i]] for i in range(3)]
+        header = ["index", "label", "flag", *(f"c{k}" for k in range(len(SPECIAL_VALUES)))]
+        write_csv(tmp_path / "w.csv", header, rows)
+        assert (tmp_path / "w.csv").read_bytes() == reference_csv(header, rows)
+
+    def test_square_stats_table(self, tmp_path):
+        m = build_unit_square(8)
+        w = np.exp(np.sin(7.0 * np.arange(m.n_triangles)))
+        table = square_stats(w, dyadic_squares(m, 3), theta_grid=(0.5, 1.0))
+        table.rows.append(SquareStats(
+            np.int64(3), (np.float64(0.125), -0.0), 5e-324, np.int64(0), 1e16, float("nan"),
+            {1.5: np.float64(0.1), 2.0: float("inf")}, np.float64(2.0), True, False,
+        ))
+        table.export_csv(tmp_path / "s.csv")
+        header = ["square", "level", "corner_x", "corner_y", "side", "n_elements", "mean_w",
+                  "mean_w2", "log_oscillation", "too_few", "twice_inside",
+                  "mean_w_pow_1.5", "mean_w_pow_2.0"]
+        rows = [
+            (i, s.level, s.corner[0], s.corner[1], s.side, s.n_elements, s.mean_w, s.mean_w2,
+             s.log_oscillation, int(s.too_few), int(s.twice_inside), s.power_means[1.5],
+             s.power_means[2.0])
+            for i, s in enumerate(table.rows)
+        ]
+        assert (tmp_path / "s.csv").read_bytes() == reference_csv(header, rows)
