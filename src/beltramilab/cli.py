@@ -89,6 +89,8 @@ RANDOM_FAMILIES = ("random_piecewise",)
 FAMILY_KEYS = {"constant": ("matrix",), "laminate": ("a", "b"), "checkerboard": ("a", "b"),
                "hall": ("a", "b"), "hall_laminate": ("c",), "random_piecewise": (),
                "explicit": ("table", "cells"), "beltrami": ("mu", "nu")}
+# Coefficient keys read as arrays of numbers, with their shapes.
+PAIR_AND_MATRIX_SHAPES = {"mu": (2,), "nu": (2,), "matrix": (2, 2)}
 # Tasks that need one kind of domain: (periodic, message when it is the other kind).
 DOMAIN_NEEDS = {
     "primary-pair": (False, "primary-pair needs a bounded convex domain"),
@@ -157,6 +159,10 @@ class ExperimentConfig:
         for key in keys:
             if key not in coefficient:
                 raise ConfigError(f"coefficient.{key}", f"required for family {family}")
+            shape = PAIR_AND_MATRIX_SHAPES.get(key)
+            if shape is not None and not _finite_numbers(coefficient[key], shape):
+                raise ConfigError(f"coefficient.{key}",
+                                  f"must be finite numbers of shape {shape}, got {coefficient[key]!r}")
         seed = raw.get("seed")
         if family in RANDOM_FAMILIES and seed is None and "seed" not in coefficient:
             raise ConfigError("seed", f"a seed is mandatory for the {family} family")
@@ -197,6 +203,15 @@ class ExperimentConfig:
             label=str(raw.get("label", "")),
             raw=raw,
         )
+
+
+def _finite_numbers(value, shape: tuple[int, ...]) -> bool:
+    """Is ``value`` nested lists of finite real numbers (not booleans) of the given shape?"""
+    if not shape:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
+    return (isinstance(value, (list, tuple)) and len(value) == shape[0]
+            and all(_finite_numbers(v, shape[1:]) for v in value))
 
 
 def load_config(path) -> dict:
@@ -569,10 +584,10 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     checks = []
     if mesh.periodic:
         rng = coeff.rng_from_seed(subset_seed + 1)
-        for sq in squares.admissible()[:8]:
-            k = max(1, len(sq.elements) // 4)
-            sub = np.sort(rng.choice(sq.elements, size=k, replace=False))
-            checks.append(quantitative_jacobian_check(cm, sub, sq, fit))
+        for s in squares.admissible()[:8]:
+            P = squares.elements(s)
+            sub = np.sort(rng.choice(P, size=max(1, len(P) // 4), replace=False))
+            checks.append(quantitative_jacobian_check(cm, sub, P, fit))
 
     grads = element_gradient(U.u1)
     alpha_global = float(sym_min_eig_batch(sigma.matrices).min())
@@ -660,19 +675,16 @@ def sweep(raw_configs: list[dict], out_dir) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = {raw.get("task") for raw in raw_configs}
+    tasks = {raw.get("task") for raw in raw_configs if isinstance(raw, dict)}
     if len(tasks) > 1:
         raise ConfigError("sweep", f"sweep must be homogeneous in task, got {sorted(map(str, tasks))}")
     rows = []
     for i, raw in enumerate(raw_configs):
-        raw = dict(raw)
-        raw["output_dir"] = str(out / f"run_{i:03d}")
         row = {c: "" for c in SWEEP_COLUMNS}
         row["index"] = i
-        row["label"] = raw.get("label", "")
-        row["task"] = raw.get("task", "")
-        row["resolution"] = raw.get("resolution", "")
-        row["seed"] = raw.get("seed", "")
+        if isinstance(raw, dict):  # from_dict reports any other entry as an error row
+            raw = {**raw, "output_dir": str(out / f"run_{i:03d}")}
+            row.update({c: raw.get(c, "") for c in ("label", "task", "resolution", "seed")})
         try:
             cfg = ExperimentConfig.from_dict(raw)
             record = run(cfg)
@@ -732,7 +744,7 @@ def main(argv=None) -> int:
     try:
         raw = load_config(args.config)
         if args.verb == "sweep":
-            configs = raw["sweep"] if isinstance(raw, dict) else raw
+            configs = raw.get("sweep") if isinstance(raw, dict) else raw
             if not isinstance(configs, list):
                 raise ConfigError("sweep", "sweep config must be a list (or {'sweep': [...]})")
             out_dir = args.out or (raw.get("output_dir", "sweep_out") if isinstance(raw, dict) else "sweep_out")

@@ -306,33 +306,65 @@ MIN_ELEMENTS_PER_SQUARE = 8
 
 
 @dataclass
-class DyadicSquare:
-    level: int
-    corner: np.ndarray        # lower-left corner
-    side: float
-    elements: np.ndarray      # triangle indices whose barycenter lies inside
-    area: float               # discrete measure: sum of member triangle areas
-    too_few: bool             # fewer than MIN_ELEMENTS_PER_SQUARE members
-    twice_inside: bool        # the concentric double square stays inside the domain
-
-
-@dataclass
 class DyadicSquareSet:
+    """The dyadic squares of levels 0..max_level over a mesh, as per-square arrays.
+
+    Square s (numbered level by level, then ``iy * 2**level + ix``; square 0
+    is the reference square) has ``level[s]``, lower-left ``corner[s]``
+    (an (S, 2) array), ``side[s]``, ``area[s]`` (the sum of its member
+    triangle areas), ``too_few[s]`` (fewer than ``MIN_ELEMENTS_PER_SQUARE``
+    members) and ``twice_inside[s]`` (its concentric double stays inside the
+    domain).  Members are one CSR table: ``members[offsets[s]:offsets[s + 1]]``
+    are the ascending triangles whose barycenter lies in square s, ``offsets``
+    runs non-decreasing from 0 to ``len(members)`` over S + 1 entries, and
+    each level's squares partition the triangles.
+    """
+
     mesh: TriMesh
-    origin: np.ndarray
-    side: float
-    max_level: int
-    squares: list[DyadicSquare]
+    level: np.ndarray
+    corner: np.ndarray
+    side: np.ndarray
+    area: np.ndarray
+    too_few: np.ndarray
+    twice_inside: np.ndarray
+    members: np.ndarray
+    offsets: np.ndarray
 
-    def admissible(self, require_twice_inside: bool = False) -> list[DyadicSquare]:
-        out = [s for s in self.squares if not s.too_few]
-        if require_twice_inside:
-            out = [s for s in out if s.twice_inside]
-        return out
+    def __len__(self) -> int:
+        return len(self.level)
+
+    def elements(self, s: int) -> np.ndarray:
+        """The ascending triangle indices of square s."""
+        return self.members[self.offsets[s] : self.offsets[s + 1]]
+
+    def admissible(self, require_twice_inside: bool = False) -> np.ndarray:
+        """Indices of the squares that are not ``too_few`` (and, if asked, ``twice_inside``)."""
+        return np.flatnonzero(~self.too_few & (self.twice_inside | (not require_twice_inside)))
 
 
-def _boundary_polygon(mesh: TriMesh) -> np.ndarray:
-    return mesh.vertices[mesh.boundary_loop]
+def row_dots(members: np.ndarray, offsets: np.ndarray, a: np.ndarray, b=None, shift=None):
+    """Per-row reductions over the CSR index rows ``idx = members[offsets[i]:offsets[i + 1]]``.
+
+    Row i is ``a[idx].sum()`` when ``b`` is None, else ``np.dot(a[idx], b[idx])``,
+    or ``np.dot(a[idx], np.abs(b[idx] - shift[i]))`` given a per-row ``shift``;
+    a 2-D ``b`` stacks k fields and gives (k, rows), and empty rows give 0.
+    Rows of one length are reduced as one C-ordered block: its row sums and
+    stacked ``(1, n) @ (n, 1)`` products (the BLAS dot of ``np.dot``) are
+    bit-equal to reducing the rows one by one.
+    """
+    lengths = np.diff(offsets)
+    out = np.zeros(np.shape(b)[:-1] + (len(lengths),))
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        idx = members[offsets[rows, None] + np.arange(n)]
+        if b is None:
+            out[rows] = a[idx].sum(axis=1)
+            continue
+        bb = np.take(b, idx, axis=-1)  # C order; b[..., idx] is not, and strided dots differ
+        if shift is not None:
+            bb = np.abs(bb - shift[rows, None])
+        out[..., rows] = (a[idx][:, None, :] @ bb[..., None])[..., 0, 0]
+    return out
 
 
 def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -380,10 +412,15 @@ def dyadic_squares(mesh: TriMesh, max_level: int) -> DyadicSquareSet:
     ``MIN_ELEMENTS_PER_SQUARE`` members are flagged (sub-resolution noise)
     and squares whose concentric double stays inside the domain are
     flagged ``twice_inside`` for the diagnostics that need an interior
-    margin.  On the torus every double square is inside.
+    margin.  On the torus every double square is inside.  More than
+    ``TRIANGLE_BUDGET`` squares (``max_level`` 11 and up) raise
+    ``MeshBudgetError`` before anything is allocated.
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
+    n_squares = (4 ** (max_level + 1) - 1) // 3
+    if n_squares > TRIANGLE_BUDGET:
+        raise MeshBudgetError(f"{n_squares} dyadic squares exceed the budget of {TRIANGLE_BUDGET}")
     canonical = mesh.domain in ("unit_square", "periodic_cell")
     if canonical:
         origin = np.array([0.0, 0.0])
@@ -394,53 +431,39 @@ def dyadic_squares(mesh: TriMesh, max_level: int) -> DyadicSquareSet:
         side = float(max(hi - lo))
         origin = lo
     bary = mesh.barycenters
-    areas = mesh.areas
-    poly = None if canonical else _boundary_polygon(mesh)
+    poly = None if canonical else mesh.vertices[mesh.boundary_loop]
 
-    squares: list[DyadicSquare] = []
+    corners, twice, members, offsets = [], [], [], [np.zeros(1, np.int64)]
     for level in range(max_level + 1):
         n = 1 << level
         h = side / n
         ix = np.clip(((bary[:, 0] - origin[0]) / h).astype(np.int64), 0, n - 1)
         iy = np.clip(((bary[:, 1] - origin[1]) / h).astype(np.int64), 0, n - 1)
         key = iy * n + ix
+        # A stable sort keeps each square's members in ascending order.
         order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        boundaries = np.searchsorted(sorted_key, np.arange(n * n + 1))
+        boundaries = np.searchsorted(key[order], np.arange(n * n + 1))
+        cells = np.arange(n * n)
+        corner = origin + h * np.column_stack([cells % n, cells // n])
         if poly is not None:
-            # Enumerate corners in key order (key = iy*n + ix).
-            ix_all = np.arange(n * n) % n
-            iy_all = np.arange(n * n) // n
-            corners_lo = origin[None, :] + h * np.column_stack([ix_all, iy_all])
-            twice_flags = _double_square_inside_polygon(corners_lo, h, poly)
-        for k in range(n * n):
-            members = order[boundaries[k] : boundaries[k + 1]]
-            cx, cy = k % n, k // n
-            corner = origin + h * np.array([cx, cy])
-            if canonical:
-                if mesh.periodic:
-                    twice = True
-                else:
-                    twice = (
-                        corner[0] - 0.5 * h >= origin[0] - 1e-12
-                        and corner[1] - 0.5 * h >= origin[1] - 1e-12
-                        and corner[0] + 1.5 * h <= origin[0] + side + 1e-12
-                        and corner[1] + 1.5 * h <= origin[1] + side + 1e-12
-                    )
-            else:
-                twice = bool(twice_flags[k])
-            squares.append(
-                DyadicSquare(
-                    level=level,
-                    corner=corner,
-                    side=h,
-                    elements=np.sort(members),
-                    area=float(areas[members].sum()),
-                    too_few=len(members) < MIN_ELEMENTS_PER_SQUARE,
-                    twice_inside=twice,
-                )
-            )
-    return DyadicSquareSet(mesh=mesh, origin=origin, side=side, max_level=max_level, squares=squares)
+            inside = _double_square_inside_polygon(corner, h, poly)
+        elif mesh.periodic:
+            inside = np.ones(n * n, dtype=bool)
+        else:
+            lo2, hi2 = corner - 0.5 * h, corner + 1.5 * h
+            inside = np.all((lo2 >= origin - 1e-12) & (hi2 <= origin + side + 1e-12), axis=1)
+        corners.append(corner)
+        twice.append(inside)
+        members.append(order)
+        offsets.append(boundaries[1:] + level * mesh.n_triangles)
+    members = np.concatenate(members)
+    offsets = np.concatenate(offsets)
+    levels = np.repeat(np.arange(max_level + 1), 4 ** np.arange(max_level + 1))
+    return DyadicSquareSet(
+        mesh=mesh, level=levels, corner=np.concatenate(corners), side=side / 2.0 ** levels,
+        area=row_dots(members, offsets, mesh.areas), twice_inside=np.concatenate(twice),
+        too_few=np.diff(offsets) < MIN_ELEMENTS_PER_SQUARE, members=members, offsets=offsets,
+    )
 
 
 def _double_square_inside_polygon(corners_lo: np.ndarray, h: float, poly: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicSquare, DyadicSquareSet, write_csv
+from .grid import DyadicSquareSet, row_dots, write_csv
 from .homogenization import CellMap
 
 log = logging.getLogger(__name__)
@@ -30,46 +30,35 @@ def _check_positive(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _square_mean(square: DyadicSquare, areas: np.ndarray, values: np.ndarray) -> float:
-    e = square.elements
-    return float(np.dot(areas[e], values[e]) / square.area)
-
-
-@dataclass
-class SquareStats:
-    level: int
-    corner: tuple[float, float]
-    side: float
-    n_elements: int
-    mean_w: float
-    mean_w2: float
-    power_means: dict[float, float]      # exponent 1+theta -> mean of w^(1+theta)
-    log_oscillation: float
-    too_few: bool
-    twice_inside: bool
+def _square_means(squares: DyadicSquareSet, fields, shift=None) -> np.ndarray:
+    """Area means of per-element fields over each square (see ``row_dots``); nan if it is empty."""
+    sums = row_dots(squares.members, squares.offsets, squares.mesh.areas, fields, shift)
+    with np.errstate(invalid="ignore"):
+        return sums / squares.area
 
 
 @dataclass
 class SquareStatsTable:
+    """Per-square moments of a weight, one column per statistic, in the order of ``squares``."""
+
     squares: DyadicSquareSet
-    rows: list[SquareStats]
+    mean_w: np.ndarray
+    mean_w2: np.ndarray
+    power_means: dict[float, np.ndarray]   # exponent 1+theta -> per-square mean of w^(1+theta)
+    log_oscillation: np.ndarray
     theta_grid: tuple[float, ...] = ()
 
     def export_csv(self, path) -> None:
-        thetas = list(self.theta_grid)
-        header = [
-            "square", "level", "corner_x", "corner_y", "side", "n_elements",
-            "mean_w", "mean_w2", "log_oscillation", "too_few", "twice_inside",
-        ] + [f"mean_w_pow_{1.0 + t}" for t in thetas]
-        rows = (
-            (
-                i, s.level, s.corner[0], s.corner[1], s.side, s.n_elements,
-                s.mean_w, s.mean_w2, s.log_oscillation, int(s.too_few), int(s.twice_inside),
-                *[s.power_means[1.0 + t] for t in thetas],
-            )
-            for i, s in enumerate(self.rows)
-        )
-        write_csv(path, header, rows)
+        sq = self.squares
+        columns = {
+            "level": sq.level, "corner_x": sq.corner[:, 0], "corner_y": sq.corner[:, 1],
+            "side": sq.side, "n_elements": np.diff(sq.offsets), "mean_w": self.mean_w,
+            "mean_w2": self.mean_w2, "log_oscillation": self.log_oscillation,
+            "too_few": sq.too_few.astype(int), "twice_inside": sq.twice_inside.astype(int),
+            **{f"mean_w_pow_{1.0 + t}": self.power_means[1.0 + t] for t in self.theta_grid},
+        }
+        rows = zip(range(len(sq)), *(c.tolist() for c in columns.values()))
+        write_csv(path, ["square", *columns], rows)
 
 
 def square_stats(
@@ -77,39 +66,20 @@ def square_stats(
 ) -> SquareStatsTable:
     """Per-square area-weighted moments of a positive per-element weight."""
     w = _check_positive(w)
-    areas = squares.mesh.areas
+    exponents = [1.0 + t for t in theta_grid]
     logw = np.log(w)
-    rows = []
-    for sq in squares.squares:
-        if len(sq.elements) == 0:
-            rows.append(
-                SquareStats(sq.level, tuple(sq.corner.tolist()), sq.side, 0, np.nan, np.nan,
-                            {1.0 + t: np.nan for t in theta_grid}, np.nan, True, sq.twice_inside)
-            )
-            continue
-        mean_w = _square_mean(sq, areas, w)
-        mean_w2 = _square_mean(sq, areas, w * w)
-        powers = {1.0 + t: _square_mean(sq, areas, w ** (1.0 + t)) for t in theta_grid}
-        mean_log = _square_mean(sq, areas, logw)
-        osc = _square_mean(sq, areas, np.abs(logw - mean_log))
-        rows.append(
-            SquareStats(sq.level, tuple(sq.corner.tolist()), sq.side, len(sq.elements),
-                        mean_w, mean_w2, powers, osc, sq.too_few, sq.twice_inside)
-        )
-    return SquareStatsTable(squares=squares, rows=rows, theta_grid=tuple(theta_grid))
+    fields = np.vstack([w, w * w, logw, *[w ** p for p in exponents]])
+    mean_w, mean_w2, mean_log, *powers = _square_means(squares, fields)
+    return SquareStatsTable(
+        squares=squares, mean_w=mean_w, mean_w2=mean_w2, power_means=dict(zip(exponents, powers)),
+        log_oscillation=_square_means(squares, logw, shift=mean_log), theta_grid=tuple(theta_grid),
+    )
 
 
 def bmo_norm(w: np.ndarray, squares: DyadicSquareSet) -> float:
     """Largest mean oscillation of log w over the admissible squares."""
-    w = _check_positive(w)
-    areas = squares.mesh.areas
-    logw = np.log(w)
-    best = 0.0
-    for sq in squares.admissible():
-        mean_log = _square_mean(sq, areas, logw)
-        osc = _square_mean(sq, areas, np.abs(logw - mean_log))
-        best = max(best, osc)
-    return best
+    osc = square_stats(w, squares).log_oscillation
+    return float(np.max(osc[squares.admissible()], initial=0.0))
 
 
 def reverse_holder_constant(
@@ -125,14 +95,13 @@ def reverse_holder_constant(
     if exponent <= 1.0:
         raise ValueError("exponent must exceed 1")
     w = _check_positive(w)
-    areas = squares.mesh.areas
-    restrict = exponent == 2.0
-    best = 0.0
-    for sq in squares.admissible(require_twice_inside=restrict):
-        mean_w = _square_mean(sq, areas, w)
-        mean_p = _square_mean(sq, areas, w ** exponent)
-        best = max(best, mean_p ** (1.0 / exponent) / mean_w)
-    return best
+    rows = squares.admissible(require_twice_inside=exponent == 2.0)
+    mean_w, mean_p = _square_means(squares, np.vstack([w, w ** exponent]))[:, rows]
+    ratio = np.power(mean_p, 1.0 / exponent) / mean_w
+    # numpy's vectorized power can differ from C pow in the last bit: the ratios
+    # near the largest are redone with the scalar power a square loop would use.
+    near = np.flatnonzero(ratio >= np.max(ratio, initial=0.0) * (1.0 - 1e-12))
+    return max([0.0] + [mean_p[s].item() ** (1.0 / exponent) / mean_w[s].item() for s in near])
 
 
 # ---------------------------------------------------------------------------
@@ -162,39 +131,39 @@ class AinftyFit:
 
 
 def random_subset_sampler(seed: int, fractions=(1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4), repeats: int = 3):
-    """Sampler producing random element sub-collections at the given area fractions."""
+    """Sampler of random sub-collections of an element array at the given area fractions."""
     from .coefficients import rng_from_seed
 
     rng = rng_from_seed(seed)
 
-    def sample(square: DyadicSquare):
+    def sample(elements: np.ndarray):
         out = []
-        n = len(square.elements)
+        n = len(elements)
         for frac in fractions:
             k = max(1, round(frac * n))
             if k > n:
                 continue
             for _ in range(repeats):
-                out.append(np.sort(rng.choice(square.elements, size=k, replace=False)))
-        out.append(square.elements)
+                out.append(np.sort(rng.choice(elements, size=k, replace=False)))
+        out.append(elements)
         return out
 
     return sample
 
 
 def extreme_subset_sampler(w: np.ndarray, fractions=(1 / 8, 1 / 4, 1 / 2)):
-    """Sampler enumerating the exact extreme subsets (largest/smallest weight first)."""
+    """Sampler of the exact extreme subsets (largest/smallest weight first) of an element array."""
     w = np.asarray(w, dtype=float)
 
-    def sample(square: DyadicSquare):
-        order = square.elements[np.argsort(w[square.elements], kind="stable")]
+    def sample(elements: np.ndarray):
+        order = elements[np.argsort(w[elements], kind="stable")]
         n = len(order)
         out = []
         for frac in fractions:
             k = max(1, round(frac * n))
             out.append(np.sort(order[:k]))
             out.append(np.sort(order[n - k:]))
-        out.append(square.elements)
+        out.append(elements)
         return out
 
     return sample
@@ -210,15 +179,9 @@ def _envelope_fit(t: np.ndarray, r: np.ndarray, upper: bool) -> tuple[float, flo
     """
     lt = np.log(t)
     lr = np.log(r)
-    keys = np.round(lt, 12)
-    uniq = np.unique(keys)
-    pts_x, pts_y = [], []
-    for k in uniq:
-        mask = keys == k
-        pts_x.append(k)
-        pts_y.append(lr[mask].max() if upper else lr[mask].min())
-    pts_x = np.asarray(pts_x)
-    pts_y = np.asarray(pts_y)
+    pts_x, group = np.unique(np.round(lt, 12), return_inverse=True)
+    pts_y = np.full(len(pts_x), -np.inf if upper else np.inf)
+    (np.maximum if upper else np.minimum).at(pts_y, group, lr)
     interior = pts_x < -1e-12  # the t = 1 point pins the constant, not the slope
     if interior.sum() >= 2:
         slope = float(np.polyfit(pts_x[interior], pts_y[interior], 1)[0])
@@ -237,30 +200,30 @@ def _envelope_fit(t: np.ndarray, r: np.ndarray, upper: bool) -> tuple[float, flo
 def ainfty_probe(w: np.ndarray, squares: DyadicSquareSet, subset_sampler) -> AinftyFit:
     """Fit both comparability envelopes from sampled subsets of admissible squares.
 
-    ``subset_sampler(square)`` returns element-index arrays E inside the
-    square; for each the probe records (|E|/|P|, mass(E)/mass(P)) with the
-    discrete measures.  By construction the fitted envelopes bracket every
-    sample; this is checked post-fit and a miss raises ``RuntimeError``.
+    ``subset_sampler(elements)`` takes the ascending element array of a
+    square P and returns element-index arrays E inside it; for each the
+    probe records (|E|/|P|, mass(E)/mass(P)) with the discrete measures.
+    The sampler is called square by square in index order, so a seeded
+    sampler draws the same subsets on every run.  By construction the
+    fitted envelopes bracket every sample; this is checked post-fit and a
+    miss raises ``RuntimeError``.
     """
     w = _check_positive(w)
     areas = squares.mesh.areas
-    t_all, r_all = [], []
-    for sq in squares.admissible():
-        mass_p = float(np.dot(areas[sq.elements], w[sq.elements]))
-        for subset in subset_sampler(sq):
-            subset = np.asarray(subset, dtype=np.int64)
-            if len(subset) == 0:
-                continue
-            t = float(areas[subset].sum() / sq.area)
-            r = float(np.dot(areas[subset], w[subset]) / mass_p)
-            if t <= 0 or r <= 0:
-                continue
-            t_all.append(t)
-            r_all.append(r)
-    if not t_all:
+    mass = row_dots(squares.members, squares.offsets, areas, w)
+    owner, subsets = [], []
+    for s in squares.admissible():
+        for subset in subset_sampler(squares.elements(s)):
+            subsets.append(np.asarray(subset, dtype=np.int64))
+            owner.append(s)
+    members = np.concatenate([np.zeros(0, np.int64), *subsets])
+    offsets = np.cumsum([0] + [len(e) for e in subsets])
+    t = row_dots(members, offsets, areas) / squares.area[owner]
+    r = row_dots(members, offsets, areas, w) / mass[owner]
+    keep = ~((t <= 0) | (r <= 0))  # empty subsets have t = 0
+    if not keep.any():
         raise ValueError("degenerate sampler: produced no non-empty subsets")
-    t_arr = np.asarray(t_all)
-    r_arr = np.asarray(r_all)
+    t_arr, r_arr = t[keep], r[keep]
     c_upper, delta = _envelope_fit(t_arr, r_arr, upper=True)
     m_lower, eta = _envelope_fit(t_arr, r_arr, upper=False)
     if not np.all(r_arr <= c_upper * t_arr ** delta * (1.0 + 1e-9)):
@@ -286,26 +249,27 @@ class QuantitativeCheck:
 
 
 def quantitative_jacobian_check(
-    cell: CellMap, E: np.ndarray, P: DyadicSquare, fit: AinftyFit
+    cell: CellMap, E: np.ndarray, P: np.ndarray, fit: AinftyFit
 ) -> QuantitativeCheck:
     """Test one (E, P) pair against the fitted lower comparability envelope.
 
-    lhs integrates det DU / det A over E; rhs_shape is the area-fraction
-    power times the same integral over P, with the exponent taken from the
-    lower-envelope fit.  E must consist of elements of P.
+    ``P`` is a square's element array (``DyadicSquareSet.elements``) and
+    ``E`` a sub-collection of it.  lhs integrates det DU / det A over E;
+    rhs_shape is the area-fraction power times the same integral over P,
+    with the exponent taken from the lower-envelope fit.
     """
     det_a = float(np.linalg.det(cell.A))
     if det_a == 0.0:
         raise ValueError("affine part is singular")
-    mesh = cell.U.mesh
-    areas = mesh.areas
+    areas = cell.U.mesh.areas
     E = np.asarray(E, dtype=np.int64)
-    if not np.isin(E, P.elements).all():
+    P = np.asarray(P, dtype=np.int64)
+    if not np.isin(E, P).all():
         raise ValueError("E must be a sub-collection of the square's elements")
     w = cell.U.det_DU / det_a
     lhs = float(np.dot(areas[E], w[E]))
-    mass_p = float(np.dot(areas[P.elements], w[P.elements]))
-    t = float(areas[E].sum() / P.area)
+    mass_p = float(np.dot(areas[P], w[P]))
+    t = float(areas[E].sum() / areas[P].sum())
     rhs_shape = (t ** fit.eta) * mass_p
     constant = lhs / rhs_shape if rhs_shape != 0 else np.inf
     passes = lhs >= fit.m_lower * rhs_shape * (1.0 - 1e-9)

@@ -61,6 +61,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"'coefficient.{missing}'"):
             ExperimentConfig.from_dict({"task": "homogenize", "coefficient": spec})
 
+    @pytest.mark.parametrize("task, spec, field", [
+        ("convert", {"family": "beltrami", "mu": 0.1, "nu": [0, 0]}, "mu"),
+        ("convert", {"family": "beltrami", "mu": [0.1], "nu": [0, 0]}, "mu"),
+        ("convert", {"family": "beltrami", "mu": [0, 0], "nu": [0.1, float("nan")]}, "nu"),
+        ("convert", {"family": "beltrami", "mu": [0, "0"], "nu": [0, 0]}, "mu"),
+        ("convert", {"family": "laminate", "matrix": [[1, 0]]}, "matrix"),
+        ("solve", {"family": "constant", "matrix": [[1, 0], [0, True]]}, "matrix"),
+    ])
+    def test_pair_and_matrix_shapes(self, task, spec, field):
+        with pytest.raises(ConfigError, match=f"'coefficient.{field}'"):
+            ExperimentConfig.from_dict({"task": task, "coefficient": spec})
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="coefficient.family"):
             ExperimentConfig.from_dict({"task": "solve", "coefficient": {"family": "marble"}})
@@ -289,6 +301,32 @@ class TestSweep:
         assert ",error," in lines[1] and "coefficient.b" in lines[1]
         assert ",ok," in lines[2]
 
+    def test_non_object_entry_recorded_and_sweep_continues(self, tmp_path):
+        good = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}}
+        path = sweep([5, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("0,,,error,") and "<root>" in lines[1]
+        assert ",ok," in lines[2]
+
+    def test_scalar_mu_recorded_and_convert_sweep_continues(self, tmp_path):
+        bad = {"task": "convert", "coefficient": {"family": "beltrami", "mu": 0.1, "nu": [0, 0]}}
+        good = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}}
+        path = sweep([bad, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert ",error," in lines[1] and "coefficient.mu" in lines[1]
+        assert ",ok," in lines[2]
+
+    def test_square_budget_recorded_and_sweep_continues(self, tmp_path):
+        cfg = {"task": "diagnose", "domain": "unit_square", "resolution": 4,
+               "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+               "diagnostics": {"max_level": 11}}
+        good = {**cfg, "resolution": 16, "diagnostics": {"max_level": 2}}
+        path = sweep([cfg, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert ",error," in lines[1] and "dyadic squares" in lines[1] and "budget" in lines[1]
+        assert ",ok," in lines[2]
+
     def test_heterogeneous_tasks_rejected(self, tmp_path):
         a = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0, 0], "nu": [0, 0]}}
         b = {"task": "solve", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]}}
@@ -362,3 +400,9 @@ class TestMainEntry:
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
         assert (tmp_path / "sw" / "aggregate.csv").exists()
+
+    def test_sweep_verb_without_list(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, "s.json", {"output_dir": str(tmp_path / "sw")})
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert any("config field 'sweep'" in r.getMessage() for r in errors)

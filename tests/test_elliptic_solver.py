@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltramilab.coefficients import (
     constant_field,
@@ -352,3 +354,29 @@ class TestPinDof:
         for row, u in zip(A, (cm.U.u1, cm.U.u2)):
             assert np.abs(u.values - (row[0] * e1.values + row[1] * e2.values)).max() < 1e-12
         assert cm.linearity_error < 1e-12
+
+
+class TestDirectAndIterativeAgree:
+    """Property: SuperLU and GMRES give the same Dirichlet and cell solutions."""
+
+    ITERATIVE = SolveOptions(method="iterative_nonsymmetric", tolerance=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k_max=st.floats(1.0, 10.0),
+        symmetric=st.booleans(),
+        res=st.sampled_from([8, 16]),
+    )
+    def test_random_piecewise(self, seed, k_max, symmetric, res):
+        square = build_unit_square(res)
+        sig = random_piecewise_field(square, k_max, 4, seed=seed, symmetric=symmetric)
+        p = square.vertices[square.boundary_loop]
+        g = np.column_stack([p[:, 0], p[:, 1], np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2])
+        for lu, it in zip(solve_dirichlet(sig, g), solve_dirichlet(sig, g, self.ITERATIVE)):
+            assert np.abs(lu.values - it.values).max() < 1e-8
+        cell = build_periodic_cell(res)
+        sig = random_piecewise_field(cell, k_max, 4, seed=seed, symmetric=symmetric)
+        xis = np.eye(2)
+        for lu, it in zip(solve_periodic_cell(sig, xis), solve_periodic_cell(sig, xis, self.ITERATIVE)):
+            assert np.abs(lu.values - it.values).max() < 1e-8

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from beltramilab.grid import (
     regular_ngon_area,
     write_csv,
 )
-from beltramilab.weights_diagnostics import SquareStats, square_stats
+from beltramilab.weights_diagnostics import square_stats
 
 
 class TestMeshBuilders:
@@ -101,49 +103,73 @@ class TestFields:
 class TestDyadicSquares:
     def test_counts(self):
         m = build_unit_square(8)
-        assert len(dyadic_squares(m, 0).squares) == 1
-        assert len(dyadic_squares(m, 2).squares) == 21
+        assert len(dyadic_squares(m, 0)) == 1
+        assert len(dyadic_squares(m, 2)) == 21
 
     def test_membership_partitions_every_level(self):
         m = build_unit_square(12)
         ds = dyadic_squares(m, 3)
         for level in range(4):
             members = np.concatenate(
-                [s.elements for s in ds.squares if s.level == level]
+                [ds.elements(s) for s in np.flatnonzero(ds.level == level)]
             )
             assert len(members) == m.n_triangles
             assert len(np.unique(members)) == m.n_triangles
-            area = sum(s.area for s in ds.squares if s.level == level)
+            area = sum(ds.area[ds.level == level])
             assert abs(area - 1.0) < 1e-12
+
+    def test_csr_layout(self):
+        # one ascending member row per square, each level a permutation of the triangles
+        m = build_regular_ngon(6, 1.0, 8)
+        ds = dyadic_squares(m, 3)
+        assert ds.offsets[0] == 0 and ds.offsets[-1] == len(ds.members) == 4 * m.n_triangles
+        assert np.all(np.diff(ds.offsets) >= 0)
+        for s in range(len(ds)):
+            e = ds.elements(s)
+            assert np.all(np.diff(e) > 0)
+            assert ds.area[s] == m.areas[e].sum()
+            inside = np.all((m.barycenters[e] >= ds.corner[s] - 1e-12)
+                            & (m.barycenters[e] <= ds.corner[s] + ds.side[s] + 1e-12), axis=1)
+            assert inside.all()
+        assert ds.side[0] == 2.0 and np.all(ds.side == 2.0 / 2.0 ** ds.level)
 
     def test_too_few_flag(self):
         m = build_unit_square(8)
         ds = dyadic_squares(m, 4)
         # level 4 squares on a res-8 mesh hold 2*(8/16)^2 < 8 triangles
-        assert all(s.too_few for s in ds.squares if s.level == 4)
-        assert not any(s.too_few for s in ds.squares if s.level <= 2)
+        assert all(ds.too_few[ds.level == 4])
+        assert not any(ds.too_few[ds.level <= 2])
+        assert np.array_equal(ds.admissible(), np.flatnonzero(ds.level <= 2))
 
     def test_twice_inside_flags(self):
         m = build_unit_square(16)
         ds = dyadic_squares(m, 2)
-        assert not any(s.twice_inside for s in ds.squares if s.level <= 1)
-        inner = [s for s in ds.squares if s.level == 2 and s.twice_inside]
+        assert not any(ds.twice_inside[ds.level <= 1])
+        inner = np.flatnonzero((ds.level == 2) & ds.twice_inside)
         assert len(inner) == 4
+        assert np.array_equal(ds.admissible(require_twice_inside=True), inner)
 
     def test_periodic_cell_all_twice_inside(self):
         m = build_periodic_cell(16)
         ds = dyadic_squares(m, 2)
-        assert all(s.twice_inside for s in ds.squares)
+        assert all(ds.twice_inside)
 
     def test_bounding_square_mode_for_custom_mesh(self):
         # squares over the bounding square of a polygon mesh still partition;
         # the diamond (4-gon) admits double squares from level 3 on
         m = build_regular_ngon(4, 1.0, 8)
         ds = dyadic_squares(m, 3)
-        members = np.concatenate([s.elements for s in ds.squares if s.level == 2])
+        members = np.concatenate([ds.elements(s) for s in np.flatnonzero(ds.level == 2)])
         assert len(np.unique(members)) == m.n_triangles
-        assert sum(1 for s in ds.squares if s.level == 3 and s.twice_inside) == 8
-        assert not any(s.twice_inside for s in ds.squares if s.level <= 2)
+        assert sum((ds.level == 3) & ds.twice_inside) == 8
+        assert not any(ds.twice_inside[ds.level <= 2])
+
+    def test_square_budget(self):
+        # (4**12 - 1) / 3 squares at max_level 11: refused before anything is allocated
+        m = build_unit_square(4)
+        with pytest.raises(MeshBudgetError, match="dyadic squares"):
+            dyadic_squares(m, 11)
+        assert len(dyadic_squares(m, 1)) == 5
 
 
 class TestCsvExport:
@@ -241,18 +267,29 @@ class TestCsvBytes:
         m = build_unit_square(8)
         w = np.exp(np.sin(7.0 * np.arange(m.n_triangles)))
         table = square_stats(w, dyadic_squares(m, 3), theta_grid=(0.5, 1.0))
-        table.rows.append(SquareStats(
-            np.int64(3), (np.float64(0.125), -0.0), 5e-324, np.int64(0), 1e16, float("nan"),
-            {1.5: np.float64(0.1), 2.0: float("inf")}, np.float64(2.0), True, False,
-        ))
+        # one more square, empty, with values whose text form is easy to get wrong
+        ds = table.squares
+        ds = replace(
+            ds, level=np.append(ds.level, np.int64(3)), corner=np.vstack([ds.corner, [0.125, -0.0]]),
+            side=np.append(ds.side, 5e-324), area=np.append(ds.area, 0.0),
+            too_few=np.append(ds.too_few, True), twice_inside=np.append(ds.twice_inside, False),
+            offsets=np.append(ds.offsets, ds.offsets[-1]),
+        )
+        table = replace(
+            table, squares=ds, mean_w=np.append(table.mean_w, 1e16),
+            mean_w2=np.append(table.mean_w2, float("nan")),
+            power_means={1.5: np.append(table.power_means[1.5], np.float64(0.1)),
+                         2.0: np.append(table.power_means[2.0], float("inf"))},
+            log_oscillation=np.append(table.log_oscillation, np.float64(2.0)),
+        )
         table.export_csv(tmp_path / "s.csv")
         header = ["square", "level", "corner_x", "corner_y", "side", "n_elements", "mean_w",
                   "mean_w2", "log_oscillation", "too_few", "twice_inside",
                   "mean_w_pow_1.5", "mean_w_pow_2.0"]
         rows = [
-            (i, s.level, s.corner[0], s.corner[1], s.side, s.n_elements, s.mean_w, s.mean_w2,
-             s.log_oscillation, int(s.too_few), int(s.twice_inside), s.power_means[1.5],
-             s.power_means[2.0])
-            for i, s in enumerate(table.rows)
+            (i, ds.level[i], *ds.corner[i], ds.side[i], len(ds.elements(i)), table.mean_w[i],
+             table.mean_w2[i], table.log_oscillation[i], int(ds.too_few[i]),
+             int(ds.twice_inside[i]), table.power_means[1.5][i], table.power_means[2.0][i])
+            for i in range(len(ds))
         ]
         assert (tmp_path / "s.csv").read_bytes() == reference_csv(header, rows)
