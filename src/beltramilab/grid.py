@@ -342,21 +342,33 @@ class DyadicSquareSet:
         return np.flatnonzero(~self.too_few & (self.twice_inside | (not require_twice_inside)))
 
 
+def row_blocks(members: np.ndarray, offsets: np.ndarray, rows=None):
+    """Yield the CSR index rows of one length together, one block per length.
+
+    Each block is ``(sel, idx)``: ``sel`` holds the indices of the rows of
+    length n among ``rows`` (in their order; default all rows), and ``idx``
+    their members as a C-ordered (len(sel), n) array.  Blocks come in
+    ascending n.
+    """
+    lengths = np.diff(offsets)
+    rows = np.arange(len(lengths)) if rows is None else np.asarray(rows)
+    for n in np.unique(lengths[rows]):
+        sel = rows[lengths[rows] == n]
+        yield sel, members[offsets[sel, None] + np.arange(n)]
+
+
 def row_dots(members: np.ndarray, offsets: np.ndarray, a: np.ndarray, b=None, shift=None):
     """Per-row reductions over the CSR index rows ``idx = members[offsets[i]:offsets[i + 1]]``.
 
     Row i is ``a[idx].sum()`` when ``b`` is None, else ``np.dot(a[idx], b[idx])``,
     or ``np.dot(a[idx], np.abs(b[idx] - shift[i]))`` given a per-row ``shift``;
     a 2-D ``b`` stacks k fields and gives (k, rows), and empty rows give 0.
-    Rows of one length are reduced as one C-ordered block: its row sums and
+    Rows of one length are reduced as one ``row_blocks`` block: its row sums and
     stacked ``(1, n) @ (n, 1)`` products (the BLAS dot of ``np.dot``) are
     bit-equal to reducing the rows one by one.
     """
-    lengths = np.diff(offsets)
-    out = np.zeros(np.shape(b)[:-1] + (len(lengths),))
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        idx = members[offsets[rows, None] + np.arange(n)]
+    out = np.zeros(np.shape(b)[:-1] + (len(offsets) - 1,))
+    for rows, idx in row_blocks(members, offsets):
         if b is None:
             out[rows] = a[idx].sum(axis=1)
             continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicSquareSet, row_dots, write_csv
+from .grid import MIN_ELEMENTS_PER_SQUARE, DyadicSquareSet, row_blocks, row_dots, write_csv
 from .homogenization import CellMap
 
 log = logging.getLogger(__name__)
@@ -90,18 +90,26 @@ def reverse_holder_constant(
     Always >= 1 by the power-mean inequality, with equality only for
     square-constant weights.  For exponent 2 the supremum runs over the
     squares whose concentric double stays inside the domain, matching the
-    interior-margin hypothesis of the adjoint-equation bound.
+    interior-margin hypothesis of the adjoint-equation bound.  With no such
+    square the supremum is undefined and ``ValueError`` is raised.
     """
     if exponent <= 1.0:
         raise ValueError("exponent must exceed 1")
     w = _check_positive(w)
-    rows = squares.admissible(require_twice_inside=exponent == 2.0)
+    twice_inside = exponent == 2.0
+    rows = squares.admissible(require_twice_inside=twice_inside)
+    if len(rows) == 0:
+        kind = "admissible twice-inside square" if twice_inside else "admissible square"
+        raise ValueError(
+            f"reverse-Hoelder constant undefined: no {kind} among the {len(squares)} dyadic "
+            f"squares (admissible: at least {MIN_ELEMENTS_PER_SQUARE} elements)"
+        )
     mean_w, mean_p = _square_means(squares, np.vstack([w, w ** exponent]))[:, rows]
     ratio = np.power(mean_p, 1.0 / exponent) / mean_w
     # numpy's vectorized power can differ from C pow in the last bit: the ratios
     # near the largest are redone with the scalar power a square loop would use.
-    near = np.flatnonzero(ratio >= np.max(ratio, initial=0.0) * (1.0 - 1e-12))
-    return max([0.0] + [mean_p[s].item() ** (1.0 / exponent) / mean_w[s].item() for s in near])
+    near = np.flatnonzero(ratio >= np.max(ratio) * (1.0 - 1e-12))
+    return max(mean_p[s].item() ** (1.0 / exponent) / mean_w[s].item() for s in near)
 
 
 # ---------------------------------------------------------------------------
@@ -130,41 +138,83 @@ class AinftyFit:
         return len(self.area_fractions)
 
 
+def _check_fractions(fractions) -> tuple[float, ...]:
+    fractions = tuple(float(f) for f in fractions)
+    bad = [f for f in fractions if not 0.0 < f < 1.0]
+    if bad:
+        raise ValueError(f"area fractions must lie in (0, 1), got {bad}")
+    return fractions
+
+
+def _subset_table(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR table ``(members, offsets, owner)`` of ``(owner (R,), subsets (R, k))`` pieces, in order."""
+    owner = np.concatenate([np.zeros(0, np.int64), *(o for o, _ in pieces)])
+    lengths = np.concatenate([np.zeros(0, np.int64), *(np.full(len(o), e.shape[1]) for o, e in pieces)])
+    members = np.concatenate([np.zeros(0, np.int64), *(e.ravel() for _, e in pieces)])
+    return members, np.concatenate([[0], np.cumsum(lengths)]), owner
+
+
 def random_subset_sampler(seed: int, fractions=(1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4), repeats: int = 3):
-    """Sampler of random sub-collections of an element array at the given area fractions."""
+    """Sampler of uniformly random sub-collections of squares at the given area fractions.
+
+    ``sample(members, offsets, rows)`` draws, for each square s in ``rows``
+    (non-empty rows of the CSR member table) with n members and for each
+    fraction f, ``repeats`` uniform k-subsets of its members with
+    k = max(1, round(f * n)), then adds the full row.  It returns the CSR
+    table ``(sub_members, sub_offsets, owner)``: subset i is
+    ``sub_members[sub_offsets[i]:sub_offsets[i + 1]]`` (ascending) and
+    belongs to square ``owner[i]``.  Squares of one length are drawn as one
+    block (see ``grid.row_blocks``): per fraction one ``rng.random((G,
+    repeats, n))`` draw of keys, of which the k smallest per row pick the
+    subset.  The rows come block by block, fraction by fraction, square by
+    square, repeat by repeat, and each block ends with its full rows.  The
+    sampler owns one Philox stream from ``seed``, so a fresh sampler draws
+    the same table on every run.  Fractions outside (0, 1) raise
+    ``ValueError``.
+    """
     from .coefficients import rng_from_seed
 
+    fractions = _check_fractions(fractions)
     rng = rng_from_seed(seed)
 
-    def sample(elements: np.ndarray):
-        out = []
-        n = len(elements)
-        for frac in fractions:
-            k = max(1, round(frac * n))
-            if k > n:
-                continue
-            for _ in range(repeats):
-                out.append(np.sort(rng.choice(elements, size=k, replace=False)))
-        out.append(elements)
-        return out
+    def sample(members: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
+        pieces = []
+        for sel, idx in row_blocks(members, offsets, rows):
+            g, n = idx.shape
+            for frac in fractions:
+                k = max(1, round(frac * n))
+                keys = rng.random((g, repeats, n))
+                pos = np.sort(np.argpartition(keys, k - 1, axis=-1)[..., :k], axis=-1)
+                picked = np.take_along_axis(idx[:, None, :], pos, axis=-1)
+                pieces.append((np.repeat(sel, repeats), picked.reshape(g * repeats, k)))
+            pieces.append((sel, idx))
+        return _subset_table(pieces)
 
     return sample
 
 
 def extreme_subset_sampler(w: np.ndarray, fractions=(1 / 8, 1 / 4, 1 / 2)):
-    """Sampler of the exact extreme subsets (largest/smallest weight first) of an element array."""
-    w = np.asarray(w, dtype=float)
+    """Sampler of the exact extreme subsets (smallest/largest weight first) of squares.
 
-    def sample(elements: np.ndarray):
-        order = elements[np.argsort(w[elements], kind="stable")]
-        n = len(order)
-        out = []
-        for frac in fractions:
-            k = max(1, round(frac * n))
-            out.append(np.sort(order[:k]))
-            out.append(np.sort(order[n - k:]))
-        out.append(elements)
-        return out
+    Same protocol as ``random_subset_sampler``: for each square in ``rows``
+    and each fraction, the k = max(1, round(f * n)) members of smallest
+    weight, then the k of largest weight (ties broken by a stable
+    ``argsort`` of w per block), then the full row.
+    """
+    w = np.asarray(w, dtype=float)
+    fractions = _check_fractions(fractions)
+
+    def sample(members: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
+        pieces = []
+        for sel, idx in row_blocks(members, offsets, rows):
+            n = idx.shape[1]
+            order = np.take_along_axis(idx, np.argsort(w[idx], axis=-1, kind="stable"), axis=-1)
+            for frac in fractions:
+                k = max(1, round(frac * n))
+                pieces.append((sel, np.sort(order[:, :k], axis=-1)))
+                pieces.append((sel, np.sort(order[:, n - k:], axis=-1)))
+            pieces.append((sel, idx))
+        return _subset_table(pieces)
 
     return sample
 
@@ -200,24 +250,19 @@ def _envelope_fit(t: np.ndarray, r: np.ndarray, upper: bool) -> tuple[float, flo
 def ainfty_probe(w: np.ndarray, squares: DyadicSquareSet, subset_sampler) -> AinftyFit:
     """Fit both comparability envelopes from sampled subsets of admissible squares.
 
-    ``subset_sampler(elements)`` takes the ascending element array of a
-    square P and returns element-index arrays E inside it; for each the
-    probe records (|E|/|P|, mass(E)/mass(P)) with the discrete measures.
-    The sampler is called square by square in index order, so a seeded
-    sampler draws the same subsets on every run.  By construction the
-    fitted envelopes bracket every sample; this is checked post-fit and a
-    miss raises ``RuntimeError``.
+    ``subset_sampler(members, offsets, rows)`` takes the CSR member table of
+    ``squares`` and the admissible square indices, and returns a CSR table
+    ``(sub_members, sub_offsets, owner)`` of element subsets E, each inside
+    its square P = ``owner`` (see ``random_subset_sampler``).  For each E the
+    probe records (|E|/|P|, mass(E)/mass(P)) with the discrete measures,
+    all through ``row_dots``.  By construction the fitted envelopes bracket
+    every sample; this is checked post-fit and a miss raises
+    ``RuntimeError``.
     """
     w = _check_positive(w)
     areas = squares.mesh.areas
     mass = row_dots(squares.members, squares.offsets, areas, w)
-    owner, subsets = [], []
-    for s in squares.admissible():
-        for subset in subset_sampler(squares.elements(s)):
-            subsets.append(np.asarray(subset, dtype=np.int64))
-            owner.append(s)
-    members = np.concatenate([np.zeros(0, np.int64), *subsets])
-    offsets = np.cumsum([0] + [len(e) for e in subsets])
+    members, offsets, owner = subset_sampler(squares.members, squares.offsets, squares.admissible())
     t = row_dots(members, offsets, areas) / squares.area[owner]
     r = row_dots(members, offsets, areas, w) / mass[owner]
     keep = ~((t <= 0) | (r <= 0))  # empty subsets have t = 0

@@ -212,7 +212,7 @@ class TestRunTasks:
         cfg = ExperimentConfig.from_dict(
             {"task": "diagnose", "domain": "periodic_cell", "resolution": 16,
              "coefficient": {"family": "checkerboard", "a": 1, "b": 4},
-             "seed": 0, "diagnostics": {"max_level": 2},
+             "seed": 0, "diagnostics": {"max_level": 3},
              "output_dir": str(tmp_path / "out")}
         )
         run(cfg)
@@ -327,6 +327,16 @@ class TestSweep:
         assert ",error," in lines[1] and "dyadic squares" in lines[1] and "budget" in lines[1]
         assert ",ok," in lines[2]
 
+    def test_no_twice_inside_square_recorded_and_sweep_continues(self, tmp_path):
+        cfg = {"task": "diagnose", "domain": "unit_square", "resolution": 4,
+               "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+               "diagnostics": {"max_level": 1}}
+        good = {**cfg, "resolution": 16, "diagnostics": {"max_level": 2}}
+        path = sweep([cfg, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert ",error," in lines[1] and "no admissible twice-inside square" in lines[1]
+        assert ",ok," in lines[2]
+
     def test_heterogeneous_tasks_rejected(self, tmp_path):
         a = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0, 0], "nu": [0, 0]}}
         b = {"task": "solve", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]}}
@@ -344,6 +354,25 @@ class TestSweep:
         p1 = sweep(configs, tmp_path / "a")
         p2 = sweep(configs, tmp_path / "b")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    def test_diagnose_rerun_bit_identical(self, tmp_path):
+        configs = [
+            {"task": "diagnose", "domain": domain, "resolution": res, "seed": seed,
+             "coefficient": {"family": "random_piecewise", "k_max": 5, "cells": 4,
+                             "symmetric": False},
+             "diagnostics": {"max_level": 3}, "label": domain}
+            for domain, res, seed in (("unit_square", 32, 2), ("periodic_cell", 16, 4))
+        ]
+        a, b = (sweep(configs, tmp_path / name).parent for name in ("a", "b"))
+        assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
+        assert all(",ok," in line for line in (a / "aggregate.csv").read_text().splitlines()[1:])
+        for i in range(2):
+            run_a, run_b = a / f"run_{i:03d}", b / f"run_{i:03d}"
+            assert (run_a / "square_stats.csv").read_bytes() == (run_b / "square_stats.csv").read_bytes()
+            rec_a, rec_b = (json.loads((r / "run_record.json").read_text()) for r in (run_a, run_b))
+            assert rec_a["config"].pop("output_dir") != rec_b["config"].pop("output_dir")
+            assert json.dumps(rec_a) == json.dumps(rec_b)
 
 
 class TestMainEntry:

@@ -361,7 +361,7 @@ class TestDirectAndIterativeAgree:
 
     ITERATIVE = SolveOptions(method="iterative_nonsymmetric", tolerance=1e-12)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         k_max=st.floats(1.0, 10.0),

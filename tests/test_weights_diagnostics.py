@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltramilab import weights_diagnostics
 from beltramilab.coefficients import checkerboard_field, random_piecewise_field, rng_from_seed
@@ -89,6 +91,16 @@ class TestReverseHolder:
         with pytest.raises(ValueError):
             reverse_holder_constant(np.ones(square_mesh.n_triangles), squares, 1.0)
 
+    def test_no_twice_inside_square_rejected(self):
+        # resolution 4 at max_level 1: the level-1 squares hold 8 elements but
+        # their doubles leave the domain, and the reference square has no double
+        m = build_unit_square(4)
+        ds = dyadic_squares(m, 1)
+        assert len(ds.admissible()) > 0 and len(ds.admissible(require_twice_inside=True)) == 0
+        with pytest.raises(ValueError, match="no admissible twice-inside square"):
+            reverse_holder_constant(np.ones(m.n_triangles), ds, 2.0)
+        assert reverse_holder_constant(np.ones(m.n_triangles), ds, 3.0) == 1.0
+
 
 class TestAinftyProbe:
     def test_trivial_weight(self, square_mesh, squares):
@@ -136,8 +148,11 @@ class TestAinftyProbe:
             ainfty_probe(w, squares, random_subset_sampler(seed=4))
 
     def test_degenerate_sampler_rejected(self, square_mesh, squares):
-        with pytest.raises(ValueError):
-            ainfty_probe(np.ones(square_mesh.n_triangles), squares, lambda sq: [])
+        def empty_table(members, offsets, rows):
+            return np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int64)
+
+        with pytest.raises(ValueError, match="no non-empty subsets"):
+            ainfty_probe(np.ones(square_mesh.n_triangles), squares, empty_table)
 
     def test_periodic_jacobian_fit_stable(self):
         fits = []
@@ -151,6 +166,97 @@ class TestAinftyProbe:
         for attr in ("c_upper", "delta", "m_lower", "eta"):
             a, b = getattr(fits[0], attr), getattr(fits[1], attr)
             assert a < 2.0 * b and b < 2.0 * a
+
+
+FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4)
+
+
+def _csr(lengths):
+    """A CSR member table with rows of the given lengths over distinct, ascending elements."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    return 3 * np.arange(offsets[-1], dtype=np.int64) + 1, offsets
+
+
+class TestSubsetSamplers:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+        pick=st.lists(st.booleans(), min_size=12, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        repeats=st.integers(1, 4),
+    )
+    def test_random_rows_are_k_subsets_of_their_square(self, lengths, pick, seed, repeats):
+        members, offsets = _csr(lengths)
+        rows = np.array([i for i, n in enumerate(lengths) if n > 0 and pick[i]], dtype=np.int64)
+        sub, sub_offsets, owner = random_subset_sampler(seed, FRACTIONS, repeats)(members, offsets, rows)
+        assert sub_offsets[0] == 0 and sub_offsets[-1] == len(sub) and len(sub_offsets) == len(owner) + 1
+        counts = {}
+        for i, s in enumerate(owner):
+            row = sub[sub_offsets[i] : sub_offsets[i + 1]]
+            square = members[offsets[s] : offsets[s + 1]]
+            assert np.all(np.diff(row) > 0)          # distinct and ascending
+            assert np.isin(row, square).all()
+            counts[s, len(row)] = counts.get((s, len(row)), 0) + 1
+        expected = {}
+        for s in rows:
+            n = lengths[s]
+            for frac in FRACTIONS:
+                k = max(1, round(frac * n))
+                expected[s, k] = expected.get((s, k), 0) + repeats
+            expected[s, n] = expected.get((s, n), 0) + 1   # the full row
+        assert counts == expected
+
+    def test_seed_fixes_the_table(self, squares):
+        table = [random_subset_sampler(seed)(squares.members, squares.offsets, squares.admissible())
+                 for seed in (21, 21, 22)]
+        assert all(np.array_equal(a, b) for a, b in zip(table[0], table[1]))
+        assert not np.array_equal(table[0][0], table[2][0])
+        assert np.array_equal(table[0][1], table[2][1]) and np.array_equal(table[0][2], table[2][2])
+
+    def test_inclusion_frequencies_binomial(self):
+        # 400 copies each of a 10- and a 7-element square: every element of a
+        # k-subset draw is included with probability k / n
+        members = np.concatenate([np.tile(np.arange(10), 400), np.tile(np.arange(10, 17), 400)])
+        offsets = np.concatenate([np.arange(0, 4001, 10), 4000 + np.arange(7, 2801, 7)])
+        rows = np.arange(800)
+        repeats = 3
+        sub, sub_offsets, owner = random_subset_sampler(31, FRACTIONS, repeats)(members, offsets, rows)
+        lengths = np.diff(sub_offsets)
+        for n, base, squares_n in ((10, 0, owner < 400), (7, 10, owner >= 400)):
+            ks = [max(1, round(frac * n)) for frac in FRACTIONS]
+            for k in set(ks):
+                rows_k = np.flatnonzero(squares_n & (lengths == k))
+                picked = np.concatenate([sub[sub_offsets[i] : sub_offsets[i + 1]] for i in rows_k])
+                trials = 400 * repeats * ks.count(k)
+                assert len(rows_k) == trials
+                p = k / n
+                hits = np.bincount(picked - base, minlength=n)
+                assert len(hits) == n
+                assert np.all(np.abs(hits - trials * p) <= 6 * math.sqrt(trials * p * (1 - p)))
+
+    def test_extreme_rows(self, square_mesh, squares):
+        w = np.exp(rng_from_seed(14).normal(size=square_mesh.n_triangles))
+        fractions = (1 / 8, 1 / 2)
+        rows = squares.admissible()
+        sub, sub_offsets, owner = extreme_subset_sampler(w, fractions)(squares.members, squares.offsets, rows)
+        assert np.array_equal(np.bincount(owner, minlength=len(squares))[rows], np.full(len(rows), 5))
+        for s in rows:
+            e = squares.elements(s)
+            order = e[np.argsort(w[e], kind="stable")]
+            got = [sub[sub_offsets[i] : sub_offsets[i + 1]] for i in np.flatnonzero(owner == s)]
+            want = []
+            for frac in fractions:
+                k = max(1, round(frac * len(e)))
+                want += [np.sort(order[:k]), np.sort(order[len(e) - k:])]
+            assert len(got) == len(want) + 1 and np.array_equal(got[-1], e)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("fractions", [(0.0, 0.5), (1 / 4, 1.0), (1.5,), (-0.1,)])
+    def test_fractions_outside_unit_interval_rejected(self, square_mesh, fractions):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            random_subset_sampler(0, fractions)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            extreme_subset_sampler(np.ones(square_mesh.n_triangles), fractions)
 
 
 @pytest.fixture(scope="module")
@@ -338,14 +444,13 @@ class TestAgainstSquareLoop:
     def test_ainfty_samples(self, reference_case):
         w, ds = reference_case
         areas = ds.mesh.areas
-        sample = random_subset_sampler(seed=13)
+        members, offsets, owner = random_subset_sampler(seed=13)(ds.members, ds.offsets, ds.admissible())
         t_ref, r_ref = [], []
-        for s in ds.admissible():
+        for i, s in enumerate(owner):
             e = ds.elements(s)
-            mass_p = float(np.dot(areas[e], w[e]))
-            for subset in sample(e):
-                t_ref.append(float(areas[subset].sum() / float(areas[e].sum())))
-                r_ref.append(float(np.dot(areas[subset], w[subset]) / mass_p))
+            subset = members[offsets[i] : offsets[i + 1]]
+            t_ref.append(float(areas[subset].sum() / float(areas[e].sum())))
+            r_ref.append(float(np.dot(areas[subset], w[subset]) / float(np.dot(areas[e], w[e]))))
         fit = ainfty_probe(w, ds, random_subset_sampler(seed=13))
         assert np.array_equal(fit.area_fractions, t_ref)
         assert np.array_equal(fit.mass_fractions, r_ref)
