@@ -161,31 +161,21 @@ def _square_lattice(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     xs = np.arange(n + 1) / n
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return vertices, np.asarray(tris, dtype=np.int64)
+    # Square (i, j), row by row, splits along its "/" diagonal into two triangles.
+    j, i = divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return vertices, tris
 
 
 def _square_boundary_loop(resolution: int) -> np.ndarray:
     n = resolution
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    loop = [vid(i, 0) for i in range(n)]
-    loop += [vid(n, j) for j in range(n)]
-    loop += [vid(i, n) for i in range(n, 0, -1)]
-    loop += [vid(0, j) for j in range(n, 0, -1)]
-    return np.asarray(loop, dtype=np.int64)
+    k = np.arange(n, dtype=np.int64)
+    # bottom, right, top and left sides, counterclockwise from the origin
+    loop = [k, k * (n + 1) + n, n * (n + 1) + n - k, (n - k) * (n + 1)]
+    return np.concatenate(loop)
 
 
 def build_unit_square(resolution: int) -> TriMesh:
@@ -514,35 +504,59 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _indexed_rows(*arrays) -> zip:
-    """Row i is i followed by row i of each (n,) or (n, k) array, as Python scalars."""
+CSV_BLOCK_ROWS = 2048
+
+
+def _csv_texts(column: np.ndarray) -> list[str]:
+    """Each value as ``csv`` writes it: a float's shortest repr, anything else's ``str``.
+
+    A float64 column calls ``repr`` once per distinct bit pattern, which keeps
+    ``-0.0`` apart from ``0.0``; ``repr`` reads every NaN payload as ``nan``.
+    """
+    if column.dtype != np.float64:
+        return list(map(str, column.tolist()))
+    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    return np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+
+
+def _write_indexed_csv(path, header: list[str], *arrays) -> None:
+    """Row i is i followed by row i of each (n,) or (n, k) array, as ``write_csv`` writes them.
+
+    Lines are joined ``CSV_BLOCK_ROWS`` rows at a time: joining the whole file
+    at once leaves its ~10^6 short-lived strings behind as heap (peak RSS).
+    """
     n = len(arrays[0])
     columns = []
     for a in arrays:
         a = np.asarray(a)
         if a.shape[0] != n:
             raise ValueError(f"expected {n} rows, got an array of shape {a.shape}")
-        columns += a.reshape(n, -1).T.tolist()
-    return zip(range(n), *columns)
+        columns += list(a.reshape(n, math.prod(a.shape[1:])).T)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            rows = range(lo, min(lo + CSV_BLOCK_ROWS, n))
+            texts = [map(str, rows), *(_csv_texts(c[lo : rows.stop]) for c in columns)]
+            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 
 def export_vertices_csv(mesh: TriMesh, path) -> None:
-    write_csv(path, ["index", "x", "y"], _indexed_rows(mesh.vertices))
+    _write_indexed_csv(path, ["index", "x", "y"], mesh.vertices)
 
 
 def export_triangles_csv(mesh: TriMesh, path) -> None:
-    write_csv(path, ["index", "v0", "v1", "v2"], _indexed_rows(mesh.triangles))
+    _write_indexed_csv(path, ["index", "v0", "v1", "v2"], mesh.triangles)
 
 
 def export_vertex_values_csv(mesh: TriMesh, values: np.ndarray, path, name: str = "value") -> None:
     values = np.asarray(values, dtype=float)
     cols = math.prod(values.shape[1:])
     names = [name] if values.ndim == 1 else [f"{name}{k}" for k in range(cols)]
-    write_csv(path, ["index", "x", "y", *names], _indexed_rows(mesh.vertices, values))
+    _write_indexed_csv(path, ["index", "x", "y", *names], mesh.vertices, values)
 
 
 def export_element_values_csv(mesh: TriMesh, values: np.ndarray, path, name: str = "value") -> None:
     values = np.asarray(values, dtype=float)
     cols = math.prod(values.shape[1:])
     names = [name] if values.ndim == 1 else [f"{name}{k}" for k in range(cols)]
-    write_csv(path, ["index", "x", "y", *names], _indexed_rows(mesh.barycenters, values))
+    _write_indexed_csv(path, ["index", "x", "y", *names], mesh.barycenters, values)

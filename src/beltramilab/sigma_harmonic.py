@@ -307,15 +307,30 @@ def _segments_cross(p0, p1, q0, q1, tol_scale) -> np.ndarray:
 
 
 def polygon_is_simple(pts: np.ndarray) -> bool:
-    """No two non-adjacent edges of the closed polygon intersect or touch."""
+    """No two non-adjacent edges of the closed polygon intersect or touch.
+
+    Only edge pairs whose bounding boxes overlap are tested: edges sorted by
+    x-min take their x-overlap candidates by ``searchsorted``, then y-overlap
+    decides.  The boxes carry the same 1e-300 slack as ``_segments_cross``,
+    so no pair it would report is dropped.
+    """
     n = len(pts)
     a0 = pts
     a1 = np.roll(pts, -1, axis=0)
     scale = float(np.max(np.abs(pts)) + 1.0)
     tol = 1e-13 * scale * scale
-    idx_i, idx_j = np.triu_indices(n, k=1)
-    adjacent = (idx_j == idx_i + 1) | ((idx_i == 0) & (idx_j == n - 1))
-    keep = ~adjacent
+    lo = np.minimum(a0, a1) - 1e-300
+    hi = np.maximum(a0, a1) + 1e-300
+    order = np.argsort(lo[:, 0])
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    # sorted position p pairs with every later position q < stop[p]
+    counts = np.maximum(stop - np.arange(n) - 1, 0)
+    first = np.repeat(np.arange(n), counts)
+    later = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + first + 1
+    idx_i, idx_j = order[first], order[later]
+    keep = (lo[idx_i, 1] <= hi[idx_j, 1]) & (lo[idx_j, 1] <= hi[idx_i, 1])
+    gap = np.abs(idx_i - idx_j)
+    keep &= (gap != 1) & (gap != n - 1)
     idx_i, idx_j = idx_i[keep], idx_j[keep]
     hits = _segments_cross(
         a0[idx_i], a1[idx_i], a0[idx_j], a1[idx_j], tol

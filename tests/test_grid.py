@@ -5,8 +5,10 @@ import pytest
 
 from beltramilab.errors import MeshBudgetError
 from beltramilab.grid import (
+    CSV_BLOCK_ROWS,
     ElementMatrixField,
     ScalarFieldP1,
+    TriMesh,
     build_mesh,
     build_periodic_cell,
     build_regular_ngon,
@@ -21,6 +23,21 @@ from beltramilab.grid import (
     write_csv,
 )
 from beltramilab.weights_diagnostics import square_stats
+
+
+def reference_lattice(n):
+    """Reference loop over the squares: triangles (v00, v10, v11), (v00, v11, v01); the loop."""
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    loop = [vid(i, 0) for i in range(n)] + [vid(n, j) for j in range(n)]
+    loop += [vid(i, n) for i in range(n, 0, -1)] + [vid(0, j) for j in range(n, 0, -1)]
+    return np.array(tris), np.array(loop)
 
 
 class TestMeshBuilders:
@@ -70,6 +87,15 @@ class TestMeshBuilders:
         assert build_mesh(("regular_ngon", 4, 1.0), 2).n_triangles == 16
         with pytest.raises(ValueError):
             build_mesh("hexagoat", 3)
+
+    @pytest.mark.parametrize("build", [build_unit_square, build_periodic_cell])
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_lattice_matches_square_loop(self, build, n):
+        m = build(n)
+        tris, loop = reference_lattice(n)
+        assert m.triangles.dtype == np.int64 and m.boundary_loop.dtype == np.int64
+        assert np.array_equal(m.triangles, tris)
+        assert np.array_equal(m.boundary_loop, loop)
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -251,6 +277,44 @@ class TestCsvBytes:
         assert (tmp_path / "e.csv").read_bytes() == reference_csv(
             ["index", "x", "y", *names], [(i, *mesh.barycenters[i], *flat[i]) for i in range(n)]
         )
+
+    def test_several_blocks(self, tmp_path):
+        # 4225 vertices: two full blocks and a partial one; 8192 triangles: exactly four
+        m = build_unit_square(64)
+        assert m.n_vertices > 2 * CSV_BLOCK_ROWS and m.n_triangles % CSV_BLOCK_ROWS == 0
+        w = np.sin(np.arange(m.n_triangles) * 0.37)
+        export_vertices_csv(m, tmp_path / "v.csv")
+        export_triangles_csv(m, tmp_path / "t.csv")
+        export_element_values_csv(m, w, tmp_path / "w.csv", name="w")
+        assert (tmp_path / "v.csv").read_bytes() == reference_csv(
+            ["index", "x", "y"], [(i, *v) for i, v in enumerate(m.vertices)]
+        )
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(
+            ["index", "v0", "v1", "v2"], [(i, *t) for i, t in enumerate(m.triangles)]
+        )
+        assert (tmp_path / "w.csv").read_bytes() == reference_csv(
+            ["index", "x", "y", "w"], [(i, *m.barycenters[i], w[i]) for i in range(m.n_triangles)]
+        )
+
+    def test_signed_zeros_and_nan_payloads(self, mesh, tmp_path):
+        # equal as floats but distinct bit patterns: 0.0 / -0.0, and NaNs of two payloads and signs
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+        column = np.resize(np.array([0.0, -0.0, nans[0], 1.5, nans[1], -0.0]), mesh.n_vertices)
+        export_vertex_values_csv(mesh, column, tmp_path / "z.csv", name="u")
+        text = (tmp_path / "z.csv").read_bytes()
+        assert text == reference_csv(
+            ["index", "x", "y", "u"], [(i, *mesh.vertices[i], column[i]) for i in range(len(column))]
+        )
+        assert b",-0.0\r\n" in text and b",0.0\r\n" in text and b",nan\r\n" in text
+
+    def test_zero_rows_header_only(self, tmp_path):
+        empty = TriMesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        export_vertices_csv(empty, tmp_path / "v.csv")
+        export_vertex_values_csv(empty, np.zeros((0, 2)), tmp_path / "f.csv", name="f")
+        export_element_values_csv(empty, np.zeros(0), tmp_path / "e.csv")
+        assert (tmp_path / "v.csv").read_bytes() == reference_csv(["index", "x", "y"], [])
+        assert (tmp_path / "f.csv").read_bytes() == reference_csv(["index", "x", "y", "f0", "f1"], [])
+        assert (tmp_path / "e.csv").read_bytes() == reference_csv(["index", "x", "y", "value"], [])
 
     def test_wrong_row_count_rejected(self, mesh, tmp_path):
         with pytest.raises(ValueError, match="rows"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltramilab.coeff_algebra import BeltramiPair, beltrami_from_sigma_batch
 from beltramilab.coefficients import constant_field, hall_field, laminate_field, random_piecewise_field
@@ -7,6 +9,7 @@ from beltramilab.elliptic_solver import solve_dirichlet
 from beltramilab.grid import ScalarFieldP1, build_unit_square, element_gradient
 from beltramilab.sigma_harmonic import (
     ComplexMap,
+    _segments_cross,
     beltrami_residual,
     boundary_embedding_is_convex,
     change_coordinates,
@@ -14,6 +17,7 @@ from beltramilab.sigma_harmonic import (
     injectivity_check,
     jacobian_det,
     make_map,
+    polygon_is_simple,
     primary_pair,
     pushforward_tau,
     reduce_nu_to_zero,
@@ -252,6 +256,61 @@ class TestInjectivity:
         locally, globally = injectivity_check(U)
         assert isinstance(locally, bool) and isinstance(globally, bool)
         assert not globally
+
+
+def pairwise_polygon_is_simple(pts):
+    """Every non-adjacent edge pair, O(m^2) of them, through ``_segments_cross``: the reference."""
+    n = len(pts)
+    a0 = pts
+    a1 = np.roll(pts, -1, axis=0)
+    scale = float(np.max(np.abs(pts)) + 1.0)
+    tol = 1e-13 * scale * scale
+    idx_i, idx_j = np.triu_indices(n, k=1)
+    keep = ~((idx_j == idx_i + 1) | ((idx_i == 0) & (idx_j == n - 1)))
+    idx_i, idx_j = idx_i[keep], idx_j[keep]
+    return not bool(_segments_cross(a0[idx_i], a1[idx_i], a0[idx_j], a1[idx_j], tol).any())
+
+
+def polygons(coordinate):
+    return st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=12).map(
+        lambda p: np.array(p, dtype=float)
+    )
+
+
+class TestPolygonIsSimple:
+    # A 4 x 4 integer lattice makes collinear overlaps, repeated vertices and touching edges common.
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(polygons(st.integers(0, 3)))
+    def test_lattice_polygons_match_pairwise(self, pts):
+        assert polygon_is_simple(pts) == pairwise_polygon_is_simple(pts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(polygons(st.floats(-2.0, 2.0)))
+    def test_float_polygons_match_pairwise(self, pts):
+        assert polygon_is_simple(pts) == pairwise_polygon_is_simple(pts)
+
+    @pytest.mark.parametrize(
+        "pts,simple",
+        [
+            ([(0, 0), (1, 0), (1, 1), (0, 1)], True),
+            ([(0, 0), (1, 1), (1, 0), (0, 1)], False),  # figure eight
+            ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], False),  # vertex (2, 0) touches edge 0
+            # within the 1e-300 slack of every box: every pair of edges touches
+            ([(0, 0), (1e-305, 0), (1e-305, 1e-305), (0, 1e-305)], False),
+        ],
+    )
+    def test_fixed_polygons(self, pts, simple):
+        pts = np.array(pts, dtype=float)
+        assert pairwise_polygon_is_simple(pts) == simple
+        assert polygon_is_simple(pts) == simple
+
+    def test_primary_pair_image_loop(self):
+        m = build_unit_square(64)
+        _, _, U = primary_pair(random_piecewise_field(m, 5.0, 4, seed=6))
+        img = np.column_stack([U.u1.values, U.u2.values])[m.boundary_loop]
+        assert polygon_is_simple(img) and pairwise_polygon_is_simple(img)
+        img[[10, 140]] = img[[140, 10]]  # two far-apart vertices swapped: the loop crosses itself
+        assert not polygon_is_simple(img) and not pairwise_polygon_is_simple(img)
 
 
 class TestPushforwardTau:
