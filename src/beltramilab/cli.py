@@ -89,8 +89,12 @@ RANDOM_FAMILIES = ("random_piecewise",)
 FAMILY_KEYS = {"constant": ("matrix",), "laminate": ("a", "b"), "checkerboard": ("a", "b"),
                "hall": ("a", "b"), "hall_laminate": ("c",), "random_piecewise": (),
                "explicit": ("table", "cells"), "beltrami": ("mu", "nu")}
-# Coefficient keys read as arrays of numbers, with their shapes.
-PAIR_AND_MATRIX_SHAPES = {"mu": (2,), "nu": (2,), "matrix": (2, 2)}
+# Config entries read as arrays of finite numbers, with their shapes (None: any length).
+NUMBER_ARRAY_SHAPES = {
+    ("coefficient", "mu"): (2,), ("coefficient", "nu"): (2,), ("coefficient", "matrix"): (2, 2),
+    ("boundary", "coefficients"): (3,), ("diagnostics", "theta_grid"): (None,),
+    ("diagnostics", "p_list"): (None,),
+}
 # Tasks that need one kind of domain: (periodic, message when it is the other kind).
 DOMAIN_NEEDS = {
     "primary-pair": (False, "primary-pair needs a bounded convex domain"),
@@ -159,10 +163,6 @@ class ExperimentConfig:
         for key in keys:
             if key not in coefficient:
                 raise ConfigError(f"coefficient.{key}", f"required for family {family}")
-            shape = PAIR_AND_MATRIX_SHAPES.get(key)
-            if shape is not None and not _finite_numbers(coefficient[key], shape):
-                raise ConfigError(f"coefficient.{key}",
-                                  f"must be finite numbers of shape {shape}, got {coefficient[key]!r}")
         seed = raw.get("seed")
         if family in RANDOM_FAMILIES and seed is None and "seed" not in coefficient:
             raise ConfigError("seed", f"a seed is mandatory for the {family} family")
@@ -170,6 +170,13 @@ class ExperimentConfig:
         for name in ("boundary", "solver", "diagnostics"):
             if raw.get(name) is not None and not isinstance(raw[name], dict):
                 raise ConfigError(name, f"must be a JSON object, got {raw[name]!r}")
+        for (name, key), shape in NUMBER_ARRAY_SHAPES.items():
+            entries = raw.get(name) or {}
+            if key in entries and not _finite_numbers(entries[key], shape):
+                dims = ", ".join("n" if d is None else str(d) for d in shape)
+                raise ConfigError(f"{name}.{key}", f"must be finite numbers of shape ({dims}), got {entries[key]!r}")
+        if any(p <= 0 for p in (raw.get("diagnostics") or {}).get("p_list", ())):
+            raise ConfigError("diagnostics.p_list", f"exponents must be positive, got {raw['diagnostics']['p_list']!r}")
 
         solver_raw = raw.get("solver") or {}
         try:
@@ -205,12 +212,12 @@ class ExperimentConfig:
         )
 
 
-def _finite_numbers(value, shape: tuple[int, ...]) -> bool:
-    """Is ``value`` nested lists of finite real numbers (not booleans) of the given shape?"""
+def _finite_numbers(value, shape: tuple[int | None, ...]) -> bool:
+    """Is ``value`` nested lists of finite real numbers (not booleans) of ``shape`` (None: any length)?"""
     if not shape:
         return (isinstance(value, (int, float)) and not isinstance(value, bool)
                 and abs(value) <= sys.float_info.max)
-    return (isinstance(value, (list, tuple)) and len(value) == shape[0]
+    return (isinstance(value, (list, tuple)) and shape[0] in (None, len(value))
             and all(_finite_numbers(v, shape[1:]) for v in value))
 
 

@@ -104,11 +104,23 @@ def sym_min_eig_batch(mats: np.ndarray) -> np.ndarray:
     return half_trace - np.hypot(half_diff, off)
 
 
+def _det_and_gauge(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det(sigma) and 1 + tr(sigma) + det(sigma) of a 2x2 matrix or (..., 2, 2) stack, in one order for all."""
+    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    return det, 1.0 + mats[..., 0, 0] + mats[..., 1, 1] + det
+
+
+def _adjugate_inverse(mats: np.ndarray, det) -> np.ndarray:
+    """adj(sigma) / det(sigma) of a 2x2 matrix or a (..., 2, 2) stack, given its determinant."""
+    adj = np.stack([mats[..., 1, 1], -mats[..., 0, 1], -mats[..., 1, 0], mats[..., 0, 0]], axis=-1)
+    return adj.reshape(mats.shape) / np.asarray(det)[..., None, None]
+
+
 def _inverse_2x2(mat: np.ndarray) -> np.ndarray:
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    det, _ = _det_and_gauge(mat)
     if det == 0.0:
         raise NonEllipticError("matrix is singular")
-    return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / det
+    return _adjugate_inverse(mat, det)
 
 
 def ellipticity_constants(sigma: Conductivity | np.ndarray) -> tuple[float, float]:
@@ -177,8 +189,7 @@ def beltrami_from_sigma_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Vectorized dilatation pairs for an (n, 2, 2) stack; no ellipticity check."""
     s11, s12 = mats[:, 0, 0], mats[:, 0, 1]
     s21, s22 = mats[:, 1, 0], mats[:, 1, 1]
-    det = s11 * s22 - s12 * s21
-    den = 1.0 + s11 + s22 + det
+    det, den = _det_and_gauge(mats)
     mu = (s22 - s11 - 1j * (s12 + s21)) / den
     nu = (1.0 - det + 1j * (s12 - s21)) / den
     return mu, nu

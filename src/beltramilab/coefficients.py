@@ -54,56 +54,62 @@ def _infer_resolution(mesh: TriMesh) -> int:
     return n
 
 
-def _check_strip_interface(mesh: TriMesh, fraction: float) -> None:
-    """Reject a strip interface at ``fraction`` that falls between mesh lines."""
+def _lattice_field(mesh: TriMesh, table: np.ndarray) -> ElementMatrixField:
+    """Sample a (rows, cols, 2, 2) block table, row-major from the bottom, at the barycenters.
+
+    Every block edge must sit on a mesh line, so ``rows`` and ``cols`` must
+    both divide the resolution; then each triangle lies in exactly one block.
+    """
+    rows, cols = table.shape[:2]
+    if rows == 0 or cols == 0:
+        raise ValueError(f"block table is empty ({rows} x {cols} blocks)")
     n = _infer_resolution(mesh)
-    if abs(fraction * n - round(fraction * n)) > 1e-9:
-        raise ValueError(
-            f"strip interface at {fraction} does not sit on mesh lines at resolution {n}"
-        )
+    if n % rows or n % cols:
+        raise ValueError(f"{rows} x {cols} blocks do not sit on mesh lines at resolution {n}")
+    bary = mesh.barycenters
+    bi = np.floor(bary[:, 0] % 1.0 * cols).astype(int)
+    bj = np.floor(bary[:, 1] % 1.0 * rows).astype(int)
+    return ElementMatrixField(mesh, table[bj, bi])
+
+
+def _strip_table(strips: np.ndarray, direction: str) -> np.ndarray:
+    """Block table of (k, 2, 2) strips stacked along x1 (k columns) or x2 (k rows)."""
+    if direction == "x1":
+        return strips[None]
+    if direction == "x2":
+        return strips[:, None]
+    raise ValueError(f"unknown strip direction {direction!r}, expected 'x1' or 'x2'")
+
+
+def _isotropic(vals) -> np.ndarray:
+    """(..., 2, 2) stack of the scalar matrices vals * I."""
+    mats = np.zeros(np.shape(vals) + (2, 2))
+    mats[..., 0, 0] = mats[..., 1, 1] = vals
+    return mats
 
 
 def laminate_field(
     mesh: TriMesh, a: float, b: float, direction: str = "x1", fraction: float = 0.5
 ) -> ElementMatrixField:
     """Isotropic two-phase strips: value a where the coordinate is below ``fraction``."""
-    _check_strip_interface(mesh, fraction)
-    axis = {"x1": 0, "x2": 1}[direction]
-    coord = mesh.barycenters[:, axis]
-    vals = np.where(coord % 1.0 < fraction, a, b)
-    mats = np.zeros((mesh.n_triangles, 2, 2))
-    mats[:, 0, 0] = vals
-    mats[:, 1, 1] = vals
-    return ElementMatrixField(mesh, mats)
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"laminate fraction must lie in (0, 1), got {fraction}")
+    n = _infer_resolution(mesh)
+    if abs(fraction * n - round(fraction * n)) > 1e-9:
+        raise ValueError(f"strip interface at {fraction} does not sit on mesh lines at resolution {n}")
+    phases = _isotropic(np.where((np.arange(n) + 0.5) / n < fraction, a, b))
+    return _lattice_field(mesh, _strip_table(phases, direction))
 
 
 def checkerboard_field(mesh: TriMesh, a: float, b: float) -> ElementMatrixField:
     """Four-quadrant periodic checkerboard: a on the even quadrants, b on the odd."""
-    n = _infer_resolution(mesh)
-    if n % 2 != 0:
-        raise ValueError(f"checkerboard needs an even resolution, got {n}")
-    bary = mesh.barycenters
-    ix = np.floor(2.0 * (bary[:, 0] % 1.0)).astype(int)
-    iy = np.floor(2.0 * (bary[:, 1] % 1.0)).astype(int)
-    vals = np.where((ix + iy) % 2 == 0, a, b)
-    mats = np.zeros((mesh.n_triangles, 2, 2))
-    mats[:, 0, 0] = vals
-    mats[:, 1, 1] = vals
-    return ElementMatrixField(mesh, mats)
+    return _lattice_field(mesh, _isotropic([[a, b], [b, a]]))
 
 
 def hall_laminate_field(mesh: TriMesh, c: float, direction: str = "x1") -> ElementMatrixField:
     """Strips of [[1, +/-c], [-/+c, 1]]: unit symmetric part, alternating gap sign."""
-    _check_strip_interface(mesh, 0.5)
-    axis = {"x1": 0, "x2": 1}[direction]
-    coord = mesh.barycenters[:, axis]
-    sign = np.where(coord % 1.0 < 0.5, 1.0, -1.0)
-    mats = np.zeros((mesh.n_triangles, 2, 2))
-    mats[:, 0, 0] = 1.0
-    mats[:, 1, 1] = 1.0
-    mats[:, 0, 1] = c * sign
-    mats[:, 1, 0] = -c * sign
-    return ElementMatrixField(mesh, mats)
+    strips = np.array([[[1.0, c * s], [-c * s, 1.0]] for s in (1.0, -1.0)])
+    return _lattice_field(mesh, _strip_table(strips, direction))
 
 
 def random_pair(rng: np.random.Generator, k_max: float, symmetric: bool) -> BeltramiPair:
@@ -134,27 +140,15 @@ def random_piecewise_field(
     """
     if k_max < 1.0:
         raise ValueError("k_max must be >= 1")
-    n = _infer_resolution(mesh)
-    if n % cells != 0:
-        raise ValueError(f"resolution {n} is not a multiple of the block count {cells}")
+    if 2 * cells * cells > mesh.n_triangles:
+        # more blocks than lattice squares: refuse before drawing them all
+        raise ValueError(f"{cells} x {cells} blocks exceed the {mesh.n_triangles} triangles")
     rng = rng_from_seed(seed)
-    block_mats = np.empty((cells, cells, 2, 2))
-    for j in range(cells):
-        for i in range(cells):
-            block_mats[j, i] = sigma_from_beltrami(random_pair(rng, k_max, symmetric)).entries
-    bary = mesh.barycenters
-    bi = np.clip((bary[:, 0] % 1.0 * cells).astype(int), 0, cells - 1)
-    bj = np.clip((bary[:, 1] % 1.0 * cells).astype(int), 0, cells - 1)
-    return ElementMatrixField(mesh, block_mats[bj, bi])
+    # drawn row-major from the bottom, one dilatation pair per block
+    blocks = [sigma_from_beltrami(random_pair(rng, k_max, symmetric)).entries for _ in range(cells * cells)]
+    return _lattice_field(mesh, np.array(blocks).reshape(cells, cells, 2, 2))
 
 
 def explicit_field(mesh: TriMesh, table, cells: int) -> ElementMatrixField:
     """Per-block matrices from an explicit (cells*cells, 2, 2) table, row-major from the bottom."""
-    table = np.asarray(table, dtype=float).reshape(cells, cells, 2, 2)
-    n = _infer_resolution(mesh)
-    if n % cells != 0:
-        raise ValueError(f"resolution {n} is not a multiple of the block count {cells}")
-    bary = mesh.barycenters
-    bi = np.clip((bary[:, 0] % 1.0 * cells).astype(int), 0, cells - 1)
-    bj = np.clip((bary[:, 1] % 1.0 * cells).astype(int), 0, cells - 1)
-    return ElementMatrixField(mesh, table[bj, bi])
+    return _lattice_field(mesh, np.asarray(table, dtype=float).reshape(cells, cells, 2, 2))

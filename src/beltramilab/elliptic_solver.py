@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeff_algebra import sym_min_eig_batch
+from .coeff_algebra import _adjugate_inverse, _det_and_gauge, sym_min_eig_batch
 from .errors import NonEllipticError, SolverError
 from .grid import ROT90, ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
 
@@ -60,20 +60,13 @@ def validate_coefficient(sigma: ElementMatrixField) -> None:
         raise NonEllipticError(
             f"element {bad}: symmetric part not positive definite (min eig {alpha[bad]:.3e})"
         )
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    inv = np.empty_like(mats)
-    inv[:, 0, 0] = mats[:, 1, 1]
-    inv[:, 1, 1] = mats[:, 0, 0]
-    inv[:, 0, 1] = -mats[:, 0, 1]
-    inv[:, 1, 0] = -mats[:, 1, 0]
-    inv /= det[:, None, None]
-    alpha_inv = sym_min_eig_batch(inv)
+    det, gauge = _det_and_gauge(mats)
+    alpha_inv = sym_min_eig_batch(_adjugate_inverse(mats, det))
     if np.any(alpha_inv <= 0):
         bad = int(np.argmin(alpha_inv))
         raise NonEllipticError(
             f"element {bad}: symmetric part of the inverse not positive definite"
         )
-    gauge = 1.0 + mats[:, 0, 0] + mats[:, 1, 1] + det
     if np.any(gauge <= 0):
         bad = int(np.argmin(gauge))
         raise AssertionError(

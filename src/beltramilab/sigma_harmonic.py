@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff_algebra import BeltramiPair
+from .coeff_algebra import BeltramiPair, _det_and_gauge
 from .elliptic_solver import SolveOptions, rotated_flux, solve_dirichlet, stream_function
 from .grid import ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
 
@@ -232,9 +232,7 @@ def equival_residual(
     w1 = wirtinger_exact(sigma, Phi.re)
     w2 = wirtinger_exact(sigma, Psi.re)
     lhs = np.imag(w1.f_z * np.conj(w2.f_z))
-    mats = sigma.matrices
-    det_sigma = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    gauge = 1.0 + mats[:, 0, 0] + mats[:, 1, 1] + det_sigma
+    _, gauge = _det_and_gauge(sigma.matrices)
     rhs = 0.25 * gauge * U.det_DU
     return np.abs(lhs - rhs)
 
@@ -447,7 +445,7 @@ def pushforward_tau(
 
     img = image_mesh_of(f)
     b = tau[:, 0, 1]
-    c = tau[:, 0, 0] * tau[:, 1, 1] - tau[:, 0, 1] * tau[:, 1, 0]
+    c, _ = _det_and_gauge(tau)
     resid_diag = np.abs(tau[:, 0, 0] - 1.0)
     resid_lower = np.abs(tau[:, 1, 0])
     keep = ~excluded

@@ -73,6 +73,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"'coefficient.{field}'"):
             ExperimentConfig.from_dict({"task": task, "coefficient": spec})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("diagnostics", "theta_grid", 5),
+        ("diagnostics", "p_list", 3),
+        ("diagnostics", "p_list", [2.0, 0.0]),
+        ("boundary", "coefficients", 5),
+    ], ids=["theta_grid", "p_list", "p_list_zero", "boundary_coefficients"])
+    def test_number_list_fields(self, section, key, value):
+        raw = {"task": "solve", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+               section: {"kind": "affine", key: value} if section == "boundary" else {key: value}}
+        with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
+            ExperimentConfig.from_dict(raw)
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="coefficient.family"):
             ExperimentConfig.from_dict({"task": "solve", "coefficient": {"family": "marble"}})
@@ -299,6 +311,24 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert ",error," in lines[1] and "coefficient.b" in lines[1]
+        assert ",ok," in lines[2]
+
+    @pytest.mark.parametrize("coefficient, message", [
+        ({"family": "random_piecewise", "cells": 0}, "empty"),
+        ({"family": "explicit", "table": [], "cells": 0}, "empty"),
+        ({"family": "laminate", "a": 1, "b": 5, "direction": "x3"}, "direction"),
+        ({"family": "hall_laminate", "c": 0.5, "direction": "y"}, "direction"),
+        ({"family": "laminate", "a": 1, "b": 5, "fraction": 2.0}, "fraction"),
+    ], ids=["random_piecewise_cells_0", "explicit_cells_0", "laminate_x3", "hall_laminate_y",
+            "laminate_fraction_2"])
+    def test_bad_lattice_parameter_recorded_and_sweep_continues(self, tmp_path, coefficient, message):
+        bad = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8, "seed": 0,
+               "coefficient": coefficient}
+        good = {**bad, "coefficient": {"family": "laminate", "a": 1, "b": 5}}
+        path = sweep([bad, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert ",error," in lines[1] and message in lines[1]
         assert ",ok," in lines[2]
 
     def test_non_object_entry_recorded_and_sweep_continues(self, tmp_path):
