@@ -203,13 +203,17 @@ def solve_dirichlet(
     return ScalarFieldP1(mesh, u) if u.ndim == 1 else [ScalarFieldP1(mesh, v) for v in u.T.copy()]
 
 
-def interior_residual(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
-    """Assembled weak residual at every interior vertex (flux conservation check)."""
+def interior_residual(sigma: ElementMatrixField, u) -> np.ndarray:
+    """Assembled weak residual at every interior vertex (flux conservation check).
+
+    ``u`` is a P1 field or nodal values, (n_vertices,) or a stack
+    (n_vertices, k) that shares one assembly; a stack gives (n_interior, k),
+    each column bit-equal to the residual of that column alone.
+    """
     mesh = sigma.mesh
+    values = u.values if isinstance(u, ScalarFieldP1) else np.asarray(u, dtype=float)
     full = _assemble(mesh, sigma.matrices)
-    res = full @ u.values
-    is_free = ~mesh.boundary_mask
-    return res[is_free]
+    return (full @ values)[~mesh.boundary_mask]
 
 
 def _pin_dof(matrix: sp.csr_matrix, rhs: np.ndarray, dof: int = 0) -> tuple[sp.csr_matrix, np.ndarray]:

@@ -369,39 +369,56 @@ def row_dots(members: np.ndarray, offsets: np.ndarray, a: np.ndarray, b=None, sh
     return out
 
 
+# (point or box, polygon edge) pairs per block of the array operations in
+# ``_double_square_inside_polygon``: bounds their temporaries (peak RSS).
+INSIDE_BLOCK_PAIRS = 1 << 15
+
+
+def _edge_blocks(n_rows: int, n_edges: int):
+    """Row slices of at most ``INSIDE_BLOCK_PAIRS // n_edges`` rows (at least one)."""
+    step = max(1, INSIDE_BLOCK_PAIRS // max(n_edges, 1))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
 def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd point-in-polygon test, vectorized over points."""
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
+    """Even-odd point-in-polygon test, as (points x edges) blocks.
+
+    The parity is the XOR over the edges of the crossings to the right of
+    each point; XOR does not depend on the order, so blocking is exact.
+    """
+    x0, y0 = poly.T
+    x1, y1 = np.roll(poly, -1, axis=0).T
+    inside = np.empty(len(points), dtype=bool)
+    for rows in _edge_blocks(len(points), len(poly)):
+        x, y = points[rows, :1], points[rows, 1:]
         crosses = (y0 > y) != (y1 > y)
         with np.errstate(divide="ignore", invalid="ignore"):
             xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        inside ^= crosses & (x < np.where(crosses, xint, np.inf))
+        inside[rows] = np.logical_xor.reduce(crosses & (x < np.where(crosses, xint, np.inf)), axis=1)
     return inside
 
 
-def _segment_hits_box(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Liang-Barsky clip test: does each segment intersect the axis box [lo, hi]?"""
-    d = p1 - p0
-    t0 = np.zeros(len(p0))
-    t1 = np.ones(len(p0))
-    hits = np.ones(len(p0), dtype=bool)
-    for axis in range(2):
-        dd = d[:, axis]
-        near = np.where(dd != 0, (lo[axis] - p0[:, axis]) / np.where(dd == 0, 1, dd), -np.inf)
-        far = np.where(dd != 0, (hi[axis] - p0[:, axis]) / np.where(dd == 0, 1, dd), np.inf)
-        swap = near > far
-        near2 = np.where(swap, far, near)
-        far2 = np.where(swap, near, far)
-        parallel_out = (dd == 0) & ((p0[:, axis] < lo[axis]) | (p0[:, axis] > hi[axis]))
-        t0 = np.maximum(t0, near2)
-        t1 = np.minimum(t1, far2)
-        hits &= ~parallel_out
-    return hits & (t0 <= t1)
+def _segments_hit_boxes(lo: np.ndarray, hi: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Liang-Barsky clip test, as (boxes x edges) blocks: does any polygon edge meet box [lo[k], hi[k]]?
+
+    The boxes are closed; an edge that only touches one counts as a hit.
+    """
+    d = np.roll(poly, -1, axis=0) - poly
+    out = np.empty(len(lo), dtype=bool)
+    for rows in _edge_blocks(len(lo), len(poly)):
+        t0, t1, hits = 0.0, 1.0, True
+        for axis in range(2):
+            dd, p0 = d[:, axis], poly[:, axis]
+            box_lo, box_hi = lo[rows, axis, None], hi[rows, axis, None]
+            denom = np.where(dd == 0, 1, dd)
+            near = np.where(dd != 0, (box_lo - p0) / denom, -np.inf)
+            far = np.where(dd != 0, (box_hi - p0) / denom, np.inf)
+            swap = near > far
+            t0 = np.maximum(t0, np.where(swap, far, near))
+            t1 = np.minimum(t1, np.where(swap, near, far))
+            hits = hits & ~((dd == 0) & ((p0 < box_lo) | (p0 > box_hi)))
+        out[rows] = (hits & (t0 <= t1)).any(axis=1)
+    return out
 
 
 def dyadic_squares(mesh: TriMesh, max_level: int) -> DyadicSquareSet:
@@ -471,23 +488,22 @@ def dyadic_squares(mesh: TriMesh, max_level: int) -> DyadicSquareSet:
 def _double_square_inside_polygon(corners_lo: np.ndarray, h: float, poly: np.ndarray) -> np.ndarray:
     """For each square (corner, side h): is the concentric double inside the polygon?
 
-    The double square is inside iff its four corners are inside and no
-    boundary segment crosses it.
+    The double square [corner - h/2, corner + 3h/2] is inside iff its four
+    corners are inside (even-odd rule) and no boundary segment meets it.
+    The double square is closed: a segment that only touches its side or a
+    corner counts as crossing it.  Each distinct corner point is tested
+    once (points that compare equal give the same answer), and only the
+    squares whose four corners are inside go through the segment test.
     """
-    n = len(corners_lo)
     lo2 = corners_lo - 0.5 * h
     hi2 = corners_lo + 1.5 * h
-    flags = np.ones(n, dtype=bool)
-    corner_offsets = np.array([[0.0, 0.0], [2.0 * h, 0.0], [0.0, 2.0 * h], [2.0 * h, 2.0 * h]])
-    for off in corner_offsets:
-        flags &= _points_in_polygon(lo2 + off[None, :], poly)
-    seg0 = poly
-    seg1 = np.roll(poly, -1, axis=0)
-    for k in range(n):
-        if not flags[k]:
-            continue
-        if _segment_hits_box(seg0, seg1, lo2[k], hi2[k]).any():
-            flags[k] = False
+    offsets = np.array([[0.0, 0.0], [2.0 * h, 0.0], [0.0, 2.0 * h], [2.0 * h, 2.0 * h]])
+    points = (lo2[:, None, :] + offsets).reshape(-1, 2)
+    # viewed as one complex number per row, equal points are equal values
+    _, first, which = np.unique(points.view(np.complex128)[:, 0], return_index=True, return_inverse=True)
+    flags = _points_in_polygon(points[first], poly)[which].reshape(-1, 4).all(axis=1)
+    candidates = np.flatnonzero(flags)
+    flags[candidates] = ~_segments_hit_boxes(lo2[candidates], hi2[candidates], poly)
     return flags
 
 

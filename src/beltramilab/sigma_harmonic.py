@@ -304,13 +304,62 @@ def _segments_cross(p0, p1, q0, q1, tol_scale) -> np.ndarray:
     return proper | touch
 
 
+def _run_ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each run length c in ``counts``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _box_pairs_sharing_a_cell(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of boxes [lo, hi] that share a cell of a uniform grid.
+
+    Each box is registered in every cell it covers.  The grid over the boxes'
+    bounding box starts with cells as wide as the mean box (at most n per
+    axis) and halves the cells per axis until the n boxes cover at most 2n
+    cells in all.  On a loop of short edges a cell is then about one edge
+    long and holds O(1) boxes, so the pairs grow linearly; at worst (long
+    boxes, few cells) they stay below 2n^2.  A box's cell range comes from
+    a monotone rounding of its ends, so two boxes that overlap share the
+    cell of the larger of their lower ends.  A pair is returned from that
+    cell only: every overlapping pair is returned, once.
+    """
+    n = len(lo)
+    base = lo.min(axis=0)
+    extent = hi.max(axis=0) - base
+    # positions in [0, 1] of the box ends; no cell index can overflow
+    frac_lo, frac_hi = ((v - base) / np.where(extent > 0, extent, 1.0) for v in (lo, hi))
+    width = (frac_hi - frac_lo).max(axis=1).mean()
+    g = n if width * n <= 1 else int(1 / width)
+    while True:
+        c_lo = np.minimum((frac_lo * g).astype(np.int64), g - 1)
+        c_hi = np.minimum((frac_hi * g).astype(np.int64), g - 1)
+        span = c_hi - c_lo + 1
+        covered = span[:, 0] * span[:, 1]
+        if covered.sum() <= 2 * n:
+            break
+        g //= 2
+    edge = np.repeat(np.arange(n), covered)
+    col, row = np.divmod(_run_ranks(covered), span[edge, 1])
+    cell = (c_lo[edge, 0] + col) * g + c_lo[edge, 1] + row
+    # a stable sort keeps each cell's boxes ascending
+    order = np.argsort(cell, kind="stable")
+    edge, cell = edge[order], cell[order]
+    # sorted position p pairs with every later position of its cell
+    counts = np.searchsorted(cell, cell, side="right") - np.arange(len(cell)) - 1
+    first = np.repeat(np.arange(len(cell)), counts)
+    later = _run_ranks(counts) + first + 1
+    i, j = edge[first], edge[later]
+    home = np.maximum(c_lo[i, 0], c_lo[j, 0]) * g + np.maximum(c_lo[i, 1], c_lo[j, 1])
+    own = cell[first] == home
+    return i[own], j[own]
+
+
 def polygon_is_simple(pts: np.ndarray) -> bool:
     """No two non-adjacent edges of the closed polygon intersect or touch.
 
-    Only edge pairs whose bounding boxes overlap are tested: edges sorted by
-    x-min take their x-overlap candidates by ``searchsorted``, then y-overlap
-    decides.  The boxes carry the same 1e-300 slack as ``_segments_cross``,
-    so no pair it would report is dropped.
+    Only edge pairs whose bounding boxes overlap are tested; they are found
+    through a uniform grid (``_box_pairs_sharing_a_cell``).  The boxes carry
+    the same 1e-300 slack as ``_segments_cross``, so no pair it would report
+    is dropped.
     """
     n = len(pts)
     a0 = pts
@@ -319,15 +368,9 @@ def polygon_is_simple(pts: np.ndarray) -> bool:
     tol = 1e-13 * scale * scale
     lo = np.minimum(a0, a1) - 1e-300
     hi = np.maximum(a0, a1) + 1e-300
-    order = np.argsort(lo[:, 0])
-    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
-    # sorted position p pairs with every later position q < stop[p]
-    counts = np.maximum(stop - np.arange(n) - 1, 0)
-    first = np.repeat(np.arange(n), counts)
-    later = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + first + 1
-    idx_i, idx_j = order[first], order[later]
-    keep = (lo[idx_i, 1] <= hi[idx_j, 1]) & (lo[idx_j, 1] <= hi[idx_i, 1])
-    gap = np.abs(idx_i - idx_j)
+    idx_i, idx_j = _box_pairs_sharing_a_cell(lo, hi)
+    keep = np.all((lo[idx_i] <= hi[idx_j]) & (lo[idx_j] <= hi[idx_i]), axis=1)
+    gap = idx_j - idx_i
     keep &= (gap != 1) & (gap != n - 1)
     idx_i, idx_j = idx_i[keep], idx_j[keep]
     hits = _segments_cross(

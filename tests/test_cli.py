@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from beltramilab import elliptic_solver, weights_diagnostics
+from beltramilab import cli, elliptic_solver, weights_diagnostics
 from beltramilab.cli import ExperimentConfig, main, run, sweep
+from beltramilab.elliptic_solver import interior_residual
 from beltramilab.errors import ConfigError
+from beltramilab.grid import ScalarFieldP1
 
 
 def write_config(tmp_path, name, payload):
@@ -148,6 +150,22 @@ class TestRunTasks:
         eff = np.asarray(record.metrics["sigma_eff"])
         assert np.abs(eff - np.diag([5 / 3, 3.0])).max() < 1e-9
 
+    @pytest.mark.parametrize("direction", ["x1", "x2"])
+    def test_homogenize_laminate_fraction(self, tmp_path, direction):
+        # a quarter of phase a: harmonic mean 1 / (0.25 / 1 + 0.75 / 5) = 2.5 across
+        # the strips, arithmetic mean 0.25 * 1 + 0.75 * 5 = 4 along them
+        cfg = ExperimentConfig.from_dict(
+            {"task": "homogenize", "domain": "periodic_cell", "resolution": 32,
+             "coefficient": {"family": "laminate", "a": 1, "b": 5, "fraction": 0.25,
+                             "direction": direction},
+             "output_dir": str(tmp_path / "out")}
+        )
+        record = run(cfg)
+        oracle = np.diag([2.5, 4.0] if direction == "x1" else [4.0, 2.5])
+        assert np.abs(np.asarray(record.metrics["sigma_eff"]) - oracle).max() < 1e-9
+        assert record.metrics["laminate_oracle_error"] < 1e-9
+        assert record.all_passed
+
     def test_solve_with_affine_boundary(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"task": "solve", "domain": "unit_square", "resolution": 8,
@@ -252,6 +270,35 @@ class TestRunTasks:
         assert len(factorizations) == 2
         assert record.metrics["image_area_gap"] < 0.02
 
+
+    def test_solve_assembles_once_for_both_residuals(self, tmp_path, monkeypatch):
+        raw = {"task": "solve", "domain": "unit_square", "resolution": 16,
+               "coefficient": {"family": "random_piecewise", "k_max": 4, "cells": 4}, "seed": 8,
+               "boundary": {"kind": "affine", "coefficients": [0.5, 1.0, -2.0]}}
+
+        def one_by_one(sigma, values):
+            # the former path: one assembly and one residual per field
+            return np.column_stack([interior_residual(sigma, ScalarFieldP1(sigma.mesh, v)) for v in values.T])
+
+        monkeypatch.setattr(cli, "interior_residual", one_by_one)
+        run(ExperimentConfig.from_dict({**raw, "output_dir": str(tmp_path / "before")}))
+        monkeypatch.undo()
+        assemblies = []
+        assemble = elliptic_solver._assemble
+
+        def counting_assemble(mesh, mats):
+            assemblies.append(mesh.n_vertices)
+            return assemble(mesh, mats)
+
+        monkeypatch.setattr(elliptic_solver, "_assemble", counting_assemble)
+        record = run(ExperimentConfig.from_dict({**raw, "output_dir": str(tmp_path / "after")}))
+        # the Dirichlet solve, then the residuals of u and of the boundary lift together
+        assert len(assemblies) == 2
+        assert record.all_passed
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert (after / "solution.csv").read_bytes() == (before / "solution.csv").read_bytes()
+        text = (before / "run_record.json").read_text().replace(str(before), str(after))
+        assert (after / "run_record.json").read_text() == text
 
 class TestSweep:
     def test_empty_sweep_header_only(self, tmp_path):

@@ -85,6 +85,16 @@ class TestDirichlet:
         rhs_norm = np.linalg.norm(interior_residual(sig, ScalarFieldP1(m, lift)))
         assert np.abs(res).max() <= 1e-10 * rhs_norm
 
+    def test_stacked_interior_residual_matches_columns(self):
+        m = build_unit_square(16)
+        sig = random_piecewise_field(m, 5.0, 4, seed=8)
+        u = solve_dirichlet(sig, lambda p: p[:, 0] * p[:, 1])
+        lift = np.where(m.boundary_mask, u.values, 0.0)
+        stacked = interior_residual(sig, np.column_stack([u.values, lift, -u.values]))
+        assert stacked.shape == (m.n_vertices - len(m.boundary_loop), 3)
+        for col, values in zip(stacked.T, (u.values, lift, -u.values)):
+            assert np.array_equal(col, interior_residual(sig, ScalarFieldP1(m, values)))
+
     def test_non_elliptic_rejected_before_assembly(self):
         m = build_unit_square(4)
         mats = np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)).copy()

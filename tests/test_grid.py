@@ -2,13 +2,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beltramilab.coefficients import random_piecewise_field
 from beltramilab.errors import MeshBudgetError
 from beltramilab.grid import (
     CSV_BLOCK_ROWS,
+    INSIDE_BLOCK_PAIRS,
     ElementMatrixField,
     ScalarFieldP1,
     TriMesh,
+    _double_square_inside_polygon,
+    _points_in_polygon,
+    _segments_hit_boxes,
     build_mesh,
     build_periodic_cell,
     build_regular_ngon,
@@ -22,6 +29,8 @@ from beltramilab.grid import (
     regular_ngon_area,
     write_csv,
 )
+from beltramilab.homogenization import cell_complex_map, cell_map
+from beltramilab.sigma_harmonic import change_coordinates, primary_pair
 from beltramilab.weights_diagnostics import square_stats
 
 
@@ -196,6 +205,163 @@ class TestDyadicSquares:
         with pytest.raises(MeshBudgetError, match="dyadic squares"):
             dyadic_squares(m, 11)
         assert len(dyadic_squares(m, 1)) == 5
+
+
+def reference_points_in_polygon(points, poly):
+    """The former even-odd test: one array pass over the points per polygon edge."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        crosses = (y0 > y) != (y1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= crosses & (x < np.where(crosses, xint, np.inf))
+    return inside
+
+
+def reference_segment_hits_box(p0, p1, lo, hi):
+    """The former Liang-Barsky test of every segment against one box [lo, hi]."""
+    d = p1 - p0
+    t0 = np.zeros(len(p0))
+    t1 = np.ones(len(p0))
+    hits = np.ones(len(p0), dtype=bool)
+    for axis in range(2):
+        dd = d[:, axis]
+        near = np.where(dd != 0, (lo[axis] - p0[:, axis]) / np.where(dd == 0, 1, dd), -np.inf)
+        far = np.where(dd != 0, (hi[axis] - p0[:, axis]) / np.where(dd == 0, 1, dd), np.inf)
+        swap = near > far
+        near2 = np.where(swap, far, near)
+        far2 = np.where(swap, near, far)
+        parallel_out = (dd == 0) & ((p0[:, axis] < lo[axis]) | (p0[:, axis] > hi[axis]))
+        t0 = np.maximum(t0, near2)
+        t1 = np.minimum(t1, far2)
+        hits &= ~parallel_out
+    return hits & (t0 <= t1)
+
+
+def reference_double_square_inside(corners_lo, h, poly):
+    """The former square-by-square double-square test: the reference."""
+    n = len(corners_lo)
+    lo2 = corners_lo - 0.5 * h
+    hi2 = corners_lo + 1.5 * h
+    flags = np.ones(n, dtype=bool)
+    for off in np.array([[0.0, 0.0], [2.0 * h, 0.0], [0.0, 2.0 * h], [2.0 * h, 2.0 * h]]):
+        flags &= reference_points_in_polygon(lo2 + off[None, :], poly)
+    seg0 = poly
+    seg1 = np.roll(poly, -1, axis=0)
+    for k in range(n):
+        if flags[k] and reference_segment_hits_box(seg0, seg1, lo2[k], hi2[k]).any():
+            flags[k] = False
+    return flags
+
+
+def reference_twice_inside(ds):
+    """``twice_inside`` of a custom-domain square set, level by level through the reference."""
+    poly = ds.mesh.vertices[ds.mesh.boundary_loop]
+    flags = [
+        reference_double_square_inside(ds.corner[ds.level == level], ds.side[ds.level == level][0], poly)
+        for level in np.unique(ds.level)
+    ]
+    return np.concatenate(flags)
+
+
+def level_corners(n, origin=(0.0, 0.0), side=1.0):
+    """The lower-left corners of the n x n squares of side ``side / n``, as ``dyadic_squares`` builds them."""
+    cells = np.arange(n * n)
+    return np.asarray(origin) + side / n * np.column_stack([cells % n, cells // n])
+
+
+def image_meshes(resolution=64, seed=1001):
+    """The image meshes that ``diagnose`` tests reverse Hoelder on: a primary pair and a cell map."""
+    square = build_unit_square(resolution)
+    Phi, _, U = primary_pair(random_piecewise_field(square, 5.0, 4, seed=seed))
+    cell = build_periodic_cell(resolution)
+    sigma = random_piecewise_field(cell, 5.0, 4, seed=seed)
+    cm = cell_map(sigma, np.eye(2))
+    f, _ = cell_complex_map(sigma, cm.U.u1)
+    return [change_coordinates(U, Phi)[0], change_coordinates(cm.U, f)[0]]
+
+
+def star_polygon():
+    """A ten-pointed star of radii 1 and 0.45 about the origin: a concave polygon."""
+    angles = np.arange(20) * np.pi / 10
+    radii = np.where(np.arange(20) % 2 == 0, 1.0, 0.45)
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+class TestDoubleSquareInside:
+    """The blocked double-square test against the former square-by-square loop, flag for flag."""
+
+    @pytest.mark.parametrize("sides", range(3, 9))
+    @pytest.mark.parametrize("resolution,max_level", [(3, 4), (8, 5)])
+    def test_regular_ngons(self, sides, resolution, max_level):
+        ds = dyadic_squares(build_regular_ngon(sides, 1.0, resolution), max_level)
+        assert np.array_equal(ds.twice_inside, reference_twice_inside(ds))
+
+    @pytest.mark.parametrize("sides", [3, 5, 8])
+    def test_regular_ngons_level_six(self, sides):
+        ds = dyadic_squares(build_regular_ngon(sides, 0.7, 16), 6)
+        assert ds.twice_inside.sum() > 0
+        assert np.array_equal(ds.twice_inside, reference_twice_inside(ds))
+
+    def test_image_meshes(self):
+        for img in image_meshes():
+            ds = dyadic_squares(img, 5)
+            assert ds.twice_inside.sum() > 100
+            assert np.array_equal(ds.twice_inside, reference_twice_inside(ds))
+
+    def test_concave_polygon(self):
+        # even-odd parity, not "any crossing", decides the corners
+        poly = star_polygon()
+        for n in (4, 8, 16, 32):
+            corners = level_corners(n, origin=(-1.0, -1.0), side=2.0)
+            flags = _double_square_inside_polygon(corners, 2.0 / n, poly)
+            assert np.array_equal(flags, reference_double_square_inside(corners, 2.0 / n, poly))
+        assert flags.sum() > 0
+
+    def test_segment_tip_within_rounding_of_the_box(self):
+        # A spike from the left ends one ulp short of the double square's side
+        # x = 0.5.  Liang-Barsky's near = 4.5 / (4.5 - 2**-54) rounds to 1.0,
+        # so the closed-box test counts it as meeting the double square.
+        tip = np.nextafter(0.5, 0.0)
+        poly = np.array([[-4.0, -4.0], [4.0, -4.0], [4.0, 4.0], [-4.0, 4.0],
+                         [-4.0, 1.5], [tip, 1.0], [-4.0, 0.5]])
+        corners = np.array([[1.0, 0.5], [1.0, -2.0]])
+        flags = _double_square_inside_polygon(corners, 1.0, poly)
+        assert np.array_equal(flags, reference_double_square_inside(corners, 1.0, poly))
+        assert flags.tolist() == [False, True]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-2, 18), st.integers(-2, 18)), min_size=3, max_size=12),
+           st.sampled_from([2, 4, 8]))
+    def test_polygons_on_corner_coordinates(self, vertices, n):
+        # vertices on the 1/16 grid, which holds every double-square corner and
+        # side line at n = 2, 4 and 8: vertices and edges land on the boxes
+        poly = np.array(vertices, dtype=float) / 16.0
+        corners = level_corners(n)
+        flags = _double_square_inside_polygon(corners, 1.0 / n, poly)
+        assert np.array_equal(flags, reference_double_square_inside(corners, 1.0 / n, poly))
+
+    def test_several_blocks_with_a_partial_last_block(self):
+        # points and boxes strewn over the star fill three blocks and part of
+        # a fourth, and the last block holds both answers
+        poly = star_polygon()
+        rows_per_block = INSIDE_BLOCK_PAIRS // len(poly)
+        n = 3 * rows_per_block + rows_per_block // 3
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(-1.2, 1.2, (n, 2))
+        hi = lo + rng.uniform(0.0, 0.3, (n, 2))
+        inside = _points_in_polygon(lo, poly)
+        assert np.array_equal(inside, reference_points_in_polygon(lo, poly))
+        hits = _segments_hit_boxes(lo, hi, poly)
+        nxt = np.roll(poly, -1, axis=0)
+        assert np.array_equal(hits, [reference_segment_hits_box(poly, nxt, a, b).any() for a, b in zip(lo, hi)])
+        for flags in (inside, hits):
+            last = flags[3 * rows_per_block:]
+            assert last.any() and not last.all()
 
 
 class TestCsvExport:

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltramilab.coeff_algebra import BeltramiPair, beltrami_from_sigma_batch
 from beltramilab.coefficients import constant_field, hall_field, laminate_field, random_piecewise_field
 from beltramilab.elliptic_solver import solve_dirichlet
-from beltramilab.grid import ScalarFieldP1, build_unit_square, element_gradient
+from beltramilab.grid import ScalarFieldP1, _square_boundary_loop, build_unit_square, element_gradient
 from beltramilab.sigma_harmonic import (
     ComplexMap,
+    _box_pairs_sharing_a_cell,
     _segments_cross,
     beltrami_residual,
     boundary_embedding_is_convex,
@@ -303,6 +304,31 @@ class TestPolygonIsSimple:
         pts = np.array(pts, dtype=float)
         assert pairwise_polygon_is_simple(pts) == simple
         assert polygon_is_simple(pts) == simple
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                              st.floats(0.0, 1.5), st.floats(0.0, 1.5)), min_size=1, max_size=40))
+    @example([(0.0, 0.0, 5e-324, 0.0)] * 30)  # a subnormal extent: cells / extent would overflow
+    def test_grid_pairs_hold_every_overlapping_pair_once(self, boxes):
+        b = np.array(boxes)
+        lo, hi = b[:, :2], b[:, :2] + b[:, 2:]
+        i, j = _box_pairs_sharing_a_cell(lo, hi)
+        pairs = set(zip(i.tolist(), j.tolist()))
+        assert len(pairs) == len(i) and all(p < q for p, q in pairs)
+        overlap = np.all((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None]), axis=2)
+        assert set(zip(*np.nonzero(np.triu(overlap, k=1)))) <= pairs
+
+    @pytest.mark.parametrize("res", [256, 1024])
+    def test_square_loop_pairs_grow_linearly(self, res):
+        # Every unit-square primary pair maps its boundary loop onto the unit
+        # square, whose m / 4 edges per side share one x-range: an x-min sweep
+        # formed about m^2 / 16 candidate pairs there.
+        v = _square_boundary_loop(res)
+        loop = np.column_stack([v % (res + 1), v // (res + 1)]) / res
+        nxt = np.roll(loop, -1, axis=0)
+        i, _ = _box_pairs_sharing_a_cell(np.minimum(loop, nxt) - 1e-300, np.maximum(loop, nxt) + 1e-300)
+        assert len(i) <= 2 * len(loop)
+        assert polygon_is_simple(loop)
 
     def test_primary_pair_image_loop(self):
         m = build_unit_square(64)
