@@ -28,6 +28,8 @@ from . import coefficients as coeff
 from .coeff_algebra import (
     BeltramiPair,
     K_of_beltrami,
+    _adjugate_inverse,
+    _det_and_gauge,
     astala_exponent,
     beltrami_from_sigma,
     beltrami_from_sigma_batch,
@@ -598,7 +600,9 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
     grads = element_gradient(U.u1)
     alpha_global = float(sym_min_eig_batch(sigma.matrices).min())
-    beta_global = float(1.0 / sym_min_eig_batch(np.linalg.inv(sigma.matrices)).min())
+    # the closed-form inverse of ellipticity_constants and validate_coefficient
+    det_sigma, _ = _det_and_gauge(sigma.matrices)
+    beta_global = float(1.0 / sym_min_eig_batch(_adjugate_inverse(sigma.matrices, det_sigma)).min())
     report = astala_exponent(alpha_global, beta_global)
     p_list = diag.get("p_list", [2.0, 0.5 * report.p_sup if np.isfinite(report.p_sup) else 4.0])
     rows = higher_integrability_probe([(cfg.resolution, mesh, grads)], p_list, report.p_sup)

@@ -6,7 +6,11 @@ the default solver is sparse LU, the iterative option a non-symmetric
 Krylov method (GMRES).  Assembly order is the triangle index order so
 results are bit-reproducible at a fixed thread count.  Each solver takes a
 stack of right-hand sides for one operator and assembles, validates and
-factors it once per call.
+factors it once per call.  The stream function's identity-coefficient
+Laplacian needs no factorization on the exact unit-square and torus
+lattices: there it is the 5-point stencil, solved by DCT-I on the square
+and by the 2-D FFT on the torus (``numpy.fft``).  Every other mesh keeps
+the pinned sparse LU.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ import scipy.sparse.linalg as spla
 
 from .coeff_algebra import _adjugate_inverse, _det_and_gauge, sym_min_eig_batch
 from .errors import NonEllipticError, SolverError
-from .grid import ROT90, ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
+from .grid import (
+    ROT90,
+    ElementMatrixField,
+    ScalarFieldP1,
+    TriMesh,
+    element_gradient,
+    lattice_resolution,
+)
 
 log = logging.getLogger(__name__)
 
@@ -48,12 +59,16 @@ class SolveOptions:
 
 
 def validate_coefficient(sigma: ElementMatrixField) -> None:
-    """Reject a coefficient field with any non-elliptic element.
+    """Reject a coefficient field with any non-finite or non-elliptic element.
 
     Also asserts the positivity of 1 + tr(sigma) + det(sigma), which every
     admissible matrix satisfies and which the dilatation transform divides by.
     """
     mats = sigma.matrices
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonEllipticError(f"element {bad}: non-finite coefficient entries {mats[bad].tolist()}")
     alpha = sym_min_eig_batch(mats)
     if np.any(alpha <= 0):
         bad = int(np.argmin(alpha))
@@ -140,24 +155,37 @@ def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, opts: SolveOptions) ->
                 raise SolverError(f"GMRES received illegal input (info={info})")
             xs.append(x)
         iters = counter["n"]
+    stats = _checked_stats(lambda x: matrix @ x, xs, columns, opts, n=matrix.shape[0],
+                           nnz=matrix.nnz, method=opts.method, fill=fill, ordering=ordering,
+                           iterations=iters)
+    x = np.column_stack(xs) if rhs.ndim == 2 else xs[0]
+    return x, stats
+
+
+def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: list[np.ndarray],
+                   columns: np.ndarray, opts: SolveOptions, **stats) -> dict:
+    """Residual gate and solve stats shared by the sparse and the lattice transform solves.
+
+    Every column must meet the relative-residual tolerance (a NaN residual
+    fails too); the stats report the worst column and are logged as one
+    parseable ``linear solve:`` line.
+    """
     residual = rel = 0.0
     for x, b in zip(xs, columns):
-        col_residual = float(np.linalg.norm(matrix @ x - b))
+        col_residual = float(np.linalg.norm(apply(x) - b))
         rhs_norm = float(np.linalg.norm(b))
         col_rel = col_residual / rhs_norm if rhs_norm > 0 else col_residual
-        if col_rel > max(opts.tolerance, 1e-8):
+        if not col_rel <= max(opts.tolerance, 1e-8):
             raise SolverError(f"relative residual {col_rel:.3e} above tolerance", residual=col_residual)
         residual, rel = max(residual, col_residual), max(rel, col_rel)
-    stats = {"n": matrix.shape[0], "nnz": matrix.nnz, "nrhs": len(xs), "method": opts.method,
-             "fill": fill, "ordering": ordering,
-             "residual": residual, "relative_residual": rel, "iterations": iters}
+    stats = {**stats, "nrhs": len(xs), "residual": residual, "relative_residual": rel}
     log.info(
         "linear solve: n=%d nnz=%d nrhs=%d method=%s fill=%s ordering=%s residual=%.3e "
         "iterations=%s",
-        stats["n"], stats["nnz"], stats["nrhs"], stats["method"], fill, ordering, residual, iters,
+        stats["n"], stats["nnz"], stats["nrhs"], stats["method"], stats["fill"],
+        stats["ordering"], residual, stats["iterations"],
     )
-    x = np.column_stack(xs) if rhs.ndim == 2 else xs[0]
-    return x, stats
+    return stats
 
 
 def _boundary_values(mesh: TriMesh, g: BoundaryData) -> np.ndarray:
@@ -250,6 +278,80 @@ def _solve_pinned(matrix: sp.csr_matrix, rhs: np.ndarray, opts: SolveOptions) ->
     return x
 
 
+def _dct1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalised DCT-I along ``axis``: the real FFT of the even extension."""
+    x = np.moveaxis(x, axis, -1)
+    even = np.concatenate([x, x[..., -2:0:-1]], axis=-1)
+    return np.moveaxis(np.fft.rfft(even, axis=-1).real, -1, axis)
+
+
+def _lattice_laplacian(x: np.ndarray, periodic: bool) -> np.ndarray:
+    """Identity-coefficient P1 Laplacian of the lattice applied to nodal values x[j, i].
+
+    On the torus it is the circulant 5-point stencil.  On the square it is
+    W (x) K + K (x) W, with K the Neumann second difference and W the
+    half-weight-end diagonal: -1 couplings inside, -1/2 along boundary edges.
+    """
+    if periodic:
+        return (4.0 * x - np.roll(x, 1, axis=0) - np.roll(x, -1, axis=0)
+                - np.roll(x, 1, axis=1) - np.roll(x, -1, axis=1))
+    w = _end_weights(len(x) - 1)
+    kx, ky = np.zeros_like(x), np.zeros_like(x)
+    dx, dy = np.diff(x, axis=1), np.diff(x, axis=0)
+    kx[:, 1:] += dx
+    kx[:, :-1] -= dx
+    ky[1:] += dy
+    ky[:-1] -= dy
+    return w[:, None] * kx + ky * w[None, :]
+
+
+def _end_weights(n: int) -> np.ndarray:
+    """(n+1,) trapezoid weights: 1/2 at both ends, 1 inside."""
+    w = np.ones(n + 1)
+    w[[0, -1]] = 0.5
+    return w
+
+
+def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) -> tuple[np.ndarray, dict]:
+    """Solve the singular lattice Laplacian system for a stack (n_free, k) by a fast transform.
+
+    The square's Neumann matrix is diagonalised by DCT-I, the torus's
+    circulant by the 2-D FFT, with eigenvalues lam_j + lam_i,
+    lam = 2 - 2 cos(k pi / n) on the square and 2 - 2 cos(2 k pi / n) on the
+    torus.  The constant mode (the kernel) is dropped, so the solution is
+    fixed only up to the constant the caller anchors.  Each column is
+    transformed on its own, so stacked and single solves are bit-equal.
+    ``opts.method`` is ignored; the residual gate of ``_solve_system``
+    applies, on the full singular system.
+    """
+    if periodic:
+        lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        denom = lam[:, None] + lam[None, : n // 2 + 1]
+        # at n = 2 the two neighbours along an axis are one vertex
+        shape, method, nnz = (n, n), "fft2_torus", n * n * (1 + 2 * min(n - 1, 2))
+    else:
+        lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(n + 1) / n)
+        denom = (lam[:, None] + lam[None, :]) * (n * n)
+        w = 2.0 * _end_weights(n)
+        weights = np.outer(w, w)
+        shape, method, nnz = (n + 1, n + 1), "dct1_neumann", (n + 1) ** 2 + 4 * n * (n + 1)
+    denom[0, 0] = np.inf  # drop the constant mode
+    columns = np.ascontiguousarray(rhs.T)
+    xs = []
+    for b in columns:
+        b = b.reshape(shape)
+        if periodic:
+            x = np.fft.irfft2(np.fft.rfft2(b) / denom, s=shape)
+        else:
+            hat = _dct1(_dct1(b / weights, 0), 1)
+            x = _dct1(_dct1(hat / denom, 0), 1)
+        xs.append(x.ravel())
+    stats = _checked_stats(lambda x: _lattice_laplacian(x.reshape(shape), periodic).ravel(),
+                           xs, columns, opts, n=len(rhs), nnz=nnz, method=method,
+                           fill=None, ordering=None, iterations=None)
+    return np.column_stack(xs), stats
+
+
 def solve_periodic_cell(
     sigma: ElementMatrixField, xi: np.ndarray, opts: SolveOptions | None = None
 ) -> ScalarFieldP1 | list[ScalarFieldP1]:
@@ -337,8 +439,11 @@ def stream_function(
     linear part that is split off, solved around, and added back on the
     unwrapped cell.  Returns the field and the L2 norm of the gradient
     mismatch (decreases under refinement; zero when the target is exact).
-    A list of fields gives a list of (field, residual) pairs from one
-    factorization of the mesh Laplacian.
+    A list of fields gives a list of (field, residual) pairs from one solve
+    of the mesh Laplacian: a DCT-I (square) or FFT (torus) transform when
+    ``lattice_resolution`` recognises the mesh, which ignores
+    ``opts.method`` and keeps ``opts.tolerance``, else one pinned
+    factorization.
     """
     opts = opts or SolveOptions()
     mesh = sigma.mesh
@@ -346,13 +451,17 @@ def stream_function(
     targets = [rotated_flux(sigma, f) for f in us]
     linears = [ROT90 @ mean_flux(sigma, f) if mesh.periodic else None for f in us]
 
-    laplacian = _assemble(mesh, np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy())
     rhs = _load_vector(mesh, [
         np.einsum("tia,ta,t->ti", mesh.hat_gradients,
                   target if linear is None else target - linear[None, :], mesh.areas)
         for target, linear in zip(targets, linears)
     ])
-    w = _solve_pinned(laplacian, rhs, opts)
+    n = lattice_resolution(mesh)
+    if n is None:
+        laplacian = _assemble(mesh, np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy())
+        w = _solve_pinned(laplacian, rhs, opts)
+    else:
+        w, _ = _solve_lattice(rhs, n, mesh.periodic, opts)
 
     results = []
     for j, (target, linear) in enumerate(zip(targets, linears)):

@@ -178,6 +178,35 @@ def _square_boundary_loop(resolution: int) -> np.ndarray:
     return np.concatenate(loop)
 
 
+def _torus_free_index(resolution: int) -> np.ndarray:
+    """Dof of lattice vertex (i, j) on the torus: (j % n) * n + (i % n)."""
+    n = resolution
+    j, i = divmod(np.arange((n + 1) ** 2, dtype=np.int64), n + 1)
+    return (j % n) * n + (i % n)
+
+
+def lattice_resolution(mesh: TriMesh) -> int | None:
+    """Resolution n if ``mesh`` is exactly ``build_unit_square(n)`` or ``build_periodic_cell(n)``.
+
+    Decided from the arrays, not from ``mesh.domain``: the vertices and
+    triangles must equal ``_square_lattice(n)``, so vertex i sits at lattice
+    point (i % (n+1), i // (n+1)), and the dof map must be the identity on
+    the square and ``_torus_free_index(n)`` on the torus.  Any other mesh, a
+    permuted lattice included, gives None.
+    """
+    n = round((mesh.n_triangles / 2) ** 0.5)
+    if n < 1 or 2 * n * n != mesh.n_triangles or mesh.n_vertices != (n + 1) ** 2:
+        return None
+    vertices, tris = _square_lattice(n)
+    if not (np.array_equal(mesh.vertices, vertices) and np.array_equal(mesh.triangles, tris)):
+        return None
+    if mesh.periodic:
+        free, n_free = _torus_free_index(n), n * n
+    else:
+        free, n_free = np.arange(mesh.n_vertices), mesh.n_vertices
+    return n if mesh.n_free == n_free and np.array_equal(mesh.free_index, free) else None
+
+
 def build_unit_square(resolution: int) -> TriMesh:
     """Structured triangulation of [0,1]^2 with 2*resolution^2 triangles."""
     _check_resolution(resolution, 2 * resolution * resolution)
@@ -194,16 +223,13 @@ def build_periodic_cell(resolution: int) -> TriMesh:
     """Unit cell with opposite-edge vertices identified; resolution^2 free vertices."""
     _check_resolution(resolution, 2 * resolution * resolution)
     vertices, tris = _square_lattice(resolution)
-    n = resolution
-    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
-    free = ((jj % n) * n + (ii % n)).ravel()
     return TriMesh(
         vertices=vertices,
         triangles=tris,
         boundary_loop=_square_boundary_loop(resolution),
         periodic=True,
-        free_index=free.astype(np.int64),
-        n_free=n * n,
+        free_index=_torus_free_index(resolution),
+        n_free=resolution * resolution,
         domain="periodic_cell",
     )
 

@@ -246,8 +246,8 @@ class TestRunTasks:
              "output_dir": str(tmp_path / "out")}
         )
         run(cfg)
-        # the torus stiffness matrix (e1 and e2 together) and the mesh Laplacian
-        assert len(factorizations) == 2
+        # the torus stiffness matrix (e1 and e2 together); the streams use the FFT, no LU
+        assert len(factorizations) == 1
         assert len(validations) == 1
 
 
@@ -266,8 +266,8 @@ class TestRunTasks:
              "diagnostics": {"area_check": True}, "output_dir": str(tmp_path / "out")}
         )
         record = run(cfg)
-        # the torus stiffness matrix (e1 and e2 together) and the mesh Laplacian
-        assert len(factorizations) == 2
+        # the torus stiffness matrix (e1 and e2 together); the streams use the FFT, no LU
+        assert len(factorizations) == 1
         assert record.metrics["image_area_gap"] < 0.02
 
 
@@ -376,6 +376,16 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert ",error," in lines[1] and message in lines[1]
+        assert ",ok," in lines[2]
+
+    def test_non_finite_coefficient_recorded_and_sweep_continues(self, tmp_path):
+        good = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
+                "coefficient": {"family": "laminate", "a": 1, "b": 5}}
+        bad = {**good, "coefficient": {"family": "laminate", "a": float("nan"), "b": 5}}
+        path = sweep([bad, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert ",error," in lines[1] and "element 0: non-finite coefficient" in lines[1]
         assert ",ok," in lines[2]
 
     def test_non_object_entry_recorded_and_sweep_continues(self, tmp_path):

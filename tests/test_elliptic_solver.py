@@ -1,4 +1,9 @@
 import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beltramilab import elliptic_solver
 from beltramilab.coefficients import (
+    _infer_resolution,
     constant_field,
     laminate_field,
     random_piecewise_field,
@@ -16,6 +23,7 @@ from beltramilab.elliptic_solver import (
     SolveOptions,
     _assemble,
     _pin_dof,
+    _solve_lattice,
     _solve_system,
     interior_residual,
     mean_flux,
@@ -25,8 +33,17 @@ from beltramilab.elliptic_solver import (
     stream_function,
     vertex_circulations,
 )
-from beltramilab.errors import NonEllipticError
-from beltramilab.grid import ScalarFieldP1, build_periodic_cell, build_unit_square, element_gradient
+from beltramilab.errors import NonEllipticError, SolverError
+from beltramilab.grid import (
+    ElementMatrixField,
+    ScalarFieldP1,
+    TriMesh,
+    build_periodic_cell,
+    build_regular_ngon,
+    build_unit_square,
+    element_gradient,
+    lattice_resolution,
+)
 from beltramilab.homogenization import cell_map, effective_conductivity
 from beltramilab.sigma_harmonic import primary_pair
 
@@ -99,10 +116,18 @@ class TestDirichlet:
         m = build_unit_square(4)
         mats = np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)).copy()
         mats[3] = [[1.0, 3.0], [3.0, 1.0]]
-        from beltramilab.grid import ElementMatrixField
 
         with pytest.raises(NonEllipticError):
             solve_dirichlet(ElementMatrixField(m, mats), lambda p: p[:, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected_by_element(self, bad):
+        # NaN compares False with 0, so the eigenvalue checks alone let it through
+        m = build_periodic_cell(4)
+        sig = random_piecewise_field(m, 5.0, 2, seed=0)
+        sig.matrices[5, 1, 0] = bad
+        with pytest.raises(NonEllipticError, match="element 5: non-finite coefficient"):
+            solve_periodic_cell(sig, np.array([1.0, 0.0]))
 
     def test_iterative_nonsymmetric_agrees_with_lu(self):
         m = build_unit_square(12)
@@ -221,6 +246,95 @@ class TestStreamFunction:
         assert np.abs(g[:, 1] - 5.0 / 3.0).max() < 1e-10
 
 
+class TestLatticeStreamSolve:
+    """The DCT-I / FFT stream solve on exact lattices against the pinned LU."""
+
+    @staticmethod
+    def _fields(periodic, res, seed, symmetric):
+        m = build_periodic_cell(res) if periodic else build_unit_square(res)
+        sig = random_piecewise_field(m, 5.0, 4, seed=seed, symmetric=symmetric)
+        fields = solve_periodic_cell(sig, np.eye(2)) if periodic else solve_dirichlet(sig, lambda q: q)
+        return sig, fields
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["square", "torus"])
+    @pytest.mark.parametrize("res", [8, 16, 64])
+    @pytest.mark.parametrize("seed, symmetric", [(1008, False), (31, True)],
+                             ids=["nonsymmetric", "symmetric"])
+    def test_matches_pinned_lu(self, monkeypatch, periodic, res, seed, symmetric):
+        sig, fields = self._fields(periodic, res, seed, symmetric)
+        assert lattice_resolution(sig.mesh) == res
+        fast = stream_function(sig, fields)
+        monkeypatch.setattr(elliptic_solver, "lattice_resolution", lambda mesh: None)
+        for (ut, resid), (lu, lu_resid) in zip(fast, stream_function(sig, fields)):
+            assert ut.values[0] == lu.values[0] == 0.0
+            assert np.abs(ut.values - lu.values).max() < 1e-9
+            assert abs(resid - lu_resid) < 1e-9
+
+    def test_permuted_lattice_falls_back_to_lu(self, monkeypatch):
+        sig, (u, _) = self._fields(False, 16, 1008, False)
+        m = sig.mesh
+        # a vertex permutation that keeps the anchor vertex 0 in place
+        perm = np.concatenate([[0], np.arange(1, m.n_vertices)[::-1]])
+        inv = np.argsort(perm)
+        pm = TriMesh(m.vertices[perm], inv[m.triangles], inv[m.boundary_loop])
+        assert pm.domain == "custom" and _infer_resolution(pm) == 16
+        assert lattice_resolution(pm) is None
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        ut, resid = stream_function(sig, u)
+        assert calls == []
+        put, presid = stream_function(ElementMatrixField(pm, sig.matrices),
+                                      ScalarFieldP1(pm, u.values[perm]))
+        assert calls == [1]
+        assert np.abs(put.values - ut.values[perm]).max() < 1e-9
+        assert abs(presid - resid) < 1e-9
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["square", "torus"])
+    def test_log_line_names_the_transform(self, caplog, periodic):
+        sig, fields = self._fields(periodic, 16, 1008, False)
+        with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
+            stream_function(sig, fields)
+        method = "fft2_torus" if periodic else "dct1_neumann"
+        lines = [r.getMessage() for r in caplog.records if f"method={method}" in r.getMessage()]
+        assert len(lines) == 1
+        match = re.fullmatch(
+            r"linear solve: n=(\d+) nnz=(\d+) nrhs=2 method=\w+ fill=None ordering=None "
+            r"residual=(\S+) iterations=None", lines[0])
+        assert match is not None
+        assert int(match[1]) == sig.mesh.n_free
+        assert float(match[3]) < 1e-12
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["square", "torus"])
+    def test_stats_match_the_assembled_laplacian(self, periodic):
+        m = build_periodic_cell(8) if periodic else build_unit_square(8)
+        laplacian = _assemble(m, np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)).copy())
+        rhs = np.random.default_rng(0).normal(size=(m.n_free, 3))
+        rhs -= rhs.mean(axis=0)
+        x, stats = _solve_lattice(rhs, 8, periodic, SolveOptions())
+        assert stats["nnz"] == np.count_nonzero(laplacian.toarray())
+        assert stats["fill"] is None and stats["ordering"] is None
+        assert np.abs(laplacian @ x - rhs).max() < 1e-12
+
+    @pytest.mark.parametrize("lattice", [True, False], ids=["transform", "pinned_lu"])
+    def test_nan_coefficient_fails_the_residual_gate(self, monkeypatch, lattice):
+        m = build_unit_square(8)
+        sig = random_piecewise_field(m, 5.0, 4, seed=3)
+        u = solve_dirichlet(sig, lambda p: p[:, 0])
+        sig.matrices[5, 0, 1] = np.nan
+        if not lattice:
+            monkeypatch.setattr(elliptic_solver, "lattice_resolution", lambda mesh: None)
+        with pytest.raises(SolverError, match="relative residual nan"):
+            stream_function(sig, u)
+
+    def test_package_does_not_import_scipy_fft(self):
+        src = str(Path(elliptic_solver.__file__).parents[1])
+        code = "import sys, beltramilab.cli; print('scipy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestStackedRightHandSides:
     """A stack of right-hand sides gives the bits of one-at-a-time solves."""
 
@@ -298,6 +412,12 @@ class TestOneFactorizationPerOperator:
     def test_primary_pair(self, factorizations):
         m = build_unit_square(8)
         primary_pair(random_piecewise_field(m, 5.0, 4, seed=2))
+        # the coefficient operator for u1 and u2; both streams by DCT-I, no LU
+        assert factorizations == ["MMD_AT_PLUS_A"]
+
+    def test_primary_pair_on_polygon_factors_the_laplacian(self, factorizations):
+        m = build_regular_ngon(6, 1.0, 6)
+        primary_pair(constant_field(m, [[2.0, 0.5], [-0.3, 1.0]]))
         # the coefficient operator for u1 and u2, the mesh Laplacian for both streams
         assert factorizations == ["MMD_AT_PLUS_A"] * 2
 

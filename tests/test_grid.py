@@ -26,6 +26,7 @@ from beltramilab.grid import (
     export_triangles_csv,
     export_vertex_values_csv,
     export_vertices_csv,
+    lattice_resolution,
     regular_ngon_area,
     write_csv,
 )
@@ -105,6 +106,24 @@ class TestMeshBuilders:
         assert m.triangles.dtype == np.int64 and m.boundary_loop.dtype == np.int64
         assert np.array_equal(m.triangles, tris)
         assert np.array_equal(m.boundary_loop, loop)
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_lattice_resolution_reads_the_arrays(self, n):
+        square, torus = build_unit_square(n), build_periodic_cell(n)
+        assert lattice_resolution(square) == lattice_resolution(torus) == n
+        # a lattice read back as "custom" is still the lattice
+        assert lattice_resolution(replace(square, domain="custom", _geom=None)) == n
+        # vertices numbered right to left: the same geometry, another dof order
+        perm = np.arange(square.n_vertices).reshape(n + 1, n + 1)[:, ::-1].ravel()
+        inv = np.argsort(perm)
+        renumbered = TriMesh(square.vertices[perm], inv[square.triangles],
+                           inv[square.boundary_loop])
+        assert lattice_resolution(renumbered) is None
+        # the torus with a different quotient map, or without one
+        assert lattice_resolution(replace(torus, free_index=n * n - 1 - torus.free_index)) is None
+        assert lattice_resolution(replace(torus, periodic=False)) is None
+        assert lattice_resolution(replace(square, periodic=True)) is None
+        assert lattice_resolution(build_regular_ngon(8, 1.0, n)) is None
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
