@@ -364,13 +364,18 @@ def row_blocks(members: np.ndarray, offsets: np.ndarray, rows=None):
     Each block is ``(sel, idx)``: ``sel`` holds the indices of the rows of
     length n among ``rows`` (in their order; default all rows), and ``idx``
     their members as a C-ordered (len(sel), n) array.  Blocks come in
-    ascending n.
+    ascending n.  One stable sort of the lengths groups the rows, so the
+    cost does not grow with the number of distinct lengths.
     """
     lengths = np.diff(offsets)
     rows = np.arange(len(lengths)) if rows is None else np.asarray(rows)
-    for n in np.unique(lengths[rows]):
-        sel = rows[lengths[rows] == n]
-        yield sel, members[offsets[sel, None] + np.arange(n)]
+    by_length = rows[np.argsort(lengths[rows], kind="stable")]
+    sorted_lengths = lengths[by_length]
+    # block starts, and the end: lengths are >= 0, so -1 marks both edges
+    bounds = np.flatnonzero(np.diff(sorted_lengths, prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sel = by_length[lo:hi]
+        yield sel, members[offsets[sel, None] + np.arange(sorted_lengths[lo])]
 
 
 def row_dots(members: np.ndarray, offsets: np.ndarray, a: np.ndarray, b=None, shift=None):

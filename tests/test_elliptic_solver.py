@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,12 @@ from beltramilab.coefficients import (
     random_piecewise_field,
 )
 from beltramilab.elliptic_solver import (
+    LU_ORDERING,
+    LU_PANEL_SIZE,
     SolveOptions,
     _assemble,
+    _element_matrices,
+    _load_vector,
     _pin_dof,
     _solve_lattice,
     _solve_system,
@@ -299,7 +304,7 @@ class TestLatticeStreamSolve:
         lines = [r.getMessage() for r in caplog.records if f"method={method}" in r.getMessage()]
         assert len(lines) == 1
         match = re.fullmatch(
-            r"linear solve: n=(\d+) nnz=(\d+) nrhs=2 method=\w+ fill=None ordering=None "
+            r"linear solve: n=(\d+) nnz=(\d+) nrhs=2 method=\w+ fill=None ordering=None panel=None "
             r"residual=(\S+) iterations=None", lines[0])
         assert match is not None
         assert int(match[1]) == sig.mesh.n_free
@@ -468,12 +473,13 @@ class TestPinDof:
         pinned, rhs = _pin_dof(_assemble(m, sig.matrices), np.ones(m.n_free))
         with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
             _, stats = _solve_system(pinned, rhs, SolveOptions())
-        assert stats["ordering"] == "MMD_AT_PLUS_A"
+        assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["panel_size"] == LU_PANEL_SIZE == 4
         assert stats["fill"] == spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
         assert stats["fill"] >= pinned.nnz
-        assert f"fill={stats['fill']} ordering=MMD_AT_PLUS_A" in caplog.text
+        assert f"fill={stats['fill']} ordering=MMD_AT_PLUS_A panel=4 " in caplog.text
         _, it_stats = _solve_system(pinned, rhs, SolveOptions(method="iterative_nonsymmetric"))
         assert it_stats["fill"] is None and it_stats["ordering"] is None
+        assert it_stats["panel_size"] is None
 
     def test_cell_map_linearity_under_ordering(self):
         m = build_periodic_cell(32)
@@ -484,6 +490,88 @@ class TestPinDof:
         for row, u in zip(A, (cm.U.u1, cm.U.u2)):
             assert np.abs(u.values - (row[0] * e1.values + row[1] * e2.values)).max() < 1e-12
         assert cm.linearity_error < 1e-12
+
+
+def reference_assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
+    """``_assemble`` with int64 COO indices, which scipy copies down to int32."""
+    blocks = _element_matrices(mesh, mats)
+    dofs = mesh.vertex_dofs()
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(mesh.n_free,) * 2).tocsr()
+
+
+def reference_lu_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """SuperLU at its default panel size, column by column."""
+    lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING)
+    return np.column_stack([lu.solve(b) for b in np.ascontiguousarray(rhs.T)])
+
+
+def permuted_lattice(n: int) -> TriMesh:
+    """The unit-square lattice with its vertices renumbered: a "custom" mesh."""
+    m = build_unit_square(n)
+    perm = np.concatenate([[0], np.arange(1, m.n_vertices)[::-1]])
+    inv = np.argsort(perm)
+    return TriMesh(m.vertices[perm], inv[m.triangles], inv[m.boundary_loop])
+
+
+class TestLeanAssemblyAndFactorization:
+    """The int32 assembly and the released operator copies change no bit; panel 20 is the old LU."""
+
+    @pytest.mark.parametrize("mesh", [
+        build_unit_square(16), build_periodic_cell(16), build_regular_ngon(6, 1.0, 6),
+        permuted_lattice(12)], ids=["square", "torus", "hexagon", "permuted"])
+    def test_csr_matches_int64_reference(self, mesh):
+        mats = np.eye(2) + 0.3 * np.random.default_rng(7).normal(size=(mesh.n_triangles, 2, 2))
+        got, want = _assemble(mesh, mats), reference_assemble(mesh, mats)
+        for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_dirichlet_at_panel_20_matches_the_full_matrix_path(self, monkeypatch):
+        monkeypatch.setattr(elliptic_solver, "LU_PANEL_SIZE", 20)
+        m = build_unit_square(32)
+        sig = random_piecewise_field(m, 5.0, 4, seed=1008)
+        g = m.vertices[m.boundary_loop]
+        full = reference_assemble(m, sig.matrices)
+        free = np.flatnonzero(~m.boundary_mask)
+        x = reference_lu_solve(full[free][:, free].tocsr(), -(full[free][:, m.boundary_loop] @ g))
+        for k, u in enumerate(solve_dirichlet(sig, g)):
+            assert np.array_equal(u.values[free], x[:, k])
+            assert np.array_equal(u.values[m.boundary_loop], g[:, k])
+
+    def test_cell_at_panel_20_matches_the_unpinned_matrix_path(self, monkeypatch):
+        monkeypatch.setattr(elliptic_solver, "LU_PANEL_SIZE", 20)
+        m = build_periodic_cell(32)
+        sig = random_piecewise_field(m, 5.0, 4, seed=1008)
+        xis = np.array([[1.0, 0.0], [0.3, 1.0]])
+        rhs = _load_vector(m, [-np.einsum("tia,ta,t->ti", m.hat_gradients,
+                                          np.einsum("tab,b->ta", sig.matrices, xi), m.areas)
+                               for xi in xis])
+        w = reference_lu_solve(*_pin_dof(reference_assemble(m, sig.matrices), rhs))
+        for xi, wj, u in zip(xis, w.T, solve_periodic_cell(sig, xis)):
+            mean_w = float(np.dot(m.areas, wj[m.vertex_dofs()].mean(axis=1)) / m.areas.sum())
+            assert np.array_equal(u.values, m.vertices @ xi + (wj - mean_w)[m.free_index])
+
+    def test_splu_receives_the_panel_size(self, monkeypatch):
+        kwargs = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: kwargs.append(k) or splu(*a, **k))
+        solve_periodic_cell(random_piecewise_field(build_periodic_cell(8), 5.0, 4, seed=2), np.eye(2))
+        assert kwargs == [{"permc_spec": LU_ORDERING, "panel_size": LU_PANEL_SIZE}]
+
+    def test_assembly_peak_below_int64_reference(self):
+        m = build_unit_square(128)
+        mats = random_piecewise_field(m, 5.0, 4, seed=1).matrices
+        _assemble(m, mats)  # fills the mesh's geometry cache
+        peaks = []
+        for assemble in (_assemble, reference_assemble):
+            tracemalloc.start()
+            try:
+                assemble(m, mats)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
 
 
 class TestDirectAndIterativeAgree:

@@ -28,6 +28,7 @@ from beltramilab.grid import (
     export_vertices_csv,
     lattice_resolution,
     regular_ngon_area,
+    row_blocks,
     write_csv,
 )
 from beltramilab.homogenization import cell_complex_map, cell_map
@@ -381,6 +382,48 @@ class TestDoubleSquareInside:
         for flags in (inside, hits):
             last = flags[3 * rows_per_block:]
             assert last.any() and not last.all()
+
+
+def reference_row_blocks(members, offsets, rows=None):
+    """``row_blocks`` as one scan of the rows per distinct length."""
+    lengths = np.diff(offsets)
+    rows = np.arange(len(lengths)) if rows is None else np.asarray(rows)
+    for n in np.unique(lengths[rows]):
+        sel = rows[lengths[rows] == n]
+        yield sel, members[offsets[sel, None] + np.arange(n)]
+
+
+class TestRowBlocks:
+    """The one-sort grouping against the per-length scan, block for block."""
+
+    @staticmethod
+    def assert_same_blocks(got, want):
+        got, want = list(got), list(want)
+        assert len(got) == len(want)
+        for (sel, idx), (ref_sel, ref_idx) in zip(got, want):
+            assert sel.dtype == ref_sel.dtype and np.array_equal(sel, ref_sel)
+            assert idx.shape == ref_idx.shape and np.array_equal(idx, ref_idx)
+            assert idx.flags.c_contiguous
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 6), max_size=40), st.data())
+    def test_csr_tables_and_row_subsets(self, lengths, data):
+        offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        members = np.arange(offsets[-1], dtype=np.int64)[::-1] * 3
+        self.assert_same_blocks(row_blocks(members, offsets), reference_row_blocks(members, offsets))
+        # a subset of the rows, in any order
+        perm = data.draw(st.permutations(range(len(lengths))))
+        rows = np.array(perm[:data.draw(st.integers(0, len(perm)))], dtype=np.int64)
+        self.assert_same_blocks(row_blocks(members, offsets, rows),
+                                reference_row_blocks(members, offsets, rows))
+
+    def test_dyadic_square_table(self):
+        # an image mesh: squares of many distinct member counts
+        ds = dyadic_squares(image_meshes(32)[0], 5)
+        rows = np.flatnonzero(np.diff(ds.offsets) > 0)[::-1]
+        for sub in (None, rows):
+            self.assert_same_blocks(row_blocks(ds.members, ds.offsets, sub),
+                                    reference_row_blocks(ds.members, ds.offsets, sub))
 
 
 class TestCsvExport:
