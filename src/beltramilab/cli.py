@@ -90,11 +90,11 @@ RANDOM_FAMILIES = ("random_piecewise",)
 FAMILY_KEYS = {"constant": ("matrix",), "laminate": ("a", "b"), "checkerboard": ("a", "b"),
                "hall": ("a", "b"), "hall_laminate": ("c",), "random_piecewise": (),
                "explicit": ("table", "cells"), "beltrami": ("mu", "nu")}
-# Config entries read as arrays of finite numbers, with their shapes (None: any length).
+# Config entries read as finite numbers or arrays of them, with their shapes (() a number, None: any length).
 NUMBER_ARRAY_SHAPES = {
     ("coefficient", "mu"): (2,), ("coefficient", "nu"): (2,), ("coefficient", "matrix"): (2, 2),
     ("boundary", "coefficients"): (3,), ("diagnostics", "theta_grid"): (None,),
-    ("diagnostics", "p_list"): (None,),
+    ("diagnostics", "p_list"): (None,), ("solver", "tolerance"): (),
 }
 # Tasks that need one kind of domain: (periodic, message when it is the other kind).
 DOMAIN_NEEDS = {
@@ -159,6 +159,8 @@ class ExperimentConfig:
         family = coefficient["family"]
         if family not in FAMILY_KEYS:
             raise ConfigError("coefficient.family", f"unknown family {family!r}")
+        if family == "beltrami" and task != "convert":
+            raise ConfigError("coefficient.family", f"family 'beltrami' is read only by the convert task, not {task}")
         # convert reads any family but beltrami as a constant matrix
         keys = ("matrix",) if task == "convert" and family != "beltrami" else FAMILY_KEYS[family]
         for key in keys:
@@ -175,7 +177,8 @@ class ExperimentConfig:
             entries = raw.get(name) or {}
             if key in entries and not _finite_numbers(entries[key], shape):
                 dims = ", ".join("n" if d is None else str(d) for d in shape)
-                raise ConfigError(f"{name}.{key}", f"must be finite numbers of shape ({dims}), got {entries[key]!r}")
+                what = f"finite numbers of shape ({dims})" if shape else "a finite number"
+                raise ConfigError(f"{name}.{key}", f"must be {what}, got {entries[key]!r}")
         if any(p <= 0 for p in (raw.get("diagnostics") or {}).get("p_list", ())):
             raise ConfigError("diagnostics.p_list", f"exponents must be positive, got {raw['diagnostics']['p_list']!r}")
 
@@ -184,7 +187,7 @@ class ExperimentConfig:
             solver = SolveOptions(
                 method=solver_raw.get("method", "direct_lu"),
                 tolerance=float(solver_raw.get("tolerance", 1e-10)),
-                max_iterations=int(solver_raw.get("max_iterations", 2000)),
+                max_iterations=solver_raw.get("max_iterations", 2000),
             )
         except ValueError as exc:
             raise ConfigError("solver", str(exc)) from exc

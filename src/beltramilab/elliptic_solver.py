@@ -6,7 +6,10 @@ the default solver is sparse LU, the iterative option a non-symmetric
 Krylov method (GMRES).  Assembly order is the triangle index order so
 results are bit-reproducible at a fixed thread count.  Each solver takes a
 stack of right-hand sides for one operator and assembles, validates and
-factors it once per call.  SuperLU factors with a panel of
+factors it once per call.  Dirichlet data and the additive constant of a
+cell or Neumann problem are imposed the same way: the fixed dofs (the
+boundary loop, or dof 0) are eliminated and the free block is factored.
+SuperLU factors with a panel of
 ``LU_PANEL_SIZE`` = 4 columns, not its default 20: the panel workspace grows
 with n times the panel size, and the narrow panel lowers the peak memory of
 a factorization (by a sixth of SuperLU's own peak at res 512) with no slower
@@ -15,7 +18,7 @@ alive through the factorization.  The stream function's identity-coefficient
 Laplacian needs no factorization on the exact unit-square and torus
 lattices: there it is the 5-point stencil, solved by DCT-I on the square
 and by the 2-D FFT on the torus (``numpy.fft``).  Every other mesh keeps
-the pinned sparse LU.
+the sparse LU with dof 0 eliminated.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ BoundaryData = Callable[[np.ndarray], np.ndarray] | np.ndarray
 
 # SuperLU column ordering: minimum degree on the pattern of A^T + A.  P1
 # stiffness matrices are structurally symmetric for every sigma, symmetric
-# or not, so this ordering keeps far less fill than the default COLAMD,
+# or not, and so is every free block a solver factors (a principal
+# submatrix), so this ordering keeps far less fill than the default COLAMD,
 # which orders the columns of A^T A.
 LU_ORDERING = "MMD_AT_PLUS_A"
 
@@ -63,8 +67,12 @@ class SolveOptions:
     max_iterations: int = 2000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # a NaN or infinite tolerance would fail every solve or turn the residual gate off
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        iters = self.max_iterations
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {iters!r}")
         if self.method not in ("direct_lu", "iterative_nonsymmetric"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -235,20 +243,7 @@ def solve_dirichlet(
     if mesh.periodic:
         raise ValueError("Dirichlet solve needs a mesh with boundary; got a periodic cell")
     validate_coefficient(sigma)
-    g_vals = _boundary_values(mesh, g)
-
-    boundary = mesh.boundary_loop
-    free = np.flatnonzero(~mesh.boundary_mask)
-    # The full matrix is dropped at once and the free rows once the right-hand
-    # side is built: only the free block is alive through the factorization.
-    rows = _assemble(mesh, sigma.matrices)[free]
-    rhs = -(rows[:, boundary] @ g_vals)
-    matrix = rows[:, free]
-    del rows
-    x, _ = _solve_system(matrix, rhs, opts)
-    u = np.zeros((mesh.n_vertices, *g_vals.shape[1:]))
-    u[boundary] = g_vals
-    u[free] = x
+    u = _solve_fixed(mesh, sigma.matrices, None, mesh.boundary_loop, _boundary_values(mesh, g), opts)
     return ScalarFieldP1(mesh, u) if u.ndim == 1 else [ScalarFieldP1(mesh, v) for v in u.T.copy()]
 
 
@@ -265,26 +260,6 @@ def interior_residual(sigma: ElementMatrixField, u) -> np.ndarray:
     return (full @ values)[~mesh.boundary_mask]
 
 
-def _pin_dof(matrix: sp.csr_matrix, rhs: np.ndarray, dof: int = 0) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Replace one row by the identity to fix the additive constant.
-
-    Valid because the unpinned singular system is consistent (both the
-    all-ones left and right kernels), so the pinned solution solves every
-    original equation.  Works on the CSR arrays: every other stored entry,
-    explicit zeros included, is kept, and the input is not modified.
-    """
-    lo, hi = matrix.indptr[dof], matrix.indptr[dof + 1]
-    indices = np.concatenate(
-        [matrix.indices[:lo], np.array([dof], dtype=matrix.indices.dtype), matrix.indices[hi:]]
-    )
-    data = np.concatenate([matrix.data[:lo], [1.0], matrix.data[hi:]])
-    indptr = matrix.indptr.copy()
-    indptr[dof + 1:] += 1 - (hi - lo)
-    rhs = rhs.copy()
-    rhs[dof] = 0.0
-    return sp.csr_matrix((data, indices, indptr), shape=matrix.shape), rhs
-
-
 def _load_vector(mesh: TriMesh, contribs: list[np.ndarray]) -> np.ndarray:
     """(n_free, k) load vectors from one (nt, 3) array of per-vertex element loads per column."""
     rhs = np.zeros((mesh.n_free, len(contribs)))
@@ -292,14 +267,30 @@ def _load_vector(mesh: TriMesh, contribs: list[np.ndarray]) -> np.ndarray:
     return rhs
 
 
-def _solve_pinned(mesh: TriMesh, mats: np.ndarray, rhs: np.ndarray, opts: SolveOptions) -> np.ndarray:
-    """Assemble and solve a singular cell or Neumann system with dof 0 pinned.
+def _solve_fixed(mesh: TriMesh, mats: np.ndarray, load: np.ndarray | None,
+                 fixed: np.ndarray | list[int], values: np.ndarray, opts: SolveOptions) -> np.ndarray:
+    """Solve with the dofs ``fixed`` held at ``values`` (m,) or (m, k): (n_free,) or (n_free, k).
 
-    The unpinned matrix is dropped once pinned, before the factorization.
+    The free rows get ``load[free] - A[free, fixed] @ values`` and the free
+    block is factored.  This imposes Dirichlet data (boundary loop at g) and
+    the constant of a cell or Neumann problem (dof 0 at 0) alike: that
+    singular system is consistent, with the constants in both kernels, so
+    deleting dof 0's row and column leaves a nonsingular matrix whose solution
+    solves every original equation, row 0 included.  Only the free block is
+    alive through the factorization.
     """
-    pinned, rhs_p = _pin_dof(_assemble(mesh, mats), rhs)
-    x, _ = _solve_system(pinned, rhs_p, opts)
-    return x
+    free = np.delete(np.arange(mesh.n_free), fixed)
+    rows = _assemble(mesh, mats)[free]
+    rhs = -(rows[:, fixed] @ values)
+    if load is not None:
+        rhs += load[free]
+    matrix = rows[:, free]
+    del rows
+    x, _ = _solve_system(matrix, rhs, opts)
+    u = np.zeros((mesh.n_free, *x.shape[1:]))
+    u[fixed] = values
+    u[free] = x
+    return u
 
 
 def _dct1(x: np.ndarray, axis: int) -> np.ndarray:
@@ -401,7 +392,7 @@ def solve_periodic_cell(
                    np.einsum("tab,b->ta", sigma.matrices, x), mesh.areas)
         for x in xis
     ])
-    w = _solve_pinned(mesh, sigma.matrices, rhs, opts)
+    w = _solve_fixed(mesh, sigma.matrices, rhs, [0], np.zeros((1, len(xis))), opts)
 
     fields = []
     for j, x in enumerate(xis):
@@ -465,8 +456,8 @@ def stream_function(
     A list of fields gives a list of (field, residual) pairs from one solve
     of the mesh Laplacian: a DCT-I (square) or FFT (torus) transform when
     ``lattice_resolution`` recognises the mesh, which ignores
-    ``opts.method`` and keeps ``opts.tolerance``, else one pinned
-    factorization.
+    ``opts.method`` and keeps ``opts.tolerance``, else one factorization
+    with dof 0 eliminated.
     """
     opts = opts or SolveOptions()
     mesh = sigma.mesh
@@ -482,7 +473,7 @@ def stream_function(
     n = lattice_resolution(mesh)
     if n is None:
         identity = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy()
-        w = _solve_pinned(mesh, identity, rhs, opts)
+        w = _solve_fixed(mesh, identity, rhs, [0], np.zeros((1, len(us))), opts)
     else:
         w, _ = _solve_lattice(rhs, n, mesh.periodic, opts)
 

@@ -87,6 +87,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("task", ["solve", "primary-pair", "cell", "homogenize", "diagnose"])
+    def test_beltrami_family_only_for_convert(self, task):
+        spec = {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}
+        with pytest.raises(ConfigError, match="'coefficient.family'.*only by the convert task"):
+            ExperimentConfig.from_dict({"task": task, "coefficient": spec})
+        assert ExperimentConfig.from_dict({"task": "convert", "coefficient": spec}).coefficient == spec
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="coefficient.family"):
             ExperimentConfig.from_dict({"task": "solve", "coefficient": {"family": "marble"}})
@@ -386,6 +393,28 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert ",error," in lines[1] and "element 0: non-finite coefficient" in lines[1]
+        assert ",ok," in lines[2]
+
+    @pytest.mark.parametrize("solver, message", [
+        ({"tolerance": float("inf")}, "'solver.tolerance': must be a finite number"),
+        ({"tolerance": float("nan")}, "'solver.tolerance': must be a finite number"),
+        ({"tolerance": "1e-3"}, "'solver.tolerance': must be a finite number"),
+        ({"tolerance": True}, "'solver.tolerance': must be a finite number"),
+        ({"tolerance": 0}, "tolerance must be finite and positive"),
+        ({"method": "iterative_nonsymmetric", "max_iterations": 0}, "max_iterations must be an integer >= 1"),
+        ({"max_iterations": 2.7}, "max_iterations must be an integer >= 1"),
+        ({"max_iterations": True}, "max_iterations must be an integer >= 1"),
+        ({"max_iterations": "10"}, "max_iterations must be an integer >= 1"),
+    ], ids=["inf", "nan", "string_tolerance", "bool_tolerance", "zero_tolerance", "zero_iterations",
+            "float_iterations", "bool_iterations", "string_iterations"])
+    def test_bad_solver_option_recorded_and_sweep_continues(self, tmp_path, solver, message):
+        good = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
+                "coefficient": {"family": "laminate", "a": 1, "b": 5},
+                "solver": {"method": "iterative_nonsymmetric", "max_iterations": 50}}
+        path = sweep([{**good, "solver": solver}, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert ",error," in lines[1] and message in lines[1]
         assert ",ok," in lines[2]
 
     def test_non_object_entry_recorded_and_sweep_continues(self, tmp_path):

@@ -27,7 +27,7 @@ from beltramilab.elliptic_solver import (
     _assemble,
     _element_matrices,
     _load_vector,
-    _pin_dof,
+    _solve_fixed,
     _solve_lattice,
     _solve_system,
     interior_residual,
@@ -437,47 +437,75 @@ class TestOneFactorizationPerOperator:
         assert factorizations == ["MMD_AT_PLUS_A"]
 
 
-def _pattern(matrix: sp.csr_matrix, skip_row: int) -> set[tuple[int, int]]:
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    keep = rows != skip_row
-    return set(zip(rows[keep].tolist(), matrix.indices[keep].tolist()))
+def cell_load(sig: ElementMatrixField, xis: np.ndarray) -> np.ndarray:
+    """(n_free, k) right-hand sides of the cell problems for the rows of ``xis``."""
+    m = sig.mesh
+    return _load_vector(m, [-np.einsum("tia,ta,t->ti", m.hat_gradients,
+                                       np.einsum("tab,b->ta", sig.matrices, xi), m.areas)
+                            for xi in xis])
+
+
+@pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
+def test_non_finite_tolerance_rejected(tolerance):
+    # config files reject these before they get here; the Python API must too
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        SolveOptions(tolerance=tolerance)
 
 
 class TestPinDof:
-    @pytest.mark.parametrize("dof", [0, 17])
-    def test_matches_lil_reference_and_keeps_input(self, dof):
-        # the torus Laplacian stores explicit zeros (diagonal edges of right triangles)
-        m = build_periodic_cell(6)
-        matrix = _assemble(m, np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)).copy())
-        assert np.count_nonzero(matrix.data == 0.0) > 0
-        before = (matrix.data.copy(), matrix.indices.copy(), matrix.indptr.copy())
-        rhs = np.arange(matrix.shape[0], dtype=float)
+    """dof 0 of a cell or Neumann problem is anchored at 0 by eliminating its row and column."""
 
-        pinned, rhs_p = _pin_dof(matrix, rhs, dof)
+    def test_every_factored_matrix_is_structurally_symmetric(self, monkeypatch):
+        patterns = []
+        splu = spla.splu
 
-        lil = matrix.tolil()
-        lil.rows[dof] = [dof]
-        lil.data[dof] = [1.0]
-        reference = lil.tocsr()
-        assert np.array_equal(pinned.toarray(), reference.toarray())
-        assert _pattern(pinned, dof) == _pattern(reference, dof)
-        assert pinned.nnz == reference.nnz
-        assert pinned.indices[pinned.indptr[dof]:pinned.indptr[dof + 1]].tolist() == [dof]
-        assert rhs_p[dof] == 0.0 and rhs[dof] == dof
-        for kept, orig in zip((matrix.data, matrix.indices, matrix.indptr), before):
-            assert np.array_equal(kept, orig)
+        def recording(matrix, *args, **kwargs):
+            pattern = matrix.copy()
+            pattern.data[:] = 1.0
+            patterns.append(pattern)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        square = build_unit_square(12)
+        solve_dirichlet(random_piecewise_field(square, 5.0, 4, seed=1008), lambda q: q)
+        torus = build_periodic_cell(12)
+        solve_periodic_cell(random_piecewise_field(torus, 5.0, 4, seed=1008), np.eye(2))
+        # the hexagon factors its coefficient operator and the stream fallback's Laplacian
+        primary_pair(constant_field(build_regular_ngon(6, 1.0, 6), [[2.0, 0.5], [-0.3, 1.0]]))
+        assert len(patterns) == 4
+        for pattern in patterns:
+            assert (pattern != pattern.T).nnz == 0
+
+    @pytest.mark.parametrize("case", ["torus_cell", "hexagon_neumann"])
+    def test_unsliced_singular_system_holds_with_row_0(self, case):
+        if case == "torus_cell":
+            m = build_periodic_cell(16)
+            sig = random_piecewise_field(m, 5.0, 4, seed=1008)
+            mats, load = sig.matrices, cell_load(sig, np.array([[1.0, 0.0], [0.3, 1.0]]))
+        else:
+            m = build_regular_ngon(6, 1.0, 8)
+            mats = np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)).copy()
+            load = np.random.default_rng(5).normal(size=(m.n_free, 2))
+            load -= load.mean(axis=0)  # consistent: orthogonal to the constants
+        opts = SolveOptions()
+        w = _solve_fixed(m, mats, load, [0], np.zeros((1, 2)), opts)
+        assert np.all(w[0] == 0.0)
+        full = _assemble(m, mats)
+        for wj, bj in zip(w.T, load.T):  # every row, the eliminated row 0 included
+            assert np.linalg.norm(full @ wj - bj) <= opts.tolerance * np.linalg.norm(bj)
 
     def test_solve_stats_report_fill_and_ordering(self, caplog):
         m = build_periodic_cell(8)
         sig = random_piecewise_field(m, 5.0, 4, seed=3)
-        pinned, rhs = _pin_dof(_assemble(m, sig.matrices), np.ones(m.n_free))
+        reduced = _assemble(m, sig.matrices)[1:][:, 1:]
+        rhs = np.ones(m.n_free - 1)
         with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
-            _, stats = _solve_system(pinned, rhs, SolveOptions())
+            _, stats = _solve_system(reduced, rhs, SolveOptions())
         assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["panel_size"] == LU_PANEL_SIZE == 4
-        assert stats["fill"] == spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
-        assert stats["fill"] >= pinned.nnz
+        assert stats["fill"] == spla.splu(reduced.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
+        assert stats["fill"] >= reduced.nnz
         assert f"fill={stats['fill']} ordering=MMD_AT_PLUS_A panel=4 " in caplog.text
-        _, it_stats = _solve_system(pinned, rhs, SolveOptions(method="iterative_nonsymmetric"))
+        _, it_stats = _solve_system(reduced, rhs, SolveOptions(method="iterative_nonsymmetric"))
         assert it_stats["fill"] is None and it_stats["ordering"] is None
         assert it_stats["panel_size"] is None
 
@@ -544,10 +572,9 @@ class TestLeanAssemblyAndFactorization:
         m = build_periodic_cell(32)
         sig = random_piecewise_field(m, 5.0, 4, seed=1008)
         xis = np.array([[1.0, 0.0], [0.3, 1.0]])
-        rhs = _load_vector(m, [-np.einsum("tia,ta,t->ti", m.hat_gradients,
-                                          np.einsum("tab,b->ta", sig.matrices, xi), m.areas)
-                               for xi in xis])
-        w = reference_lu_solve(*_pin_dof(reference_assemble(m, sig.matrices), rhs))
+        rhs = cell_load(sig, xis)
+        w = np.zeros_like(rhs)
+        w[1:] = reference_lu_solve(reference_assemble(m, sig.matrices)[1:][:, 1:], rhs[1:])
         for xi, wj, u in zip(xis, w.T, solve_periodic_cell(sig, xis)):
             mean_w = float(np.dot(m.areas, wj[m.vertex_dofs()].mean(axis=1)) / m.areas.sum())
             assert np.array_equal(u.values, m.vertices @ xi + (wj - mean_w)[m.free_index])
