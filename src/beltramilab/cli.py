@@ -93,8 +93,16 @@ FAMILY_KEYS = {"constant": ("matrix",), "laminate": ("a", "b"), "checkerboard": 
 # Config entries read as finite numbers or arrays of them, with their shapes (() a number, None: any length).
 NUMBER_ARRAY_SHAPES = {
     ("coefficient", "mu"): (2,), ("coefficient", "nu"): (2,), ("coefficient", "matrix"): (2, 2),
-    ("boundary", "coefficients"): (3,), ("diagnostics", "theta_grid"): (None,),
-    ("diagnostics", "p_list"): (None,), ("solver", "tolerance"): (),
+    ("coefficient", "a"): (), ("coefficient", "b"): (), ("coefficient", "c"): (),
+    ("coefficient", "fraction"): (), ("coefficient", "k_max"): (), ("domain", "radius"): (),
+    ("boundary", "coefficients"): (3,), ("diagnostics", "affine_part"): (2, 2),
+    ("diagnostics", "theta_grid"): (None,), ("diagnostics", "p_list"): (None,), ("solver", "tolerance"): (),
+}
+# Config entries read as JSON integers (not booleans) or as JSON booleans; section None is the top level.
+EXACT_TYPES = {
+    (None, "seed"): int, ("coefficient", "seed"): int, ("coefficient", "cells"): int,
+    ("domain", "sides"): int, ("diagnostics", "max_level"): int, ("diagnostics", "subset_seed"): int,
+    ("coefficient", "symmetric"): bool,
 }
 # Tasks that need one kind of domain: (periodic, message when it is the other kind).
 DOMAIN_NEEDS = {
@@ -142,7 +150,6 @@ class ExperimentConfig:
             for key in ("sides", "radius"):
                 if key not in domain:
                     raise ConfigError(f"domain.{key}", "required for regular_ngon")
-            domain = ("regular_ngon", int(domain["sides"]), float(domain["radius"]))
         elif domain not in ("unit_square", "periodic_cell"):
             raise ConfigError("domain", f"unknown domain {domain!r}")
 
@@ -174,21 +181,33 @@ class ExperimentConfig:
             if raw.get(name) is not None and not isinstance(raw[name], dict):
                 raise ConfigError(name, f"must be a JSON object, got {raw[name]!r}")
         for (name, key), shape in NUMBER_ARRAY_SHAPES.items():
-            entries = raw.get(name) or {}
-            if key in entries and not _finite_numbers(entries[key], shape):
+            entries = raw.get(name)
+            if isinstance(entries, dict) and key in entries and not _finite_numbers(entries[key], shape):
                 dims = ", ".join("n" if d is None else str(d) for d in shape)
                 what = f"finite numbers of shape ({dims})" if shape else "a finite number"
                 raise ConfigError(f"{name}.{key}", f"must be {what}, got {entries[key]!r}")
+        for (name, key), kind in EXACT_TYPES.items():
+            entries = raw if name is None else raw.get(name)
+            # an exact type test: to isinstance a bool is an int
+            if isinstance(entries, dict) and key in entries and type(entries[key]) is not kind:
+                what = "an integer" if kind is int else "true or false"
+                raise ConfigError(key if name is None else f"{name}.{key}", f"must be {what}, got {entries[key]!r}")
         if any(p <= 0 for p in (raw.get("diagnostics") or {}).get("p_list", ())):
             raise ConfigError("diagnostics.p_list", f"exponents must be positive, got {raw['diagnostics']['p_list']!r}")
 
+        if isinstance(domain, dict):
+            domain = ("regular_ngon", domain["sides"], float(domain["radius"]))
+
+        # Every solve is one sparse LU; the iterative solver and its keys are gone,
+        # so an old config that names them fails instead of being misread.
         solver_raw = raw.get("solver") or {}
+        if "max_iterations" in solver_raw:
+            raise ConfigError("solver.max_iterations", "removed with the iterative solver; every solve is a sparse LU")
+        if solver_raw.get("method", "direct_lu") != "direct_lu":
+            raise ConfigError("solver.method", f"only 'direct_lu' is accepted (the iterative solver was removed), "
+                                               f"got {solver_raw['method']!r}")
         try:
-            solver = SolveOptions(
-                method=solver_raw.get("method", "direct_lu"),
-                tolerance=float(solver_raw.get("tolerance", 1e-10)),
-                max_iterations=solver_raw.get("max_iterations", 2000),
-            )
+            solver = SolveOptions(tolerance=float(solver_raw.get("tolerance", 1e-10)))
         except ValueError as exc:
             raise ConfigError("solver", str(exc)) from exc
 

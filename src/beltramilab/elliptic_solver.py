@@ -1,15 +1,14 @@
 """Weak-form assembly and solution of div(sigma grad u) = 0 on P1 triangulations.
 
 The coefficient matrix may be non-symmetric, so the assembled system is
-genuinely non-symmetric (test gradient . sigma . trial gradient ordering);
-the default solver is sparse LU, the iterative option a non-symmetric
-Krylov method (GMRES).  Assembly order is the triangle index order so
-results are bit-reproducible at a fixed thread count.  Each solver takes a
-stack of right-hand sides for one operator and assembles, validates and
-factors it once per call.  Dirichlet data and the additive constant of a
-cell or Neumann problem are imposed the same way: the fixed dofs (the
-boundary loop, or dof 0) are eliminated and the free block is factored.
-SuperLU factors with a panel of
+genuinely non-symmetric (test gradient . sigma . trial gradient ordering),
+and it is solved exactly by sparse LU (SuperLU), the one linear solver.
+Assembly order is the triangle index order so results are bit-reproducible
+at a fixed thread count.  Each solver takes a stack of right-hand sides for
+one operator and assembles, validates and factors it once per call.
+Dirichlet data and the additive constant of a cell or Neumann problem are
+imposed the same way: the fixed dofs (the boundary loop, or dof 0) are
+eliminated and the free block is factored.  SuperLU factors with a panel of
 ``LU_PANEL_SIZE`` = 4 columns, not its default 20: the panel workspace grows
 with n times the panel size, and the narrow panel lowers the peak memory of
 a factorization (by a sixth of SuperLU's own peak at res 512) with no slower
@@ -62,19 +61,12 @@ LU_PANEL_SIZE = 4
 
 @dataclass
 class SolveOptions:
-    method: str = "direct_lu"  # or "iterative_nonsymmetric"
     tolerance: float = 1e-10
-    max_iterations: int = 2000
 
     def __post_init__(self):
         # a NaN or infinite tolerance would fail every solve or turn the residual gate off
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        iters = self.max_iterations
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {iters!r}")
-        if self.method not in ("direct_lu", "iterative_nonsymmetric"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def validate_coefficient(sigma: ElementMatrixField) -> None:
@@ -132,57 +124,25 @@ def _assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def _solve_system(matrix: sp.csr_matrix, rhs: np.ndarray, opts: SolveOptions) -> tuple[np.ndarray, dict]:
-    """Solve for one right-hand side (n,) or a stack (n, k) with one factorization.
+def _solve_system(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions) -> tuple[np.ndarray, dict]:
+    """Solve for one right-hand side (n,) or a stack (n, k) with one LU factorization.
 
-    The LU path factors once and back-substitutes column by column; the
-    iterative path builds one ILU preconditioner and runs GMRES per column.
-    Every column must meet the relative-residual tolerance; the stats report
-    the worst column, the iterations summed over columns and, for LU, the
-    factor fill (nonzeros of L and U), the column ordering and the panel size.
+    SuperLU factors once and back-substitutes column by column.  Every column
+    must meet the relative-residual tolerance; the stats report the worst
+    column, the factor fill (nonzeros of L and U), the column ordering and
+    the panel size.  A CSC matrix is factored as it is (``tocsc`` of a CSC
+    matrix is no copy).
     """
     columns = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
-    fill = ordering = panel = None
-    if opts.method == "direct_lu":
-        try:
-            lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE)
-            xs = [lu.solve(b) for b in columns]
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-        # SuperLU.nnz counts the factors in place; reading .L or .U would copy them.
-        fill, ordering, panel = int(lu.nnz), LU_ORDERING, LU_PANEL_SIZE
-        iters = None
-    else:
-        ilu = spla.spilu(matrix.tocsc(), drop_tol=1e-5, fill_factor=20)
-        precond = spla.LinearOperator(matrix.shape, ilu.solve)
-        counter = {"n": 0}
-
-        def cb(_):
-            counter["n"] += 1
-
-        xs = []
-        for b in columns:
-            x, info = spla.gmres(
-                matrix,
-                b,
-                rtol=opts.tolerance,
-                maxiter=opts.max_iterations,
-                M=precond,
-                callback=cb,
-                callback_type="pr_norm",
-            )
-            if info > 0:
-                resid = float(np.linalg.norm(matrix @ x - b))
-                raise SolverError(
-                    f"GMRES stagnated after {info} iterations", residual=resid
-                )
-            if info < 0:
-                raise SolverError(f"GMRES received illegal input (info={info})")
-            xs.append(x)
-        iters = counter["n"]
+    try:
+        lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE)
+        xs = [lu.solve(b) for b in columns]
+    except RuntimeError as exc:
+        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+    # SuperLU.nnz counts the factors in place; reading .L or .U would copy them.
     stats = _checked_stats(lambda x: matrix @ x, xs, columns, opts, n=matrix.shape[0],
-                           nnz=matrix.nnz, method=opts.method, fill=fill, ordering=ordering,
-                           panel_size=panel, iterations=iters)
+                           nnz=matrix.nnz, method="direct_lu", fill=int(lu.nnz),
+                           ordering=LU_ORDERING, panel_size=LU_PANEL_SIZE)
     x = np.column_stack(xs) if rhs.ndim == 2 else xs[0]
     return x, stats
 
@@ -205,10 +165,9 @@ def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: list[np.ndarra
         residual, rel = max(residual, col_residual), max(rel, col_rel)
     stats = {**stats, "nrhs": len(xs), "residual": residual, "relative_residual": rel}
     log.info(
-        "linear solve: n=%d nnz=%d nrhs=%d method=%s fill=%s ordering=%s panel=%s "
-        "residual=%.3e iterations=%s",
+        "linear solve: n=%d nnz=%d nrhs=%d method=%s fill=%s ordering=%s panel=%s residual=%.3e",
         stats["n"], stats["nnz"], stats["nrhs"], stats["method"], stats["fill"],
-        stats["ordering"], stats["panel_size"], residual, stats["iterations"],
+        stats["ordering"], stats["panel_size"], residual,
     )
     return stats
 
@@ -276,15 +235,15 @@ def _solve_fixed(mesh: TriMesh, mats: np.ndarray, load: np.ndarray | None,
     the constant of a cell or Neumann problem (dof 0 at 0) alike: that
     singular system is consistent, with the constants in both kernels, so
     deleting dof 0's row and column leaves a nonsingular matrix whose solution
-    solves every original equation, row 0 included.  Only the free block is
-    alive through the factorization.
+    solves every original equation, row 0 included.  Only the free block, as
+    one CSC matrix, is alive through the factorization.
     """
     free = np.delete(np.arange(mesh.n_free), fixed)
     rows = _assemble(mesh, mats)[free]
     rhs = -(rows[:, fixed] @ values)
     if load is not None:
         rhs += load[free]
-    matrix = rows[:, free]
+    matrix = rows[:, free].tocsc()
     del rows
     x, _ = _solve_system(matrix, rhs, opts)
     u = np.zeros((mesh.n_free, *x.shape[1:]))
@@ -336,8 +295,8 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) 
     torus.  The constant mode (the kernel) is dropped, so the solution is
     fixed only up to the constant the caller anchors.  Each column is
     transformed on its own, so stacked and single solves are bit-equal.
-    ``opts.method`` is ignored; the residual gate of ``_solve_system``
-    applies, on the full singular system.
+    The residual gate of ``_solve_system`` applies, at ``opts.tolerance``,
+    on the full singular system.
     """
     if periodic:
         lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -363,7 +322,7 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) 
         xs.append(x.ravel())
     stats = _checked_stats(lambda x: _lattice_laplacian(x.reshape(shape), periodic).ravel(),
                            xs, columns, opts, n=len(rhs), nnz=nnz, method=method,
-                           fill=None, ordering=None, panel_size=None, iterations=None)
+                           fill=None, ordering=None, panel_size=None)
     return np.column_stack(xs), stats
 
 
@@ -455,9 +414,8 @@ def stream_function(
     mismatch (decreases under refinement; zero when the target is exact).
     A list of fields gives a list of (field, residual) pairs from one solve
     of the mesh Laplacian: a DCT-I (square) or FFT (torus) transform when
-    ``lattice_resolution`` recognises the mesh, which ignores
-    ``opts.method`` and keeps ``opts.tolerance``, else one factorization
-    with dof 0 eliminated.
+    ``lattice_resolution`` recognises the mesh, gated at ``opts.tolerance``
+    like the LU, else one factorization with dof 0 eliminated.
     """
     opts = opts or SolveOptions()
     mesh = sigma.mesh

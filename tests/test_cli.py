@@ -388,7 +388,8 @@ class TestSweep:
     def test_non_finite_coefficient_recorded_and_sweep_continues(self, tmp_path):
         good = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
                 "coefficient": {"family": "laminate", "a": 1, "b": 5}}
-        bad = {**good, "coefficient": {"family": "laminate", "a": float("nan"), "b": 5}}
+        # an explicit table is not type-checked, so its NaN reaches the coefficient validation
+        bad = {**good, "coefficient": {"family": "explicit", "table": [[[float("nan"), 0], [0, 1]]], "cells": 1}}
         path = sweep([bad, good], tmp_path / "sweep")
         lines = path.read_text().splitlines()
         assert len(lines) == 3
@@ -401,20 +402,70 @@ class TestSweep:
         ({"tolerance": "1e-3"}, "'solver.tolerance': must be a finite number"),
         ({"tolerance": True}, "'solver.tolerance': must be a finite number"),
         ({"tolerance": 0}, "tolerance must be finite and positive"),
-        ({"method": "iterative_nonsymmetric", "max_iterations": 0}, "max_iterations must be an integer >= 1"),
-        ({"max_iterations": 2.7}, "max_iterations must be an integer >= 1"),
-        ({"max_iterations": True}, "max_iterations must be an integer >= 1"),
-        ({"max_iterations": "10"}, "max_iterations must be an integer >= 1"),
+        # the iterative solver is gone: any max_iterations, valid or not before, is rejected
+        ({"method": "iterative_nonsymmetric", "max_iterations": 0}, "'solver.max_iterations': removed"),
+        ({"max_iterations": 2.7}, "'solver.max_iterations': removed"),
+        ({"max_iterations": True}, "'solver.max_iterations': removed"),
+        ({"max_iterations": "10"}, "'solver.max_iterations': removed"),
+        ({"method": "iterative_nonsymmetric"}, "'solver.method': only 'direct_lu' is accepted"),
     ], ids=["inf", "nan", "string_tolerance", "bool_tolerance", "zero_tolerance", "zero_iterations",
-            "float_iterations", "bool_iterations", "string_iterations"])
+            "float_iterations", "bool_iterations", "string_iterations", "iterative_method"])
     def test_bad_solver_option_recorded_and_sweep_continues(self, tmp_path, solver, message):
         good = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
-                "coefficient": {"family": "laminate", "a": 1, "b": 5},
-                "solver": {"method": "iterative_nonsymmetric", "max_iterations": 50}}
+                "coefficient": {"family": "laminate", "a": 1, "b": 5}}
         path = sweep([{**good, "solver": solver}, good], tmp_path / "sweep")
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert ",error," in lines[1] and message in lines[1]
+        assert ",ok," in lines[2]
+
+    def test_direct_lu_method_accepted(self, tmp_path):
+        good = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
+                "coefficient": {"family": "laminate", "a": 1, "b": 5},
+                "solver": {"method": "direct_lu", "tolerance": 1e-10}}
+        lines = sweep([good], tmp_path / "sweep").read_text().splitlines()
+        assert len(lines) == 2 and ",ok," in lines[1]
+
+    # One good config per section; each case sets one scalar of it to a value of the wrong type.
+    SCALAR_GOOD = {
+        "random": {"task": "homogenize", "domain": "periodic_cell", "resolution": 8, "seed": 3,
+                   "coefficient": {"family": "random_piecewise", "k_max": 3.0, "cells": 2, "seed": 4,
+                                   "symmetric": False}},
+        "laminate": {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
+                     "coefficient": {"family": "laminate", "a": 1, "b": 5, "fraction": 0.5}},
+        "ngon": {"task": "solve", "domain": {"kind": "regular_ngon", "sides": 5, "radius": 1.0},
+                 "resolution": 4, "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]}},
+        "cell": {"task": "cell", "domain": "periodic_cell", "resolution": 8,
+                 "coefficient": {"family": "laminate", "a": 1, "b": 5},
+                 "diagnostics": {"affine_part": [[2.0, 0.5], [0.3, 1.0]]}},
+        "diagnose": {"task": "diagnose", "domain": "unit_square", "resolution": 32, "seed": 0,
+                     "coefficient": {"family": "checkerboard", "a": 1, "b": 4},
+                     "diagnostics": {"max_level": 3, "subset_seed": 5}},
+    }
+
+    @pytest.mark.parametrize("base, field, value", [
+        ("random", "seed", 1.7), ("random", "seed", True), ("random", "seed", "3"),
+        ("random", "coefficient.seed", 1.5), ("random", "coefficient.cells", 2.5),
+        ("random", "coefficient.symmetric", "no"), ("random", "coefficient.k_max", True),
+        ("laminate", "coefficient.a", "2"), ("laminate", "coefficient.a", True),
+        ("laminate", "coefficient.a", float("nan")), ("laminate", "coefficient.fraction", "0.25"),
+        ("ngon", "domain.sides", 5.7), ("ngon", "domain.radius", "1"),
+        ("cell", "diagnostics.affine_part", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("cell", "diagnostics.affine_part", [[float("nan"), 0], [0, 1]]),
+        ("cell", "diagnostics.affine_part", "x"),
+        ("diagnose", "diagnostics.max_level", 2.9), ("diagnose", "diagnostics.max_level", "3"),
+        ("diagnose", "diagnostics.subset_seed", 1.5),
+    ])
+    def test_bad_scalar_type_recorded_and_sweep_continues(self, tmp_path, base, field, value):
+        good = self.SCALAR_GOOD[base]
+        bad = json.loads(json.dumps(good))
+        *sections, key = field.split(".")
+        target = bad[sections[0]] if sections else bad
+        target[key] = value
+        path = sweep([bad, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert ",error," in lines[1] and f"config field '{field}'" in lines[1]
         assert ",ok," in lines[2]
 
     def test_non_object_entry_recorded_and_sweep_continues(self, tmp_path):

@@ -134,16 +134,6 @@ class TestDirichlet:
         with pytest.raises(NonEllipticError, match="element 5: non-finite coefficient"):
             solve_periodic_cell(sig, np.array([1.0, 0.0]))
 
-    def test_iterative_nonsymmetric_agrees_with_lu(self):
-        m = build_unit_square(12)
-        sig = constant_field(m, [[2.0, 1.0], [0.2, 1.5]])
-        g = lambda p: p[:, 0] - 0.5 * p[:, 1]
-        u_lu = solve_dirichlet(sig, g)
-        u_it = solve_dirichlet(
-            sig, g, SolveOptions(method="iterative_nonsymmetric", tolerance=1e-12)
-        )
-        assert np.abs(u_lu.values - u_it.values).max() < 1e-8
-
     def test_boundary_data_as_array(self):
         m = build_unit_square(4)
         vals = m.vertices[m.boundary_loop, 1]
@@ -305,7 +295,7 @@ class TestLatticeStreamSolve:
         assert len(lines) == 1
         match = re.fullmatch(
             r"linear solve: n=(\d+) nnz=(\d+) nrhs=2 method=\w+ fill=None ordering=None panel=None "
-            r"residual=(\S+) iterations=None", lines[0])
+            r"residual=(\S+)", lines[0])
         assert match is not None
         assert int(match[1]) == sig.mesh.n_free
         assert float(match[3]) < 1e-12
@@ -343,8 +333,6 @@ class TestLatticeStreamSolve:
 class TestStackedRightHandSides:
     """A stack of right-hand sides gives the bits of one-at-a-time solves."""
 
-    ITERATIVE = SolveOptions(method="iterative_nonsymmetric", tolerance=1e-12)
-
     def test_dirichlet_stack_matches_single_solves(self):
         m = build_unit_square(16)
         sig = random_piecewise_field(m, 5.0, 4, seed=8)
@@ -358,8 +346,6 @@ class TestStackedRightHandSides:
         u1, u2 = solve_dirichlet(sig, lambda q: q)
         assert np.array_equal(u1.values, stacked[0].values)
         assert np.array_equal(u2.values, stacked[1].values)
-        for it, lu in zip(solve_dirichlet(sig, data, self.ITERATIVE), stacked):
-            assert np.abs(it.values - lu.values).max() < 1e-8
 
     def test_periodic_cell_stack_matches_single_solves(self):
         m = build_periodic_cell(16)
@@ -369,8 +355,6 @@ class TestStackedRightHandSides:
         assert len(stacked) == 4
         for xi, u in zip(xis, stacked):
             assert np.array_equal(u.values, solve_periodic_cell(sig, xi).values)
-        for it, lu in zip(solve_periodic_cell(sig, xis, self.ITERATIVE), stacked):
-            assert np.abs(it.values - lu.values).max() < 1e-8
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_stream_stack_matches_single_solves(self, periodic):
@@ -388,8 +372,6 @@ class TestStackedRightHandSides:
             single, single_resid = stream_function(sig, u)
             assert np.array_equal(ut.values, single.values)
             assert resid == single_resid
-        for (it, _), (lu, _) in zip(stream_function(sig, fields, self.ITERATIVE), stacked):
-            assert np.abs(it.values - lu.values).max() < 1e-8
 
     def test_stacked_data_with_wrong_row_count_rejected(self):
         m = build_unit_square(4)
@@ -505,9 +487,6 @@ class TestPinDof:
         assert stats["fill"] == spla.splu(reduced.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
         assert stats["fill"] >= reduced.nnz
         assert f"fill={stats['fill']} ordering=MMD_AT_PLUS_A panel=4 " in caplog.text
-        _, it_stats = _solve_system(reduced, rhs, SolveOptions(method="iterative_nonsymmetric"))
-        assert it_stats["fill"] is None and it_stats["ordering"] is None
-        assert it_stats["panel_size"] is None
 
     def test_cell_map_linearity_under_ordering(self):
         m = build_periodic_cell(32)
@@ -601,10 +580,8 @@ class TestLeanAssemblyAndFactorization:
         assert peaks[0] < peaks[1]
 
 
-class TestDirectAndIterativeAgree:
-    """Property: SuperLU and GMRES give the same Dirichlet and cell solutions."""
-
-    ITERATIVE = SolveOptions(method="iterative_nonsymmetric", tolerance=1e-12)
+class TestLUResidualProperty:
+    """Property: every LU solve meets the residual gate on the unreduced system."""
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -614,14 +591,23 @@ class TestDirectAndIterativeAgree:
         res=st.sampled_from([8, 16]),
     )
     def test_random_piecewise(self, seed, k_max, symmetric, res):
+        tol = SolveOptions().tolerance
         square = build_unit_square(res)
         sig = random_piecewise_field(square, k_max, 4, seed=seed, symmetric=symmetric)
         p = square.vertices[square.boundary_loop]
         g = np.column_stack([p[:, 0], p[:, 1], np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2])
-        for lu, it in zip(solve_dirichlet(sig, g), solve_dirichlet(sig, g, self.ITERATIVE)):
-            assert np.abs(lu.values - it.values).max() < 1e-8
+        # the reduced right-hand side is minus the residual of the boundary lift
+        lift = np.zeros((square.n_vertices, 3))
+        lift[square.boundary_loop] = g
+        u = np.column_stack([v.values for v in solve_dirichlet(sig, g)])
+        for r, b in zip(interior_residual(sig, u).T, interior_residual(sig, lift).T):
+            assert np.linalg.norm(r) <= tol * np.linalg.norm(b)
         cell = build_periodic_cell(res)
         sig = random_piecewise_field(cell, k_max, 4, seed=seed, symmetric=symmetric)
         xis = np.eye(2)
-        for lu, it in zip(solve_periodic_cell(sig, xis), solve_periodic_cell(sig, xis, self.ITERATIVE)):
-            assert np.abs(lu.values - it.values).max() < 1e-8
+        full = _assemble(cell, sig.matrices)
+        for xi, u, b in zip(xis, solve_periodic_cell(sig, xis), cell_load(sig, xis).T):
+            w = np.zeros(cell.n_free)
+            w[cell.free_index] = u.values - cell.vertices @ xi
+            # every row, the eliminated row 0 included
+            assert np.linalg.norm(full @ w - b) <= tol * np.linalg.norm(b)
