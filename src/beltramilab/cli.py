@@ -10,12 +10,14 @@ record listing every asserted invariant with its pass/fail state.  Verbs:
 All randomness flows through one explicit seed and a counter-based
 generator, and artifacts are written with full-precision repr floats in a
 fixed order, so reruns with the same config are bit-identical at thread
-count 1.  Exit code 0 only when every asserted invariant passes.
+count 1.  Exit code 0 only when every asserted invariant passes (for a
+sweep: when every row is ``ok``).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -85,25 +87,42 @@ from .weights_diagnostics import (
 log = logging.getLogger(__name__)
 
 TASKS = ("convert", "solve", "primary-pair", "cell", "homogenize", "diagnose")
-RANDOM_FAMILIES = ("random_piecewise",)
-# The keys each coefficient family cannot do without; the others have defaults.
-FAMILY_KEYS = {"constant": ("matrix",), "laminate": ("a", "b"), "checkerboard": ("a", "b"),
-               "hall": ("a", "b"), "hall_laminate": ("c",), "random_piecewise": (),
-               "explicit": ("table", "cells"), "beltrami": ("mu", "nu")}
-# Config entries read as finite numbers or arrays of them, with their shapes (() a number, None: any length).
-NUMBER_ARRAY_SHAPES = {
-    ("coefficient", "mu"): (2,), ("coefficient", "nu"): (2,), ("coefficient", "matrix"): (2, 2),
-    ("coefficient", "a"): (), ("coefficient", "b"): (), ("coefficient", "c"): (),
-    ("coefficient", "fraction"): (), ("coefficient", "k_max"): (), ("domain", "radius"): (),
-    ("boundary", "coefficients"): (3,), ("diagnostics", "affine_part"): (2, 2),
-    ("diagnostics", "theta_grid"): (None,), ("diagnostics", "p_list"): (None,), ("solver", "tolerance"): (),
+REQUIRED = object()  # the default of a key a config must give
+_AB = {"a": (REQUIRED, ()), "b": (REQUIRED, ())}
+# Every key a config may hold, per section ("" is the top level): key -> (default or REQUIRED,
+# check). A check is the shape of the finite numbers the value must be (() one number, None a
+# list of any length), int or bool for that exact JSON type, or None. Any other key is an
+# error. The tagged sections pick their table by family, kind or task.
+CONFIG_KEYS = {
+    "": {"task": (REQUIRED, None), "label": ("", None), "domain": ("unit_square", None),
+         "resolution": (16, None), "coefficient": (None, None), "boundary": (None, None),
+         "solver": ({}, None), "seed": (None, int), "output_dir": ("out", None),
+         "diagnostics": ({}, None)},
+    "domain": {"regular_ngon": {"sides": (REQUIRED, int), "radius": (REQUIRED, ())}},
+    "coefficient": {
+        "constant": {"matrix": (REQUIRED, (2, 2))},
+        "laminate": {**_AB, "direction": ("x1", None), "fraction": (0.5, ())},
+        "checkerboard": _AB, "hall": _AB,
+        "hall_laminate": {"c": (REQUIRED, ()), "direction": ("x1", None)},
+        # seed None: the top-level seed
+        "random_piecewise": {"k_max": (5.0, ()), "cells": (4, int), "seed": (None, int),
+                             "symmetric": (False, bool)},
+        "explicit": {"table": (REQUIRED, None), "cells": (REQUIRED, int)},
+        "beltrami": {"mu": (REQUIRED, (2,)), "nu": (REQUIRED, (2,))},
+    },
+    "boundary": {"affine": {"coefficients": (REQUIRED, (3,))}, "samples": {"values": (REQUIRED, None)},
+                 "polygon_trace": {"vertices": (REQUIRED, None)}},
+    "solver": {"method": ("direct_lu", None), "tolerance": (1e-10, ())},
+    "diagnostics": {
+        "convert": {"tau_oracle": (False, None)}, "solve": {}, "primary-pair": {},
+        "cell": {"affine_part": ([[1, 0], [0, 1]], (2, 2))}, "homogenize": {"area_check": (False, None)},
+        # subset_seed None: the top-level seed or 0; p_list None: 2 and half the critical exponent
+        "diagnose": {"max_level": (4, int), "subset_seed": (None, int), "theta_grid": ((0.5, 1.0), (None,)),
+                     "p_list": (None, (None,))},
+    },
 }
-# Config entries read as JSON integers (not booleans) or as JSON booleans; section None is the top level.
-EXACT_TYPES = {
-    (None, "seed"): int, ("coefficient", "seed"): int, ("coefficient", "cells"): int,
-    ("domain", "sides"): int, ("diagnostics", "max_level"): int, ("diagnostics", "subset_seed"): int,
-    ("coefficient", "symmetric"): bool,
-}
+# Keys that were once known, with why they are gone.
+REMOVED_KEYS = {"solver.max_iterations": "removed with the iterative solver; every solve is a sparse LU"}
 # Tasks that need one kind of domain: (periodic, message when it is the other kind).
 DOMAIN_NEEDS = {
     "primary-pair": (False, "primary-pair needs a bounded convex domain"),
@@ -124,115 +143,107 @@ SWEEP_COLUMNS = [
 
 @dataclass
 class ExperimentConfig:
+    """A checked config: its sections as ``from_dict`` completed them, and ``raw`` as given."""
+
     task: str
-    domain: object = "unit_square"
-    resolution: int | list[int] = 16
-    coefficient: dict = field(default_factory=lambda: {"family": "constant", "matrix": [[1, 0], [0, 1]]})
-    boundary: dict | None = None
-    solver: SolveOptions = field(default_factory=SolveOptions)
-    seed: int | None = None
-    output_dir: str = "out"
-    diagnostics: dict = field(default_factory=dict)
-    label: str = ""
-    raw: dict = field(default_factory=dict, repr=False)
+    domain: object
+    resolution: int | list[int]
+    coefficient: dict
+    boundary: dict | None
+    solver: SolveOptions
+    output_dir: str
+    diagnostics: dict
+    raw: dict = field(repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("<root>", "config must be a JSON object")
-        task = raw.get("task")
+        top = _section("", raw, CONFIG_KEYS[""])
+        task = top["task"]
         if task not in TASKS:
             raise ConfigError("task", f"must be one of {TASKS}, got {task!r}")
-        domain = raw.get("domain", "unit_square")
+        domain = top["domain"]
         if isinstance(domain, dict):
-            if domain.get("kind") != "regular_ngon":
-                raise ConfigError("domain.kind", "structured domain must be 'regular_ngon'")
-            for key in ("sides", "radius"):
-                if key not in domain:
-                    raise ConfigError(f"domain.{key}", "required for regular_ngon")
+            domain = _section("domain", domain, CONFIG_KEYS["domain"], tag="kind")
+            domain = ("regular_ngon", domain["sides"], float(domain["radius"]))
         elif domain not in ("unit_square", "periodic_cell"):
             raise ConfigError("domain", f"unknown domain {domain!r}")
 
-        resolution = raw.get("resolution", 16)
+        resolution = top["resolution"]
         res_list = resolution if isinstance(resolution, list) else [resolution]
         if not res_list or any(not isinstance(r, int) or r < 2 for r in res_list):
             raise ConfigError(
                 "resolution", f"must be an integer >= 2 (or a list of them), got {resolution!r}"
             )
 
-        coefficient = raw.get("coefficient")
-        if not isinstance(coefficient, dict) or "family" not in coefficient:
-            raise ConfigError("coefficient.family", "coefficient spec with a family is required")
+        families = CONFIG_KEYS["coefficient"]
+        if task == "convert":  # convert reads any family but beltrami as a constant matrix
+            families = {f: families["beltrami" if f == "beltrami" else "constant"] for f in families}
+        coefficient = _section("coefficient", top["coefficient"], families, tag="family")
         family = coefficient["family"]
-        if family not in FAMILY_KEYS:
-            raise ConfigError("coefficient.family", f"unknown family {family!r}")
         if family == "beltrami" and task != "convert":
             raise ConfigError("coefficient.family", f"family 'beltrami' is read only by the convert task, not {task}")
-        # convert reads any family but beltrami as a constant matrix
-        keys = ("matrix",) if task == "convert" and family != "beltrami" else FAMILY_KEYS[family]
-        for key in keys:
-            if key not in coefficient:
-                raise ConfigError(f"coefficient.{key}", f"required for family {family}")
-        seed = raw.get("seed")
-        if family in RANDOM_FAMILIES and seed is None and "seed" not in coefficient:
-            raise ConfigError("seed", f"a seed is mandatory for the {family} family")
+        seed = top["seed"]
+        if family == "random_piecewise" and coefficient["seed"] is None:
+            if seed is None:
+                raise ConfigError("seed", f"a seed is mandatory for the {family} family")
+            coefficient["seed"] = seed
 
-        for name in ("boundary", "solver", "diagnostics"):
-            if raw.get(name) is not None and not isinstance(raw[name], dict):
-                raise ConfigError(name, f"must be a JSON object, got {raw[name]!r}")
-        for (name, key), shape in NUMBER_ARRAY_SHAPES.items():
-            entries = raw.get(name)
-            if isinstance(entries, dict) and key in entries and not _finite_numbers(entries[key], shape):
-                dims = ", ".join("n" if d is None else str(d) for d in shape)
-                what = f"finite numbers of shape ({dims})" if shape else "a finite number"
-                raise ConfigError(f"{name}.{key}", f"must be {what}, got {entries[key]!r}")
-        for (name, key), kind in EXACT_TYPES.items():
-            entries = raw if name is None else raw.get(name)
-            # an exact type test: to isinstance a bool is an int
-            if isinstance(entries, dict) and key in entries and type(entries[key]) is not kind:
-                what = "an integer" if kind is int else "true or false"
-                raise ConfigError(key if name is None else f"{name}.{key}", f"must be {what}, got {entries[key]!r}")
-        if any(p <= 0 for p in (raw.get("diagnostics") or {}).get("p_list", ())):
-            raise ConfigError("diagnostics.p_list", f"exponents must be positive, got {raw['diagnostics']['p_list']!r}")
+        diagnostics = _section("diagnostics", top["diagnostics"], CONFIG_KEYS["diagnostics"][task])
+        if task == "diagnose":
+            if diagnostics["subset_seed"] is None:
+                diagnostics["subset_seed"] = seed or 0
+            if any(p <= 0 for p in diagnostics["p_list"] or ()):
+                raise ConfigError("diagnostics.p_list", f"exponents must be positive, got {diagnostics['p_list']!r}")
 
-        if isinstance(domain, dict):
-            domain = ("regular_ngon", domain["sides"], float(domain["radius"]))
-
-        # Every solve is one sparse LU; the iterative solver and its keys are gone,
-        # so an old config that names them fails instead of being misread.
-        solver_raw = raw.get("solver") or {}
-        if "max_iterations" in solver_raw:
-            raise ConfigError("solver.max_iterations", "removed with the iterative solver; every solve is a sparse LU")
-        if solver_raw.get("method", "direct_lu") != "direct_lu":
+        # Every solve is one sparse LU; a config naming the removed iterative solver fails.
+        solver_section = _section("solver", top["solver"], CONFIG_KEYS["solver"])
+        if solver_section["method"] != "direct_lu":
             raise ConfigError("solver.method", f"only 'direct_lu' is accepted (the iterative solver was removed), "
-                                               f"got {solver_raw['method']!r}")
+                                               f"got {solver_section['method']!r}")
         try:
-            solver = SolveOptions(tolerance=float(solver_raw.get("tolerance", 1e-10)))
+            solver = SolveOptions(tolerance=float(solver_section["tolerance"]))
         except ValueError as exc:
             raise ConfigError("solver", str(exc)) from exc
 
-        boundary = raw.get("boundary")
+        boundary = top["boundary"]
         if boundary is not None:
-            kind = boundary.get("kind")
-            if kind not in ("affine", "samples", "polygon_trace"):
-                raise ConfigError("boundary.kind", f"unknown boundary kind {kind!r}")
-            required = {"affine": "coefficients", "samples": "values", "polygon_trace": "vertices"}
-            if required[kind] not in boundary:
-                raise ConfigError(f"boundary.{required[kind]}", f"required for kind {kind}")
+            boundary = _section("boundary", boundary, CONFIG_KEYS["boundary"], tag="kind")
 
-        return cls(
-            task=task,
-            domain=domain,
-            resolution=resolution,
-            coefficient=coefficient,
-            boundary=boundary,
-            solver=solver,
-            seed=seed,
-            output_dir=raw.get("output_dir", "out"),
-            diagnostics=raw.get("diagnostics") or {},
-            label=str(raw.get("label", "")),
-            raw=raw,
-        )
+        return cls(task=task, domain=domain, resolution=resolution, coefficient=coefficient, boundary=boundary,
+                   solver=solver, output_dir=top["output_dir"], diagnostics=diagnostics, raw=raw)
+
+
+def _section(name: str, entries, keys: dict, tag: str | None = None) -> dict:
+    """Check one config section against its table of keys; return a copy with the defaults filled in.
+
+    With a ``tag``, ``keys`` maps each value of the section's entry ``tag`` (a family or a
+    kind) to its table.
+    """
+    if not isinstance(entries, dict):
+        raise ConfigError(name or "<root>", f"must be a JSON object, got {entries!r}")
+    what = ""
+    if tag is not None:
+        if entries.get(tag) not in tuple(keys):  # a tuple: an unhashable value is just not in it
+            raise ConfigError(f"{name}.{tag}", f"unknown {tag} {entries.get(tag)!r}, expected one of {tuple(keys)}")
+        what = f" for {tag} {entries[tag]}"
+        keys = {tag: (REQUIRED, None), **keys[entries[tag]]}
+    for key, value in entries.items():
+        path = f"{name}.{key}" if name else key
+        if key not in keys:
+            known = ", ".join(keys) or "none"
+            raise ConfigError(path, REMOVED_KEYS.get(path, f"unknown key{what}; known keys: {known}"))
+        check = keys[key][1]
+        # an exact type test: to isinstance a bool is an int
+        if check in (int, bool) and type(value) is not check:
+            raise ConfigError(path, f"must be {'an integer' if check is int else 'true or false'}, got {value!r}")
+        if isinstance(check, tuple) and not _finite_numbers(value, check):
+            dims = ", ".join("n" if d is None else str(d) for d in check)
+            shape = f"finite numbers of shape ({dims})" if check else "a finite number"
+            raise ConfigError(path, f"must be {shape}, got {value!r}")
+    for key, (default, _) in keys.items():
+        if default is REQUIRED and key not in entries:
+            raise ConfigError(f"{name}.{key}" if name else key, f"required{what}")
+    return {**{key: default for key, (default, _) in keys.items()}, **entries}
 
 
 def _finite_numbers(value, shape: tuple[int | None, ...]) -> bool:
@@ -249,29 +260,28 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def build_coefficient(mesh, spec: dict, default_seed: int | None):
+def build_coefficient(mesh, spec: dict):
+    """The coefficient field of a ``coefficient`` section that ``from_dict`` has completed."""
     family = spec["family"]
     if family == "constant":
         return coeff.constant_field(mesh, np.asarray(spec["matrix"], dtype=float))
     if family == "laminate":
         return coeff.laminate_field(
             mesh, float(spec["a"]), float(spec["b"]),
-            spec.get("direction", "x1"), float(spec.get("fraction", 0.5)),
+            spec["direction"], float(spec["fraction"]),
         )
     if family == "checkerboard":
         return coeff.checkerboard_field(mesh, float(spec["a"]), float(spec["b"]))
     if family == "hall":
         return coeff.hall_field(mesh, float(spec["a"]), float(spec["b"]))
     if family == "hall_laminate":
-        return coeff.hall_laminate_field(mesh, float(spec["c"]), spec.get("direction", "x1"))
+        return coeff.hall_laminate_field(mesh, float(spec["c"]), spec["direction"])
     if family == "random_piecewise":
-        seed = spec.get("seed", default_seed)
         return coeff.random_piecewise_field(
-            mesh, float(spec.get("k_max", 5.0)), int(spec.get("cells", 4)),
-            seed=int(seed), symmetric=bool(spec.get("symmetric", False)),
+            mesh, float(spec["k_max"]), spec["cells"], seed=spec["seed"], symmetric=spec["symmetric"],
         )
     if family == "explicit":
-        return coeff.explicit_field(mesh, spec["table"], int(spec["cells"]))
+        return coeff.explicit_field(mesh, spec["table"], spec["cells"])
     raise ConfigError("coefficient.family", f"unknown family {family!r}")
 
 
@@ -283,13 +293,10 @@ def _trace_by_arclength(mesh, vertices: np.ndarray) -> tuple[np.ndarray, np.ndar
     target = np.asarray(vertices, dtype=float)
     tseg = np.linalg.norm(np.roll(target, -1, axis=0) - target, axis=1)
     tcum = np.concatenate([[0.0], np.cumsum(tseg)]) / tseg.sum()
-    out = np.empty((len(s), 2))
-    for i, frac in enumerate(s):
-        k = int(np.searchsorted(tcum, frac, side="right")) - 1
-        k = min(k, len(target) - 1)
-        span = tcum[k + 1] - tcum[k]
-        t = 0.0 if span == 0 else (frac - tcum[k]) / span
-        out[i] = (1 - t) * target[k] + t * target[(k + 1) % len(target)]
+    k = np.minimum(np.searchsorted(tcum, s, side="right") - 1, len(target) - 1)
+    span = tcum[k + 1] - tcum[k]
+    t = np.divide(s - tcum[k], span, out=np.zeros_like(s), where=span != 0)[:, None]
+    out = (1 - t) * target[k] + t * target[(k + 1) % len(target)]
     return out[:, 0], out[:, 1]
 
 
@@ -357,17 +364,13 @@ def _float_tree(obj):
 def _task_convert(cfg: ExperimentConfig, out: Path) -> RunRecord:
     spec = cfg.coefficient
     metrics: dict = {}
-    invariants = []
     if spec["family"] == "beltrami":
         pair = BeltramiPair(complex(*spec["mu"]), complex(*spec["nu"]))
         sigma = sigma_from_beltrami(pair)
         back = beltrami_from_sigma(sigma)
         rt = abs(back.mu - pair.mu) + abs(back.nu - pair.nu)
         metrics["sigma"] = sigma.entries.tolist()
-        metrics["round_trip_error"] = rt
-        invariants.append(_invariant("round_trip", rt <= 1e-12, rt, 1e-12))
         alpha, beta = sigma.constants()
-        k = K_of_beltrami(pair)
     else:
         mat = np.asarray(spec["matrix"], dtype=float)
         alpha, beta = ellipticity_constants(mat)
@@ -376,16 +379,14 @@ def _task_convert(cfg: ExperimentConfig, out: Path) -> RunRecord:
         rt = float(np.abs(back.entries - mat).max())
         metrics["mu"] = [pair.mu.real, pair.mu.imag]
         metrics["nu"] = [pair.nu.real, pair.nu.imag]
-        metrics["round_trip_error"] = rt
-        invariants.append(_invariant("round_trip", rt <= 1e-12, rt, 1e-12))
-        k = K_of_beltrami(pair)
+    invariants = [_invariant("round_trip", rt <= 1e-12, rt, 1e-12)]
     report = astala_exponent(alpha, beta)
     metrics.update(
-        alpha=alpha, beta=beta, k_beltrami=k,
+        round_trip_error=rt, alpha=alpha, beta=beta, k_beltrami=K_of_beltrami(pair),
         k_astala=report.k_beltrami, p_sup=report.p_sup,
         tau_bound_closed_form=tau_ellipticity_bound(report.k_beltrami),
     )
-    if cfg.diagnostics.get("tau_oracle"):
+    if cfg.diagnostics["tau_oracle"]:
         rep = tau_bound_oracle(report.k_beltrami)
         metrics["tau_bound_oracle"] = {
             "value": rep.value, "minimizer": list(rep.minimizer),
@@ -402,7 +403,7 @@ def _mesh_and_coefficient(cfg: ExperimentConfig):
         periodic, message = DOMAIN_NEEDS[cfg.task]
         if mesh.periodic != periodic:
             raise ConfigError("domain", message)
-    return mesh, build_coefficient(mesh, cfg.coefficient, cfg.seed)
+    return mesh, build_coefficient(mesh, cfg.coefficient)
 
 
 def _task_solve(cfg: ExperimentConfig, out: Path) -> RunRecord:
@@ -497,7 +498,7 @@ def _task_primary_pair(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
 def _task_cell(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
-    A = np.asarray(cfg.diagnostics.get("affine_part", [[1, 0], [0, 1]]), dtype=float)
+    A = np.asarray(cfg.diagnostics["affine_part"], dtype=float)
     cm = cell_map(sigma, A, cfg.solver)
     locally, globally = injectivity_check(cm.U)
     metrics = {
@@ -542,9 +543,9 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
         invariants.append(_invariant("constant_passthrough", err <= 1e-10 * max(scale, 1.0), err, 1e-10))
     elif family == "laminate":
         a, b = float(cfg.coefficient["a"]), float(cfg.coefficient["b"])
-        t = float(cfg.coefficient.get("fraction", 0.5))  # the share of phase a
+        t = float(cfg.coefficient["fraction"])  # the share of phase a
         harm, arith = a * b / (t * b + (1 - t) * a), t * a + (1 - t) * b
-        oracle = np.diag([harm, arith]) if cfg.coefficient.get("direction", "x1") == "x1" else np.diag([arith, harm])
+        oracle = np.diag([harm, arith]) if cfg.coefficient["direction"] == "x1" else np.diag([arith, harm])
         err = float(np.abs(tensor - oracle).max() / np.abs(oracle).max())
         metrics["laminate_oracle_error"] = err
         invariants.append(_invariant("laminate_oracle", err <= 0.01, err, 0.01))
@@ -562,11 +563,11 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
         metrics["harmonic_mean"] = harm.tolist()
         metrics["arithmetic_mean"] = arith.tolist()
         invariants.append(_invariant("harmonic_lower_bound", lower_ok, lower_ok, True))
-        if cfg.coefficient.get("symmetric"):
+        if cfg.coefficient["symmetric"]:
             upper_ok = bool(np.all(np.linalg.eigvalsh(0.5 * (arith + arith.T) - sym_eff) >= -1e-8))
             invariants.append(_invariant("arithmetic_upper_bound", upper_ok, upper_ok, True))
 
-    if cfg.diagnostics.get("area_check"):
+    if cfg.diagnostics["area_check"]:
         f1, stream_resid = cell_complex_map(sigma, eff.solutions["e1"], cfg.solver)
         area = image_area(f1)
         qf = float(tensor[0, 0])
@@ -593,8 +594,7 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
 def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
     diag = cfg.diagnostics
-    max_level = int(diag.get("max_level", 4))
-    subset_seed = int(diag.get("subset_seed", cfg.seed or 0))
+    max_level, subset_seed = diag["max_level"], diag["subset_seed"]
 
     if mesh.periodic:
         cm = cell_map(sigma, np.eye(2), cfg.solver)
@@ -626,10 +626,12 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     det_sigma, _ = _det_and_gauge(sigma.matrices)
     beta_global = float(1.0 / sym_min_eig_batch(_adjugate_inverse(sigma.matrices, det_sigma)).min())
     report = astala_exponent(alpha_global, beta_global)
-    p_list = diag.get("p_list", [2.0, 0.5 * report.p_sup if np.isfinite(report.p_sup) else 4.0])
+    p_list = diag["p_list"]
+    if p_list is None:
+        p_list = [2.0, 0.5 * report.p_sup if np.isfinite(report.p_sup) else 4.0]
     rows = higher_integrability_probe([(cfg.resolution, mesh, grads)], p_list, report.p_sup)
 
-    stats = square_stats(det, squares, theta_grid=tuple(diag.get("theta_grid", (0.5, 1.0))))
+    stats = square_stats(det, squares, theta_grid=tuple(diag["theta_grid"]))
     stats.export_csv(out / "square_stats.csv")
 
     metrics = {
@@ -782,11 +784,12 @@ def main(argv=None) -> int:
                 raise ConfigError("sweep", "sweep config must be a list (or {'sweep': [...]})")
             out_dir = args.out or (raw.get("output_dir", "sweep_out") if isinstance(raw, dict) else "sweep_out")
             path = sweep(configs, out_dir)
-            print(f"sweep aggregate written to {path}")
-            return 0
+            with open(path) as fh:
+                not_ok = sum(row["status"] != "ok" for row in csv.DictReader(fh))
+            print(f"sweep aggregate written to {path}; {not_ok} of {len(configs)} rows not ok")
+            return 0 if not_ok == 0 else 1
         raw = _apply_overrides(raw, args)
-        if raw.get("task") != args.verb:
-            raw["task"] = args.verb
+        raw["task"] = args.verb
         config = ExperimentConfig.from_dict(raw)
         record = run(config)
         for inv in record.invariants:

@@ -267,7 +267,7 @@ def normalize_sigma(sigma: Conductivity) -> tuple[Conductivity, float]:
 # The closed form for the minimum is 1 - sqrt(1 - 1/K^2).  Printed
 # variants of this bound disagree with each other (a sign-flipped value
 # 1 + sqrt(1 - 1/K^2), and the objective value 1 - sqrt(1 - 1/K^2)/2 at
-# the reference point T = 2/K, D = 1, H = 1 - 1/K^2), so the oracle mode
+# the reference point T = 2/K, D = 1, H = 1 - 1/K^2), so the oracle
 # settles the true constrained minimum numerically and reports all three
 # candidates side by side rather than silently reconciling them.
 # ---------------------------------------------------------------------------
@@ -379,17 +379,12 @@ def tau_bound_oracle(
     )
 
 
-def tau_ellipticity_bound(k: float, mode: str = "closed_form") -> float:
+def tau_ellipticity_bound(k: float) -> float:
     """Lower ellipticity constant of the straightened coefficient at distortion k.
 
-    ``closed_form`` evaluates ``1 - sqrt(1 - 1/K^2)``; ``oracle`` runs the
-    constrained minimization (see :func:`tau_bound_oracle` for the full
-    report including the disagreeing printed candidates).
+    The closed form ``1 - sqrt(1 - 1/K^2)``; :func:`tau_bound_oracle` runs the
+    constrained minimization and reports the disagreeing printed candidates.
     """
     if k < 1.0:
         raise ValueError(f"distortion must be >= 1, got {k}")
-    if mode == "closed_form":
-        return 1.0 - math.sqrt(max(0.0, 1.0 - 1.0 / (k * k)))
-    if mode == "oracle":
-        return tau_bound_oracle(k).value
-    raise ValueError(f"unknown mode {mode!r}")
+    return 1.0 - math.sqrt(max(0.0, 1.0 - 1.0 / (k * k)))

@@ -8,7 +8,7 @@ from beltramilab import cli, elliptic_solver, weights_diagnostics
 from beltramilab.cli import ExperimentConfig, main, run, sweep
 from beltramilab.elliptic_solver import interior_residual
 from beltramilab.errors import ConfigError
-from beltramilab.grid import ScalarFieldP1
+from beltramilab.grid import ScalarFieldP1, build_mesh
 
 
 def write_config(tmp_path, name, payload):
@@ -70,6 +70,8 @@ class TestConfigValidation:
         ("convert", {"family": "beltrami", "mu": [0, "0"], "nu": [0, 0]}, "mu"),
         ("convert", {"family": "laminate", "matrix": [[1, 0]]}, "matrix"),
         ("solve", {"family": "constant", "matrix": [[1, 0], [0, True]]}, "matrix"),
+        # convert reads any family but beltrami as a constant matrix, and nothing else
+        ("convert", {"family": "laminate", "a": 1, "b": 5, "matrix": [[1, 0], [0, 1]]}, "a"),
     ])
     def test_pair_and_matrix_shapes(self, task, spec, field):
         with pytest.raises(ConfigError, match=f"'coefficient.{field}'"):
@@ -82,7 +84,7 @@ class TestConfigValidation:
         ("boundary", "coefficients", 5),
     ], ids=["theta_grid", "p_list", "p_list_zero", "boundary_coefficients"])
     def test_number_list_fields(self, section, key, value):
-        raw = {"task": "solve", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+        raw = {"task": "diagnose", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
                section: {"kind": "affine", key: value} if section == "boundary" else {key: value}}
         with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
             ExperimentConfig.from_dict(raw)
@@ -307,6 +309,40 @@ class TestRunTasks:
         text = (before / "run_record.json").read_text().replace(str(before), str(after))
         assert (after / "run_record.json").read_text() == text
 
+
+def reference_trace_by_arclength(mesh, vertices):
+    """The former per-vertex loop of ``cli._trace_by_arclength``."""
+    loop_pts = mesh.vertices[mesh.boundary_loop]
+    seg = np.linalg.norm(np.roll(loop_pts, -1, axis=0) - loop_pts, axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)[:-1]]) / seg.sum()
+    target = np.asarray(vertices, dtype=float)
+    tseg = np.linalg.norm(np.roll(target, -1, axis=0) - target, axis=1)
+    tcum = np.concatenate([[0.0], np.cumsum(tseg)]) / tseg.sum()
+    out = np.empty((len(s), 2))
+    for i, frac in enumerate(s):
+        k = int(np.searchsorted(tcum, frac, side="right")) - 1
+        k = min(k, len(target) - 1)
+        span = tcum[k + 1] - tcum[k]
+        t = 0.0 if span == 0 else (frac - tcum[k]) / span
+        out[i] = (1 - t) * target[k] + t * target[(k + 1) % len(target)]
+    return out[:, 0], out[:, 1]
+
+
+class TestTraceByArclength:
+    @pytest.mark.parametrize("domain", ["unit_square", ("regular_ngon", 7, 1.0)], ids=["square", "7gon"])
+    def test_matches_the_per_vertex_loop_bit_for_bit(self, domain):
+        mesh = build_mesh(domain, 8)
+        rng = np.random.default_rng(20)
+        for trial in range(100):
+            target = rng.normal(size=(rng.integers(4, 12), 2))
+            if trial % 3 == 0:  # zero-length edges: repeated vertices, the last one closing onto the first
+                target[1] = target[0]
+                target[-1] = target[0]
+            got, want = cli._trace_by_arclength(mesh, target), reference_trace_by_arclength(mesh, target)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestSweep:
     def test_empty_sweep_header_only(self, tmp_path):
         path = sweep([], tmp_path / "sweep")
@@ -426,7 +462,8 @@ class TestSweep:
         lines = sweep([good], tmp_path / "sweep").read_text().splitlines()
         assert len(lines) == 2 and ",ok," in lines[1]
 
-    # One good config per section; each case sets one scalar of it to a value of the wrong type.
+    # One good config per section; each case sets one scalar of it to a value of the wrong type,
+    # or adds a key its section does not know.
     SCALAR_GOOD = {
         "random": {"task": "homogenize", "domain": "periodic_cell", "resolution": 8, "seed": 3,
                    "coefficient": {"family": "random_piecewise", "k_max": 3.0, "cells": 2, "seed": 4,
@@ -434,7 +471,8 @@ class TestSweep:
         "laminate": {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
                      "coefficient": {"family": "laminate", "a": 1, "b": 5, "fraction": 0.5}},
         "ngon": {"task": "solve", "domain": {"kind": "regular_ngon", "sides": 5, "radius": 1.0},
-                 "resolution": 4, "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]}},
+                 "resolution": 4, "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+                 "boundary": {"kind": "affine", "coefficients": [0.5, 1.0, -2.0]}},
         "cell": {"task": "cell", "domain": "periodic_cell", "resolution": 8,
                  "coefficient": {"family": "laminate", "a": 1, "b": 5},
                  "diagnostics": {"affine_part": [[2.0, 0.5], [0.3, 1.0]]}},
@@ -455,12 +493,19 @@ class TestSweep:
         ("cell", "diagnostics.affine_part", "x"),
         ("diagnose", "diagnostics.max_level", 2.9), ("diagnose", "diagnostics.max_level", "3"),
         ("diagnose", "diagnostics.subset_seed", 1.5),
+        # unknown keys: misspelt, in the wrong section, of another family or of another task
+        ("laminate", "solver.tolerence", 1e-30), ("laminate", "coefficient.fracton", 0.25),
+        ("laminate", "diagnostic", {"area_check": True}), ("diagnose", "coefficient.fraction", 0.25),
+        ("laminate", "coefficient.seed", 3), ("cell", "diagnostics.area_check", True),
+        ("ngon", "boundary.coefficent", [0.5, 1.0, -2.0]), ("ngon", "domain.center", [0, 0]),
+        # a family or kind that is not even a string
+        ("laminate", "coefficient.family", ["laminate"]), ("ngon", "boundary.kind", ["affine"]),
     ])
     def test_bad_scalar_type_recorded_and_sweep_continues(self, tmp_path, base, field, value):
         good = self.SCALAR_GOOD[base]
         bad = json.loads(json.dumps(good))
         *sections, key = field.split(".")
-        target = bad[sections[0]] if sections else bad
+        target = bad.setdefault(sections[0], {}) if sections else bad
         target[key] = value
         path = sweep([bad, good], tmp_path / "sweep")
         lines = path.read_text().splitlines()
@@ -596,6 +641,19 @@ class TestMainEntry:
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
         assert (tmp_path / "sw" / "aggregate.csv").exists()
+
+    def test_sweep_verb_exits_one_unless_every_row_ok(self, tmp_path, capsys):
+        good = {"task": "solve", "resolution": 8,
+                "coefficient": {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]}}
+        non_elliptic = {**good, "coefficient": {"family": "constant", "matrix": [[1, 0], [0, -1]]}}
+        cfg = write_config(tmp_path, "s.json", {"sweep": [good, non_elliptic]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 1
+        assert "1 of 2 rows not ok" in capsys.readouterr().out
+        rows = (tmp_path / "sw" / "aggregate.csv").read_text().splitlines()
+        assert ",ok," in rows[1] and ",error," in rows[2]
+        cfg = write_config(tmp_path, "s.json", {"sweep": [good, good]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw2")]) == 0
+        assert "0 of 2 rows not ok" in capsys.readouterr().out
 
     def test_sweep_verb_without_list(self, tmp_path, caplog):
         cfg = write_config(tmp_path, "s.json", {"output_dir": str(tmp_path / "sw")})

@@ -273,12 +273,10 @@ class TestTauBound:
         assert rep.agrees_with_closed_form
 
     def test_oracle_monotone_nonincreasing(self):
-        values = [tau_ellipticity_bound(k, mode="oracle") for k in (1.0, 1.5, 2.0, 4.0)]
+        values = [tau_bound_oracle(k).value for k in (1.0, 1.5, 2.0, 4.0)]
         assert abs(values[0] - 1.0) < 1e-6
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_domain(self):
         with pytest.raises(ValueError):
             tau_ellipticity_bound(0.5)
-        with pytest.raises(ValueError):
-            tau_ellipticity_bound(2.0, mode="no_such_mode")
