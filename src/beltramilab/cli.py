@@ -121,8 +121,6 @@ CONFIG_KEYS = {
                      "p_list": (None, (None,))},
     },
 }
-# Keys that were once known, with why they are gone.
-REMOVED_KEYS = {"solver.max_iterations": "removed with the iterative solver; every solve is a sparse LU"}
 # Tasks that need one kind of domain: (periodic, message when it is the other kind).
 DOMAIN_NEEDS = {
     "primary-pair": (False, "primary-pair needs a bounded convex domain"),
@@ -183,7 +181,7 @@ class ExperimentConfig:
         if family == "beltrami" and task != "convert":
             raise ConfigError("coefficient.family", f"family 'beltrami' is read only by the convert task, not {task}")
         seed = top["seed"]
-        if family == "random_piecewise" and coefficient["seed"] is None:
+        if coefficient.get("seed", 0) is None:  # only random_piecewise has a seed, and not under convert
             if seed is None:
                 raise ConfigError("seed", f"a seed is mandatory for the {family} family")
             coefficient["seed"] = seed
@@ -196,6 +194,8 @@ class ExperimentConfig:
                 raise ConfigError("diagnostics.p_list", f"exponents must be positive, got {diagnostics['p_list']!r}")
 
         # Every solve is one sparse LU; a config naming the removed iterative solver fails.
+        if isinstance(top["solver"], dict) and "max_iterations" in top["solver"]:
+            raise ConfigError("solver.max_iterations", "removed with the iterative solver; every solve is a sparse LU")
         solver_section = _section("solver", top["solver"], CONFIG_KEYS["solver"])
         if solver_section["method"] != "direct_lu":
             raise ConfigError("solver.method", f"only 'direct_lu' is accepted (the iterative solver was removed), "
@@ -231,7 +231,7 @@ def _section(name: str, entries, keys: dict, tag: str | None = None) -> dict:
         path = f"{name}.{key}" if name else key
         if key not in keys:
             known = ", ".join(keys) or "none"
-            raise ConfigError(path, REMOVED_KEYS.get(path, f"unknown key{what}; known keys: {known}"))
+            raise ConfigError(path, f"unknown key{what}; known keys: {known}")
         check = keys[key][1]
         # an exact type test: to isinstance a bool is an int
         if check in (int, bool) and type(value) is not check:
@@ -280,9 +280,7 @@ def build_coefficient(mesh, spec: dict):
         return coeff.random_piecewise_field(
             mesh, float(spec["k_max"]), spec["cells"], seed=spec["seed"], symmetric=spec["symmetric"],
         )
-    if family == "explicit":
-        return coeff.explicit_field(mesh, spec["table"], spec["cells"])
-    raise ConfigError("coefficient.family", f"unknown family {family!r}")
+    return coeff.explicit_field(mesh, spec["table"], spec["cells"])  # family "explicit": from_dict admits no other
 
 
 def _trace_by_arclength(mesh, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

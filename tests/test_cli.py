@@ -521,6 +521,19 @@ class TestSweep:
         assert lines[1].startswith("0,,,error,") and "<root>" in lines[1]
         assert ",ok," in lines[2]
 
+    @pytest.mark.parametrize("coefficient, seed", [
+        ({"family": "laminate"}, None), ({"family": "random_piecewise"}, None),
+        ({"family": "random_piecewise"}, 3), ({"family": "explicit"}, None),
+    ], ids=["laminate", "random_piecewise", "random_piecewise_seeded", "explicit"])
+    def test_convert_reads_only_the_matrix_of_any_family(self, tmp_path, coefficient, seed):
+        cfg = {"task": "convert", "coefficient": {**coefficient, "matrix": [[2, 0.5], [0.5, 1]]}}
+        if seed is not None:
+            cfg["seed"] = seed
+        good = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}}
+        lines = sweep([cfg, good], tmp_path / "sweep").read_text().splitlines()
+        assert len(lines) == 3
+        assert ",ok," in lines[1] and ",ok," in lines[2]
+
     def test_scalar_mu_recorded_and_convert_sweep_continues(self, tmp_path):
         bad = {"task": "convert", "coefficient": {"family": "beltrami", "mu": 0.1, "nu": [0, 0]}}
         good = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}}
