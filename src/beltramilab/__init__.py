@@ -48,7 +48,6 @@ from .sigma_harmonic import (
     beltrami_residual,
     equival_residual,
     injectivity_check,
-    jacobian_det,
     primary_pair,
     pushforward_tau,
     reduce_nu_to_zero,

@@ -21,7 +21,7 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +92,11 @@ _AB = {"a": (REQUIRED, ()), "b": (REQUIRED, ())}
 # Every key a config may hold, per section ("" is the top level): key -> (default or REQUIRED,
 # check). A check is the shape of the finite numbers the value must be (() one number, None a
 # list of any length), int or bool for that exact JSON type, or None. Any other key is an
-# error. The tagged sections pick their table by family, kind or task.
+# error. The tagged sections pick their table by family, kind or task; "sweep" is the table of a
+# sweep document.
 CONFIG_KEYS = {
     "": {"task": (REQUIRED, None), "label": ("", None), "domain": ("unit_square", None),
-         "resolution": (16, None), "coefficient": (None, None), "boundary": (None, None),
+         "resolution": (16, int), "coefficient": (None, None), "boundary": (None, None),
          "solver": ({}, None), "seed": (None, int), "output_dir": ("out", None),
          "diagnostics": ({}, None)},
     "domain": {"regular_ngon": {"sides": (REQUIRED, int), "radius": (REQUIRED, ())}},
@@ -110,8 +111,9 @@ CONFIG_KEYS = {
         "explicit": {"table": (REQUIRED, None), "cells": (REQUIRED, int)},
         "beltrami": {"mu": (REQUIRED, (2,)), "nu": (REQUIRED, (2,))},
     },
-    "boundary": {"affine": {"coefficients": (REQUIRED, (3,))}, "samples": {"values": (REQUIRED, None)},
-                 "polygon_trace": {"vertices": (REQUIRED, None)}},
+    # only these tasks read boundary data, each its own kinds
+    "boundary": {"solve": {"affine": {"coefficients": (REQUIRED, (3,))}, "samples": {"values": (REQUIRED, None)}},
+                 "primary-pair": {"polygon_trace": {"vertices": (REQUIRED, None)}}},
     "solver": {"method": ("direct_lu", None), "tolerance": (1e-10, ())},
     "diagnostics": {
         "convert": {"tau_oracle": (False, None)}, "solve": {}, "primary-pair": {},
@@ -120,6 +122,7 @@ CONFIG_KEYS = {
         "diagnose": {"max_level": (4, int), "subset_seed": (None, int), "theta_grid": ((0.5, 1.0), (None,)),
                      "p_list": (None, (None,))},
     },
+    "sweep": {"sweep": (REQUIRED, None), "output_dir": ("sweep_out", None)},
 }
 # Tasks that need one kind of domain: (periodic, message when it is the other kind).
 DOMAIN_NEEDS = {
@@ -145,7 +148,7 @@ class ExperimentConfig:
 
     task: str
     domain: object
-    resolution: int | list[int]
+    resolution: int
     coefficient: dict
     boundary: dict | None
     solver: SolveOptions
@@ -166,12 +169,8 @@ class ExperimentConfig:
         elif domain not in ("unit_square", "periodic_cell"):
             raise ConfigError("domain", f"unknown domain {domain!r}")
 
-        resolution = top["resolution"]
-        res_list = resolution if isinstance(resolution, list) else [resolution]
-        if not res_list or any(not isinstance(r, int) or r < 2 for r in res_list):
-            raise ConfigError(
-                "resolution", f"must be an integer >= 2 (or a list of them), got {resolution!r}"
-            )
+        if top["resolution"] < 2:
+            raise ConfigError("resolution", f"must be an integer >= 2, got {top['resolution']!r}")
 
         families = CONFIG_KEYS["coefficient"]
         if task == "convert":  # convert reads any family but beltrami as a constant matrix
@@ -207,9 +206,12 @@ class ExperimentConfig:
 
         boundary = top["boundary"]
         if boundary is not None:
-            boundary = _section("boundary", boundary, CONFIG_KEYS["boundary"], tag="kind")
+            if task not in CONFIG_KEYS["boundary"]:
+                raise ConfigError("boundary", f"read only by the {' and '.join(CONFIG_KEYS['boundary'])} tasks, "
+                                              f"not {task}")
+            boundary = _section("boundary", boundary, CONFIG_KEYS["boundary"][task], tag="kind")
 
-        return cls(task=task, domain=domain, resolution=resolution, coefficient=coefficient, boundary=boundary,
+        return cls(task=task, domain=domain, resolution=top["resolution"], coefficient=coefficient, boundary=boundary,
                    solver=solver, output_dir=top["output_dir"], diagnostics=diagnostics, raw=raw)
 
 
@@ -306,14 +308,12 @@ def boundary_scalar_values(mesh, boundary: dict | None) -> np.ndarray:
     if kind == "affine":
         c0, cx, cy = (float(v) for v in boundary["coefficients"])
         return c0 + cx * loop_pts[:, 0] + cy * loop_pts[:, 1]
-    if kind == "samples":
-        vals = np.asarray(boundary["values"], dtype=float)
-        if vals.shape != (len(loop_pts),):
-            raise ConfigError(
-                "boundary.values", f"need {len(loop_pts)} samples, got {vals.shape}"
-            )
-        return vals
-    raise ConfigError("boundary.kind", f"kind {kind!r} does not define scalar data")
+    vals = np.asarray(boundary["values"], dtype=float)  # kind "samples": from_dict admits no other for solve
+    if vals.shape != (len(loop_pts),):
+        raise ConfigError(
+            "boundary.values", f"need {len(loop_pts)} samples, got {vals.shape}"
+        )
+    return vals
 
 
 @dataclass
@@ -463,7 +463,7 @@ def _primary_pair_metrics(sigma, Phi, Psi, U) -> tuple[dict, list[dict]]:
 
 def _task_primary_pair(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
-    if cfg.boundary is not None and cfg.boundary["kind"] == "polygon_trace":
+    if cfg.boundary is not None:  # kind "polygon_trace", the one from_dict admits here
         v1, v2 = _trace_by_arclength(mesh, cfg.boundary["vertices"])
         U = sigma_harmonic_map(sigma, v1, v2, cfg.solver)
         locally, globally = injectivity_check(U)
@@ -670,31 +670,12 @@ _TASK_IMPL = {
 
 
 def run(config: ExperimentConfig) -> RunRecord:
-    """Execute one task pipeline; writes artifacts and the run record.
-
-    A list of resolutions runs the task once per entry (subdirectories
-    ``res_N``) and merges the metrics and invariants, prefixed by the
-    resolution.
-    """
+    """Execute one task pipeline; writes artifacts and the run record."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(config.resolution, list):
-        metrics, invariants, artifacts = {}, [], []
-        for n in config.resolution:
-            sub = replace(
-                config, resolution=n, output_dir=str(out / f"res_{n}"),
-                raw={**config.raw, "resolution": n},
-            )
-            rec = run(sub)
-            metrics[str(n)] = rec.metrics
-            for inv in rec.invariants:
-                invariants.append({**inv, "name": f"res_{n}:{inv['name']}"})
-            artifacts += [f"res_{n}/{a}" for a in rec.artifacts]
-        record = RunRecord(config.task, metrics, invariants, artifacts)
-    else:
-        record = _TASK_IMPL[config.task](config, out)
-        record.metrics = _float_tree(record.metrics)
-        record.invariants = _float_tree(record.invariants)
+    record = _TASK_IMPL[config.task](config, out)
+    record.metrics = _float_tree(record.metrics)
+    record.invariants = _float_tree(record.invariants)
     with open(out / "run_record.json", "w") as fh:
         json.dump(record.to_dict(_float_tree(config.raw)), fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -777,11 +758,11 @@ def main(argv=None) -> int:
     try:
         raw = load_config(args.config)
         if args.verb == "sweep":
-            configs = raw.get("sweep") if isinstance(raw, dict) else raw
+            doc = _section("", raw if isinstance(raw, dict) else {"sweep": raw}, CONFIG_KEYS["sweep"])
+            configs = doc["sweep"]
             if not isinstance(configs, list):
                 raise ConfigError("sweep", "sweep config must be a list (or {'sweep': [...]})")
-            out_dir = args.out or (raw.get("output_dir", "sweep_out") if isinstance(raw, dict) else "sweep_out")
-            path = sweep(configs, out_dir)
+            path = sweep(configs, args.out or doc["output_dir"])
             with open(path) as fh:
                 not_ok = sum(row["status"] != "ok" for row in csv.DictReader(fh))
             print(f"sweep aggregate written to {path}; {not_ok} of {len(configs)} rows not ok")

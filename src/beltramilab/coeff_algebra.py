@@ -42,10 +42,6 @@ class BeltramiPair:
     def norm_sum(self) -> float:
         return abs(self.mu) + abs(self.nu)
 
-    @property
-    def is_elliptic(self) -> bool:
-        return self.norm_sum < 1.0
-
 
 @dataclass
 class Conductivity:

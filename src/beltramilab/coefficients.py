@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff_algebra import sigma_from_beltrami, BeltramiPair
-from .grid import ElementMatrixField, TriMesh
+from .grid import ElementMatrixField, TriMesh, lattice_resolution
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -30,27 +30,12 @@ def hall_field(mesh: TriMesh, a: float, b: float) -> ElementMatrixField:
     return constant_field(mesh, [[a, b], [-b, a]])
 
 
-def _infer_resolution(mesh: TriMesh) -> int:
-    """Resolution n of a structured unit-square or periodic-cell lattice.
-
-    The mesh must have 2 n^2 triangles and (n+1)^2 vertices, all on the grid
-    (Z/n)^2 inside [0, 1]^2.  The triangle count alone would read a regular
-    octagon (8 r^2 = 2 (2r)^2 triangles) as a square lattice.  The test is on
-    the geometry, not on ``mesh.domain``, so a lattice read back from CSV
-    (domain ``"custom"``) is accepted too.
-    """
-    n = round((mesh.n_triangles / 2) ** 0.5)
-    grid = mesh.vertices * n
-    if (
-        2 * n * n != mesh.n_triangles
-        or len(grid) != (n + 1) ** 2
-        or grid.min() < -1e-9
-        or grid.max() > n + 1e-9
-        or np.abs(grid - np.round(grid)).max() > 1e-9
-    ):
-        raise ValueError(
-            f"coefficient family needs a structured unit-square mesh, got domain {mesh.domain!r}"
-        )
+def _lattice_n(mesh: TriMesh) -> int:
+    """Resolution n of the lattice a block table is sampled on; any other mesh is an error."""
+    n = lattice_resolution(mesh)
+    if n is None:
+        raise ValueError("coefficient family needs a structured unit-square mesh: the n x n lattice "
+                         "as build_unit_square or build_periodic_cell numbers it")
     return n
 
 
@@ -63,7 +48,7 @@ def _lattice_field(mesh: TriMesh, table: np.ndarray) -> ElementMatrixField:
     rows, cols = table.shape[:2]
     if rows == 0 or cols == 0:
         raise ValueError(f"block table is empty ({rows} x {cols} blocks)")
-    n = _infer_resolution(mesh)
+    n = _lattice_n(mesh)
     if n % rows or n % cols:
         raise ValueError(f"{rows} x {cols} blocks do not sit on mesh lines at resolution {n}")
     bary = mesh.barycenters
@@ -94,7 +79,7 @@ def laminate_field(
     """Isotropic two-phase strips: value a where the coordinate is below ``fraction``."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"laminate fraction must lie in (0, 1), got {fraction}")
-    n = _infer_resolution(mesh)
+    n = _lattice_n(mesh)
     if abs(fraction * n - round(fraction * n)) > 1e-9:
         raise ValueError(f"strip interface at {fraction} does not sit on mesh lines at resolution {n}")
     phases = _isotropic(np.where((np.arange(n) + 0.5) / n < fraction, a, b))

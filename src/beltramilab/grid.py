@@ -29,9 +29,10 @@ class TriMesh:
 
     ``free_index`` maps every vertex to its degree-of-freedom index; on a
     periodic mesh identified copies share one index, otherwise it is the
-    identity.  ``boundary_loop`` is the counterclockwise geometric boundary
-    of the (fundamental) domain; on the torus it is kept for unwrapped
-    geometry but carries no topological boundary meaning.
+    identity.  It must use every dof 0..n_free-1, so ``n_free`` is read from
+    it.  ``boundary_loop`` is the counterclockwise geometric boundary of the
+    (fundamental) domain; on the torus it is kept for unwrapped geometry but
+    carries no topological boundary meaning.
     """
 
     vertices: np.ndarray      # (nv, 2)
@@ -39,8 +40,6 @@ class TriMesh:
     boundary_loop: np.ndarray  # ordered vertex indices
     periodic: bool = False
     free_index: np.ndarray | None = None
-    n_free: int = 0
-    domain: str = "custom"
     _geom: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -49,7 +48,10 @@ class TriMesh:
         self.boundary_loop = np.asarray(self.boundary_loop, dtype=np.int64)
         if self.free_index is None:
             self.free_index = np.arange(len(self.vertices), dtype=np.int64)
-            self.n_free = len(self.vertices)
+        free = self.free_index = np.asarray(self.free_index, dtype=np.int64)
+        if free.shape != (len(self.vertices),) or free.min(initial=0) < 0 or not np.bincount(free).all():
+            raise ValueError(f"free_index must give each of the {len(self.vertices)} vertices a dof "
+                             f"in 0..n_free-1 and use every dof")
         areas = self.areas
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -98,6 +100,10 @@ class TriMesh:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @property
+    def n_free(self) -> int:
+        return int(self.free_index.max(initial=-1)) + 1
 
     @property
     def n_triangles(self) -> int:
@@ -188,11 +194,11 @@ def _torus_free_index(resolution: int) -> np.ndarray:
 def lattice_resolution(mesh: TriMesh) -> int | None:
     """Resolution n if ``mesh`` is exactly ``build_unit_square(n)`` or ``build_periodic_cell(n)``.
 
-    Decided from the arrays, not from ``mesh.domain``: the vertices and
-    triangles must equal ``_square_lattice(n)``, so vertex i sits at lattice
-    point (i % (n+1), i // (n+1)), and the dof map must be the identity on
-    the square and ``_torus_free_index(n)`` on the torus.  Any other mesh, a
-    permuted lattice included, gives None.
+    The one lattice test of the package, decided from the arrays: the
+    vertices and triangles must equal ``_square_lattice(n)``, so vertex i
+    sits at lattice point (i % (n+1), i // (n+1)), and the dof map must be
+    the identity on the square and ``_torus_free_index(n)`` on the torus.
+    Any other mesh, a permuted lattice included, gives None.
     """
     n = round((mesh.n_triangles / 2) ** 0.5)
     if n < 1 or 2 * n * n != mesh.n_triangles or mesh.n_vertices != (n + 1) ** 2:
@@ -200,11 +206,8 @@ def lattice_resolution(mesh: TriMesh) -> int | None:
     vertices, tris = _square_lattice(n)
     if not (np.array_equal(mesh.vertices, vertices) and np.array_equal(mesh.triangles, tris)):
         return None
-    if mesh.periodic:
-        free, n_free = _torus_free_index(n), n * n
-    else:
-        free, n_free = np.arange(mesh.n_vertices), mesh.n_vertices
-    return n if mesh.n_free == n_free and np.array_equal(mesh.free_index, free) else None
+    free = _torus_free_index(n) if mesh.periodic else np.arange(mesh.n_vertices)
+    return n if np.array_equal(mesh.free_index, free) else None
 
 
 def build_unit_square(resolution: int) -> TriMesh:
@@ -215,7 +218,6 @@ def build_unit_square(resolution: int) -> TriMesh:
         vertices=vertices,
         triangles=tris,
         boundary_loop=_square_boundary_loop(resolution),
-        domain="unit_square",
     )
 
 
@@ -229,8 +231,6 @@ def build_periodic_cell(resolution: int) -> TriMesh:
         boundary_loop=_square_boundary_loop(resolution),
         periodic=True,
         free_index=_torus_free_index(resolution),
-        n_free=resolution * resolution,
-        domain="periodic_cell",
     )
 
 
@@ -284,7 +284,6 @@ def build_regular_ngon(n_sides: int, radius: float, resolution: int) -> TriMesh:
         vertices=vertices,
         triangles=np.asarray(tris, dtype=np.int64),
         boundary_loop=loop.astype(np.int64),
-        domain=f"regular_ngon_{n_sides}",
     )
 
 
@@ -453,16 +452,17 @@ def _segments_hit_boxes(lo: np.ndarray, hi: np.ndarray, poly: np.ndarray) -> np.
 
 
 def dyadic_squares(mesh: TriMesh, max_level: int) -> DyadicSquareSet:
-    """All dyadic squares of levels 0..max_level over the mesh's reference square.
+    """All dyadic squares of levels 0..max_level over the bounding square of the vertices.
 
-    For the unit square and the periodic cell the reference square is
-    [0,1]^2 and tiles the domain exactly; for other meshes it is the
-    bounding square, and squares simply collect the triangles whose
-    barycenter falls inside.  Squares with fewer than
-    ``MIN_ELEMENTS_PER_SQUARE`` members are flagged (sub-resolution noise)
-    and squares whose concentric double stays inside the domain are
+    On the unit-square and periodic-cell lattices the bounding square is
+    [0,1]^2 and tiles the domain exactly; on other meshes squares simply
+    collect the triangles whose barycenter falls inside.  Squares with fewer
+    than ``MIN_ELEMENTS_PER_SQUARE`` members are flagged (sub-resolution
+    noise) and squares whose concentric double stays inside the domain are
     flagged ``twice_inside`` for the diagnostics that need an interior
-    margin.  On the torus every double square is inside.  More than
+    margin: every square on a periodic mesh, an exact box test where
+    ``lattice_resolution`` recognises the square lattice, and a polygon test
+    against the boundary loop on any other mesh.  More than
     ``TRIANGLE_BUDGET`` squares (``max_level`` 11 and up) raise
     ``MeshBudgetError`` before anything is allocated.
     """
@@ -471,17 +471,10 @@ def dyadic_squares(mesh: TriMesh, max_level: int) -> DyadicSquareSet:
     n_squares = (4 ** (max_level + 1) - 1) // 3
     if n_squares > TRIANGLE_BUDGET:
         raise MeshBudgetError(f"{n_squares} dyadic squares exceed the budget of {TRIANGLE_BUDGET}")
-    canonical = mesh.domain in ("unit_square", "periodic_cell")
-    if canonical:
-        origin = np.array([0.0, 0.0])
-        side = 1.0
-    else:
-        lo = mesh.vertices.min(axis=0)
-        hi = mesh.vertices.max(axis=0)
-        side = float(max(hi - lo))
-        origin = lo
+    origin = mesh.vertices.min(axis=0)
+    side = float(max(mesh.vertices.max(axis=0) - origin))
     bary = mesh.barycenters
-    poly = None if canonical else mesh.vertices[mesh.boundary_loop]
+    square_lattice = not mesh.periodic and lattice_resolution(mesh) is not None
 
     corners, twice, members, offsets = [], [], [], [np.zeros(1, np.int64)]
     for level in range(max_level + 1):
@@ -495,13 +488,13 @@ def dyadic_squares(mesh: TriMesh, max_level: int) -> DyadicSquareSet:
         boundaries = np.searchsorted(key[order], np.arange(n * n + 1))
         cells = np.arange(n * n)
         corner = origin + h * np.column_stack([cells % n, cells // n])
-        if poly is not None:
-            inside = _double_square_inside_polygon(corner, h, poly)
-        elif mesh.periodic:
+        if mesh.periodic:
             inside = np.ones(n * n, dtype=bool)
-        else:
+        elif square_lattice:
             lo2, hi2 = corner - 0.5 * h, corner + 1.5 * h
             inside = np.all((lo2 >= origin - 1e-12) & (hi2 <= origin + side + 1e-12), axis=1)
+        else:
+            inside = _double_square_inside_polygon(corner, h, mesh.vertices[mesh.boundary_loop])
         corners.append(corner)
         twice.append(inside)
         members.append(order)

@@ -113,7 +113,7 @@ def cell_map(
     )
     if np.linalg.det(A) == 0.0:
         log.warning("affine part is singular; homeomorphism checks are skipped")
-    return CellMap(A=A, U=make_map(u1, u2, sigma), linearity_error=err)
+    return CellMap(A=A, U=make_map(u1, u2), linearity_error=err)
 
 
 def cell_complex_map(

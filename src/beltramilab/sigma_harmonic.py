@@ -63,7 +63,6 @@ class SigmaHarmonicMap:
 
     u1: ScalarFieldP1
     u2: ScalarFieldP1
-    sigma: ElementMatrixField
     det_DU: np.ndarray
 
     @property
@@ -71,18 +70,13 @@ class SigmaHarmonicMap:
         return self.u1.mesh
 
 
-def make_map(u1: ScalarFieldP1, u2: ScalarFieldP1, sigma: ElementMatrixField) -> SigmaHarmonicMap:
+def make_map(u1: ScalarFieldP1, u2: ScalarFieldP1) -> SigmaHarmonicMap:
     det = _det_from_gradients(element_gradient(u1), element_gradient(u2))
-    return SigmaHarmonicMap(u1=u1, u2=u2, sigma=sigma, det_DU=det)
+    return SigmaHarmonicMap(u1=u1, u2=u2, det_DU=det)
 
 
 def _det_from_gradients(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
-
-
-def jacobian_det(U: SigmaHarmonicMap) -> np.ndarray:
-    """Per-element determinant of the row-gradient matrix [grad u1; grad u2]."""
-    return _det_from_gradients(element_gradient(U.u1), element_gradient(U.u2))
 
 
 def wirtinger_from_gradients(grad_re: np.ndarray, grad_im: np.ndarray, mesh: TriMesh) -> WirtingerField:
@@ -174,7 +168,7 @@ def primary_pair(
     return (
         ComplexMap(u1, ut1),
         ComplexMap(u2, ut2),
-        make_map(u1, u2, sigma),
+        make_map(u1, u2),
     )
 
 
@@ -207,7 +201,7 @@ def sigma_harmonic_map(
             "injectivity is not guaranteed"
         )
     u1, u2 = solve_dirichlet(sigma, np.column_stack([v1, v2]), opts)
-    return make_map(u1, u2, sigma)
+    return make_map(u1, u2)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +427,6 @@ def image_mesh_of(f: ComplexMap) -> TriMesh:
         vertices=verts,
         triangles=mesh.triangles.copy(),
         boundary_loop=mesh.boundary_loop.copy(),
-        domain="image",
     )
 
 
@@ -444,9 +437,7 @@ def change_coordinates(U: SigmaHarmonicMap, f: ComplexMap) -> tuple[TriMesh, Sig
     image triangulation, so its per-element gradients are DU Df^{-1} by the
     P1 chain rule and its Jacobian field is det DU / det Df.
     """
-    locally, globally = injectivity_check(
-        make_map(f.re, f.im, U.sigma)
-    )
+    locally, globally = injectivity_check(make_map(f.re, f.im))
     if not locally:
         raise ValueError("coordinate map is not locally injective; cannot change coordinates")
     if not globally:
@@ -454,7 +445,7 @@ def change_coordinates(U: SigmaHarmonicMap, f: ComplexMap) -> tuple[TriMesh, Sig
     img = image_mesh_of(f)
     v1 = ScalarFieldP1(img, U.u1.values.copy())
     v2 = ScalarFieldP1(img, U.u2.values.copy())
-    return img, make_map(v1, v2, U.sigma)
+    return img, make_map(v1, v2)
 
 
 def pushforward_tau(
@@ -508,12 +499,3 @@ def pushforward_tau(
         l1_resid_lower=l1_lower,
     )
 
-
-def sense_preservation(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
-    """|f_z|^2 - |f_zbar|^2 per element for f = u + i*utilde (exact convention).
-
-    This is the Jacobian of f itself; nonnegativity is the quasiregularity
-    direction of the first-order system.
-    """
-    w = wirtinger_exact(sigma, u)
-    return np.abs(w.f_z) ** 2 - np.abs(w.f_zbar) ** 2

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -47,7 +48,7 @@ class TestConfigValidation:
         ("boundary", 5), ("solver", "lu"), ("diagnostics", [1]),
     ], ids=["boundary", "solver", "diagnostics"])
     def test_non_object_section_rejected(self, field, value):
-        raw = {"task": "diagnose", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+        raw = {"task": "solve", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
                field: value}
         with pytest.raises(ConfigError, match=f"'{field}'"):
             ExperimentConfig.from_dict(raw)
@@ -84,7 +85,8 @@ class TestConfigValidation:
         ("boundary", "coefficients", 5),
     ], ids=["theta_grid", "p_list", "p_list_zero", "boundary_coefficients"])
     def test_number_list_fields(self, section, key, value):
-        raw = {"task": "diagnose", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+        raw = {"task": "solve" if section == "boundary" else "diagnose",
+               "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
                section: {"kind": "affine", key: value} if section == "boundary" else {key: value}}
         with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
             ExperimentConfig.from_dict(raw)
@@ -114,6 +116,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message) as info:
             run(cfg)
         assert info.value.field == "domain"
+
+    @pytest.mark.parametrize("task, kind", [("solve", "polygon_trace"), ("primary-pair", "affine")])
+    def test_boundary_kinds_per_task(self, task, kind):
+        # solve reads scalar data, primary-pair a polygon trace; another kind used to be ignored
+        raw = {"task": task, "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+               "boundary": {"kind": kind}}
+        with pytest.raises(ConfigError, match="'boundary.kind'"):
+            ExperimentConfig.from_dict(raw)
 
     def test_ngon_domain_fields(self):
         with pytest.raises(ConfigError, match="domain.radius"):
@@ -211,16 +221,20 @@ class TestRunTasks:
         assert record.metrics["globally_injective"]
 
     def test_resolution_list_runs_per_resolution(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(
-            {"task": "homogenize", "domain": "periodic_cell", "resolution": [8, 16],
-             "coefficient": {"family": "laminate", "a": 1, "b": 5},
-             "output_dir": str(tmp_path / "out")}
-        )
-        record = run(cfg)
-        assert record.all_passed
-        assert sorted(record.metrics.keys()) == ["16", "8"]
-        assert (tmp_path / "out" / "res_8" / "effective_tensor.csv").exists()
-        assert any(inv["name"].startswith("res_16:") for inv in record.invariants)
+        # a resolution ladder is a sweep with one row per resolution, every row filled
+        base = {"task": "homogenize", "domain": "periodic_cell",
+                "coefficient": {"family": "laminate", "a": 1, "b": 5}}
+        path = sweep([{**base, "resolution": n} for n in (8, 16)], tmp_path / "out")
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["status"], r["resolution"]) for r in rows] == [("ok", "8"), ("ok", "16")]
+        assert all(r["s_eff_11"] for r in rows)
+        assert (tmp_path / "out" / "run_000" / "effective_tensor.csv").exists()
+        record = json.loads((tmp_path / "out" / "run_001" / "run_record.json").read_text())
+        assert record["config"]["resolution"] == 16 and record["all_passed"] and record["invariants"]
+        # a list is no resolution
+        with pytest.raises(ConfigError, match="'resolution': must be an integer"):
+            ExperimentConfig.from_dict({**base, "resolution": [8, 16]})
 
     def test_diagnose_checkerboard(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -500,6 +514,8 @@ class TestSweep:
         ("ngon", "boundary.coefficent", [0.5, 1.0, -2.0]), ("ngon", "domain.center", [0, 0]),
         # a family or kind that is not even a string
         ("laminate", "coefficient.family", ["laminate"]), ("ngon", "boundary.kind", ["affine"]),
+        # boundary data for a task that reads none
+        ("laminate", "boundary", {"kind": "affine", "coefficients": [0.5, 1.0, -2.0]}),
     ])
     def test_bad_scalar_type_recorded_and_sweep_continues(self, tmp_path, base, field, value):
         good = self.SCALAR_GOOD[base]
@@ -654,6 +670,19 @@ class TestMainEntry:
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
         assert (tmp_path / "sw" / "aggregate.csv").exists()
+
+    def test_sweep_document_keys(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.chdir(tmp_path)
+        good = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0, 0], "nu": [0, 0]}}
+        cfg = write_config(tmp_path, "s.json", {"sweep": [good], "output_dir": "named"})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert (tmp_path / "named" / "aggregate.csv").exists()
+        # a misspelt key used to be dropped, and the sweep written to sweep_out/
+        cfg = write_config(tmp_path, "typo.json", {"sweep": [good], "output": "x"})
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert any("config field 'output': unknown key" in m for m in errors)
+        assert not (tmp_path / "sweep_out").exists() and not (tmp_path / "x").exists()
 
     def test_sweep_verb_exits_one_unless_every_row_ok(self, tmp_path, capsys):
         good = {"task": "solve", "resolution": 8,

@@ -3,7 +3,6 @@ import pytest
 
 from beltramilab.coeff_algebra import sigma_from_beltrami
 from beltramilab.coefficients import (
-    _infer_resolution,
     checkerboard_field,
     explicit_field,
     hall_laminate_field,
@@ -19,6 +18,7 @@ from beltramilab.grid import (
     build_unit_square,
     export_triangles_csv,
     export_vertices_csv,
+    lattice_resolution,
 )
 
 # ---------------------------------------------------------------------------
@@ -27,8 +27,15 @@ from beltramilab.grid import (
 # ---------------------------------------------------------------------------
 
 
+def ref_resolution(mesh):
+    n = lattice_resolution(mesh)
+    if n is None:
+        raise ValueError("not the unit-square lattice")
+    return n
+
+
 def ref_check_strip_interface(mesh, fraction):
-    n = _infer_resolution(mesh)
+    n = ref_resolution(mesh)
     if abs(fraction * n - round(fraction * n)) > 1e-9:
         raise ValueError(f"strip interface at {fraction} does not sit on mesh lines at resolution {n}")
 
@@ -45,7 +52,7 @@ def ref_laminate(mesh, a, b, direction="x1", fraction=0.5):
 
 
 def ref_checkerboard(mesh, a, b):
-    n = _infer_resolution(mesh)
+    n = ref_resolution(mesh)
     if n % 2 != 0:
         raise ValueError(f"checkerboard needs an even resolution, got {n}")
     bary = mesh.barycenters
@@ -74,7 +81,7 @@ def ref_hall_laminate(mesh, c, direction="x1"):
 def ref_random_piecewise(mesh, k_max, cells, seed, symmetric=False):
     if k_max < 1.0:
         raise ValueError("k_max must be >= 1")
-    n = _infer_resolution(mesh)
+    n = ref_resolution(mesh)
     if n % cells != 0:
         raise ValueError(f"resolution {n} is not a multiple of the block count {cells}")
     rng = rng_from_seed(seed)
@@ -90,7 +97,7 @@ def ref_random_piecewise(mesh, k_max, cells, seed, symmetric=False):
 
 def ref_explicit(mesh, table, cells):
     table = np.asarray(table, dtype=float).reshape(cells, cells, 2, 2)
-    n = _infer_resolution(mesh)
+    n = ref_resolution(mesh)
     if n % cells != 0:
         raise ValueError(f"resolution {n} is not a multiple of the block count {cells}")
     bary = mesh.barycenters
@@ -138,7 +145,7 @@ class TestBlockTablesMatchReference:
     @pytest.mark.parametrize("build, n", [(build_unit_square, 12), (build_periodic_cell, 16)],
                              ids=["unit_square", "periodic_cell"])
     def test_mesh_read_back_from_csv(self, tmp_path, build, n):
-        # as the benchmark's output checks rebuild it: domain "custom", no boundary loop
+        # as the benchmark's output checks rebuild it: not periodic, no boundary loop
         mesh = build(n)
         export_vertices_csv(mesh, tmp_path / "vertices.csv")
         export_triangles_csv(mesh, tmp_path / "triangles.csv")
@@ -146,7 +153,7 @@ class TestBlockTablesMatchReference:
         tris = np.loadtxt(tmp_path / "triangles.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1:4]
         bare = TriMesh(vertices=verts, triangles=tris.astype(np.int64),
                        boundary_loop=np.zeros(0, dtype=np.int64))
-        assert bare.domain == "custom"
+        assert lattice_resolution(bare) == n
         assert_same_as_reference(bare)
 
 
@@ -182,3 +189,14 @@ class TestLatticeRejections:
     def test_more_blocks_than_squares_rejected_before_drawing(self):
         with pytest.raises(ValueError, match="blocks exceed"):
             random_piecewise_field(build_unit_square(8), 5.0, 10**6, seed=1)
+
+    def test_renumbered_lattice_rejected(self):
+        # the lattice geometry in another vertex order is not the lattice the families sample on
+        m = build_unit_square(8)
+        perm = np.arange(m.n_vertices)[::-1]
+        inv = np.argsort(perm)
+        renumbered = TriMesh(m.vertices[perm], inv[m.triangles], inv[m.boundary_loop])
+        with pytest.raises(ValueError, match="unit-square mesh"):
+            random_piecewise_field(renumbered, 5.0, 4, seed=1)
+        with pytest.raises(ValueError, match="unit-square mesh"):
+            laminate_field(renumbered, 1.0, 5.0)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from beltramilab import elliptic_solver
 from beltramilab.coefficients import (
-    _infer_resolution,
     constant_field,
     laminate_field,
     random_piecewise_field,
@@ -272,7 +271,6 @@ class TestLatticeStreamSolve:
         perm = np.concatenate([[0], np.arange(1, m.n_vertices)[::-1]])
         inv = np.argsort(perm)
         pm = TriMesh(m.vertices[perm], inv[m.triangles], inv[m.boundary_loop])
-        assert pm.domain == "custom" and _infer_resolution(pm) == 16
         assert lattice_resolution(pm) is None
         calls = []
         splu = spla.splu
@@ -515,7 +513,7 @@ def reference_lu_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def permuted_lattice(n: int) -> TriMesh:
-    """The unit-square lattice with its vertices renumbered: a "custom" mesh."""
+    """The unit-square lattice with its vertices renumbered: not the lattice ``lattice_resolution`` reads."""
     m = build_unit_square(n)
     perm = np.concatenate([[0], np.arange(1, m.n_vertices)[::-1]])
     inv = np.argsort(perm)

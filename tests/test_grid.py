@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltramilab.coefficients import random_piecewise_field
+from beltramilab.elliptic_solver import solve_periodic_cell
 from beltramilab.errors import MeshBudgetError
 from beltramilab.grid import (
     CSV_BLOCK_ROWS,
@@ -112,8 +113,8 @@ class TestMeshBuilders:
     def test_lattice_resolution_reads_the_arrays(self, n):
         square, torus = build_unit_square(n), build_periodic_cell(n)
         assert lattice_resolution(square) == lattice_resolution(torus) == n
-        # a lattice read back as "custom" is still the lattice
-        assert lattice_resolution(replace(square, domain="custom", _geom=None)) == n
+        # the lattice read back from its exported vertices and triangles is still the lattice
+        assert lattice_resolution(TriMesh(square.vertices, square.triangles, np.zeros(0))) == n
         # vertices numbered right to left: the same geometry, another dof order
         perm = np.arange(square.n_vertices).reshape(n + 1, n + 1)[:, ::-1].ravel()
         inv = np.argsort(perm)
@@ -125,6 +126,27 @@ class TestMeshBuilders:
         assert lattice_resolution(replace(torus, periodic=False)) is None
         assert lattice_resolution(replace(square, periodic=True)) is None
         assert lattice_resolution(build_regular_ngon(8, 1.0, n)) is None
+
+    def test_free_index_from_arrays_alone(self):
+        # n_free is read from free_index: a torus built without the builder solves bit for bit like it
+        cell = build_periodic_cell(8)
+        bare = TriMesh(cell.vertices, cell.triangles, cell.boundary_loop, periodic=True,
+                       free_index=cell.free_index)
+        assert bare.n_free == 64
+        sigma = random_piecewise_field(cell, 5.0, 4, seed=3).matrices
+        xis = np.array([[1.0, 0.0], [0.3, 1.0]])
+        for got, want in zip(solve_periodic_cell(ElementMatrixField(bare, sigma), xis),
+                             solve_periodic_cell(ElementMatrixField(cell, sigma), xis)):
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("free_index", [
+        lambda f: np.where(f > 0, f + 1, 0), lambda f: f[:-1], lambda f: f - 1,
+    ], ids=["skips_a_dof", "one_short", "negative"])
+    def test_free_index_must_number_every_vertex_onto_every_dof(self, free_index):
+        cell = build_periodic_cell(4)
+        with pytest.raises(ValueError, match="free_index"):
+            TriMesh(cell.vertices, cell.triangles, cell.boundary_loop, periodic=True,
+                    free_index=free_index(cell.free_index))
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -208,6 +230,20 @@ class TestDyadicSquares:
         m = build_periodic_cell(16)
         ds = dyadic_squares(m, 2)
         assert all(ds.twice_inside)
+
+    def test_reference_square_is_the_bounding_square(self):
+        # a [0, 2]^2 lattice: level-1 squares of side 1 hold a quarter of the area each
+        m = build_unit_square(8)
+        scaled = replace(m, vertices=2 * m.vertices, _geom=None)
+        ds = dyadic_squares(scaled, 1)
+        assert ds.side[0] == 2.0 and np.array_equal(ds.corner[0], [0.0, 0.0])
+        assert np.array_equal(ds.area[ds.level == 1], [1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("n, max_level", [(8, 3), (64, 5)])
+    def test_lattice_box_test_matches_polygon_test(self, n, max_level):
+        # the exact box test on the recognised lattice gives the polygon test's flags
+        ds = dyadic_squares(build_unit_square(n), max_level)
+        assert np.array_equal(ds.twice_inside, reference_twice_inside(ds))
 
     def test_bounding_square_mode_for_custom_mesh(self):
         # squares over the bounding square of a polygon mesh still partition;

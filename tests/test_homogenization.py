@@ -87,7 +87,6 @@ class TestEffectiveConductivity:
         # a unit-square lattice rebuilt from exported vertices and triangles
         m = build_unit_square(8)
         bare = TriMesh(vertices=m.vertices, triangles=m.triangles, boundary_loop=np.zeros(0))
-        assert bare.domain == "custom"
         assert np.array_equal(
             random_piecewise_field(bare, 5.0, 4, seed=3).matrices,
             random_piecewise_field(m, 5.0, 4, seed=3).matrices,
@@ -160,11 +159,9 @@ class TestImageArea:
     def test_affine_region(self):
         m = build_unit_square(8)
         A = np.array([[2.0, 1.0], [0.0, 1.5]])
-        sig = constant_field(m, np.eye(2))
         aff = make_map(
             ScalarFieldP1(m, m.vertices @ A[0]),
             ScalarFieldP1(m, m.vertices @ A[1]),
-            sig,
         )
         region = np.arange(0, m.n_triangles, 2)
         expected = np.linalg.det(A) * m.areas[region].sum()
@@ -181,11 +178,9 @@ class TestImageArea:
 
     def test_non_injective_warns_with_corrected_estimate(self):
         m = build_unit_square(8)
-        sig = constant_field(m, np.eye(2))
         fold = make_map(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, np.abs(m.vertices[:, 1] - 0.5)),
-            sig,
         )
         unsigned, corrected, injective = image_area(fold, detailed=True)
         assert not injective
@@ -196,11 +191,9 @@ class TestImageArea:
 class TestAreaFormula:
     def test_constant_function_reduces_to_image_area(self):
         m = build_unit_square(8)
-        sig = constant_field(m, np.eye(2))
         ident = make_map(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, m.vertices[:, 1].copy()),
-            sig,
         )
         lhs, rhs, gap = area_formula_check(ident, lambda y: np.ones(len(y)))
         assert gap < 1e-10
@@ -208,11 +201,9 @@ class TestAreaFormula:
 
     def test_linear_function_identity_map(self):
         m = build_unit_square(8)
-        sig = constant_field(m, np.eye(2))
         ident = make_map(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, m.vertices[:, 1].copy()),
-            sig,
         )
         lhs, rhs, gap = area_formula_check(ident, lambda y: y[:, 0])
         assert lhs == pytest.approx(0.5, abs=1e-12)

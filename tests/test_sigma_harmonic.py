@@ -16,13 +16,11 @@ from beltramilab.sigma_harmonic import (
     change_coordinates,
     equival_residual,
     injectivity_check,
-    jacobian_det,
     make_map,
     polygon_is_simple,
     primary_pair,
     pushforward_tau,
     reduce_nu_to_zero,
-    sense_preservation,
     sigma_harmonic_map,
     unimodality_check,
     wirtinger,
@@ -30,11 +28,10 @@ from beltramilab.sigma_harmonic import (
 )
 
 
-def coordinate_map(mesh, sigma):
+def coordinate_map(mesh):
     return make_map(
         ScalarFieldP1(mesh, mesh.vertices[:, 0].copy()),
         ScalarFieldP1(mesh, mesh.vertices[:, 1].copy()),
-        sigma,
     )
 
 
@@ -152,16 +149,14 @@ class TestReduceNu:
 class TestJacobianAndEquival:
     def test_identity_and_affine(self):
         m = build_unit_square(6)
-        sig = constant_field(m, np.eye(2))
-        ident = coordinate_map(m, sig)
-        assert np.abs(jacobian_det(ident) - 1.0).max() < 1e-13
+        ident = coordinate_map(m)
+        assert np.abs(ident.det_DU - 1.0).max() < 1e-13
         A = np.array([[2.0, 1.0], [0.5, 1.5]])
         aff = make_map(
             ScalarFieldP1(m, m.vertices @ A[0]),
             ScalarFieldP1(m, m.vertices @ A[1]),
-            sig,
         )
-        assert np.abs(jacobian_det(aff) - np.linalg.det(A)).max() < 1e-12
+        assert np.abs(aff.det_DU - np.linalg.det(A)).max() < 1e-12
 
     def test_equival_identity_constant_sigma(self):
         m = build_unit_square(8)
@@ -181,7 +176,9 @@ class TestJacobianAndEquival:
         m = build_unit_square(16)
         sig = random_piecewise_field(m, 5.0, 4, seed=4)
         u = solve_dirichlet(sig, lambda p: p[:, 0])
-        assert sense_preservation(sig, u).min() > 0.0
+        # |f_z|^2 - |f_zbar|^2, the Jacobian of f = u + i*utilde (exact convention)
+        w = wirtinger_exact(sig, u)
+        assert (np.abs(w.f_z) ** 2 - np.abs(w.f_zbar) ** 2).min() > 0.0
 
 
 class TestUnimodality:
@@ -216,16 +213,14 @@ class TestUnimodality:
 class TestInjectivity:
     def test_identity(self):
         m = build_unit_square(8)
-        U = coordinate_map(m, constant_field(m, np.eye(2)))
+        U = coordinate_map(m)
         assert injectivity_check(U) == (True, True)
 
     def test_folding_map(self):
         m = build_unit_square(8)
-        sig = constant_field(m, np.eye(2))
         fold = make_map(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, np.abs(m.vertices[:, 1] - 0.5)),
-            sig,
         )
         assert injectivity_check(fold) == (False, False)
 
