@@ -39,16 +39,16 @@ def _lattice_n(mesh: TriMesh) -> int:
     return n
 
 
-def _lattice_field(mesh: TriMesh, table: np.ndarray) -> ElementMatrixField:
+def _lattice_field(mesh: TriMesh, table: np.ndarray, n: int | None = None) -> ElementMatrixField:
     """Sample a (rows, cols, 2, 2) block table, row-major from the bottom, at the barycenters.
 
     Every block edge must sit on a mesh line, so ``rows`` and ``cols`` must
-    both divide the resolution; then each triangle lies in exactly one block.
+    both divide the resolution n; then each triangle lies in exactly one block.
     """
     rows, cols = table.shape[:2]
     if rows == 0 or cols == 0:
         raise ValueError(f"block table is empty ({rows} x {cols} blocks)")
-    n = _lattice_n(mesh)
+    n = _lattice_n(mesh) if n is None else n
     if n % rows or n % cols:
         raise ValueError(f"{rows} x {cols} blocks do not sit on mesh lines at resolution {n}")
     bary = mesh.barycenters
@@ -83,7 +83,7 @@ def laminate_field(
     if abs(fraction * n - round(fraction * n)) > 1e-9:
         raise ValueError(f"strip interface at {fraction} does not sit on mesh lines at resolution {n}")
     phases = _isotropic(np.where((np.arange(n) + 0.5) / n < fraction, a, b))
-    return _lattice_field(mesh, _strip_table(phases, direction))
+    return _lattice_field(mesh, _strip_table(phases, direction), n)
 
 
 def checkerboard_field(mesh: TriMesh, a: float, b: float) -> ElementMatrixField:

@@ -30,7 +30,8 @@ class TriMesh:
     ``free_index`` maps every vertex to its degree-of-freedom index; on a
     periodic mesh identified copies share one index, otherwise it is the
     identity.  It must use every dof 0..n_free-1, so ``n_free`` is read from
-    it.  ``boundary_loop`` is the counterclockwise geometric boundary of the
+    it, and ``periodic`` says whether it identifies any vertices.
+    ``boundary_loop`` is the counterclockwise geometric boundary of the
     (fundamental) domain; on the torus it is kept for unwrapped geometry but
     carries no topological boundary meaning.
     """
@@ -52,6 +53,9 @@ class TriMesh:
         if free.shape != (len(self.vertices),) or free.min(initial=0) < 0 or not np.bincount(free).all():
             raise ValueError(f"free_index must give each of the {len(self.vertices)} vertices a dof "
                              f"in 0..n_free-1 and use every dof")
+        if self.periodic != (self.n_free < self.n_vertices):
+            raise ValueError(f"periodic={self.periodic} disagrees with free_index, which gives "
+                             f"{self.n_free} dofs for {self.n_vertices} vertices")
         areas = self.areas
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -377,6 +381,19 @@ def row_blocks(members: np.ndarray, offsets: np.ndarray, rows=None):
         yield sel, members[offsets[sel, None] + np.arange(sorted_lengths[lo])]
 
 
+def block_dots(a: np.ndarray, idx: np.ndarray, b=None, shift=None) -> np.ndarray:
+    """``row_dots`` of the rows of one (R, n) index block, ``shift`` given per row of the block.
+
+    A row's value does not depend on the other rows of the block.
+    """
+    if b is None:
+        return a[idx].sum(axis=1)
+    bb = np.take(b, idx, axis=-1)  # C order; b[..., idx] is not, and strided dots differ
+    if shift is not None:
+        bb = np.abs(bb - shift[:, None])
+    return (a[idx][:, None, :] @ bb[..., None])[..., 0, 0]
+
+
 def row_dots(members: np.ndarray, offsets: np.ndarray, a: np.ndarray, b=None, shift=None):
     """Per-row reductions over the CSR index rows ``idx = members[offsets[i]:offsets[i + 1]]``.
 
@@ -389,13 +406,7 @@ def row_dots(members: np.ndarray, offsets: np.ndarray, a: np.ndarray, b=None, sh
     """
     out = np.zeros(np.shape(b)[:-1] + (len(offsets) - 1,))
     for rows, idx in row_blocks(members, offsets):
-        if b is None:
-            out[rows] = a[idx].sum(axis=1)
-            continue
-        bb = np.take(b, idx, axis=-1)  # C order; b[..., idx] is not, and strided dots differ
-        if shift is not None:
-            bb = np.abs(bb - shift[rows, None])
-        out[..., rows] = (a[idx][:, None, :] @ bb[..., None])[..., 0, 0]
+        out[..., rows] = block_dots(a, idx, b, None if shift is None else shift[rows])
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import MIN_ELEMENTS_PER_SQUARE, DyadicSquareSet, row_blocks, row_dots, write_csv
+from .grid import MIN_ELEMENTS_PER_SQUARE, DyadicSquareSet, block_dots, row_blocks, row_dots, write_csv
 from .homogenization import CellMap
 
 log = logging.getLogger(__name__)
@@ -146,31 +146,21 @@ def _check_fractions(fractions) -> tuple[float, ...]:
     return fractions
 
 
-def _subset_table(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR table ``(members, offsets, owner)`` of ``(owner (R,), subsets (R, k))`` pieces, in order."""
-    owner = np.concatenate([np.zeros(0, np.int64), *(o for o, _ in pieces)])
-    lengths = np.concatenate([np.zeros(0, np.int64), *(np.full(len(o), e.shape[1]) for o, e in pieces)])
-    members = np.concatenate([np.zeros(0, np.int64), *(e.ravel() for _, e in pieces)])
-    return members, np.concatenate([[0], np.cumsum(lengths)]), owner
-
-
 def random_subset_sampler(seed: int, fractions=(1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4), repeats: int = 3):
     """Sampler of uniformly random sub-collections of squares at the given area fractions.
 
     ``sample(members, offsets, rows)`` draws, for each square s in ``rows``
     (non-empty rows of the CSR member table) with n members and for each
     fraction f, ``repeats`` uniform k-subsets of its members with
-    k = max(1, round(f * n)), then adds the full row.  It returns the CSR
-    table ``(sub_members, sub_offsets, owner)``: subset i is
-    ``sub_members[sub_offsets[i]:sub_offsets[i + 1]]`` (ascending) and
+    k = max(1, round(f * n)), then adds the full row.  It yields pieces
+    ``(owner, subsets)``: row i of the (R, k) array ``subsets`` (ascending)
     belongs to square ``owner[i]``.  Squares of one length are drawn as one
-    block (see ``grid.row_blocks``): per fraction one ``rng.random((G,
-    repeats, n))`` draw of keys, of which the k smallest per row pick the
-    subset.  The rows come block by block, fraction by fraction, square by
-    square, repeat by repeat, and each block ends with its full rows.  The
-    sampler owns one Philox stream from ``seed``, so a fresh sampler draws
-    the same table on every run.  Fractions outside (0, 1) raise
-    ``ValueError``.
+    block (see ``grid.row_blocks``): per fraction one piece, from one
+    ``rng.random((G, repeats, n))`` draw of keys, of which the k smallest per
+    row pick the subset, square by square, repeat by repeat; each block ends
+    with the piece of its full rows.  The sampler owns one Philox stream from
+    ``seed``, so a fresh sampler yields the same pieces on every run.
+    Fractions outside (0, 1) raise ``ValueError``.
     """
     from .coefficients import rng_from_seed
 
@@ -178,7 +168,6 @@ def random_subset_sampler(seed: int, fractions=(1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 /
     rng = rng_from_seed(seed)
 
     def sample(members: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
-        pieces = []
         for sel, idx in row_blocks(members, offsets, rows):
             g, n = idx.shape
             for frac in fractions:
@@ -186,9 +175,8 @@ def random_subset_sampler(seed: int, fractions=(1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 /
                 keys = rng.random((g, repeats, n))
                 pos = np.sort(np.argpartition(keys, k - 1, axis=-1)[..., :k], axis=-1)
                 picked = np.take_along_axis(idx[:, None, :], pos, axis=-1)
-                pieces.append((np.repeat(sel, repeats), picked.reshape(g * repeats, k)))
-            pieces.append((sel, idx))
-        return _subset_table(pieces)
+                yield np.repeat(sel, repeats), picked.reshape(g * repeats, k)
+            yield sel, idx
 
     return sample
 
@@ -205,16 +193,14 @@ def extreme_subset_sampler(w: np.ndarray, fractions=(1 / 8, 1 / 4, 1 / 2)):
     fractions = _check_fractions(fractions)
 
     def sample(members: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
-        pieces = []
         for sel, idx in row_blocks(members, offsets, rows):
             n = idx.shape[1]
             order = np.take_along_axis(idx, np.argsort(w[idx], axis=-1, kind="stable"), axis=-1)
             for frac in fractions:
                 k = max(1, round(frac * n))
-                pieces.append((sel, np.sort(order[:, :k], axis=-1)))
-                pieces.append((sel, np.sort(order[:, n - k:], axis=-1)))
-            pieces.append((sel, idx))
-        return _subset_table(pieces)
+                yield sel, np.sort(order[:, :k], axis=-1)
+                yield sel, np.sort(order[:, n - k:], axis=-1)
+            yield sel, idx
 
     return sample
 
@@ -251,20 +237,22 @@ def ainfty_probe(w: np.ndarray, squares: DyadicSquareSet, subset_sampler) -> Ain
     """Fit both comparability envelopes from sampled subsets of admissible squares.
 
     ``subset_sampler(members, offsets, rows)`` takes the CSR member table of
-    ``squares`` and the admissible square indices, and returns a CSR table
-    ``(sub_members, sub_offsets, owner)`` of element subsets E, each inside
-    its square P = ``owner`` (see ``random_subset_sampler``).  For each E the
-    probe records (|E|/|P|, mass(E)/mass(P)) with the discrete measures,
-    all through ``row_dots``.  By construction the fitted envelopes bracket
-    every sample; this is checked post-fit and a miss raises
-    ``RuntimeError``.
+    ``squares`` and the admissible square indices, and yields pieces
+    ``(owner, subsets)`` of element subsets E, each row inside its square
+    P = ``owner[i]`` (see ``random_subset_sampler``).  Each piece is reduced
+    by ``grid.block_dots`` as it comes to the samples (|E|/|P|,
+    mass(E)/mass(P)) with the discrete measures, in piece order.  By
+    construction the fitted envelopes bracket every sample; this is checked
+    post-fit and a miss raises ``RuntimeError``.
     """
     w = _check_positive(w)
     areas = squares.mesh.areas
     mass = row_dots(squares.members, squares.offsets, areas, w)
-    members, offsets, owner = subset_sampler(squares.members, squares.offsets, squares.admissible())
-    t = row_dots(members, offsets, areas) / squares.area[owner]
-    r = row_dots(members, offsets, areas, w) / mass[owner]
+    t_parts, r_parts = [np.zeros(0)], [np.zeros(0)]
+    for owner, subsets in subset_sampler(squares.members, squares.offsets, squares.admissible()):
+        t_parts.append(block_dots(areas, subsets) / squares.area[owner])
+        r_parts.append(block_dots(areas, subsets, w) / mass[owner])
+    t, r = np.concatenate(t_parts), np.concatenate(r_parts)
     keep = ~((t <= 0) | (r <= 0))  # empty subsets have t = 0
     if not keep.any():
         raise ValueError("degenerate sampler: produced no non-empty subsets")

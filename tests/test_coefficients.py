@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beltramilab import coefficients
 from beltramilab.coeff_algebra import sigma_from_beltrami
 from beltramilab.coefficients import (
     checkerboard_field,
@@ -155,6 +156,23 @@ class TestBlockTablesMatchReference:
                        boundary_loop=np.zeros(0, dtype=np.int64))
         assert lattice_resolution(bare) == n
         assert_same_as_reference(bare)
+
+
+    @pytest.mark.parametrize("build", [build_unit_square, build_periodic_cell],
+                             ids=["unit_square", "periodic_cell"])
+    def test_laminate_reads_the_lattice_once(self, monkeypatch, build):
+        calls = []
+
+        def counted(mesh):
+            calls.append(mesh)
+            return lattice_resolution(mesh)
+
+        monkeypatch.setattr(coefficients, "lattice_resolution", counted)
+        mesh = build(8)
+        for direction in ("x1", "x2"):
+            calls.clear()
+            laminate_field(mesh, 1.0, 5.0, direction, fraction=0.25)
+            assert len(calls) == 1
 
 
 class TestLatticeRejections:

@@ -121,11 +121,24 @@ class TestMeshBuilders:
         renumbered = TriMesh(square.vertices[perm], inv[square.triangles],
                            inv[square.boundary_loop])
         assert lattice_resolution(renumbered) is None
-        # the torus with a different quotient map, or without one
+        # the torus with a different quotient map
         assert lattice_resolution(replace(torus, free_index=n * n - 1 - torus.free_index)) is None
-        assert lattice_resolution(replace(torus, periodic=False)) is None
-        assert lattice_resolution(replace(square, periodic=True)) is None
         assert lattice_resolution(build_regular_ngon(8, 1.0, n)) is None
+        # a periodic flag that disagrees with the quotient map is no mesh at all
+        with pytest.raises(ValueError, match="periodic=False disagrees"):
+            replace(torus, periodic=False)
+        with pytest.raises(ValueError, match="periodic=True disagrees"):
+            replace(square, periodic=True)
+
+    @pytest.mark.parametrize("build, periodic", [(build_unit_square, True), (build_periodic_cell, False)])
+    def test_periodic_flag_must_match_free_index(self, build, periodic):
+        # a square flagged periodic has no fixed dofs: its identity conductivity came out ~4e-15
+        mesh = build(8)
+        with pytest.raises(ValueError, match=f"{mesh.n_free} dofs for {mesh.n_vertices} vertices"):
+            replace(mesh, periodic=periodic)
+        with pytest.raises(ValueError, match=f"periodic={periodic} disagrees"):
+            TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop, periodic=periodic,
+                    free_index=mesh.free_index)
 
     def test_free_index_from_arrays_alone(self):
         # n_free is read from free_index: a torus built without the builder solves bit for bit like it

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from beltramilab import weights_diagnostics
 from beltramilab.coefficients import checkerboard_field, random_piecewise_field, rng_from_seed
-from beltramilab.grid import build_periodic_cell, build_regular_ngon, build_unit_square, dyadic_squares
+from beltramilab.grid import build_periodic_cell, build_regular_ngon, build_unit_square, dyadic_squares, row_dots
 from beltramilab.homogenization import cell_map
 from beltramilab.sigma_harmonic import change_coordinates, primary_pair
 from beltramilab.weights_diagnostics import (
@@ -148,11 +148,11 @@ class TestAinftyProbe:
             ainfty_probe(w, squares, random_subset_sampler(seed=4))
 
     def test_degenerate_sampler_rejected(self, square_mesh, squares):
-        def empty_table(members, offsets, rows):
-            return np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int64)
+        def no_pieces(members, offsets, rows):
+            yield from ()
 
         with pytest.raises(ValueError, match="no non-empty subsets"):
-            ainfty_probe(np.ones(square_mesh.n_triangles), squares, empty_table)
+            ainfty_probe(np.ones(square_mesh.n_triangles), squares, no_pieces)
 
     def test_periodic_jacobian_fit_stable(self):
         fits = []
@@ -177,6 +177,55 @@ def _csr(lengths):
     return 3 * np.arange(offsets[-1], dtype=np.int64) + 1, offsets
 
 
+# ---------------------------------------------------------------------------
+# Reference: the subsets as one packed CSR table, drawn square by square.
+# ---------------------------------------------------------------------------
+
+
+def packed_table(pieces):
+    """CSR table ``(members, offsets, owner)`` of ``(owner (R,), subsets (R, k))`` pieces, in order."""
+    pieces = list(pieces)
+    owner = np.concatenate([np.zeros(0, np.int64), *(o for o, _ in pieces)])
+    lengths = np.concatenate([np.zeros(0, np.int64), *(np.full(len(o), e.shape[1]) for o, e in pieces)])
+    members = np.concatenate([np.zeros(0, np.int64), *(e.ravel() for _, e in pieces)])
+    return members, np.concatenate([[0], np.cumsum(lengths)]), owner
+
+
+def _length_blocks(offsets, rows):
+    """The squares of ``rows`` grouped by length, ascending, each group in the order of ``rows``."""
+    lengths = np.diff(offsets)
+    return [(n, [s for s in rows if lengths[s] == n]) for n in sorted(set(lengths[rows].tolist()))]
+
+
+def reference_random_table(seed, members, offsets, rows, fractions=FRACTIONS, repeats=3):
+    """``random_subset_sampler`` as one table: the same key draws, each subset picked by a full argsort."""
+    rng = rng_from_seed(seed)
+    pieces = []
+    for n, block in _length_blocks(offsets, rows):
+        for frac in fractions:
+            k = max(1, round(frac * n))
+            keys = rng.random((len(block), repeats, n))
+            for s, square_keys in zip(block, keys):
+                for row_keys in square_keys:
+                    pieces.append(([s], members[offsets[s] + np.sort(np.argsort(row_keys)[:k])][None]))
+        pieces += [([s], members[offsets[s] : offsets[s + 1]][None]) for s in block]
+    return packed_table((np.array(o, np.int64), e) for o, e in pieces)
+
+
+def reference_extreme_table(w, members, offsets, rows, fractions):
+    """``extreme_subset_sampler`` as one table, square by square."""
+    pieces = []
+    for n, block in _length_blocks(offsets, rows):
+        for frac in fractions:
+            k = max(1, round(frac * n))
+            for part in (slice(0, k), slice(n - k, n)):
+                for s in block:
+                    e = members[offsets[s] : offsets[s + 1]]
+                    pieces.append(([s], np.sort(e[np.argsort(w[e], kind="stable")][part])[None]))
+        pieces += [([s], members[offsets[s] : offsets[s + 1]][None]) for s in block]
+    return packed_table((np.array(o, np.int64), e) for o, e in pieces)
+
+
 class TestSubsetSamplers:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -188,15 +237,14 @@ class TestSubsetSamplers:
     def test_random_rows_are_k_subsets_of_their_square(self, lengths, pick, seed, repeats):
         members, offsets = _csr(lengths)
         rows = np.array([i for i, n in enumerate(lengths) if n > 0 and pick[i]], dtype=np.int64)
-        sub, sub_offsets, owner = random_subset_sampler(seed, FRACTIONS, repeats)(members, offsets, rows)
-        assert sub_offsets[0] == 0 and sub_offsets[-1] == len(sub) and len(sub_offsets) == len(owner) + 1
         counts = {}
-        for i, s in enumerate(owner):
-            row = sub[sub_offsets[i] : sub_offsets[i + 1]]
-            square = members[offsets[s] : offsets[s + 1]]
-            assert np.all(np.diff(row) > 0)          # distinct and ascending
-            assert np.isin(row, square).all()
-            counts[s, len(row)] = counts.get((s, len(row)), 0) + 1
+        for owner, subsets in random_subset_sampler(seed, FRACTIONS, repeats)(members, offsets, rows):
+            assert subsets.ndim == 2 and len(subsets) == len(owner)
+            for s, row in zip(owner, subsets):
+                square = members[offsets[s] : offsets[s + 1]]
+                assert np.all(np.diff(row) > 0)          # distinct and ascending
+                assert np.isin(row, square).all()
+                counts[s, len(row)] = counts.get((s, len(row)), 0) + 1
         expected = {}
         for s in rows:
             n = lengths[s]
@@ -206,12 +254,30 @@ class TestSubsetSamplers:
             expected[s, n] = expected.get((s, n), 0) + 1   # the full row
         assert counts == expected
 
-    def test_seed_fixes_the_table(self, squares):
-        table = [random_subset_sampler(seed)(squares.members, squares.offsets, squares.admissible())
+    def test_seed_fixes_the_pieces(self, squares):
+        draws = [list(random_subset_sampler(seed)(squares.members, squares.offsets, squares.admissible()))
                  for seed in (21, 21, 22)]
-        assert all(np.array_equal(a, b) for a, b in zip(table[0], table[1]))
-        assert not np.array_equal(table[0][0], table[2][0])
-        assert np.array_equal(table[0][1], table[2][1]) and np.array_equal(table[0][2], table[2][2])
+        assert len(draws[0]) == len(draws[1]) == len(draws[2])
+        for (o21, e21), (o21b, e21b), (o22, e22) in zip(*draws):
+            assert np.array_equal(o21, o21b) and np.array_equal(e21, e21b)
+            assert np.array_equal(o21, o22) and e21.shape == e22.shape
+        assert not all(np.array_equal(a[1], b[1]) for a, b in zip(draws[0], draws[2]))
+
+    @pytest.mark.parametrize("build", [build_unit_square, build_periodic_cell],
+                             ids=["unit_square", "periodic_cell"])
+    def test_pieces_pack_into_the_reference_table(self, build):
+        mesh = build(32)
+        ds = dyadic_squares(mesh, 4)
+        rows = ds.admissible()
+        w = np.exp(rng_from_seed(15).normal(size=mesh.n_triangles))
+        for seed in (0, 13):
+            got = packed_table(random_subset_sampler(seed)(ds.members, ds.offsets, rows))
+            want = reference_random_table(seed, ds.members, ds.offsets, rows)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        fractions = (1 / 8, 1 / 4, 1 / 2)
+        got = packed_table(extreme_subset_sampler(w, fractions)(ds.members, ds.offsets, rows))
+        want = reference_extreme_table(w, ds.members, ds.offsets, rows, fractions)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_inclusion_frequencies_binomial(self):
         # 400 copies each of a 10- and a 7-element square: every element of a
@@ -220,17 +286,19 @@ class TestSubsetSamplers:
         offsets = np.concatenate([np.arange(0, 4001, 10), 4000 + np.arange(7, 2801, 7)])
         rows = np.arange(800)
         repeats = 3
-        sub, sub_offsets, owner = random_subset_sampler(31, FRACTIONS, repeats)(members, offsets, rows)
-        lengths = np.diff(sub_offsets)
-        for n, base, squares_n in ((10, 0, owner < 400), (7, 10, owner >= 400)):
+        picked = {}   # (square length n, subset size k) -> the subsets drawn
+        for owner, subsets in random_subset_sampler(31, FRACTIONS, repeats)(members, offsets, rows):
+            n = 10 if owner[0] < 400 else 7
+            assert np.all((owner < 400) == (n == 10))
+            picked.setdefault((n, subsets.shape[1]), []).append(subsets)
+        for n, base in ((10, 0), (7, 10)):
             ks = [max(1, round(frac * n)) for frac in FRACTIONS]
             for k in set(ks):
-                rows_k = np.flatnonzero(squares_n & (lengths == k))
-                picked = np.concatenate([sub[sub_offsets[i] : sub_offsets[i + 1]] for i in rows_k])
+                drawn = np.concatenate(picked[n, k])
                 trials = 400 * repeats * ks.count(k)
-                assert len(rows_k) == trials
+                assert len(drawn) == trials
                 p = k / n
-                hits = np.bincount(picked - base, minlength=n)
+                hits = np.bincount(drawn.ravel() - base, minlength=n)
                 assert len(hits) == n
                 assert np.all(np.abs(hits - trials * p) <= 6 * math.sqrt(trials * p * (1 - p)))
 
@@ -238,18 +306,19 @@ class TestSubsetSamplers:
         w = np.exp(rng_from_seed(14).normal(size=square_mesh.n_triangles))
         fractions = (1 / 8, 1 / 2)
         rows = squares.admissible()
-        sub, sub_offsets, owner = extreme_subset_sampler(w, fractions)(squares.members, squares.offsets, rows)
-        assert np.array_equal(np.bincount(owner, minlength=len(squares))[rows], np.full(len(rows), 5))
+        got = {s: [] for s in rows}
+        for owner, subsets in extreme_subset_sampler(w, fractions)(squares.members, squares.offsets, rows):
+            for s, row in zip(owner, subsets):
+                got[s].append(row)
         for s in rows:
             e = squares.elements(s)
             order = e[np.argsort(w[e], kind="stable")]
-            got = [sub[sub_offsets[i] : sub_offsets[i + 1]] for i in np.flatnonzero(owner == s)]
             want = []
             for frac in fractions:
                 k = max(1, round(frac * len(e)))
                 want += [np.sort(order[:k]), np.sort(order[len(e) - k:])]
-            assert len(got) == len(want) + 1 and np.array_equal(got[-1], e)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert len(got[s]) == len(want) + 1 and np.array_equal(got[s][-1], e)
+            assert all(np.array_equal(a, b) for a, b in zip(got[s], want))
 
     @pytest.mark.parametrize("fractions", [(0.0, 0.5), (1 / 4, 1.0), (1.5,), (-0.1,)])
     def test_fractions_outside_unit_interval_rejected(self, square_mesh, fractions):
@@ -257,6 +326,32 @@ class TestSubsetSamplers:
             random_subset_sampler(0, fractions)
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             extreme_subset_sampler(np.ones(square_mesh.n_triangles), fractions)
+
+
+class TestProbeAgainstPackedTable:
+    @pytest.mark.parametrize("sampler", ["random", "extreme"])
+    @pytest.mark.parametrize("build", [build_unit_square, build_periodic_cell],
+                             ids=["unit_square", "periodic_cell"])
+    def test_fit_bit_equal(self, build, sampler):
+        # the reference reduces the whole packed table with row_dots, which regroups its rows by length
+        mesh = build(32)
+        ds = dyadic_squares(mesh, 4)
+        w = np.exp(rng_from_seed(16).normal(size=mesh.n_triangles))
+        rows, areas = ds.admissible(), mesh.areas
+        if sampler == "random":
+            fit = ainfty_probe(w, ds, random_subset_sampler(17))
+            members, offsets, owner = reference_random_table(17, ds.members, ds.offsets, rows)
+        else:
+            fit = ainfty_probe(w, ds, extreme_subset_sampler(w))
+            members, offsets, owner = reference_extreme_table(w, ds.members, ds.offsets, rows,
+                                                              (1 / 8, 1 / 4, 1 / 2))
+        t = row_dots(members, offsets, areas) / ds.area[owner]
+        r = row_dots(members, offsets, areas, w) / row_dots(ds.members, ds.offsets, areas, w)[owner]
+        assert fit.area_fractions.tobytes() == t.tobytes()
+        assert fit.mass_fractions.tobytes() == r.tobytes()
+        c_upper, delta = weights_diagnostics._envelope_fit(t, r, upper=True)
+        m_lower, eta = weights_diagnostics._envelope_fit(t, r, upper=False)
+        assert (fit.c_upper, fit.delta, fit.m_lower, fit.eta) == (c_upper, delta, m_lower, eta)
 
 
 @pytest.fixture(scope="module")
@@ -444,13 +539,12 @@ class TestAgainstSquareLoop:
     def test_ainfty_samples(self, reference_case):
         w, ds = reference_case
         areas = ds.mesh.areas
-        members, offsets, owner = random_subset_sampler(seed=13)(ds.members, ds.offsets, ds.admissible())
         t_ref, r_ref = [], []
-        for i, s in enumerate(owner):
-            e = ds.elements(s)
-            subset = members[offsets[i] : offsets[i + 1]]
-            t_ref.append(float(areas[subset].sum() / float(areas[e].sum())))
-            r_ref.append(float(np.dot(areas[subset], w[subset]) / float(np.dot(areas[e], w[e]))))
+        for owner, subsets in random_subset_sampler(seed=13)(ds.members, ds.offsets, ds.admissible()):
+            for s, subset in zip(owner, subsets):
+                e = ds.elements(s)
+                t_ref.append(float(areas[subset].sum() / float(areas[e].sum())))
+                r_ref.append(float(np.dot(areas[subset], w[subset]) / float(np.dot(areas[e], w[e]))))
         fit = ainfty_probe(w, ds, random_subset_sampler(seed=13))
         assert np.array_equal(fit.area_fractions, t_ref)
         assert np.array_equal(fit.mass_fractions, r_ref)
