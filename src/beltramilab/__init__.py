@@ -42,8 +42,7 @@ from .homogenization import (
     image_area,
 )
 from .sigma_harmonic import (
-    ComplexMap,
-    SigmaHarmonicMap,
+    PlanarMap,
     WirtingerField,
     beltrami_residual,
     equival_residual,

@@ -91,13 +91,13 @@ REQUIRED = object()  # the default of a key a config must give
 _AB = {"a": (REQUIRED, ()), "b": (REQUIRED, ())}
 # Every key a config may hold, per section ("" is the top level): key -> (default or REQUIRED,
 # check). A check is the shape of the finite numbers the value must be (() one number, None a
-# list of any length), int or bool for that exact JSON type, or None. Any other key is an
+# list of any length), int, bool or str for that exact JSON type, or None. Any other key is an
 # error. The tagged sections pick their table by family, kind or task; "sweep" is the table of a
 # sweep document.
 CONFIG_KEYS = {
-    "": {"task": (REQUIRED, None), "label": ("", None), "domain": ("unit_square", None),
+    "": {"task": (REQUIRED, str), "label": ("", None), "domain": ("unit_square", None),
          "resolution": (16, int), "coefficient": (None, None), "boundary": (None, None),
-         "solver": ({}, None), "seed": (None, int), "output_dir": ("out", None),
+         "solver": ({}, None), "seed": (None, int), "output_dir": ("out", str),
          "diagnostics": ({}, None)},
     "domain": {"regular_ngon": {"sides": (REQUIRED, int), "radius": (REQUIRED, ())}},
     "coefficient": {
@@ -108,21 +108,21 @@ CONFIG_KEYS = {
         # seed None: the top-level seed
         "random_piecewise": {"k_max": (5.0, ()), "cells": (4, int), "seed": (None, int),
                              "symmetric": (False, bool)},
-        "explicit": {"table": (REQUIRED, None), "cells": (REQUIRED, int)},
+        "explicit": {"table": (REQUIRED, (None, 2, 2)), "cells": (REQUIRED, int)},
         "beltrami": {"mu": (REQUIRED, (2,)), "nu": (REQUIRED, (2,))},
     },
     # only these tasks read boundary data, each its own kinds
-    "boundary": {"solve": {"affine": {"coefficients": (REQUIRED, (3,))}, "samples": {"values": (REQUIRED, None)}},
-                 "primary-pair": {"polygon_trace": {"vertices": (REQUIRED, None)}}},
+    "boundary": {"solve": {"affine": {"coefficients": (REQUIRED, (3,))}, "samples": {"values": (REQUIRED, (None,))}},
+                 "primary-pair": {"polygon_trace": {"vertices": (REQUIRED, (None, 2))}}},
     "solver": {"method": ("direct_lu", None), "tolerance": (1e-10, ())},
     "diagnostics": {
-        "convert": {"tau_oracle": (False, None)}, "solve": {}, "primary-pair": {},
-        "cell": {"affine_part": ([[1, 0], [0, 1]], (2, 2))}, "homogenize": {"area_check": (False, None)},
+        "convert": {"tau_oracle": (False, bool)}, "solve": {}, "primary-pair": {},
+        "cell": {"affine_part": ([[1, 0], [0, 1]], (2, 2))}, "homogenize": {"area_check": (False, bool)},
         # subset_seed None: the top-level seed or 0; p_list None: 2 and half the critical exponent
         "diagnose": {"max_level": (4, int), "subset_seed": (None, int), "theta_grid": ((0.5, 1.0), (None,)),
                      "p_list": (None, (None,))},
     },
-    "sweep": {"sweep": (REQUIRED, None), "output_dir": ("sweep_out", None)},
+    "sweep": {"sweep": (REQUIRED, None), "output_dir": ("sweep_out", str)},
 }
 # Tasks that need one kind of domain: (periodic, message when it is the other kind).
 DOMAIN_NEEDS = {
@@ -215,6 +215,9 @@ class ExperimentConfig:
                    solver=solver, output_dir=top["output_dir"], diagnostics=diagnostics, raw=raw)
 
 
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
+
+
 def _section(name: str, entries, keys: dict, tag: str | None = None) -> dict:
     """Check one config section against its table of keys; return a copy with the defaults filled in.
 
@@ -236,8 +239,8 @@ def _section(name: str, entries, keys: dict, tag: str | None = None) -> dict:
             raise ConfigError(path, f"unknown key{what}; known keys: {known}")
         check = keys[key][1]
         # an exact type test: to isinstance a bool is an int
-        if check in (int, bool) and type(value) is not check:
-            raise ConfigError(path, f"must be {'an integer' if check is int else 'true or false'}, got {value!r}")
+        if check in _TYPE_NAMES and type(value) is not check:
+            raise ConfigError(path, f"must be {_TYPE_NAMES[check]}, got {value!r}")
         if isinstance(check, tuple) and not _finite_numbers(value, check):
             dims = ", ".join("n" if d is None else str(d) for d in check)
             shape = f"finite numbers of shape ({dims})" if check else "a finite number"
@@ -431,26 +434,31 @@ def _task_solve(cfg: ExperimentConfig, out: Path) -> RunRecord:
     return RunRecord("solve", metrics, invariants, artifacts)
 
 
+def _map_report(U) -> tuple[dict, dict]:
+    """The min_det and injectivity metrics of a planar map, and its jacobian_positive invariant."""
+    locally, globally = injectivity_check(U)
+    min_det = float(U.det_DU.min())
+    metrics = {"min_det": min_det, "locally_injective": locally, "globally_injective": globally}
+    return metrics, _invariant("jacobian_positive", min_det > 0.0, min_det, 0.0)
+
+
 def _primary_pair_metrics(sigma, Phi, Psi, U) -> tuple[dict, list[dict]]:
     eq = equival_residual(Phi, Psi, sigma, U)
     mu_e, nu_e = beltrami_from_sigma_batch(sigma.matrices)
     w = wirtinger_exact(sigma, U.u1)
     br = beltrami_residual(w, (mu_e, nu_e))
-    locally, globally = injectivity_check(U)
+    metrics, positive = _map_report(U)
     loop = U.mesh.boundary_loop
     unimodal, strict, _ = unimodality_check(U.u1.values[loop])
-    metrics = {
-        "min_det": float(U.det_DU.min()),
+    metrics.update({
         "max_det": float(U.det_DU.max()),
         "equival_max": float(eq.max()),
         "beltrami_residual_max": float(br.max()),
-        "locally_injective": locally,
-        "globally_injective": globally,
         "boundary_unimodal": unimodal,
         "boundary_strictly_unimodal": strict,
-    }
+    })
     invariants = [
-        _invariant("jacobian_positive", metrics["min_det"] > 0.0, metrics["min_det"], 0.0),
+        positive,
         _invariant("equival_identity", metrics["equival_max"] <= 1e-12, metrics["equival_max"], 1e-12),
         _invariant(
             "beltrami_consistency",
@@ -466,26 +474,20 @@ def _task_primary_pair(cfg: ExperimentConfig, out: Path) -> RunRecord:
     if cfg.boundary is not None:  # kind "polygon_trace", the one from_dict admits here
         v1, v2 = _trace_by_arclength(mesh, cfg.boundary["vertices"])
         U = sigma_harmonic_map(sigma, v1, v2, cfg.solver)
-        locally, globally = injectivity_check(U)
-        metrics = {
-            "min_det": float(U.det_DU.min()),
-            "locally_injective": locally,
-            "globally_injective": globally,
-        }
-        invariants = [_invariant("jacobian_positive", metrics["min_det"] > 0.0, metrics["min_det"], 0.0)]
+        metrics, positive = _map_report(U)
         artifacts = _export_mesh(mesh, out)
         export_vertex_values_csv(
             mesh, np.column_stack([U.u1.values, U.u2.values]), out / "map.csv", name="u"
         )
         artifacts.append("map.csv")
-        return RunRecord("primary-pair", metrics, invariants, artifacts)
+        return RunRecord("primary-pair", metrics, [positive], artifacts)
 
     Phi, Psi, U = primary_pair(sigma, cfg.solver)
     metrics, invariants = _primary_pair_metrics(sigma, Phi, Psi, U)
     artifacts = _export_mesh(mesh, out)
     export_vertex_values_csv(
         mesh,
-        np.column_stack([U.u1.values, Phi.im.values, U.u2.values, Psi.im.values]),
+        np.column_stack([U.u1.values, Phi.u2.values, U.u2.values, Psi.u2.values]),
         out / "pair.csv",
         name="f",
     )
@@ -498,17 +500,11 @@ def _task_cell(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
     A = np.asarray(cfg.diagnostics["affine_part"], dtype=float)
     cm = cell_map(sigma, A, cfg.solver)
-    locally, globally = injectivity_check(cm.U)
-    metrics = {
-        "affine_part": A.tolist(),
-        "linearity_error": cm.linearity_error,
-        "min_det": float(cm.U.det_DU.min()),
-        "locally_injective": locally,
-        "globally_injective": globally,
-    }
+    metrics, positive = _map_report(cm.U)
+    metrics.update(affine_part=A.tolist(), linearity_error=cm.linearity_error)
     invariants = [
         _invariant("cell_linearity", cm.linearity_error <= 1e-8, cm.linearity_error, 1e-8),
-        _invariant("jacobian_positive", metrics["min_det"] > 0.0, metrics["min_det"], 0.0),
+        positive,
     ]
     artifacts = _export_mesh(mesh, out)
     export_vertex_values_csv(
@@ -689,9 +685,10 @@ def sweep(raw_configs: list[dict], out_dir) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = {raw.get("task") for raw in raw_configs if isinstance(raw, dict)}
+    # a task that is not a string (or no task) is its row's config error, not a second task
+    tasks = {raw["task"] for raw in raw_configs if isinstance(raw, dict) and isinstance(raw.get("task"), str)}
     if len(tasks) > 1:
-        raise ConfigError("sweep", f"sweep must be homogeneous in task, got {sorted(map(str, tasks))}")
+        raise ConfigError("sweep", f"sweep must be homogeneous in task, got {sorted(tasks)}")
     rows = []
     for i, raw in enumerate(raw_configs):
         row = {c: "" for c in SWEEP_COLUMNS}

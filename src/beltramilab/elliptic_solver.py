@@ -61,6 +61,13 @@ LU_PANEL_SIZE = 4
 
 @dataclass
 class SolveOptions:
+    """Options of every linear solve.
+
+    ``tolerance`` is the relative residual each column must meet, with a
+    floor of 1e-8: the gate is max(tolerance, 1e-8), so the default 1e-10
+    acts as 1e-8.
+    """
+
     tolerance: float = 1e-10
 
     def __post_init__(self):
@@ -128,10 +135,10 @@ def _solve_system(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions) ->
     """Solve for one right-hand side (n,) or a stack (n, k) with one LU factorization.
 
     SuperLU factors once and back-substitutes column by column.  Every column
-    must meet the relative-residual tolerance; the stats report the worst
-    column, the factor fill (nonzeros of L and U), the column ordering and
-    the panel size.  A CSC matrix is factored as it is (``tocsc`` of a CSC
-    matrix is no copy).
+    must meet the relative residual max(opts.tolerance, 1e-8); the stats
+    report the worst column, the factor fill (nonzeros of L and U), the
+    column ordering and the panel size.  A CSC matrix is factored as it is
+    (``tocsc`` of a CSC matrix is no copy).
     """
     columns = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
     try:
@@ -151,9 +158,9 @@ def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: list[np.ndarra
                    columns: np.ndarray, opts: SolveOptions, **stats) -> dict:
     """Residual gate and solve stats shared by the sparse and the lattice transform solves.
 
-    Every column must meet the relative-residual tolerance (a NaN residual
-    fails too); the stats report the worst column and are logged as one
-    parseable ``linear solve:`` line.
+    Every column must meet the relative residual max(opts.tolerance, 1e-8)
+    (a NaN residual fails too); the stats report the worst column and are
+    logged as one parseable ``linear solve:`` line.
     """
     residual = rel = 0.0
     for x, b in zip(xs, columns):
@@ -295,8 +302,8 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) 
     torus.  The constant mode (the kernel) is dropped, so the solution is
     fixed only up to the constant the caller anchors.  Each column is
     transformed on its own, so stacked and single solves are bit-equal.
-    The residual gate of ``_solve_system`` applies, at ``opts.tolerance``,
-    on the full singular system.
+    The residual gate of ``_solve_system`` applies, at
+    max(opts.tolerance, 1e-8), on the full singular system.
     """
     if periodic:
         lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -414,8 +421,9 @@ def stream_function(
     mismatch (decreases under refinement; zero when the target is exact).
     A list of fields gives a list of (field, residual) pairs from one solve
     of the mesh Laplacian: a DCT-I (square) or FFT (torus) transform when
-    ``lattice_resolution`` recognises the mesh, gated at ``opts.tolerance``
-    like the LU, else one factorization with dof 0 eliminated.
+    ``lattice_resolution`` recognises the mesh, gated at
+    max(opts.tolerance, 1e-8) like the LU, else one factorization with dof
+    0 eliminated.
     """
     opts = opts or SolveOptions()
     mesh = sigma.mesh

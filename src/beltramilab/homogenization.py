@@ -17,14 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic_solver import SolveOptions, mean_flux, solve_periodic_cell, stream_function
-from .grid import ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
-from .sigma_harmonic import (
-    ComplexMap,
-    SigmaHarmonicMap,
-    _det_from_gradients,
-    injectivity_check,
-    make_map,
-)
+from .grid import ElementMatrixField, ScalarFieldP1, element_gradient
+from .sigma_harmonic import PlanarMap, injectivity_check
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +47,7 @@ class CellMap:
     """Periodic solution pair U with U - A x periodic; A need not be symmetric."""
 
     A: np.ndarray
-    U: SigmaHarmonicMap
+    U: PlanarMap
     linearity_error: float  # max nodal gap between U^A and A U^I
 
 
@@ -113,45 +107,37 @@ def cell_map(
     )
     if np.linalg.det(A) == 0.0:
         log.warning("affine part is singular; homeomorphism checks are skipped")
-    return CellMap(A=A, U=make_map(u1, u2), linearity_error=err)
+    return CellMap(A=A, U=PlanarMap(u1, u2), linearity_error=err)
 
 
 def cell_complex_map(
     sigma: ElementMatrixField, u: ScalarFieldP1, opts: SolveOptions | None = None
-) -> tuple[ComplexMap, float]:
+) -> tuple[PlanarMap, float]:
     """u + i * (recovered stream of u) on the unwrapped cell, for a solved cell field u."""
     ut, resid = stream_function(sigma, u, opts)
-    return ComplexMap(u, ut), resid
+    return PlanarMap(u, ut), resid
 
 
-def _element_dets(map_like) -> tuple[TriMesh, np.ndarray]:
-    if isinstance(map_like, SigmaHarmonicMap):
-        return map_like.mesh, map_like.det_DU
-    if isinstance(map_like, ComplexMap):
-        return map_like.mesh, _det_from_gradients(
-            element_gradient(map_like.re), element_gradient(map_like.im)
-        )
-    raise TypeError(f"expected a map, got {type(map_like)!r}")
-
-
-def image_area(map_like, region: np.ndarray | None = None, detailed: bool = False):
+def image_area(U: PlanarMap, region: np.ndarray | None = None, detailed: bool = False):
     """Area of the image of a region: sum of |det| times element area.
 
-    ``region`` is an element index array (default: the whole mesh).  If the
-    map is not injective on the region the unsigned integral overcounts
-    folds; a warning is emitted and, with ``detailed=True``, the signed
-    (overlap-corrected) estimate is returned alongside.
+    ``region`` is an element index array (default: the whole mesh).  On the
+    whole mesh a locally injective map must also pass the global
+    ``injectivity_check``.  If the map is not injective on the region the
+    unsigned integral overcounts folds; a warning is emitted and, with
+    ``detailed=True``, the signed (overlap-corrected) estimate is returned
+    alongside.
     """
-    mesh, dets = _element_dets(map_like)
+    mesh = U.mesh
     if region is None:
         region = np.arange(mesh.n_triangles)
     areas = mesh.areas[region]
-    d = dets[region]
+    d = U.det_DU[region]
     unsigned = float(np.dot(np.abs(d), areas))
     signed = float(np.dot(d, areas))
     injective = bool(np.all(d > 0))
-    if isinstance(map_like, SigmaHarmonicMap) and len(region) == mesh.n_triangles and injective:
-        _, injective = injectivity_check(map_like)
+    if len(region) == mesh.n_triangles and injective:
+        _, injective = injectivity_check(U)
     if not injective:
         log.warning(
             "map not injective on the region: unsigned image area %.6g, "
@@ -163,7 +149,7 @@ def image_area(map_like, region: np.ndarray | None = None, detailed: bool = Fals
 
 
 def area_formula_check(
-    U, phi, region: np.ndarray | None = None
+    U: PlanarMap, phi, region: np.ndarray | None = None
 ) -> tuple[float, float, float]:
     """Compare the two sides of the change-of-variables formula for phi.
 
@@ -172,18 +158,14 @@ def area_formula_check(
     over the image triangles.  Returns (lhs, rhs, relative gap); the gap
     measures the one-point quadrature error and decays under refinement.
     """
-    mesh, dets = _element_dets(U)
+    mesh = U.mesh
     if region is None:
         region = np.arange(mesh.n_triangles)
-    if isinstance(U, SigmaHarmonicMap):
-        comp1, comp2 = U.u1.values, U.u2.values
-    else:
-        comp1, comp2 = U.re.values, U.im.values
     tris = mesh.triangles[region]
     areas = mesh.areas[region]
-    d = dets[region]
+    d = U.det_DU[region]
 
-    img = np.stack([comp1[tris], comp2[tris]], axis=-1)  # (m, 3, 2) image vertices
+    img = np.stack([U.u1.values[tris], U.u2.values[tris]], axis=-1)  # (m, 3, 2) image vertices
     img_bary = img.mean(axis=1)
     lhs = float(np.dot(phi(img_bary) * np.abs(d), areas))
 

@@ -13,12 +13,17 @@ conjugate coexist on purpose:
   triangulations, areas, injectivity).
 
 Each operation documents which convention it uses.
+
+Every map here is one type, ``PlanarMap(u1, u2)``: the solution pair
+U = (u1, u2) and the complex map f = u + i*utilde alike, with its Jacobian
+field ``det_DU`` computed on first read.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,22 +35,30 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class ComplexMap:
-    """Complex-valued P1 map F = re + i*im on a shared mesh."""
+class PlanarMap:
+    """P1 planar map U = (u1, u2) on a shared mesh, also read as f = u1 + i*u2.
 
-    re: ScalarFieldP1
-    im: ScalarFieldP1
+    ``det_DU`` is the per-element Jacobian determinant of the P1 gradients
+    (recovered convention), computed on first read.
+    """
+
+    u1: ScalarFieldP1
+    u2: ScalarFieldP1
 
     def __post_init__(self):
-        if self.re.mesh is not self.im.mesh:
+        if self.u1.mesh is not self.u2.mesh:
             raise ValueError("both components must live on the same mesh")
 
     @property
     def mesh(self) -> TriMesh:
-        return self.re.mesh
+        return self.u1.mesh
 
     def vertex_values(self) -> np.ndarray:
-        return self.re.values + 1j * self.im.values
+        return self.u1.values + 1j * self.u2.values
+
+    @cached_property
+    def det_DU(self) -> np.ndarray:
+        return _det_from_gradients(element_gradient(self.u1), element_gradient(self.u2))
 
 
 @dataclass
@@ -55,24 +68,6 @@ class WirtingerField:
     mesh: TriMesh
     f_z: np.ndarray
     f_zbar: np.ndarray
-
-
-@dataclass
-class SigmaHarmonicMap:
-    """Pair of scalar solutions viewed as a planar map, with its Jacobian field."""
-
-    u1: ScalarFieldP1
-    u2: ScalarFieldP1
-    det_DU: np.ndarray
-
-    @property
-    def mesh(self) -> TriMesh:
-        return self.u1.mesh
-
-
-def make_map(u1: ScalarFieldP1, u2: ScalarFieldP1) -> SigmaHarmonicMap:
-    det = _det_from_gradients(element_gradient(u1), element_gradient(u2))
-    return SigmaHarmonicMap(u1=u1, u2=u2, det_DU=det)
 
 
 def _det_from_gradients(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -85,10 +80,10 @@ def wirtinger_from_gradients(grad_re: np.ndarray, grad_im: np.ndarray, mesh: Tri
     return WirtingerField(mesh=mesh, f_z=f_z, f_zbar=f_zbar)
 
 
-def wirtinger(F: ComplexMap) -> WirtingerField:
+def wirtinger(F: PlanarMap) -> WirtingerField:
     """Per-element Wirtinger derivatives of a P1 complex map (recovered convention)."""
     return wirtinger_from_gradients(
-        element_gradient(F.re), element_gradient(F.im), F.mesh
+        element_gradient(F.u1), element_gradient(F.u2), F.mesh
     )
 
 
@@ -98,7 +93,7 @@ def wirtinger_exact(sigma: ElementMatrixField, u: ScalarFieldP1) -> WirtingerFie
 
 
 def beltrami_residual(
-    F: ComplexMap | WirtingerField,
+    F: PlanarMap | WirtingerField,
     pair: BeltramiPair | tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Per-element |f_zbar - mu f_z - nu conj(f_z)|.
@@ -152,12 +147,12 @@ def check_convex_domain(mesh: TriMesh) -> None:
 
 def primary_pair(
     sigma: ElementMatrixField, opts: SolveOptions | None = None
-) -> tuple[ComplexMap, ComplexMap, SigmaHarmonicMap]:
+) -> tuple[PlanarMap, PlanarMap, PlanarMap]:
     """Coordinate-data solution pair on a convex domain.
 
     Solves the two Dirichlet problems with data x1 and x2, reconstructs
-    the recovered stream functions, and returns Phi = u1 + i*ut1,
-    Psi = u2 + i*ut2 and the map U = (u1, u2) with its Jacobian field.
+    the recovered stream functions, and returns the maps Phi = u1 + i*ut1,
+    Psi = u2 + i*ut2 and U = (u1, u2).
     """
     mesh = sigma.mesh
     check_convex_domain(mesh)
@@ -165,11 +160,7 @@ def primary_pair(
     u1, u2 = solve_dirichlet(sigma, lambda p: p, opts)
     (ut1, res1), (ut2, res2) = stream_function(sigma, [u1, u2], opts)
     log.info("primary pair stream residuals: %.3e %.3e", res1, res2)
-    return (
-        ComplexMap(u1, ut1),
-        ComplexMap(u2, ut2),
-        make_map(u1, u2),
-    )
+    return PlanarMap(u1, ut1), PlanarMap(u2, ut2), PlanarMap(u1, u2)
 
 
 def boundary_embedding_is_convex(points: np.ndarray) -> bool:
@@ -182,7 +173,7 @@ def sigma_harmonic_map(
     phi1,
     phi2,
     opts: SolveOptions | None = None,
-) -> SigmaHarmonicMap:
+) -> PlanarMap:
     """Dirichlet solves for the two components of vector boundary data (phi1, phi2).
 
     When the sampled boundary data is not a sense-preserving convex
@@ -200,8 +191,7 @@ def sigma_harmonic_map(
             "boundary data is not a sense-preserving convex embedding; "
             "injectivity is not guaranteed"
         )
-    u1, u2 = solve_dirichlet(sigma, np.column_stack([v1, v2]), opts)
-    return make_map(u1, u2)
+    return PlanarMap(*solve_dirichlet(sigma, np.column_stack([v1, v2]), opts))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +200,7 @@ def sigma_harmonic_map(
 
 
 def equival_residual(
-    Phi: ComplexMap, Psi: ComplexMap, sigma: ElementMatrixField, U: SigmaHarmonicMap
+    Phi: PlanarMap, Psi: PlanarMap, sigma: ElementMatrixField, U: PlanarMap
 ) -> np.ndarray:
     """Per-element residual of the mixed-derivative Jacobian identity.
 
@@ -223,8 +213,8 @@ def equival_residual(
     exactly, element by element; the factor 1/4 carries the two Wirtinger
     1/2 factors.  The returned residual is the absolute gap.
     """
-    w1 = wirtinger_exact(sigma, Phi.re)
-    w2 = wirtinger_exact(sigma, Psi.re)
+    w1 = wirtinger_exact(sigma, Phi.u1)
+    w2 = wirtinger_exact(sigma, Psi.u1)
     lhs = np.imag(w1.f_z * np.conj(w2.f_z))
     _, gauge = _det_and_gauge(sigma.matrices)
     rhs = 0.25 * gauge * U.det_DU
@@ -373,7 +363,7 @@ def polygon_is_simple(pts: np.ndarray) -> bool:
     return not bool(hits.any())
 
 
-def injectivity_check(U: SigmaHarmonicMap) -> tuple[bool, bool]:
+def injectivity_check(U: PlanarMap) -> tuple[bool, bool]:
     """Local and global injectivity flags for a P1 map.
 
     Local: det DU > 0 on every triangle (strict, no tolerance).  Global:
@@ -419,10 +409,10 @@ class TauPushforward:
     l1_resid_lower: float
 
 
-def image_mesh_of(f: ComplexMap) -> TriMesh:
+def image_mesh_of(f: PlanarMap) -> TriMesh:
     """Mesh with vertices mapped through f, same connectivity (f must be injective)."""
     mesh = f.mesh
-    verts = np.column_stack([f.re.values, f.im.values])
+    verts = np.column_stack([f.u1.values, f.u2.values])
     return TriMesh(
         vertices=verts,
         triangles=mesh.triangles.copy(),
@@ -430,14 +420,14 @@ def image_mesh_of(f: ComplexMap) -> TriMesh:
     )
 
 
-def change_coordinates(U: SigmaHarmonicMap, f: ComplexMap) -> tuple[TriMesh, SigmaHarmonicMap]:
+def change_coordinates(U: PlanarMap, f: PlanarMap) -> tuple[TriMesh, PlanarMap]:
     """Express the map U in the coordinates produced by f (recovered convention).
 
     The transported map keeps the nodal values of (u1, u2) but lives on the
     image triangulation, so its per-element gradients are DU Df^{-1} by the
     P1 chain rule and its Jacobian field is det DU / det Df.
     """
-    locally, globally = injectivity_check(make_map(f.re, f.im))
+    locally, globally = injectivity_check(f)
     if not locally:
         raise ValueError("coordinate map is not locally injective; cannot change coordinates")
     if not globally:
@@ -445,11 +435,11 @@ def change_coordinates(U: SigmaHarmonicMap, f: ComplexMap) -> tuple[TriMesh, Sig
     img = image_mesh_of(f)
     v1 = ScalarFieldP1(img, U.u1.values.copy())
     v2 = ScalarFieldP1(img, U.u2.values.copy())
-    return img, make_map(v1, v2)
+    return img, PlanarMap(v1, v2)
 
 
 def pushforward_tau(
-    sigma: ElementMatrixField, f: ComplexMap, convention: str = "recovered"
+    sigma: ElementMatrixField, f: PlanarMap, convention: str = "recovered"
 ) -> TauPushforward:
     """Transported coefficient with the chosen gradient convention for Df.
 
@@ -461,16 +451,17 @@ def pushforward_tau(
     flagged and excluded from the reported L1 norms.
     """
     mesh = f.mesh
-    grad_re = element_gradient(f.re)
+    grad_re = element_gradient(f.u1)
     if convention == "recovered":
-        grad_im = element_gradient(f.im)
+        grad_im = element_gradient(f.u2)
+        det_df = f.det_DU
     elif convention == "exact":
-        grad_im = rotated_flux(sigma, f.re)
+        grad_im = rotated_flux(sigma, f.u1)
+        det_df = _det_from_gradients(grad_re, grad_im)
     else:
         raise ValueError(f"unknown convention {convention!r}")
 
     df = np.stack([grad_re, grad_im], axis=1)  # rows: gradients of the components
-    det_df = _det_from_gradients(grad_re, grad_im)
     if np.any(det_df <= 0):
         raise ValueError("coordinate map is not locally injective (det Df <= 0 somewhere)")
     scale = float(np.median(det_df))

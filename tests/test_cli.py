@@ -438,12 +438,12 @@ class TestSweep:
     def test_non_finite_coefficient_recorded_and_sweep_continues(self, tmp_path):
         good = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
                 "coefficient": {"family": "laminate", "a": 1, "b": 5}}
-        # an explicit table is not type-checked, so its NaN reaches the coefficient validation
+        # an explicit table is type-checked, so its NaN is reported with its key
         bad = {**good, "coefficient": {"family": "explicit", "table": [[[float("nan"), 0], [0, 1]]], "cells": 1}}
         path = sweep([bad, good], tmp_path / "sweep")
         lines = path.read_text().splitlines()
         assert len(lines) == 3
-        assert ",error," in lines[1] and "element 0: non-finite coefficient" in lines[1]
+        assert ",error," in lines[1] and "'coefficient.table': must be finite numbers of shape (n, 2, 2)" in lines[1]
         assert ",ok," in lines[2]
 
     @pytest.mark.parametrize("solver, message", [
@@ -493,6 +493,17 @@ class TestSweep:
         "diagnose": {"task": "diagnose", "domain": "unit_square", "resolution": 32, "seed": 0,
                      "coefficient": {"family": "checkerboard", "a": 1, "b": 4},
                      "diagnostics": {"max_level": 3, "subset_seed": 5}},
+        "convert": {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]},
+                    "diagnostics": {"tau_oracle": False}},
+        # unit_square at resolution 4 has 16 boundary vertices
+        "samples": {"task": "solve", "resolution": 4,
+                    "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+                    "boundary": {"kind": "samples", "values": [float(k % 4) for k in range(16)]}},
+        "trace": {"task": "primary-pair", "resolution": 8,
+                  "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+                  "boundary": {"kind": "polygon_trace", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}},
+        "explicit": {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
+                     "coefficient": {"family": "explicit", "table": [[[2, 0], [0, 1]]], "cells": 1}},
     }
 
     @pytest.mark.parametrize("base, field, value", [
@@ -516,6 +527,15 @@ class TestSweep:
         ("laminate", "coefficient.family", ["laminate"]), ("ngon", "boundary.kind", ["affine"]),
         # boundary data for a task that reads none
         ("laminate", "boundary", {"kind": "affine", "coefficients": [0.5, 1.0, -2.0]}),
+        # flags that a non-empty string would turn on
+        ("convert", "diagnostics.tau_oracle", "false"), ("laminate", "diagnostics.area_check", "no"),
+        # arrays that numpy would read with booleans as 0/1, or fail on when ragged
+        ("samples", "boundary.values", [k % 2 == 0 for k in range(16)]),
+        ("trace", "boundary.vertices", [[True, False], [False, True], [True, True]]),
+        ("trace", "boundary.vertices", [[1, 0], [0, 1, 2], [-1, 0]]),
+        ("explicit", "coefficient.table", [[[True, False], [False, True]]]),
+        # a task that is not a string is this row's error, not a second task of the sweep
+        ("laminate", "task", ["homogenize"]), ("laminate", "task", {"name": "homogenize"}),
     ])
     def test_bad_scalar_type_recorded_and_sweep_continues(self, tmp_path, base, field, value):
         good = self.SCALAR_GOOD[base]
@@ -577,6 +597,12 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert ",error," in lines[1] and "no admissible twice-inside square" in lines[1]
         assert ",ok," in lines[2]
+
+    def test_unhashable_task_is_an_error_row(self, tmp_path):
+        path = sweep([{"task": ["solve"]}], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2
+        assert ",error," in lines[1] and "config field 'task': must be a string" in lines[1]
 
     def test_heterogeneous_tasks_rejected(self, tmp_path):
         a = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0, 0], "nu": [0, 0]}}
@@ -683,6 +709,17 @@ class TestMainEntry:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert any("config field 'output': unknown key" in m for m in errors)
         assert not (tmp_path / "sweep_out").exists() and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("verb", ["solve", "sweep"])
+    def test_non_string_output_dir_exits_one(self, tmp_path, monkeypatch, caplog, verb):
+        monkeypatch.chdir(tmp_path)
+        good = {"task": "solve", "resolution": 8,
+                "coefficient": {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]}}
+        doc = {"sweep": [good], "output_dir": 5} if verb == "sweep" else {**good, "output_dir": 5}
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert main([verb, "--config", str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert any("config field 'output_dir': must be a string, got 5" in m for m in errors)
 
     def test_sweep_verb_exits_one_unless_every_row_ok(self, tmp_path, capsys):
         good = {"task": "solve", "resolution": 8,

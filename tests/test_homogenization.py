@@ -24,7 +24,7 @@ from beltramilab.homogenization import (
     image_area,
     mean_matrices,
 )
-from beltramilab.sigma_harmonic import injectivity_check, make_map
+from beltramilab.sigma_harmonic import PlanarMap, injectivity_check
 
 
 class TestEffectiveConductivity:
@@ -159,7 +159,7 @@ class TestImageArea:
     def test_affine_region(self):
         m = build_unit_square(8)
         A = np.array([[2.0, 1.0], [0.0, 1.5]])
-        aff = make_map(
+        aff = PlanarMap(
             ScalarFieldP1(m, m.vertices @ A[0]),
             ScalarFieldP1(m, m.vertices @ A[1]),
         )
@@ -178,7 +178,7 @@ class TestImageArea:
 
     def test_non_injective_warns_with_corrected_estimate(self):
         m = build_unit_square(8)
-        fold = make_map(
+        fold = PlanarMap(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, np.abs(m.vertices[:, 1] - 0.5)),
         )
@@ -187,11 +187,23 @@ class TestImageArea:
         assert unsigned == pytest.approx(1.0)          # both folds counted
         assert corrected == pytest.approx(0.0, abs=1e-12)  # signed cancellation
 
+    def test_locally_positive_map_that_wraps_is_not_injective(self):
+        # angle 3*pi*x, radius 2 - y: det DU = 3*pi*r > 0 on every triangle,
+        # but the image winds 1.5 turns and its boundary crosses itself
+        m = build_unit_square(16)
+        x, y = m.vertices.T
+        r, theta = 2 - y, 3 * np.pi * x
+        f = PlanarMap(ScalarFieldP1(m, r * np.cos(theta)), ScalarFieldP1(m, r * np.sin(theta)))
+        assert f.det_DU.min() > 0.0
+        unsigned, corrected, injective = image_area(f, detailed=True)
+        assert not injective
+        assert unsigned == corrected == pytest.approx(13.3337, abs=1e-4)
+
 
 class TestAreaFormula:
     def test_constant_function_reduces_to_image_area(self):
         m = build_unit_square(8)
-        ident = make_map(
+        ident = PlanarMap(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, m.vertices[:, 1].copy()),
         )
@@ -201,7 +213,7 @@ class TestAreaFormula:
 
     def test_linear_function_identity_map(self):
         m = build_unit_square(8)
-        ident = make_map(
+        ident = PlanarMap(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, m.vertices[:, 1].copy()),
         )

@@ -8,7 +8,7 @@ from beltramilab.coefficients import constant_field, hall_field, laminate_field,
 from beltramilab.elliptic_solver import solve_dirichlet
 from beltramilab.grid import ScalarFieldP1, _square_boundary_loop, build_unit_square, element_gradient
 from beltramilab.sigma_harmonic import (
-    ComplexMap,
+    PlanarMap,
     _box_pairs_sharing_a_cell,
     _segments_cross,
     beltrami_residual,
@@ -16,7 +16,6 @@ from beltramilab.sigma_harmonic import (
     change_coordinates,
     equival_residual,
     injectivity_check,
-    make_map,
     polygon_is_simple,
     primary_pair,
     pushforward_tau,
@@ -29,7 +28,7 @@ from beltramilab.sigma_harmonic import (
 
 
 def coordinate_map(mesh):
-    return make_map(
+    return PlanarMap(
         ScalarFieldP1(mesh, mesh.vertices[:, 0].copy()),
         ScalarFieldP1(mesh, mesh.vertices[:, 1].copy()),
     )
@@ -59,7 +58,7 @@ class TestPrimaryPair:
         assert np.abs(U.u1.values - m.vertices[:, 0]).max() < 1e-12
         assert np.abs(U.u2.values - m.vertices[:, 1]).max() < 1e-12
         expected_stream = b * m.vertices[:, 0] + a * m.vertices[:, 1]
-        assert np.abs(Phi.im.values - expected_stream).max() < 1e-11
+        assert np.abs(Phi.u2.values - expected_stream).max() < 1e-11
 
     def test_random_piecewise_jacobian_positive(self):
         m = build_unit_square(32)
@@ -85,11 +84,11 @@ class TestWirtinger:
     def test_z_and_zbar(self):
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
-        z = ComplexMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, y.copy()))
+        z = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, y.copy()))
         w = wirtinger(z)
         assert np.abs(w.f_z - 1.0).max() < 1e-14
         assert np.abs(w.f_zbar).max() < 1e-14
-        zbar = ComplexMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, -y))
+        zbar = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, -y))
         w = wirtinger(zbar)
         assert np.abs(w.f_z).max() < 1e-14
         assert np.abs(w.f_zbar - 1.0).max() < 1e-14
@@ -98,7 +97,7 @@ class TestWirtinger:
         a, b = 0.7, 0.4
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
-        F = ComplexMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, b * x + a * y))
+        F = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, b * x + a * y))
         w = wirtinger(F)
         assert np.abs(w.f_z - (1 + a + 1j * b) / 2).max() < 1e-14
         assert np.abs(w.f_zbar - (1 - a + 1j * b) / 2).max() < 1e-14
@@ -108,7 +107,7 @@ class TestBeltramiResidual:
     def test_identity_conformal(self):
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
-        F = ComplexMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, y.copy()))
+        F = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, y.copy()))
         res = beltrami_residual(F, BeltramiPair(0, 0))
         assert res.max() < 1e-14
 
@@ -152,7 +151,7 @@ class TestJacobianAndEquival:
         ident = coordinate_map(m)
         assert np.abs(ident.det_DU - 1.0).max() < 1e-13
         A = np.array([[2.0, 1.0], [0.5, 1.5]])
-        aff = make_map(
+        aff = PlanarMap(
             ScalarFieldP1(m, m.vertices @ A[0]),
             ScalarFieldP1(m, m.vertices @ A[1]),
         )
@@ -218,7 +217,7 @@ class TestInjectivity:
 
     def test_folding_map(self):
         m = build_unit_square(8)
-        fold = make_map(
+        fold = PlanarMap(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, np.abs(m.vertices[:, 1] - 0.5)),
         )
@@ -388,7 +387,7 @@ class TestPushforwardTau:
         assert np.abs(V.u1.values - img.vertices[:, 0]).max() < 1e-14
         assert V.det_DU.min() > 0.0
         # P1 chain rule: det DV = det DU / det DPhi elementwise
-        g1 = element_gradient(Phi.re)
-        g2 = element_gradient(Phi.im)
+        g1 = element_gradient(Phi.u1)
+        g2 = element_gradient(Phi.u2)
         det_phi = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
         assert np.abs(V.det_DU - U.det_DU / det_phi).max() < 1e-9
