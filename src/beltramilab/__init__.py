@@ -3,7 +3,6 @@ divergence-form elliptic equations, and quantitative Jacobian diagnostics."""
 
 from .coeff_algebra import (
     BeltramiPair,
-    Conductivity,
     EllipticityReport,
     K_from_lambda,
     K_of_beltrami,

@@ -11,9 +11,10 @@ A planar elliptic operator appears in two equivalent forms:
 
 This module converts between the two forms, computes the best ellipticity
 constants on either side, and evaluates the sharp constants connecting
-them.  Everything here is pure double-precision value arithmetic: the
-identities have condition numbers near 1 on the admissible range, so no
-extended precision is used.
+them.  A matrix is a plain float array, and ``ellipticity_constants`` is
+the one ellipticity check, for one matrix or a stack.  Everything here is
+pure double-precision value arithmetic: the identities have condition
+numbers near 1 on the admissible range, so no extended precision is used.
 """
 
 from __future__ import annotations
@@ -43,30 +44,6 @@ class BeltramiPair:
         return abs(self.mu) + abs(self.nu)
 
 
-@dataclass
-class Conductivity:
-    """Real 2x2 coefficient matrix with its best ellipticity constants.
-
-    ``alpha`` is the smallest eigenvalue of the symmetric part, ``1/beta``
-    the smallest eigenvalue of the symmetric part of the inverse.  Both
-    must be positive for the matrix to be admissible.
-    """
-
-    entries: np.ndarray
-    alpha_sigma: float | None = None
-    beta_sigma: float | None = None
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {self.entries.shape}")
-
-    def constants(self) -> tuple[float, float]:
-        if self.alpha_sigma is None or self.beta_sigma is None:
-            self.alpha_sigma, self.beta_sigma = ellipticity_constants(self)
-        return self.alpha_sigma, self.beta_sigma
-
-
 @dataclass(frozen=True)
 class EllipticityReport:
     """Distortion and integrability exponents attached to constants (alpha, beta).
@@ -84,19 +61,11 @@ class EllipticityReport:
     p_sup: float
 
 
-def _sym_min_eig(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of a single 2x2 matrix."""
-    half_trace = 0.5 * (mat[0, 0] + mat[1, 1])
-    half_diff = 0.5 * (mat[0, 0] - mat[1, 1])
-    off = 0.5 * (mat[0, 1] + mat[1, 0])
-    return half_trace - math.hypot(half_diff, off)
-
-
-def sym_min_eig_batch(mats: np.ndarray) -> np.ndarray:
-    """Smallest symmetric-part eigenvalue for an (n, 2, 2) stack of matrices."""
-    half_trace = 0.5 * (mats[:, 0, 0] + mats[:, 1, 1])
-    half_diff = 0.5 * (mats[:, 0, 0] - mats[:, 1, 1])
-    off = 0.5 * (mats[:, 0, 1] + mats[:, 1, 0])
+def sym_min_eig(mats: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the symmetric part of a 2x2 matrix or a (..., 2, 2) stack."""
+    half_trace = 0.5 * (mats[..., 0, 0] + mats[..., 1, 1])
+    half_diff = 0.5 * (mats[..., 0, 0] - mats[..., 1, 1])
+    off = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
     return half_trace - np.hypot(half_diff, off)
 
 
@@ -106,39 +75,41 @@ def _det_and_gauge(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return det, 1.0 + mats[..., 0, 0] + mats[..., 1, 1] + det
 
 
-def _adjugate_inverse(mats: np.ndarray, det) -> np.ndarray:
-    """adj(sigma) / det(sigma) of a 2x2 matrix or a (..., 2, 2) stack, given its determinant."""
-    adj = np.stack([mats[..., 1, 1], -mats[..., 0, 1], -mats[..., 1, 0], mats[..., 0, 0]], axis=-1)
-    return adj.reshape(mats.shape) / np.asarray(det)[..., None, None]
-
-
-def _inverse_2x2(mat: np.ndarray) -> np.ndarray:
-    det, _ = _det_and_gauge(mat)
-    if det == 0.0:
-        raise NonEllipticError("matrix is singular")
-    return _adjugate_inverse(mat, det)
-
-
-def ellipticity_constants(sigma: Conductivity | np.ndarray) -> tuple[float, float]:
+def ellipticity_constants(mats) -> tuple:
     """Best constants (alpha, beta): alpha = min eig of sym(sigma), 1/beta = min eig of sym(inv(sigma)).
 
-    These are the largest alpha and the smallest beta for which both
-    quadratic-form lower bounds hold; computed in closed form from the 2x2
-    quadratic formula for exactness and determinism.
+    The largest alpha and the smallest beta for which both quadratic-form
+    lower bounds hold, from the 2x2 quadratic formula in closed form.  A
+    (2, 2) matrix gives two floats and an (n, 2, 2) stack two (n,) arrays,
+    each element computed the same way.  Raises ``NonEllipticError`` for a
+    non-finite or non-elliptic matrix, naming a stack's first bad element.
     """
-    mat = sigma.entries if isinstance(sigma, Conductivity) else np.asarray(sigma, dtype=float)
-    alpha = _sym_min_eig(mat)
-    if alpha <= 0.0:
-        raise NonEllipticError(f"symmetric part not positive definite (min eig {alpha:.3e})")
-    inv_min = _sym_min_eig(_inverse_2x2(mat))
-    if inv_min <= 0.0:
-        raise NonEllipticError(
-            f"symmetric part of the inverse not positive definite (min eig {inv_min:.3e})"
-        )
-    return alpha, 1.0 / inv_min
+    mats = np.asarray(mats, dtype=float)
+    if mats.shape[-2:] != (2, 2) or mats.ndim not in (2, 3):
+        raise ValueError(f"expected a 2x2 matrix or an (n, 2, 2) stack, got shape {mats.shape}")
+    stack = mats.reshape(-1, 2, 2)
+    where = "element {}: " if mats.ndim == 3 else ""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonEllipticError(f"{where.format(bad)}non-finite coefficient entries {stack[bad].tolist()}")
+    alpha = sym_min_eig(stack)
+    if np.any(alpha <= 0):
+        bad = int(np.argmin(alpha))
+        raise NonEllipticError(f"{where.format(bad)}symmetric part not positive definite (min eig {alpha[bad]:.3e})")
+    det, _ = _det_and_gauge(stack)
+    adjugate = np.stack([stack[:, 1, 1], -stack[:, 0, 1], -stack[:, 1, 0], stack[:, 0, 0]], axis=-1)
+    alpha_inv = sym_min_eig(adjugate.reshape(-1, 2, 2) / det[:, None, None])
+    if np.any(alpha_inv <= 0):
+        bad = int(np.argmin(alpha_inv))
+        raise NonEllipticError(f"{where.format(bad)}symmetric part of the inverse not positive definite")
+    beta = 1.0 / alpha_inv
+    if mats.ndim == 2:
+        return float(alpha[0]), float(beta[0])
+    return alpha, beta
 
 
-def sigma_from_beltrami(pair: BeltramiPair) -> Conductivity:
+def sigma_from_beltrami(pair: BeltramiPair) -> np.ndarray:
     """Matrix form of a dilatation pair.
 
     With ``den = |1+nu|^2 - |mu|^2``::
@@ -157,16 +128,15 @@ def sigma_from_beltrami(pair: BeltramiPair) -> Conductivity:
     scale = (1.0 + abs(nu)) ** 2 + abs(mu) ** 2
     if den <= DEGENERATE_DENOMINATOR_RTOL * scale:
         raise DegeneratePairError(f"denominator |1+nu|^2 - |mu|^2 = {den:.3e} collapsed")
-    entries = np.array(
+    return np.array(
         [
             [(abs(1.0 - mu) ** 2 - abs(nu) ** 2) / den, 2.0 * (nu - mu).imag / den],
             [-2.0 * (nu + mu).imag / den, (abs(1.0 + mu) ** 2 - abs(nu) ** 2) / den],
         ]
     )
-    return Conductivity(entries)
 
 
-def beltrami_from_sigma(sigma: Conductivity | np.ndarray) -> BeltramiPair:
+def beltrami_from_sigma(sigma) -> BeltramiPair:
     """Dilatation pair of a matrix.
 
     With ``den = 1 + tr(sigma) + det(sigma)`` (positive for every
@@ -175,8 +145,8 @@ def beltrami_from_sigma(sigma: Conductivity | np.ndarray) -> BeltramiPair:
         mu = (s22 - s11 - i (s12 + s21)) / den
         nu = (1 - det(sigma) + i (s12 - s21)) / den
     """
-    mat = sigma.entries if isinstance(sigma, Conductivity) else np.asarray(sigma, dtype=float)
-    ellipticity_constants(mat)  # rejects non-elliptic input
+    mat = np.asarray(sigma, dtype=float)
+    ellipticity_constants(mat)  # rejects non-finite and non-elliptic input
     mu, nu = beltrami_from_sigma_batch(mat[None, :, :])
     return BeltramiPair(complex(mu[0]), complex(nu[0]))
 
@@ -229,7 +199,7 @@ def astala_exponent(alpha: float, beta: float) -> EllipticityReport:
     )
 
 
-def normalize_sigma(sigma: Conductivity) -> tuple[Conductivity, float]:
+def normalize_sigma(sigma) -> tuple[np.ndarray, float]:
     """Rescale so the best constants become reciprocal: alpha~ = 1/beta~ = sqrt(alpha/beta).
 
     Solutions are unchanged by a positive scalar factor on the matrix, so
@@ -237,10 +207,9 @@ def normalize_sigma(sigma: Conductivity) -> tuple[Conductivity, float]:
     ``1/sqrt(alpha*beta)`` is the unique one that makes them reciprocal.
     Returns the scaled matrix and the factor used.
     """
-    alpha, beta = sigma.constants()
+    alpha, beta = ellipticity_constants(sigma)
     scale = 1.0 / math.sqrt(alpha * beta)
-    lam = math.sqrt(alpha / beta)
-    return Conductivity(scale * sigma.entries, alpha_sigma=lam, beta_sigma=1.0 / lam), scale
+    return scale * np.asarray(sigma, dtype=float), scale
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def random_piecewise_field(
         raise ValueError(f"{cells} x {cells} blocks exceed the {mesh.n_triangles} triangles")
     rng = rng_from_seed(seed)
     # drawn row-major from the bottom, one dilatation pair per block
-    blocks = [sigma_from_beltrami(random_pair(rng, k_max, symmetric)).entries for _ in range(cells * cells)]
+    blocks = [sigma_from_beltrami(random_pair(rng, k_max, symmetric)) for _ in range(cells * cells)]
     return _lattice_field(mesh, np.array(blocks).reshape(cells, cells, 2, 2))
 
 

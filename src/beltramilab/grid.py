@@ -256,39 +256,30 @@ def build_regular_ngon(n_sides: int, radius: float, resolution: int) -> TriMesh:
             for s in range(n_sides)
         ]
     )
-    vertices = [np.array([0.0, 0.0])]
-    ring_start = [None, 1]
-    for k in range(1, resolution + 1):
-        frac = k / resolution
-        for s in range(n_sides):
-            c0, c1 = corners[s], corners[(s + 1) % n_sides]
-            for j in range(k):
-                t = j / k
-                vertices.append(frac * ((1.0 - t) * c0 + t * c1))
-        ring_start.append(ring_start[-1] + n_sides * k)
-    vertices = np.asarray(vertices)
+    rings = np.arange(resolution + 1, dtype=np.int64)
+    # first vertex of each ring; ring 0 is the center, vertex 0
+    ring_start = np.where(rings == 0, 0, 1 + n_sides * (rings * (rings - 1) // 2))
 
-    def ring_vertex(k: int, s: int, j: int) -> int:
-        if k == 0:
-            return 0
-        s_eff, j_eff = (s + j // k) % n_sides, j % k
-        return ring_start[k] + s_eff * k + j_eff
+    def ring_vertex(k: np.ndarray, s: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Vertex i of side s of ring k (i = k is vertex 0 of side s + 1); ring 0 is the center."""
+        return np.where(k == 0, 0, ring_start[k] + (s * k + i) % np.maximum(n_sides * k, 1))
 
-    tris = []
-    for k in range(resolution):
-        for s in range(n_sides):
-            inner = [ring_vertex(k, s, m) for m in range(k + 1)]
-            outer = [ring_vertex(k + 1, s, m) for m in range(k + 2)]
-            for m in range(k + 1):
-                tris.append((outer[m], outer[m + 1], inner[m]))
-            for m in range(k):
-                tris.append((outer[m + 1], inner[m + 1], inner[m]))
+    # vertex j of side s of ring k sits at (k / resolution) * ((1 - t) c_s + t c_{s+1}), t = j / k
+    k = np.repeat(rings[1:], n_sides * rings[1:])
+    s, j = divmod(np.arange(1, len(k) + 1) - ring_start[k], k)
+    t = (j / k)[:, None]
+    ring_points = (k / resolution)[:, None] * ((1.0 - t) * corners[s] + t * corners[(s + 1) % n_sides])
+    vertices = np.concatenate([np.zeros((1, 2)), ring_points])
+
+    # between rings k and k + 1, side s holds k + 1 triangles (outer m, outer m+1, inner m) and then
+    # k triangles (outer m+1, inner m+1, inner m), m counted along the side on each ring
+    k = np.repeat(rings[:-1], n_sides * (2 * rings[:-1] + 1))
+    s, q = divmod(np.arange(len(k)) - n_sides * k * k, 2 * k + 1)
+    down = q > k
+    m = q - down * (k + 1)
+    tris = np.column_stack([ring_vertex(k + 1, s, m + down), ring_vertex(k + 1 - down, s, m + 1), ring_vertex(k, s, m)])
     loop = np.arange(ring_start[resolution], ring_start[resolution] + n_sides * resolution)
-    return TriMesh(
-        vertices=vertices,
-        triangles=np.asarray(tris, dtype=np.int64),
-        boundary_loop=loop.astype(np.int64),
-    )
+    return TriMesh(vertices=vertices, triangles=tris, boundary_loop=loop)
 
 
 def build_mesh(domain, resolution: int) -> TriMesh:
@@ -310,11 +301,6 @@ def _check_resolution(resolution: int, n_triangles: int):
         raise MeshBudgetError(
             f"{n_triangles} triangles exceed the budget of {TRIANGLE_BUDGET}"
         )
-
-
-def regular_ngon_area(n_sides: int, radius: float) -> float:
-    """Closed-form area of the regular polygon, used as a mesh oracle."""
-    return 0.5 * n_sides * radius * radius * math.sin(2 * math.pi / n_sides)
 
 
 # ---------------------------------------------------------------------------

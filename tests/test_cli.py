@@ -549,6 +549,21 @@ class TestSweep:
         assert ",error," in lines[1] and f"config field '{field}'" in lines[1]
         assert ",ok," in lines[2]
 
+    def test_trace_with_a_corner_inside_a_target_edge_is_an_error_row(self, tmp_path):
+        # the square's corners (1, 0) and (0, 1) land inside straight hexagon edges, so the corner
+        # triangles [15, 16, 33] and [255, 273, 272] would map to segments (det exactly 0)
+        hexagon = [[1, 0], [0.5, 0.8], [-0.5, 0.8], [-1, 0], [-0.5, -0.8], [0.5, -0.8]]
+        base = {"task": "primary-pair", "resolution": 16,
+                "coefficient": {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]}}
+        bad = {**base, "boundary": {"kind": "polygon_trace", "vertices": hexagon}}
+        good = {**base, "boundary": {"kind": "polygon_trace", "vertices": [[0, 0], [1, 1], [0, 2], [-1, 1]]}}
+        path = sweep([bad, good], tmp_path / "sweep")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert ",error," in lines[1] and "config field 'boundary.vertices'" in lines[1]
+        assert "[15, 16, 33]" in lines[1]
+        assert ",ok," in lines[2]
+
     def test_non_object_entry_recorded_and_sweep_continues(self, tmp_path):
         good = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}}
         path = sweep([5, good], tmp_path / "sweep")

@@ -5,7 +5,6 @@ import pytest
 
 from beltramilab.coeff_algebra import (
     BeltramiPair,
-    Conductivity,
     K_from_lambda,
     K_of_beltrami,
     astala_exponent,
@@ -32,18 +31,18 @@ def random_elliptic_pairs(rng, n, s_max=0.95):
 class TestSigmaFromBeltrami:
     def test_identity(self):
         s = sigma_from_beltrami(BeltramiPair(0, 0))
-        assert np.allclose(s.entries, np.eye(2), atol=1e-15)
+        assert np.allclose(s, np.eye(2), atol=1e-15)
 
     def test_extremal_rotation_matrix(self):
         # nu = i*sqrt(3)/3 lands on the rotation-like matrix with a = 1/2, b = sqrt(3)/2
         s = sigma_from_beltrami(BeltramiPair(0, 1j * SQRT3 / 3))
         expected = np.array([[0.5, SQRT3 / 2], [-SQRT3 / 2, 0.5]])
-        assert np.abs(s.entries - expected).max() < 1e-14
+        assert np.abs(s - expected).max() < 1e-14
 
     def test_isotropic_scaling(self):
         # sigma = s*I corresponds to nu = (1-s)/(1+s), mu = 0
         s = sigma_from_beltrami(BeltramiPair(0, -1 / 3))
-        assert np.abs(s.entries - 2 * np.eye(2)).max() < 1e-14
+        assert np.abs(s - 2 * np.eye(2)).max() < 1e-14
 
     def test_degenerate_denominator(self):
         with pytest.raises((DegeneratePairError, NonEllipticError)):
@@ -107,6 +106,49 @@ class TestEllipticityConstants:
             assert abs(1.0 / beta - np.linalg.eigvalsh(sym_inv)[0]) < 1e-12
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        mat = np.array([[2.0, 1.0], [0.2, 1.5]])
+        mat[1, 0] = bad
+        with pytest.raises(NonEllipticError, match="non-finite coefficient"):
+            ellipticity_constants(mat)
+        with pytest.raises(NonEllipticError, match="non-finite coefficient"):
+            beltrami_from_sigma(mat)
+
+    def test_stack_matches_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        mu, nu = random_elliptic_pairs(rng, 500)
+        mats = np.array([sigma_from_beltrami(BeltramiPair(complex(m), complex(n))) for m, n in zip(mu, nu)])
+        mats *= 10.0 ** rng.uniform(-3, 3, size=(len(mats), 1, 1))
+        alpha, beta = ellipticity_constants(mats)
+        assert alpha.shape == beta.shape == (len(mats),)
+        for mat, a, b in zip(mats, alpha, beta):
+            one = ellipticity_constants(mat)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert (one[0], one[1]) == (a, b)
+
+    @pytest.mark.parametrize("bad,message", [
+        ([[1.0, np.nan], [0.0, 1.0]], r"element 3: non-finite coefficient entries \[\[1.0, nan\], \[0.0, 1.0\]\]"),
+        ([[1.0, 3.0], [3.0, 1.0]], r"element 3: symmetric part not positive definite \(min eig -2.000e\+00\)"),
+        ([[1.0, 0.0], [0.0, -1.0]], r"element 3: symmetric part not positive definite"),
+        # positive definite in exact arithmetic, but the determinant overflows
+        ([[1e-200, 1e200], [-1e200, 1e-200]], r"element 3: symmetric part of the inverse not positive definite$"),
+    ])
+    def test_stack_names_its_first_bad_element(self, bad, message):
+        mats = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
+        mats[3] = mats[6] = bad
+        with np.errstate(over="ignore"), pytest.raises(NonEllipticError, match=message):
+            ellipticity_constants(mats)
+        # one matrix: the same words without the element
+        with np.errstate(over="ignore"), pytest.raises(NonEllipticError, match=message.replace("element 3: ", "^")):
+            ellipticity_constants(mats[3])
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2, 2, 2), (4, 2, 3)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            ellipticity_constants(np.ones(shape))
+
+
 class TestDistortionFormulas:
     def test_k_of_identity_pair(self):
         assert K_of_beltrami(BeltramiPair(0, 0)) == 1.0
@@ -158,9 +200,9 @@ class TestDistortionFormulas:
 
 class TestNormalizeSigma:
     def test_identity(self):
-        tilde, scale = normalize_sigma(Conductivity(np.eye(2)))
+        tilde, scale = normalize_sigma(np.eye(2))
         assert scale == 1.0
-        assert np.allclose(tilde.entries, np.eye(2))
+        assert np.allclose(tilde, np.eye(2))
 
     def test_reciprocal_constants(self):
         rng = np.random.default_rng(2)
@@ -170,7 +212,7 @@ class TestNormalizeSigma:
                 alpha, beta = ellipticity_constants(mat)
             except NonEllipticError:
                 continue
-            tilde, scale = normalize_sigma(Conductivity(mat))
+            tilde, scale = normalize_sigma(mat)
             at, bt = ellipticity_constants(tilde)
             lam = math.sqrt(alpha / beta)
             assert abs(at - lam) < 1e-12
@@ -199,7 +241,7 @@ class TestRoundTrip:
                 continue
             count += 1
             back = sigma_from_beltrami(beltrami_from_sigma(mat))
-            assert np.abs(back.entries - mat).max() < 1e-12 * max(1.0, np.abs(mat).max())
+            assert np.abs(back - mat).max() < 1e-12 * max(1.0, np.abs(mat).max())
 
 
 class TestSharpConstantsProperties:
@@ -215,20 +257,20 @@ class TestSharpConstantsProperties:
             mu = s * split * np.exp(2j * np.pi * rng.random())
             nu = s * (1 - split) * np.exp(2j * np.pi * rng.random())
             sig = sigma_from_beltrami(BeltramiPair(complex(mu), complex(nu)))
-            alpha, beta = sig.constants()
+            alpha, beta = ellipticity_constants(sig)
             assert alpha >= 1.0 / k - 1e-10
             assert beta <= k + 1e-10
         # equality cases per the extremal analysis
         k = 2.5
         s = (k - 1) / (k + 1)
         sig_pos = sigma_from_beltrami(BeltramiPair(0, s))
-        alpha, _ = sig_pos.constants()
+        alpha, _ = ellipticity_constants(sig_pos)
         assert abs(alpha - 1.0 / k) < 1e-12
-        assert np.abs(sig_pos.entries - sig_pos.entries.T).max() < 1e-14
+        assert np.abs(sig_pos - sig_pos.T).max() < 1e-14
         sig_neg = sigma_from_beltrami(BeltramiPair(0, -s))
-        _, beta = sig_neg.constants()
+        _, beta = ellipticity_constants(sig_neg)
         assert abs(beta - k) < 1e-12
-        assert np.abs(sig_neg.entries - sig_neg.entries.T).max() < 1e-14
+        assert np.abs(sig_neg - sig_neg.T).max() < 1e-14
 
     def test_backward_bound_with_extremal_near_equality(self):
         # Matrices normalized to alpha = 1/beta = lam produce pairs with
@@ -239,11 +281,11 @@ class TestSharpConstantsProperties:
         while checked < 200:
             mat = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
             try:
-                tilde, _ = normalize_sigma(Conductivity(mat))
+                tilde, _ = normalize_sigma(mat)
             except NonEllipticError:
                 continue
             checked += 1
-            lam, _ = tilde.constants()
+            lam, _ = ellipticity_constants(tilde)
             k = K_of_beltrami(beltrami_from_sigma(tilde))
             assert k <= K_from_lambda(lam) + 1e-10
         for lam in (0.3, 0.5, 0.8):

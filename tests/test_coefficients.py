@@ -89,7 +89,7 @@ def ref_random_piecewise(mesh, k_max, cells, seed, symmetric=False):
     block_mats = np.empty((cells, cells, 2, 2))
     for j in range(cells):
         for i in range(cells):
-            block_mats[j, i] = sigma_from_beltrami(random_pair(rng, k_max, symmetric)).entries
+            block_mats[j, i] = sigma_from_beltrami(random_pair(rng, k_max, symmetric))
     bary = mesh.barycenters
     bi = np.clip((bary[:, 0] % 1.0 * cells).astype(int), 0, cells - 1)
     bj = np.clip((bary[:, 1] % 1.0 * cells).astype(int), 0, cells - 1)

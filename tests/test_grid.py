@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,6 @@ from beltramilab.grid import (
     export_vertex_values_csv,
     export_vertices_csv,
     lattice_resolution,
-    regular_ngon_area,
     row_blocks,
     write_csv,
 )
@@ -50,6 +50,49 @@ def reference_lattice(n):
     loop = [vid(i, 0) for i in range(n)] + [vid(n, j) for j in range(n)]
     loop += [vid(i, n) for i in range(n, 0, -1)] + [vid(0, j) for j in range(n, 0, -1)]
     return np.array(tris), np.array(loop)
+
+
+def regular_ngon_area(n_sides: int, radius: float) -> float:
+    """Closed-form area of the regular polygon, the mesh oracle."""
+    return 0.5 * n_sides * radius * radius * math.sin(2 * math.pi / n_sides)
+
+
+def reference_regular_ngon(n_sides, radius, resolution):
+    """The former ring-by-ring loop of ``grid.build_regular_ngon``: (vertices, triangles, boundary loop)."""
+    corners = np.array(
+        [
+            [radius * math.cos(2 * math.pi * s / n_sides), radius * math.sin(2 * math.pi * s / n_sides)]
+            for s in range(n_sides)
+        ]
+    )
+    vertices = [np.array([0.0, 0.0])]
+    ring_start = [None, 1]
+    for k in range(1, resolution + 1):
+        frac = k / resolution
+        for s in range(n_sides):
+            c0, c1 = corners[s], corners[(s + 1) % n_sides]
+            for j in range(k):
+                t = j / k
+                vertices.append(frac * ((1.0 - t) * c0 + t * c1))
+        ring_start.append(ring_start[-1] + n_sides * k)
+
+    def ring_vertex(k, s, j):
+        if k == 0:
+            return 0
+        s_eff, j_eff = (s + j // k) % n_sides, j % k
+        return ring_start[k] + s_eff * k + j_eff
+
+    tris = []
+    for k in range(resolution):
+        for s in range(n_sides):
+            inner = [ring_vertex(k, s, m) for m in range(k + 1)]
+            outer = [ring_vertex(k + 1, s, m) for m in range(k + 2)]
+            for m in range(k + 1):
+                tris.append((outer[m], outer[m + 1], inner[m]))
+            for m in range(k):
+                tris.append((outer[m + 1], inner[m + 1], inner[m]))
+    loop = np.arange(ring_start[resolution], ring_start[resolution] + n_sides * resolution)
+    return np.asarray(vertices), np.asarray(tris, dtype=np.int64), loop.astype(np.int64)
 
 
 class TestMeshBuilders:
@@ -85,6 +128,14 @@ class TestMeshBuilders:
     def test_ngon_area_closed_form(self, sides, res):
         m = build_regular_ngon(sides, 1.3, res)
         assert abs(m.areas.sum() - regular_ngon_area(sides, 1.3)) < 1e-12
+
+    @pytest.mark.parametrize("sides,radius,res", [(3, 1.0, 2), (4, 1.0, 2), (5, 0.7, 3), (6, 1.0, 8),
+                                                   (7, 2.5, 5), (8, 1.0, 4), (11, 1e-3, 6), (6, 1.3, 17)])
+    def test_ngon_matches_the_ring_loop_bit_for_bit(self, sides, radius, res):
+        m = build_regular_ngon(sides, radius, res)
+        for got, want in zip((m.vertices, m.triangles, m.boundary_loop), reference_regular_ngon(sides, radius, res)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_ngon_counts(self):
         sides, res = 6, 5
