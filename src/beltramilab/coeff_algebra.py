@@ -63,16 +63,18 @@ class EllipticityReport:
 
 def sym_min_eig(mats: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the symmetric part of a 2x2 matrix or a (..., 2, 2) stack."""
-    half_trace = 0.5 * (mats[..., 0, 0] + mats[..., 1, 1])
-    half_diff = 0.5 * (mats[..., 0, 0] - mats[..., 1, 1])
-    off = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
-    return half_trace - np.hypot(half_diff, off)
+    s11, s22 = mats[..., 0, 0], mats[..., 1, 1]
+    return 0.5 * (s11 + s22) - np.hypot(0.5 * (s11 - s22), 0.5 * (mats[..., 0, 1] + mats[..., 1, 0]))
 
 
-def _det_and_gauge(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det(sigma) and 1 + tr(sigma) + det(sigma) of a 2x2 matrix or (..., 2, 2) stack, in one order for all."""
-    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    return det, 1.0 + mats[..., 0, 0] + mats[..., 1, 1] + det
+def _det(mats: np.ndarray) -> np.ndarray:
+    """det(sigma) of a 2x2 matrix or (..., 2, 2) stack, in one order for all."""
+    return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+
+
+def _gauge(mats: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """1 + tr(sigma) + det(sigma) of a 2x2 matrix or (..., 2, 2) stack, given its ``_det``."""
+    return 1.0 + mats[..., 0, 0] + mats[..., 1, 1] + det
 
 
 def ellipticity_constants(mats) -> tuple:
@@ -85,28 +87,34 @@ def ellipticity_constants(mats) -> tuple:
     non-finite or non-elliptic matrix, naming a stack's first bad element.
     """
     mats = np.asarray(mats, dtype=float)
+    alpha, beta, _ = _checked_constants(mats)
+    if mats.ndim == 2:
+        return float(alpha[0]), float(beta[0])
+    return alpha, beta
+
+
+def _checked_constants(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ellipticity_constants`` of a float matrix or stack as (n,) arrays, with the ``_det`` it used."""
     if mats.shape[-2:] != (2, 2) or mats.ndim not in (2, 3):
         raise ValueError(f"expected a 2x2 matrix or an (n, 2, 2) stack, got shape {mats.shape}")
     stack = mats.reshape(-1, 2, 2)
     where = "element {}: " if mats.ndim == 3 else ""
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    if not np.isfinite(stack).all():
+        bad = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
         raise NonEllipticError(f"{where.format(bad)}non-finite coefficient entries {stack[bad].tolist()}")
     alpha = sym_min_eig(stack)
-    if np.any(alpha <= 0):
+    if (alpha <= 0).any():
         bad = int(np.argmin(alpha))
         raise NonEllipticError(f"{where.format(bad)}symmetric part not positive definite (min eig {alpha[bad]:.3e})")
-    det, _ = _det_and_gauge(stack)
-    adjugate = np.stack([stack[:, 1, 1], -stack[:, 0, 1], -stack[:, 1, 0], stack[:, 0, 0]], axis=-1)
-    alpha_inv = sym_min_eig(adjugate.reshape(-1, 2, 2) / det[:, None, None])
-    if np.any(alpha_inv <= 0):
+    det = _det(stack)
+    # [[s22, s21], [s12, s11]] / det is inv(sigma) with its off-diagonal signs
+    # flipped, a similarity by diag(1, -1): the same symmetric-part eigenvalues,
+    # bit for bit, since sym_min_eig reads the off-diagonal only through hypot.
+    alpha_inv = sym_min_eig(stack[:, ::-1, ::-1] / det[:, None, None])
+    if (alpha_inv <= 0).any():
         bad = int(np.argmin(alpha_inv))
         raise NonEllipticError(f"{where.format(bad)}symmetric part of the inverse not positive definite")
-    beta = 1.0 / alpha_inv
-    if mats.ndim == 2:
-        return float(alpha[0]), float(beta[0])
-    return alpha, beta
+    return alpha, 1.0 / alpha_inv, det
 
 
 def sigma_from_beltrami(pair: BeltramiPair) -> np.ndarray:
@@ -155,7 +163,8 @@ def beltrami_from_sigma_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Vectorized dilatation pairs for an (n, 2, 2) stack; no ellipticity check."""
     s11, s12 = mats[:, 0, 0], mats[:, 0, 1]
     s21, s22 = mats[:, 1, 0], mats[:, 1, 1]
-    det, den = _det_and_gauge(mats)
+    det = _det(mats)
+    den = _gauge(mats, det)
     mu = (s22 - s11 - 1j * (s12 + s21)) / den
     nu = (1.0 - det + 1j * (s12 - s21)) / den
     return mu, nu

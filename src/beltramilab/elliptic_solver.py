@@ -12,8 +12,13 @@ eliminated and the free block is factored.  SuperLU factors with a panel of
 ``LU_PANEL_SIZE`` = 4 columns, not its default 20: the panel workspace grows
 with n times the panel size, and the narrow panel lowers the peak memory of
 a factorization (by a sixth of SuperLU's own peak at res 512) with no slower
-factor time.  Assembly and the solvers keep no dead copy of the operator
-alive through the factorization.  The stream function's identity-coefficient
+factor time.  The factors are float32, half the bytes of float64 ones, and
+every column is refined to float64 accuracy by iterative refinement against
+the float64 matrix (the scheme of LAPACK's DSGESV); the float64
+factorization is the one fallback, taken when the float32 cast overflows,
+the float32 factorization fails or a refined column misses the residual
+gate.  Assembly and the solvers keep no dead copy of the operator alive
+through the factorization.  The stream function's identity-coefficient
 Laplacian needs no factorization on the exact unit-square and torus
 lattices: there it is the 5-point stencil, solved by DCT-I on the square
 and by the 2-D FFT on the torus (``numpy.fft``).  Every other mesh keeps
@@ -30,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeff_algebra import _det_and_gauge, ellipticity_constants
+from .coeff_algebra import _checked_constants, _gauge
 from .errors import SolverError
 from .grid import (
     ROT90,
@@ -54,9 +59,18 @@ LU_ORDERING = "MMD_AT_PLUS_A"
 
 # SuperLU panel width (columns factored together).  Its workspace grows with
 # n * panel_size; at 4 instead of the default 20, SuperLU's own peak at res 512
-# falls from 382 to 314 MB (square) and from 388 to 320 MB (torus), and the
-# factor time is no slower (medians of 6: 3.40 vs 3.60 s and 3.65 vs 3.75 s).
+# fell from 382 to 314 MB (square) and from 388 to 320 MB (torus) with float64
+# factors, and the factor time was no slower (medians of 6: 3.40 vs 3.60 s and
+# 3.65 vs 3.75 s).  The float32 factors keep the panel; with them a res-512
+# solve's peak above its inputs is about 220 MB instead of 300 MB.
 LU_PANEL_SIZE = 4
+
+# Most refinement steps per column beyond the first float32 solve.  Each step
+# that halves the float64 residual is followed by another.  The P1 systems
+# measured took 3 to 5 steps, the last being the one that no longer halves,
+# at res 64 and 256, on random blocks and on laminates and checkerboards of
+# contrast 1e9; their refined residuals were below the float64 LU's own.
+MAX_REFINEMENT_STEPS = 10
 
 
 @dataclass
@@ -82,8 +96,8 @@ def validate_coefficient(sigma: ElementMatrixField) -> None:
     Also asserts the positivity of 1 + tr(sigma) + det(sigma), which every
     admissible matrix satisfies and which the dilatation transform divides by.
     """
-    ellipticity_constants(sigma.matrices)
-    _, gauge = _det_and_gauge(sigma.matrices)
+    _, _, det = _checked_constants(sigma.matrices)
+    gauge = _gauge(sigma.matrices, det)
     if np.any(gauge <= 0):
         bad = int(np.argmin(gauge))
         raise AssertionError(
@@ -118,24 +132,86 @@ def _assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
 def _solve_system(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions) -> tuple[np.ndarray, dict]:
     """Solve for one right-hand side (n,) or a stack (n, k) with one LU factorization.
 
-    SuperLU factors once and back-substitutes column by column.  Every column
-    must meet the relative residual max(opts.tolerance, 1e-8); the stats
-    report the worst column, the factor fill (nonzeros of L and U), the
-    column ordering and the panel size.  A CSC matrix is factored as it is
-    (``tocsc`` of a CSC matrix is no copy).
+    SuperLU factors the matrix in float32 and each column is refined to
+    float64 (``_lu_solve``).  If the float32 cast overflows, the float32
+    factorization fails or a column misses the residual gate, the matrix is
+    factored in float64 instead, the one other path.  Every column must meet
+    the relative residual max(opts.tolerance, 1e-8); the stats report the
+    worst column, the factor fill (nonzeros of L and U), the column ordering,
+    the panel size, the precision of the factors and the most refinement
+    steps a column took.  A CSC matrix is used as it is (``tocsc`` of a CSC
+    matrix is no copy).
     """
+    matrix = matrix.tocsc()
     columns = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
     try:
-        lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE)
-        xs = [lu.solve(b) for b in columns]
+        xs, stats = _lu_solve(matrix, columns, opts, np.float32)
+    except SolverError as exc:
+        xs, reason = None, str(exc)
+    if xs is None:  # outside the handler, which would keep the float32 attempt's frames alive
+        log.info("float32 LU rejected (%s); factoring in float64", reason)
+        xs, stats = _lu_solve(matrix, columns, opts, np.float64)
+    x = np.column_stack(xs) if rhs.ndim == 2 else xs[0]
+    return x, stats
+
+
+def _lu_solve(matrix: sp.csc_matrix, columns: np.ndarray, opts: SolveOptions,
+              dtype: type) -> tuple[list[np.ndarray], dict]:
+    """Factor ``matrix`` in ``dtype`` (float32 or float64) and solve each column, through the residual gate.
+
+    Float64 factors solve each column once.  Float32 factors take half the
+    memory; each column is then refined in float64 (``_refine``), as in
+    LAPACK's DSGESV, and the float32 copy of the matrix is released once it
+    is factored.  Raises ``SolverError`` if the cast overflows, SuperLU
+    fails or a column misses the gate.
+    """
+    factored = matrix
+    if dtype is np.float32:
+        with np.errstate(over="ignore"):
+            factored = matrix.astype(np.float32)
+        if not np.isfinite(factored.data).all():
+            raise SolverError("matrix entries overflow float32")
+    try:
+        lu = spla.splu(factored, permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE)
+        del factored
+        if dtype is np.float32:
+            refined = [_refine(lu, matrix, b) for b in columns]
+            xs, steps = [x for x, _ in refined], max(step for _, step in refined)
+        else:
+            xs, steps = [lu.solve(b) for b in columns], 0
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
     # SuperLU.nnz counts the factors in place; reading .L or .U would copy them.
+    fill = int(lu.nnz)
+    del lu
     stats = _checked_stats(lambda x: matrix @ x, xs, columns, opts, n=matrix.shape[0],
-                           nnz=matrix.nnz, method="direct_lu", fill=int(lu.nnz),
-                           ordering=LU_ORDERING, panel_size=LU_PANEL_SIZE)
-    x = np.column_stack(xs) if rhs.ndim == 2 else xs[0]
-    return x, stats
+                           nnz=matrix.nnz, method="direct_lu", fill=fill, ordering=LU_ORDERING,
+                           panel_size=LU_PANEL_SIZE, precision=np.dtype(dtype).name,
+                           refinement_steps=steps)
+    return xs, stats
+
+
+def _refine(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Float64 solution of ``matrix @ x = b`` from float32 factors, and its refinement steps.
+
+    Starting from x = 0, each step adds ``lu.solve`` of the float32-cast
+    float64 residual.  A step is kept if it lowers the residual norm, and
+    the refinement stops once a step fails to halve it, or after
+    ``MAX_REFINEMENT_STEPS`` steps beyond the first solve.  The count
+    returned is the number of steps taken beyond the first solve.
+    """
+    x = np.zeros_like(b)
+    r, r_norm = b, np.linalg.norm(b)
+    for step in range(MAX_REFINEMENT_STEPS + 1):
+        x_new = x + lu.solve(r.astype(np.float32))
+        r_new = b - matrix @ x_new
+        new_norm = np.linalg.norm(r_new)
+        if new_norm < r_norm:
+            x = x_new
+        if not new_norm < 0.5 * r_norm:
+            break
+        r, r_norm = r_new, new_norm
+    return x, step
 
 
 def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: list[np.ndarray],
@@ -156,9 +232,10 @@ def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: list[np.ndarra
         residual, rel = max(residual, col_residual), max(rel, col_rel)
     stats = {**stats, "nrhs": len(xs), "residual": residual, "relative_residual": rel}
     log.info(
-        "linear solve: n=%d nnz=%d nrhs=%d method=%s fill=%s ordering=%s panel=%s residual=%.3e",
+        "linear solve: n=%d nnz=%d nrhs=%d method=%s fill=%s ordering=%s panel=%s precision=%s "
+        "refinement_steps=%s residual=%.3e",
         stats["n"], stats["nnz"], stats["nrhs"], stats["method"], stats["fill"],
-        stats["ordering"], stats["panel_size"], residual,
+        stats["ordering"], stats["panel_size"], stats["precision"], stats["refinement_steps"], residual,
     )
     return stats
 
@@ -313,7 +390,8 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) 
         xs.append(x.ravel())
     stats = _checked_stats(lambda x: _lattice_laplacian(x.reshape(shape), periodic).ravel(),
                            xs, columns, opts, n=len(rhs), nnz=nnz, method=method,
-                           fill=None, ordering=None, panel_size=None)
+                           fill=None, ordering=None, panel_size=None, precision=None,
+                           refinement_steps=None)
     return np.column_stack(xs), stats
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeff_algebra import BeltramiPair, _det_and_gauge
+from .coeff_algebra import BeltramiPair, _det, _gauge
 from .elliptic_solver import SolveOptions, rotated_flux, solve_dirichlet, stream_function
 from .grid import ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
 
@@ -216,8 +216,7 @@ def equival_residual(
     w1 = wirtinger_exact(sigma, Phi.u1)
     w2 = wirtinger_exact(sigma, Psi.u1)
     lhs = np.imag(w1.f_z * np.conj(w2.f_z))
-    _, gauge = _det_and_gauge(sigma.matrices)
-    rhs = 0.25 * gauge * U.det_DU
+    rhs = 0.25 * _gauge(sigma.matrices, _det(sigma.matrices)) * U.det_DU
     return np.abs(lhs - rhs)
 
 
@@ -470,7 +469,7 @@ def pushforward_tau(
 
     img = image_mesh_of(f)
     b = tau[:, 0, 1]
-    c, _ = _det_and_gauge(tau)
+    c = _det(tau)
     resid_diag = np.abs(tau[:, 0, 0] - 1.0)
     resid_lower = np.abs(tau[:, 1, 0])
     keep = ~excluded

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from beltramilab.coefficients import (
 from beltramilab.elliptic_solver import (
     LU_ORDERING,
     LU_PANEL_SIZE,
+    MAX_REFINEMENT_STEPS,
     SolveOptions,
     _assemble,
     _element_matrices,
@@ -293,7 +295,7 @@ class TestLatticeStreamSolve:
         assert len(lines) == 1
         match = re.fullmatch(
             r"linear solve: n=(\d+) nnz=(\d+) nrhs=2 method=\w+ fill=None ordering=None panel=None "
-            r"residual=(\S+)", lines[0])
+            r"precision=None refinement_steps=None residual=(\S+)", lines[0])
         assert match is not None
         assert int(match[1]) == sig.mesh.n_free
         assert float(match[3]) < 1e-12
@@ -482,9 +484,11 @@ class TestPinDof:
         with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
             _, stats = _solve_system(reduced, rhs, SolveOptions())
         assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["panel_size"] == LU_PANEL_SIZE == 4
-        assert stats["fill"] == spla.splu(reduced.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
+        assert stats["precision"] == "float32" and 1 <= stats["refinement_steps"] <= MAX_REFINEMENT_STEPS
+        assert stats["fill"] == spla.splu(reduced.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
         assert stats["fill"] >= reduced.nnz
-        assert f"fill={stats['fill']} ordering=MMD_AT_PLUS_A panel=4 " in caplog.text
+        assert re.search(rf"fill={stats['fill']} ordering=MMD_AT_PLUS_A panel=4 precision=float32 "
+                         rf"refinement_steps={stats['refinement_steps']} residual=\S+$", caplog.text, re.M)
 
     def test_cell_map_linearity_under_ordering(self):
         m = build_periodic_cell(32)
@@ -506,9 +510,9 @@ def reference_assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(mesh.n_free,) * 2).tocsr()
 
 
-def reference_lu_solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """SuperLU at its default panel size, column by column."""
-    lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING)
+def float64_lu_solve(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """The float64 SuperLU solve, column by column: the path the float32 factors fall back to."""
+    lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE)
     return np.column_stack([lu.solve(b) for b in np.ascontiguousarray(rhs.T)])
 
 
@@ -521,7 +525,13 @@ def permuted_lattice(n: int) -> TriMesh:
 
 
 class TestLeanAssemblyAndFactorization:
-    """The int32 assembly and the released operator copies change no bit; panel 20 is the old LU."""
+    """The int32 assembly and the released operator copies change no bit.
+
+    The solver paths are compared with ``_solve_system`` on the matrices of a
+    reference assembly and slicing, so they pin those bit for bit whatever the
+    factorization; ``LU_PANEL_SIZE`` is set to SuperLU's default 20 on both
+    sides.
+    """
 
     @pytest.mark.parametrize("mesh", [
         build_unit_square(16), build_periodic_cell(16), build_regular_ngon(6, 1.0, 6),
@@ -539,7 +549,7 @@ class TestLeanAssemblyAndFactorization:
         g = m.vertices[m.boundary_loop]
         full = reference_assemble(m, sig.matrices)
         free = np.flatnonzero(~m.boundary_mask)
-        x = reference_lu_solve(full[free][:, free].tocsr(), -(full[free][:, m.boundary_loop] @ g))
+        x, _ = _solve_system(full[free][:, free].tocsc(), -(full[free][:, m.boundary_loop] @ g), SolveOptions())
         for k, u in enumerate(solve_dirichlet(sig, g)):
             assert np.array_equal(u.values[free], x[:, k])
             assert np.array_equal(u.values[m.boundary_loop], g[:, k])
@@ -551,17 +561,17 @@ class TestLeanAssemblyAndFactorization:
         xis = np.array([[1.0, 0.0], [0.3, 1.0]])
         rhs = cell_load(sig, xis)
         w = np.zeros_like(rhs)
-        w[1:] = reference_lu_solve(reference_assemble(m, sig.matrices)[1:][:, 1:], rhs[1:])
+        w[1:], _ = _solve_system(reference_assemble(m, sig.matrices)[1:][:, 1:].tocsc(), rhs[1:], SolveOptions())
         for xi, wj, u in zip(xis, w.T, solve_periodic_cell(sig, xis)):
             mean_w = float(np.dot(m.areas, wj[m.vertex_dofs()].mean(axis=1)) / m.areas.sum())
             assert np.array_equal(u.values, m.vertices @ xi + (wj - mean_w)[m.free_index])
 
     def test_splu_receives_the_panel_size(self, monkeypatch):
-        kwargs = []
+        calls = []
         splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda *a, **k: kwargs.append(k) or splu(*a, **k))
+        monkeypatch.setattr(spla, "splu", lambda a, **k: calls.append((a.dtype, k)) or splu(a, **k))
         solve_periodic_cell(random_piecewise_field(build_periodic_cell(8), 5.0, 4, seed=2), np.eye(2))
-        assert kwargs == [{"permc_spec": LU_ORDERING, "panel_size": LU_PANEL_SIZE}]
+        assert calls == [(np.float32, {"permc_spec": LU_ORDERING, "panel_size": LU_PANEL_SIZE})]
 
     def test_assembly_peak_below_int64_reference(self):
         m = build_unit_square(128)
@@ -576,6 +586,69 @@ class TestLeanAssemblyAndFactorization:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < peaks[1]
+
+
+def dirichlet_system(sig: ElementMatrixField) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """Free block, coordinate-data right-hand sides and free dofs of ``solve_dirichlet(sig, lambda q: q)``."""
+    m = sig.mesh
+    full = _assemble(m, sig.matrices)
+    free = np.flatnonzero(~m.boundary_mask)
+    return full[free][:, free].tocsc(), -(full[free][:, m.boundary_loop] @ m.vertices[m.boundary_loop]), free
+
+
+class TestMixedPrecisionLU:
+    """Float32 factors refined to float64, and the float64 fallback."""
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["square", "torus"])
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    def test_refined_residual_at_most_the_float64_lus(self, periodic, seed):
+        m = build_periodic_cell(64) if periodic else build_unit_square(64)
+        sig = random_piecewise_field(m, 5.0, 4, seed=seed)
+        if periodic:
+            matrix, rhs = _assemble(m, sig.matrices)[1:][:, 1:].tocsc(), cell_load(sig, np.eye(2))[1:]
+        else:
+            matrix, rhs, _ = dirichlet_system(sig)
+        x, stats = _solve_system(matrix, rhs, SolveOptions())
+        assert stats["precision"] == "float32" and stats["refinement_steps"] <= MAX_REFINEMENT_STEPS
+        for got, want, b in zip(x.T, float64_lu_solve(matrix, rhs).T, rhs.T):
+            assert np.linalg.norm(matrix @ got - b) <= np.linalg.norm(matrix @ want - b)
+
+    def test_stacked_solve_matches_single_solves(self):
+        m = build_unit_square(32)
+        matrix, rhs, _ = dirichlet_system(random_piecewise_field(m, 5.0, 4, seed=1008))
+        rhs = np.column_stack([rhs, np.random.default_rng(3).normal(size=len(rhs))])
+        x, stats = _solve_system(matrix, rhs, SolveOptions())
+        assert stats["precision"] == "float32" and stats["nrhs"] == 3
+        for got, b in zip(x.T, rhs.T):
+            single, single_stats = _solve_system(matrix, b, SolveOptions())
+            assert single_stats["precision"] == "float32"
+            assert np.array_equal(got, single)
+
+    def test_singular_float32_factor_falls_back_to_float64(self, caplog):
+        # 1 + 1e-10 rounds to 1 in float32, so the cast matrix is singular
+        matrix = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]]))
+        rhs = np.array([[1.0, 0.0], [2.0, 1.0]])
+        with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
+            x, stats = _solve_system(matrix, rhs, SolveOptions())
+        assert "float32 LU rejected (sparse LU factorization failed" in caplog.text
+        assert stats["precision"] == "float64" and stats["refinement_steps"] == 0
+        assert np.array_equal(x, float64_lu_solve(matrix, rhs))
+
+    def test_overflowing_cast_falls_back_to_float64(self, monkeypatch, caplog):
+        # a valid coefficient whose stiffness entries exceed the float32 range
+        sig = constant_field(build_unit_square(8), 1e39 * np.array([[2.0, 1.0], [0.2, 1.5]]))
+        dtypes = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda a, **k: dtypes.append(a.dtype) or splu(a, **k))
+        with warnings.catch_warnings(), caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
+            warnings.simplefilter("error")
+            u1, u2 = solve_dirichlet(sig, lambda q: q)
+        assert dtypes == [np.float64]
+        assert "float32 LU rejected (matrix entries overflow float32)" in caplog.text
+        assert "precision=float64 refinement_steps=0 " in caplog.text
+        matrix, rhs, free = dirichlet_system(sig)
+        want = float64_lu_solve(matrix, rhs)
+        assert np.array_equal(u1.values[free], want[:, 0]) and np.array_equal(u2.values[free], want[:, 1])
 
 
 class TestLUResidualProperty:
