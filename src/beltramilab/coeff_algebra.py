@@ -154,16 +154,20 @@ def beltrami_from_sigma(sigma) -> BeltramiPair:
         nu = (1 - det(sigma) + i (s12 - s21)) / den
     """
     mat = np.asarray(sigma, dtype=float)
-    ellipticity_constants(mat)  # rejects non-finite and non-elliptic input
-    mu, nu = beltrami_from_sigma_batch(mat[None, :, :])
+    _, _, det = _checked_constants(mat)  # rejects non-finite and non-elliptic input
+    mu, nu = _dilatation_pairs(mat[None, :, :], det)
     return BeltramiPair(complex(mu[0]), complex(nu[0]))
 
 
 def beltrami_from_sigma_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized dilatation pairs for an (n, 2, 2) stack; no ellipticity check."""
+    return _dilatation_pairs(mats, _det(mats))
+
+
+def _dilatation_pairs(mats: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dilatation pairs of an (n, 2, 2) stack, given its ``_det``."""
     s11, s12 = mats[:, 0, 0], mats[:, 0, 1]
     s21, s22 = mats[:, 1, 0], mats[:, 1, 1]
-    det = _det(mats)
     den = _gauge(mats, det)
     mu = (s22 - s11 - 1j * (s12 + s21)) / den
     nu = (1.0 - det + 1j * (s12 - s21)) / den

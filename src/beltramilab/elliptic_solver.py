@@ -17,19 +17,22 @@ every column is refined to float64 accuracy by iterative refinement against
 the float64 matrix (the scheme of LAPACK's DSGESV); the float64
 factorization is the one fallback, taken when the float32 cast overflows,
 the float32 factorization fails or a refined column misses the residual
-gate.  Assembly and the solvers keep no dead copy of the operator alive
-through the factorization.  The stream function's identity-coefficient
-Laplacian needs no factorization on the exact unit-square and torus
-lattices: there it is the 5-point stencil, solved by DCT-I on the square
-and by the 2-D FFT on the torus (``numpy.fft``).  Every other mesh keeps
-the sparse LU with dof 0 eliminated.
+gate.  From ``splu`` to the last refinement step only three arrays are
+alive: the float64 free block (one CSC matrix), the float32 copy of its
+values, which shares its ``indices`` and ``indptr``, and one C-contiguous
+(k, n) float64 block of right-hand sides, one per row; the mesh keeps no
+barycenters (they are computed on demand).  The stream function's
+identity-coefficient Laplacian needs no factorization on the exact
+unit-square and torus lattices: there it is the 5-point stencil, solved by
+DCT-I on the square and by the 2-D FFT on the torus (``numpy.fft``).  Every
+other mesh keeps the sparse LU with dof 0 eliminated.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,65 +133,72 @@ def _assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
 
 
 def _solve_system(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions) -> tuple[np.ndarray, dict]:
-    """Solve for one right-hand side (n,) or a stack (n, k) with one LU factorization.
+    """Solve for a (k, n) block of right-hand sides, one per row, with one LU factorization.
 
-    SuperLU factors the matrix in float32 and each column is refined to
-    float64 (``_lu_solve``).  If the float32 cast overflows, the float32
-    factorization fails or a column misses the residual gate, the matrix is
-    factored in float64 instead, the one other path.  Every column must meet
-    the relative residual max(opts.tolerance, 1e-8); the stats report the
-    worst column, the factor fill (nonzeros of L and U), the column ordering,
-    the panel size, the precision of the factors and the most refinement
-    steps a column took.  A CSC matrix is used as it is (``tocsc`` of a CSC
-    matrix is no copy).
+    Returns the (k, n) solutions and the stats.  SuperLU factors the matrix
+    in float32 and each row is refined to float64 (``_lu_solve``).  If the
+    float32 cast overflows, the float32 factorization fails or a row misses
+    the residual gate, the matrix is factored in float64 instead, the one
+    other path.  Every row must meet the relative residual
+    max(opts.tolerance, 1e-8); the stats report the worst row, the factor
+    fill (nonzeros of L and U), the column ordering, the panel size, the
+    precision of the factors and the most refinement steps a row took.  A
+    CSC matrix and a C-contiguous float64 block are used as they are:
+    neither is copied.
     """
     matrix = matrix.tocsc()
-    columns = np.ascontiguousarray(rhs.reshape(len(rhs), -1).T)
+    # canonical before its index arrays are shared with the float32 values (a no-op on assembled matrices)
+    matrix.sum_duplicates()
+    rhs = np.ascontiguousarray(rhs, dtype=float)
     try:
-        xs, stats = _lu_solve(matrix, columns, opts, np.float32)
+        x, stats = _lu_solve(matrix, rhs, opts, np.float32)
     except SolverError as exc:
-        xs, reason = None, str(exc)
-    if xs is None:  # outside the handler, which would keep the float32 attempt's frames alive
+        x, reason = None, str(exc)
+    if x is None:  # outside the handler, which would keep the float32 attempt's frames alive
         log.info("float32 LU rejected (%s); factoring in float64", reason)
-        xs, stats = _lu_solve(matrix, columns, opts, np.float64)
-    x = np.column_stack(xs) if rhs.ndim == 2 else xs[0]
+        x, stats = _lu_solve(matrix, rhs, opts, np.float64)
     return x, stats
 
 
-def _lu_solve(matrix: sp.csc_matrix, columns: np.ndarray, opts: SolveOptions,
-              dtype: type) -> tuple[list[np.ndarray], dict]:
-    """Factor ``matrix`` in ``dtype`` (float32 or float64) and solve each column, through the residual gate.
+def _lu_solve(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions,
+              dtype: type) -> tuple[np.ndarray, dict]:
+    """Factor ``matrix`` in ``dtype`` (float32 or float64) and solve each row of ``rhs``, through the residual gate.
 
-    Float64 factors solve each column once.  Float32 factors take half the
-    memory; each column is then refined in float64 (``_refine``), as in
-    LAPACK's DSGESV, and the float32 copy of the matrix is released once it
-    is factored.  Raises ``SolverError`` if the cast overflows, SuperLU
-    fails or a column misses the gate.
+    Float64 factors solve each row once.  Float32 factors take half the
+    memory; each row is then refined in float64 (``_refine``), as in
+    LAPACK's DSGESV.  The float32 matrix is only a float32 copy of the
+    values: it shares the float64 matrix's ``indices`` and ``indptr``, and
+    it is released once it is factored.  Raises ``SolverError`` if the cast
+    overflows, SuperLU fails or a row misses the gate.
     """
     factored = matrix
     if dtype is np.float32:
         with np.errstate(over="ignore"):
-            factored = matrix.astype(np.float32)
-        if not np.isfinite(factored.data).all():
+            data = matrix.data.astype(np.float32)
+        if not np.isfinite(data).all():
             raise SolverError("matrix entries overflow float32")
+        factored = sp.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+        del data
     try:
         lu = spla.splu(factored, permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE)
         del factored
-        if dtype is np.float32:
-            refined = [_refine(lu, matrix, b) for b in columns]
-            xs, steps = [x for x, _ in refined], max(step for _, step in refined)
-        else:
-            xs, steps = [lu.solve(b) for b in columns], 0
+        x, steps = np.empty_like(rhs), 0
+        for x_row, b in zip(x, rhs):
+            if dtype is np.float32:
+                x_row[:], step = _refine(lu, matrix, b)
+                steps = max(steps, step)
+            else:
+                x_row[:] = lu.solve(b)
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
     # SuperLU.nnz counts the factors in place; reading .L or .U would copy them.
     fill = int(lu.nnz)
     del lu
-    stats = _checked_stats(lambda x: matrix @ x, xs, columns, opts, n=matrix.shape[0],
+    stats = _checked_stats(lambda x: matrix @ x, x, rhs, opts, n=matrix.shape[0],
                            nnz=matrix.nnz, method="direct_lu", fill=fill, ordering=LU_ORDERING,
                            panel_size=LU_PANEL_SIZE, precision=np.dtype(dtype).name,
                            refinement_steps=steps)
-    return xs, stats
+    return x, stats
 
 
 def _refine(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -214,16 +224,17 @@ def _refine(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> tuple[np.
     return x, step
 
 
-def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: list[np.ndarray],
-                   columns: np.ndarray, opts: SolveOptions, **stats) -> dict:
+def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
+                   rhs: np.ndarray, opts: SolveOptions, **stats) -> dict:
     """Residual gate and solve stats shared by the sparse and the lattice transform solves.
 
-    Every column must meet the relative residual max(opts.tolerance, 1e-8)
-    (a NaN residual fails too); the stats report the worst column and are
-    logged as one parseable ``linear solve:`` line.
+    Every row of the (k, n) solutions ``xs`` must meet the relative residual
+    max(opts.tolerance, 1e-8) against its row of ``rhs`` (a NaN residual
+    fails too); the stats report the worst row and are logged as one
+    parseable ``linear solve:`` line.
     """
     residual = rel = 0.0
-    for x, b in zip(xs, columns):
+    for x, b in zip(xs, rhs):
         col_residual = float(np.linalg.norm(apply(x) - b))
         rhs_norm = float(np.linalg.norm(b))
         col_rel = col_residual / rhs_norm if rhs_norm > 0 else col_residual
@@ -270,8 +281,9 @@ def solve_dirichlet(
     if mesh.periodic:
         raise ValueError("Dirichlet solve needs a mesh with boundary; got a periodic cell")
     validate_coefficient(sigma)
-    u = _solve_fixed(mesh, sigma.matrices, None, mesh.boundary_loop, _boundary_values(mesh, g), opts)
-    return ScalarFieldP1(mesh, u) if u.ndim == 1 else [ScalarFieldP1(mesh, v) for v in u.T.copy()]
+    values = _boundary_values(mesh, g)
+    u = _solve_fixed(mesh, sigma.matrices, None, mesh.boundary_loop, values.reshape(len(values), -1), opts)
+    return ScalarFieldP1(mesh, u[0]) if values.ndim == 1 else [ScalarFieldP1(mesh, v) for v in u]
 
 
 def interior_residual(sigma: ElementMatrixField, u) -> np.ndarray:
@@ -287,36 +299,50 @@ def interior_residual(sigma: ElementMatrixField, u) -> np.ndarray:
     return (full @ values)[~mesh.boundary_mask]
 
 
-def _load_vector(mesh: TriMesh, contribs: list[np.ndarray]) -> np.ndarray:
-    """(n_free, k) load vectors from one (nt, 3) array of per-vertex element loads per column."""
-    rhs = np.zeros((mesh.n_free, len(contribs)))
-    np.add.at(rhs, mesh.vertex_dofs().ravel(), np.stack(contribs, axis=-1).reshape(-1, len(contribs)))
+def _load_vector(mesh: TriMesh, element_loads: Iterable[np.ndarray], k: int) -> np.ndarray:
+    """(k, n_free) C-contiguous load vectors, one row per (nt, 3) array of per-vertex element loads.
+
+    Each row is one ``np.bincount`` over the element dofs in triangle order,
+    the order in which ``np.add.at`` accumulates, so the sums are the same
+    bit for bit.  ``element_loads`` may be a generator: only one element
+    load is alive at a time.
+    """
+    dofs = mesh.vertex_dofs().ravel()
+    rhs = np.empty((k, mesh.n_free))
+    for row, load in zip(rhs, element_loads, strict=True):
+        row[:] = np.bincount(dofs, weights=load.ravel(), minlength=mesh.n_free)
     return rhs
 
 
 def _solve_fixed(mesh: TriMesh, mats: np.ndarray, load: np.ndarray | None,
                  fixed: np.ndarray | list[int], values: np.ndarray, opts: SolveOptions) -> np.ndarray:
-    """Solve with the dofs ``fixed`` held at ``values`` (m,) or (m, k): (n_free,) or (n_free, k).
+    """Solve with the dofs ``fixed`` held at ``values`` (m, k); returns (k, n_free), a row per column.
 
-    The free rows get ``load[free] - A[free, fixed] @ values`` and the free
-    block is factored.  This imposes Dirichlet data (boundary loop at g) and
-    the constant of a cell or Neumann problem (dof 0 at 0) alike: that
-    singular system is consistent, with the constants in both kernels, so
-    deleting dof 0's row and column leaves a nonsingular matrix whose solution
-    solves every original equation, row 0 included.  Only the free block, as
-    one CSC matrix, is alive through the factorization.
+    The free rows get ``load[:, free] - (A[free, fixed] @ values).T`` (``load``
+    is None or (k, n_free)) and the free block is factored.  This imposes
+    Dirichlet data (boundary loop at g) and the constant of a cell or Neumann
+    problem (dof 0 at 0) alike: that singular system is consistent, with the
+    constants in both kernels, so deleting dof 0's row and column leaves a
+    nonsingular matrix whose solution solves every original equation, row 0
+    included.  Only the free block, as one CSC matrix, and one (k, n_free - m)
+    right-hand-side block are alive through the factorization, provided the
+    caller keeps no reference to ``mats`` or ``load`` (pass them inline).
     """
-    free = np.delete(np.arange(mesh.n_free), fixed)
+    free = np.ones(mesh.n_free, dtype=bool)
+    free[fixed] = False
     rows = _assemble(mesh, mats)[free]
-    rhs = -(rows[:, fixed] @ values)
+    del mats
+    rhs = np.ascontiguousarray(-(rows[:, fixed] @ values).T)
     if load is not None:
-        rhs += load[free]
+        rhs += load[:, free]
+        del load
     matrix = rows[:, free].tocsc()
     del rows
     x, _ = _solve_system(matrix, rhs, opts)
-    u = np.zeros((mesh.n_free, *x.shape[1:]))
-    u[fixed] = values
-    u[free] = x
+    del matrix, rhs
+    u = np.empty((len(x), mesh.n_free))
+    u[:, fixed] = values.T
+    u[:, free] = x
     return u
 
 
@@ -355,16 +381,17 @@ def _end_weights(n: int) -> np.ndarray:
 
 
 def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) -> tuple[np.ndarray, dict]:
-    """Solve the singular lattice Laplacian system for a stack (n_free, k) by a fast transform.
+    """Solve the singular lattice Laplacian system for a (k, n_free) block of rows by a fast transform.
 
     The square's Neumann matrix is diagonalised by DCT-I, the torus's
     circulant by the 2-D FFT, with eigenvalues lam_j + lam_i,
     lam = 2 - 2 cos(k pi / n) on the square and 2 - 2 cos(2 k pi / n) on the
     torus.  The constant mode (the kernel) is dropped, so the solution is
-    fixed only up to the constant the caller anchors.  Each column is
+    fixed only up to the constant the caller anchors.  Each row is
     transformed on its own, so stacked and single solves are bit-equal.
     The residual gate of ``_solve_system`` applies, at
-    max(opts.tolerance, 1e-8), on the full singular system.
+    max(opts.tolerance, 1e-8), on the full singular system.  Returns the
+    (k, n_free) solutions and the stats.
     """
     if periodic:
         lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -378,21 +405,20 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) 
         weights = np.outer(w, w)
         shape, method, nnz = (n + 1, n + 1), "dct1_neumann", (n + 1) ** 2 + 4 * n * (n + 1)
     denom[0, 0] = np.inf  # drop the constant mode
-    columns = np.ascontiguousarray(rhs.T)
-    xs = []
-    for b in columns:
+    xs = np.empty_like(rhs)
+    for x_row, b in zip(xs, rhs):
         b = b.reshape(shape)
         if periodic:
             x = np.fft.irfft2(np.fft.rfft2(b) / denom, s=shape)
         else:
             hat = _dct1(_dct1(b / weights, 0), 1)
             x = _dct1(_dct1(hat / denom, 0), 1)
-        xs.append(x.ravel())
+        x_row[:] = x.ravel()
     stats = _checked_stats(lambda x: _lattice_laplacian(x.reshape(shape), periodic).ravel(),
-                           xs, columns, opts, n=len(rhs), nnz=nnz, method=method,
+                           xs, rhs, opts, n=rhs.shape[1], nnz=nnz, method=method,
                            fill=None, ordering=None, panel_size=None, precision=None,
                            refinement_steps=None)
-    return np.column_stack(xs), stats
+    return xs, stats
 
 
 def solve_periodic_cell(
@@ -415,17 +441,15 @@ def solve_periodic_cell(
     xis = xi.reshape(-1, 2)
 
     # rhs_i = - sum_e A_e grad(phi_i) . sigma_e xi
-    rhs = _load_vector(mesh, [
-        -np.einsum("tia,ta,t->ti", mesh.hat_gradients,
-                   np.einsum("tab,b->ta", sigma.matrices, x), mesh.areas)
-        for x in xis
-    ])
-    w = _solve_fixed(mesh, sigma.matrices, rhs, [0], np.zeros((1, len(xis))), opts)
+    loads = (-np.einsum("tia,ta,t->ti", mesh.hat_gradients,
+                        np.einsum("tab,b->ta", sigma.matrices, x), mesh.areas)
+             for x in xis)
+    w = _solve_fixed(mesh, sigma.matrices, _load_vector(mesh, loads, len(xis)), [0],
+                     np.zeros((1, len(xis))), opts)
 
     fields = []
-    for j, x in enumerate(xis):
+    for x, w_free in zip(xis, w):
         # Shift the periodic part to zero mean over the cell.
-        w_free = w[:, j]
         w_at_tri = w_free[mesh.vertex_dofs()]
         mean_w = float(np.dot(mesh.areas, w_at_tri.mean(axis=1)) / mesh.areas.sum())
         w_free = w_free - mean_w
@@ -493,21 +517,20 @@ def stream_function(
     targets = [rotated_flux(sigma, f) for f in us]
     linears = [ROT90 @ mean_flux(sigma, f) if mesh.periodic else None for f in us]
 
-    rhs = _load_vector(mesh, [
-        np.einsum("tia,ta,t->ti", mesh.hat_gradients,
-                  target if linear is None else target - linear[None, :], mesh.areas)
-        for target, linear in zip(targets, linears)
-    ])
+    loads = (np.einsum("tia,ta,t->ti", mesh.hat_gradients,
+                       target if linear is None else target - linear[None, :], mesh.areas)
+             for target, linear in zip(targets, linears))
     n = lattice_resolution(mesh)
     if n is None:
-        identity = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy()
-        w = _solve_fixed(mesh, identity, rhs, [0], np.zeros((1, len(us))), opts)
+        # the identity coefficient and the load go inline: the solve releases both before the LU
+        w = _solve_fixed(mesh, np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy(),
+                         _load_vector(mesh, loads, len(us)), [0], np.zeros((1, len(us))), opts)
     else:
-        w, _ = _solve_lattice(rhs, n, mesh.periodic, opts)
+        w, _ = _solve_lattice(_load_vector(mesh, loads, len(us)), n, mesh.periodic, opts)
 
     results = []
-    for j, (target, linear) in enumerate(zip(targets, linears)):
-        values = w[mesh.free_index, j]
+    for w_j, target, linear in zip(w, targets, linears):
+        values = w_j[mesh.free_index]
         if linear is not None:
             values = values + mesh.vertices @ linear
         values = values - values[0]  # anchor at the lowest vertex index

@@ -81,11 +81,7 @@ class TriMesh:
                 grads[:, i, 0] = pj[:, 1] - pk[:, 1]
                 grads[:, i, 1] = pk[:, 0] - pj[:, 0]
             grads /= (2.0 * areas)[:, None, None]
-            self._geom = {
-                "areas": areas,
-                "grads": grads,
-                "barycenters": (p0 + p1 + p2) / 3.0,
-            }
+            self._geom = {"areas": areas, "grads": grads}
         return self._geom
 
     @property
@@ -99,7 +95,9 @@ class TriMesh:
 
     @property
     def barycenters(self) -> np.ndarray:
-        return self._geometry()["barycenters"]
+        """(nt, 2) triangle barycenters, computed on each read: no solver reads them, so the mesh keeps none."""
+        tri, p = self.triangles, self.vertices
+        return (p[tri[:, 0]] + p[tri[:, 1]] + p[tri[:, 2]]) / 3.0
 
     @property
     def n_vertices(self) -> int:
@@ -559,8 +557,15 @@ def _csv_texts(column: np.ndarray) -> list[str]:
 def _write_indexed_csv(path, header: list[str], *arrays) -> None:
     """Row i is i followed by row i of each (n,) or (n, k) array, as ``write_csv`` writes them.
 
-    Lines are joined ``CSV_BLOCK_ROWS`` rows at a time: joining the whole file
-    at once leaves its ~10^6 short-lived strings behind as heap (peak RSS).
+    Integer text comes from one decimal table per file, ``str(i)`` for each
+    i below max(n, largest tabled entry + 1): the index column and every
+    integer column whose entries lie in 0..2n-1 (the vertex indices of a
+    triangle list) read it, any other column goes through ``_csv_texts``.
+    The table is one fixed-width numpy string array, not a Python string per
+    entry: 10^5 strings alive at once would leave the interpreter's small-object
+    arenas pinned by the few objects that outlive the write (peak RSS of later
+    solves).  Lines are joined ``CSV_BLOCK_ROWS`` rows at a time: joining the
+    whole file at once leaves its ~10^6 short-lived strings behind as heap.
     """
     n = len(arrays[0])
     columns = []
@@ -569,11 +574,17 @@ def _write_indexed_csv(path, header: list[str], *arrays) -> None:
         if a.shape[0] != n:
             raise ValueError(f"expected {n} rows, got an array of shape {a.shape}")
         columns += list(a.reshape(n, math.prod(a.shape[1:])).T)
+    # a bounded range keeps the table the size of the file it writes
+    tabled = [c.dtype.kind in "iu" and c.min(initial=0) >= 0 and c.max(initial=0) < 2 * n for c in columns]
+    size = max([n, *(int(c.max(initial=-1)) + 1 for c, t in zip(columns, tabled) if t)])
+    decimals = np.arange(size).astype(f"U{len(str(size))}")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            rows = range(lo, min(lo + CSV_BLOCK_ROWS, n))
-            texts = [map(str, rows), *(_csv_texts(c[lo : rows.stop]) for c in columns)]
+            stop = min(lo + CSV_BLOCK_ROWS, n)
+            texts = [decimals[lo:stop].tolist(),
+                     *(decimals[c[lo:stop]].tolist() if t else _csv_texts(c[lo:stop])
+                       for c, t in zip(columns, tabled))]
             fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 

@@ -306,10 +306,10 @@ class TestLatticeStreamSolve:
         laplacian = _assemble(m, np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)).copy())
         rhs = np.random.default_rng(0).normal(size=(m.n_free, 3))
         rhs -= rhs.mean(axis=0)
-        x, stats = _solve_lattice(rhs, 8, periodic, SolveOptions())
+        x, stats = _solve_lattice(np.ascontiguousarray(rhs.T), 8, periodic, SolveOptions())
         assert stats["nnz"] == np.count_nonzero(laplacian.toarray())
         assert stats["fill"] is None and stats["ordering"] is None
-        assert np.abs(laplacian @ x - rhs).max() < 1e-12
+        assert np.abs(laplacian @ x.T - rhs).max() < 1e-12
 
     @pytest.mark.parametrize("lattice", [True, False], ids=["transform", "pinned_lu"])
     def test_nan_coefficient_fails_the_residual_gate(self, monkeypatch, lattice):
@@ -420,11 +420,11 @@ class TestOneFactorizationPerOperator:
 
 
 def cell_load(sig: ElementMatrixField, xis: np.ndarray) -> np.ndarray:
-    """(n_free, k) right-hand sides of the cell problems for the rows of ``xis``."""
+    """(k, n_free) right-hand sides of the cell problems, one row per row of ``xis``."""
     m = sig.mesh
     return _load_vector(m, [-np.einsum("tia,ta,t->ti", m.hat_gradients,
                                        np.einsum("tab,b->ta", sig.matrices, xi), m.areas)
-                            for xi in xis])
+                            for xi in xis], len(xis))
 
 
 @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
@@ -469,18 +469,19 @@ class TestPinDof:
             mats = np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)).copy()
             load = np.random.default_rng(5).normal(size=(m.n_free, 2))
             load -= load.mean(axis=0)  # consistent: orthogonal to the constants
+            load = np.ascontiguousarray(load.T)
         opts = SolveOptions()
         w = _solve_fixed(m, mats, load, [0], np.zeros((1, 2)), opts)
-        assert np.all(w[0] == 0.0)
+        assert np.all(w[:, 0] == 0.0)
         full = _assemble(m, mats)
-        for wj, bj in zip(w.T, load.T):  # every row, the eliminated row 0 included
+        for wj, bj in zip(w, load):  # every row, the eliminated row 0 included
             assert np.linalg.norm(full @ wj - bj) <= opts.tolerance * np.linalg.norm(bj)
 
     def test_solve_stats_report_fill_and_ordering(self, caplog):
         m = build_periodic_cell(8)
         sig = random_piecewise_field(m, 5.0, 4, seed=3)
         reduced = _assemble(m, sig.matrices)[1:][:, 1:]
-        rhs = np.ones(m.n_free - 1)
+        rhs = np.ones((1, m.n_free - 1))
         with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
             _, stats = _solve_system(reduced, rhs, SolveOptions())
         assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["panel_size"] == LU_PANEL_SIZE == 4
@@ -511,9 +512,9 @@ def reference_assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
 
 
 def float64_lu_solve(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """The float64 SuperLU solve, column by column: the path the float32 factors fall back to."""
+    """The float64 SuperLU solve of each row of ``rhs``: the path the float32 factors fall back to."""
     lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE)
-    return np.column_stack([lu.solve(b) for b in np.ascontiguousarray(rhs.T)])
+    return np.array([lu.solve(b) for b in np.ascontiguousarray(rhs)])
 
 
 def permuted_lattice(n: int) -> TriMesh:
@@ -549,9 +550,9 @@ class TestLeanAssemblyAndFactorization:
         g = m.vertices[m.boundary_loop]
         full = reference_assemble(m, sig.matrices)
         free = np.flatnonzero(~m.boundary_mask)
-        x, _ = _solve_system(full[free][:, free].tocsc(), -(full[free][:, m.boundary_loop] @ g), SolveOptions())
+        x, _ = _solve_system(full[free][:, free].tocsc(), -(full[free][:, m.boundary_loop] @ g).T, SolveOptions())
         for k, u in enumerate(solve_dirichlet(sig, g)):
-            assert np.array_equal(u.values[free], x[:, k])
+            assert np.array_equal(u.values[free], x[k])
             assert np.array_equal(u.values[m.boundary_loop], g[:, k])
 
     def test_cell_at_panel_20_matches_the_unpinned_matrix_path(self, monkeypatch):
@@ -561,8 +562,9 @@ class TestLeanAssemblyAndFactorization:
         xis = np.array([[1.0, 0.0], [0.3, 1.0]])
         rhs = cell_load(sig, xis)
         w = np.zeros_like(rhs)
-        w[1:], _ = _solve_system(reference_assemble(m, sig.matrices)[1:][:, 1:].tocsc(), rhs[1:], SolveOptions())
-        for xi, wj, u in zip(xis, w.T, solve_periodic_cell(sig, xis)):
+        w[:, 1:], _ = _solve_system(reference_assemble(m, sig.matrices)[1:][:, 1:].tocsc(), rhs[:, 1:],
+                                    SolveOptions())
+        for xi, wj, u in zip(xis, w, solve_periodic_cell(sig, xis)):
             mean_w = float(np.dot(m.areas, wj[m.vertex_dofs()].mean(axis=1)) / m.areas.sum())
             assert np.array_equal(u.values, m.vertices @ xi + (wj - mean_w)[m.free_index])
 
@@ -589,11 +591,12 @@ class TestLeanAssemblyAndFactorization:
 
 
 def dirichlet_system(sig: ElementMatrixField) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """Free block, coordinate-data right-hand sides and free dofs of ``solve_dirichlet(sig, lambda q: q)``."""
+    """Free block, (2, n) coordinate-data right-hand sides and free dofs of ``solve_dirichlet(sig, lambda q: q)``."""
     m = sig.mesh
     full = _assemble(m, sig.matrices)
     free = np.flatnonzero(~m.boundary_mask)
-    return full[free][:, free].tocsc(), -(full[free][:, m.boundary_loop] @ m.vertices[m.boundary_loop]), free
+    rhs = -(full[free][:, m.boundary_loop] @ m.vertices[m.boundary_loop])
+    return full[free][:, free].tocsc(), np.ascontiguousarray(rhs.T), free
 
 
 class TestMixedPrecisionLU:
@@ -605,29 +608,29 @@ class TestMixedPrecisionLU:
         m = build_periodic_cell(64) if periodic else build_unit_square(64)
         sig = random_piecewise_field(m, 5.0, 4, seed=seed)
         if periodic:
-            matrix, rhs = _assemble(m, sig.matrices)[1:][:, 1:].tocsc(), cell_load(sig, np.eye(2))[1:]
+            matrix, rhs = _assemble(m, sig.matrices)[1:][:, 1:].tocsc(), cell_load(sig, np.eye(2))[:, 1:]
         else:
             matrix, rhs, _ = dirichlet_system(sig)
         x, stats = _solve_system(matrix, rhs, SolveOptions())
         assert stats["precision"] == "float32" and stats["refinement_steps"] <= MAX_REFINEMENT_STEPS
-        for got, want, b in zip(x.T, float64_lu_solve(matrix, rhs).T, rhs.T):
+        for got, want, b in zip(x, float64_lu_solve(matrix, rhs), rhs):
             assert np.linalg.norm(matrix @ got - b) <= np.linalg.norm(matrix @ want - b)
 
     def test_stacked_solve_matches_single_solves(self):
         m = build_unit_square(32)
         matrix, rhs, _ = dirichlet_system(random_piecewise_field(m, 5.0, 4, seed=1008))
-        rhs = np.column_stack([rhs, np.random.default_rng(3).normal(size=len(rhs))])
+        rhs = np.vstack([rhs, np.random.default_rng(3).normal(size=rhs.shape[1])])
         x, stats = _solve_system(matrix, rhs, SolveOptions())
         assert stats["precision"] == "float32" and stats["nrhs"] == 3
-        for got, b in zip(x.T, rhs.T):
-            single, single_stats = _solve_system(matrix, b, SolveOptions())
+        for got, b in zip(x, rhs):
+            single, single_stats = _solve_system(matrix, b[None], SolveOptions())
             assert single_stats["precision"] == "float32"
-            assert np.array_equal(got, single)
+            assert np.array_equal(got, single[0])
 
     def test_singular_float32_factor_falls_back_to_float64(self, caplog):
         # 1 + 1e-10 rounds to 1 in float32, so the cast matrix is singular
         matrix = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]]))
-        rhs = np.array([[1.0, 0.0], [2.0, 1.0]])
+        rhs = np.array([[1.0, 2.0], [0.0, 1.0]])  # one right-hand side per row
         with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
             x, stats = _solve_system(matrix, rhs, SolveOptions())
         assert "float32 LU rejected (sparse LU factorization failed" in caplog.text
@@ -648,7 +651,76 @@ class TestMixedPrecisionLU:
         assert "precision=float64 refinement_steps=0 " in caplog.text
         matrix, rhs, free = dirichlet_system(sig)
         want = float64_lu_solve(matrix, rhs)
-        assert np.array_equal(u1.values[free], want[:, 0]) and np.array_equal(u2.values[free], want[:, 1])
+        assert np.array_equal(u1.values[free], want[0]) and np.array_equal(u2.values[free], want[1])
+
+
+class TestLoadVector:
+    """One ``np.bincount`` per row gives the sums of ``np.add.at``, bit for bit."""
+
+    @pytest.mark.parametrize("mesh", [build_unit_square(16), build_periodic_cell(16)], ids=["square", "torus"])
+    def test_bincount_matches_add_at(self, mesh):
+        rng = np.random.default_rng(11)
+        loads = [rng.normal(size=(mesh.n_triangles, 3)) for _ in range(3)]
+        loads[1][::5] = -0.0  # signed zeros, and dofs that receive several of them
+        loads[2] *= 10.0 ** rng.integers(-12, 12, size=(mesh.n_triangles, 3))  # order-dependent rounding
+        want = np.zeros((mesh.n_free, 3))
+        np.add.at(want, mesh.vertex_dofs().ravel(), np.stack(loads, axis=-1).reshape(-1, 3))
+        got = _load_vector(mesh, iter(loads), 3)
+        assert got.shape == (3, mesh.n_free) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.T.view(np.uint64))
+
+    def test_row_count_must_match(self):
+        m = build_unit_square(4)
+        with pytest.raises(ValueError):
+            _load_vector(m, [np.ones((m.n_triangles, 3))], 2)
+
+
+class TestLiveSetAtFactorization:
+    """At ``splu`` only the operator, its float32 values and one right-hand-side block are alive.
+
+    ``tracemalloc`` is read at the entry of ``spla.splu``.  It starts after the
+    mesh and the coefficient are built, so it counts only what the solve
+    allocated.  The budget is the float64 free block (float64 data, int32
+    indices and indptr), its float32 ``data``, one (k, n) float64 block and
+    a slack of half a column for the small arrays (the free-dof mask, the
+    boundary values) and the Python objects.
+    """
+
+    @pytest.mark.parametrize("case", ["torus_cell", "square_dirichlet"])
+    def test_splu_entry(self, monkeypatch, case):
+        if case == "torus_cell":
+            m = build_periodic_cell(128)
+            sig = random_piecewise_field(m, 5.0, 4, seed=1008)
+            xis = np.array([[2.0, 0.5], [0.3, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
+            def solve():
+                return solve_periodic_cell(sig, xis)
+        else:
+            m = build_unit_square(128)
+            sig = random_piecewise_field(m, 5.0, 4, seed=1008)
+            g = m.vertices[m.boundary_loop]
+
+            def solve():
+                return solve_dirichlet(sig, g)
+        k = 4 if case == "torus_cell" else 2
+        entries = []
+        splu = spla.splu
+
+        def probe(a, **kwargs):
+            entries.append((tracemalloc.get_traced_memory()[0], a.nnz, a.shape[0]))
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", probe)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve()
+        finally:
+            tracemalloc.stop()
+        (live, nnz, n), = entries
+        column = 8 * n
+        budget = (8 + 4 + 4) * nnz + 4 * (n + 1) + k * column + column // 2
+        assert live - base <= budget, (live - base, budget)
 
 
 class TestLUResidualProperty:
@@ -677,7 +749,7 @@ class TestLUResidualProperty:
         sig = random_piecewise_field(cell, k_max, 4, seed=seed, symmetric=symmetric)
         xis = np.eye(2)
         full = _assemble(cell, sig.matrices)
-        for xi, u, b in zip(xis, solve_periodic_cell(sig, xis), cell_load(sig, xis).T):
+        for xi, u, b in zip(xis, solve_periodic_cell(sig, xis), cell_load(sig, xis)):
             w = np.zeros(cell.n_free)
             w[cell.free_index] = u.values - cell.vertices @ xi
             # every row, the eliminated row 0 included

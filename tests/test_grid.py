@@ -16,6 +16,7 @@ from beltramilab.grid import (
     ScalarFieldP1,
     TriMesh,
     _double_square_inside_polygon,
+    _write_indexed_csv,
     _points_in_polygon,
     _segments_hit_boxes,
     build_mesh,
@@ -219,6 +220,20 @@ class TestMeshBuilders:
             build_unit_square(1500)
 
 
+class TestBarycenters:
+    @pytest.mark.parametrize("mesh", [build_unit_square(8), build_periodic_cell(8), build_regular_ngon(5, 1.0, 3)],
+                             ids=["square", "torus", "pentagon"])
+    def test_on_demand_matches_the_cached_formula(self, mesh):
+        # the expression the geometry cache used to store, bit for bit
+        tri = mesh.triangles
+        p0, p1, p2 = mesh.vertices[tri[:, 0]], mesh.vertices[tri[:, 1]], mesh.vertices[tri[:, 2]]
+        want = (p0 + p1 + p2) / 3.0
+        assert np.array_equal(mesh.barycenters.view(np.uint64), want.view(np.uint64))
+        # the mesh holds no copy: its cache is the areas and the hat gradients only
+        assert set(mesh._geometry()) == {"areas", "grads"}
+        assert mesh.barycenters is not mesh.barycenters
+
+
 class TestFields:
     def test_affine_gradient_exact(self):
         m = build_unit_square(6)
@@ -265,12 +280,13 @@ class TestDyadicSquares:
         ds = dyadic_squares(m, 3)
         assert ds.offsets[0] == 0 and ds.offsets[-1] == len(ds.members) == 4 * m.n_triangles
         assert np.all(np.diff(ds.offsets) >= 0)
+        bary = m.barycenters  # computed on each read
         for s in range(len(ds)):
             e = ds.elements(s)
             assert np.all(np.diff(e) > 0)
             assert ds.area[s] == m.areas[e].sum()
-            inside = np.all((m.barycenters[e] >= ds.corner[s] - 1e-12)
-                            & (m.barycenters[e] <= ds.corner[s] + ds.side[s] + 1e-12), axis=1)
+            inside = np.all((bary[e] >= ds.corner[s] - 1e-12)
+                            & (bary[e] <= ds.corner[s] + ds.side[s] + 1e-12), axis=1)
             assert inside.all()
         assert ds.side[0] == 2.0 and np.all(ds.side == 2.0 / 2.0 ** ds.level)
 
@@ -602,8 +618,9 @@ class TestCsvBytes:
         export_element_values_csv(mesh, values, tmp_path / "e.csv", name="det")
         flat = values.reshape(n, -1)
         names = ["det"] if not shape else [f"det{k}" for k in range(flat.shape[1])]
+        bary = mesh.barycenters  # computed on each read
         assert (tmp_path / "e.csv").read_bytes() == reference_csv(
-            ["index", "x", "y", *names], [(i, *mesh.barycenters[i], *flat[i]) for i in range(n)]
+            ["index", "x", "y", *names], [(i, *bary[i], *flat[i]) for i in range(n)]
         )
 
     def test_several_blocks(self, tmp_path):
@@ -620,8 +637,9 @@ class TestCsvBytes:
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(
             ["index", "v0", "v1", "v2"], [(i, *t) for i, t in enumerate(m.triangles)]
         )
+        bary = m.barycenters  # computed on each read
         assert (tmp_path / "w.csv").read_bytes() == reference_csv(
-            ["index", "x", "y", "w"], [(i, *m.barycenters[i], w[i]) for i in range(m.n_triangles)]
+            ["index", "x", "y", "w"], [(i, *bary[i], w[i]) for i in range(m.n_triangles)]
         )
 
     def test_signed_zeros_and_nan_payloads(self, mesh, tmp_path):
@@ -648,6 +666,27 @@ class TestCsvBytes:
         with pytest.raises(ValueError, match="rows"):
             export_element_values_csv(mesh, np.ones(2 * mesh.n_triangles), tmp_path / "e.csv")
         assert not (tmp_path / "e.csv").exists()
+
+    def test_decimal_table_triangles_match_write_csv(self, tmp_path):
+        m = build_unit_square(16)
+        export_triangles_csv(m, tmp_path / "t.csv")
+        write_csv(tmp_path / "w.csv", ["index", "v0", "v1", "v2"],
+                  [(i, *t) for i, t in enumerate(m.triangles.tolist())])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+    def test_decimal_table_mixed_columns_match_write_csv(self, tmp_path):
+        # over three blocks: index-like ints (tabled), ints with a negative entry and
+        # ints beyond the table's range (both ``str``), and floats (``repr``)
+        n = 2 * CSV_BLOCK_ROWS + 5
+        rng = np.random.default_rng(4)
+        ints = np.column_stack([rng.integers(0, 2 * n, n), rng.integers(-3, n, n), rng.integers(0, 10**12, n)])
+        ints[7, 1] = -1
+        floats = np.resize(np.array(SPECIAL_VALUES, dtype=float), n)
+        header = ["index", "a", "b", "c", "f"]
+        _write_indexed_csv(tmp_path / "t.csv", header, ints, floats)
+        write_csv(tmp_path / "w.csv", header, [(i, *row, f) for i, (row, f) in
+                                                enumerate(zip(ints.tolist(), floats.tolist()))])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
 
     def test_write_csv(self, tmp_path):
         rows = [[i, "lbl", True, *SPECIAL_VALUES[i:], *SPECIAL_VALUES[:i]] for i in range(3)]
