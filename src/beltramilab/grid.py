@@ -212,6 +212,48 @@ def lattice_resolution(mesh: TriMesh) -> int | None:
     return n if np.array_equal(mesh.free_index, free) else None
 
 
+def interior_dissection_order(n: int) -> np.ndarray:
+    """Interior vertices of the res-n square lattice in geometric nested-dissection order.
+
+    A box of interior lattice points is bisected at its middle grid line
+    across its longer side (a vertical line when it is at least as wide as
+    tall), and its points are ordered as the left (lower) box, the right
+    (upper) box, then the separating line, bottom to top (left to right).
+    One line separates the halves: the "/" lattice couples (i, j) only to
+    (i +- 1, j), (i, j +- 1) and (i +- 1, j +- 1).  George (1973), "Nested
+    dissection of a regular finite element mesh", SIAM J. Numer. Anal. 10.
+    Each level of boxes is one vectorized pass: a box's points fill a known
+    slice of the order, with its separator at the slice's end.
+    """
+    order = np.empty((n - 1) ** 2, dtype=np.int64)
+    # per box: lower-left interior point (i0, j0), width, height and first slot in ``order``
+    i0, j0 = np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    width, height = np.full(1, n - 1, dtype=np.int64), np.full(1, n - 1, dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64)
+    while True:
+        keep = (width > 0) & (height > 0)
+        i0, j0, width, height, start = i0[keep], j0[keep], width[keep], height[keep], start[keep]
+        if not len(start):
+            return order
+        vertical = width >= height
+        across = np.where(vertical, height, width)  # the separator's length
+        cut = np.where(vertical, width, height) // 2  # its offset from the box's left (lower) side
+        # point t of each separator goes to the last ``across`` slots of its box
+        box = np.repeat(np.arange(len(start)), across)
+        t = np.arange(len(box)) - np.repeat(np.cumsum(across) - across, across)
+        v = vertical[box]
+        i = i0[box] + np.where(v, cut[box], t)
+        j = j0[box] + np.where(v, t, cut[box])
+        order[start[box] + (width * height - across)[box] + t] = j * (n + 1) + i
+        # the two halves: the first keeps the box's origin, the second starts past the separator
+        first_w, first_h = np.where(vertical, cut, width), np.where(vertical, height, cut)
+        i0 = np.concatenate([i0, i0 + vertical * (cut + 1)])
+        j0 = np.concatenate([j0, j0 + ~vertical * (cut + 1)])
+        width = np.concatenate([first_w, np.where(vertical, width - cut - 1, width)])
+        height = np.concatenate([first_h, np.where(vertical, height, height - cut - 1)])
+        start = np.concatenate([start, start + first_w * first_h])
+
+
 def build_unit_square(resolution: int) -> TriMesh:
     """Structured triangulation of [0,1]^2 with 2*resolution^2 triangles."""
     _check_resolution(resolution, 2 * resolution * resolution)

@@ -24,6 +24,7 @@ from beltramilab.elliptic_solver import (
     LU_ORDERING,
     LU_PANEL_SIZE,
     MAX_REFINEMENT_STEPS,
+    NESTED_DISSECTION,
     SolveOptions,
     _assemble,
     _element_matrices,
@@ -48,6 +49,7 @@ from beltramilab.grid import (
     build_regular_ngon,
     build_unit_square,
     element_gradient,
+    interior_dissection_order,
     lattice_resolution,
 )
 from beltramilab.homogenization import cell_map, effective_conductivity
@@ -399,8 +401,8 @@ class TestOneFactorizationPerOperator:
     def test_primary_pair(self, factorizations):
         m = build_unit_square(8)
         primary_pair(random_piecewise_field(m, 5.0, 4, seed=2))
-        # the coefficient operator for u1 and u2; both streams by DCT-I, no LU
-        assert factorizations == ["MMD_AT_PLUS_A"]
+        # the coefficient operator for u1 and u2, pre-ordered by nested dissection; both streams by DCT-I, no LU
+        assert factorizations == ["NATURAL"]
 
     def test_primary_pair_on_polygon_factors_the_laplacian(self, factorizations):
         m = build_regular_ngon(6, 1.0, 6)
@@ -511,9 +513,9 @@ def reference_assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(mesh.n_free,) * 2).tocsr()
 
 
-def float64_lu_solve(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+def float64_lu_solve(matrix: sp.spmatrix, rhs: np.ndarray, permc_spec: str = LU_ORDERING) -> np.ndarray:
     """The float64 SuperLU solve of each row of ``rhs``: the path the float32 factors fall back to."""
-    lu = spla.splu(matrix.tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE)
+    lu = spla.splu(matrix.tocsc(), permc_spec=permc_spec, panel_size=LU_PANEL_SIZE)
     return np.array([lu.solve(b) for b in np.ascontiguousarray(rhs)])
 
 
@@ -549,8 +551,9 @@ class TestLeanAssemblyAndFactorization:
         sig = random_piecewise_field(m, 5.0, 4, seed=1008)
         g = m.vertices[m.boundary_loop]
         full = reference_assemble(m, sig.matrices)
-        free = np.flatnonzero(~m.boundary_mask)
-        x, _ = _solve_system(full[free][:, free].tocsc(), -(full[free][:, m.boundary_loop] @ g).T, SolveOptions())
+        free = interior_dissection_order(32)
+        x, _ = _solve_system(full[free][:, free].tocsc(), -(full[free][:, m.boundary_loop] @ g).T,
+                             SolveOptions(), NESTED_DISSECTION)
         for k, u in enumerate(solve_dirichlet(sig, g)):
             assert np.array_equal(u.values[free], x[k])
             assert np.array_equal(u.values[m.boundary_loop], g[:, k])
@@ -591,10 +594,14 @@ class TestLeanAssemblyAndFactorization:
 
 
 def dirichlet_system(sig: ElementMatrixField) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """Free block, (2, n) coordinate-data right-hand sides and free dofs of ``solve_dirichlet(sig, lambda q: q)``."""
+    """Free block, (2, n) coordinate-data right-hand sides and free dofs of ``solve_dirichlet(sig, lambda q: q)``.
+
+    The free dofs are in nested-dissection order, the order ``solve_dirichlet``
+    gives the unit-square lattice's block.
+    """
     m = sig.mesh
     full = _assemble(m, sig.matrices)
-    free = np.flatnonzero(~m.boundary_mask)
+    free = interior_dissection_order(lattice_resolution(m))
     rhs = -(full[free][:, m.boundary_loop] @ m.vertices[m.boundary_loop])
     return full[free][:, free].tocsc(), np.ascontiguousarray(rhs.T), free
 
@@ -648,10 +655,46 @@ class TestMixedPrecisionLU:
             u1, u2 = solve_dirichlet(sig, lambda q: q)
         assert dtypes == [np.float64]
         assert "float32 LU rejected (matrix entries overflow float32)" in caplog.text
-        assert "precision=float64 refinement_steps=0 " in caplog.text
+        assert "ordering=nested_dissection panel=4 precision=float64 refinement_steps=0 " in caplog.text
         matrix, rhs, free = dirichlet_system(sig)
-        want = float64_lu_solve(matrix, rhs)
+        want = float64_lu_solve(matrix, rhs, "NATURAL")
         assert np.array_equal(u1.values[free], want[0]) and np.array_equal(u2.values[free], want[1])
+
+
+class TestNestedDissection:
+    """The unit-square lattice's Dirichlet block is factored in nested-dissection order; every other block by MMD."""
+
+    @pytest.mark.parametrize("seed", [1008, 2])
+    def test_agrees_with_the_natural_order_minimum_degree_solve(self, seed):
+        m = build_unit_square(32)
+        sig = random_piecewise_field(m, 5.0, 4, seed=seed)
+        g = m.vertices[m.boundary_loop]
+        full = _assemble(m, sig.matrices)
+        free = np.flatnonzero(~m.boundary_mask)
+        want = float64_lu_solve(full[free][:, free], -(full[free][:, m.boundary_loop] @ g).T)
+        for k, u in enumerate(solve_dirichlet(sig, g)):
+            assert np.array_equal(u.values[m.boundary_loop], g[:, k])
+            assert np.linalg.norm(u.values[free] - want[k]) <= 1e-12 * np.linalg.norm(want[k])
+
+    def test_stats_and_log_line_name_the_ordering(self, monkeypatch, caplog):
+        orderings = []
+        solve_system = elliptic_solver._solve_system
+
+        def recording(*args):
+            x, stats = solve_system(*args)
+            orderings.append(stats["ordering"])
+            return x, stats
+
+        monkeypatch.setattr(elliptic_solver, "_solve_system", recording)
+        hexagon = build_regular_ngon(6, 1.0, 6)
+        with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
+            solve_dirichlet(random_piecewise_field(build_unit_square(16), 5.0, 4, seed=2), lambda q: q)
+            solve_dirichlet(constant_field(permuted_lattice(16), np.eye(2)), lambda q: q)
+            solve_dirichlet(constant_field(hexagon, [[2.0, 0.5], [-0.3, 1.0]]), lambda q: q)
+            stream_function(constant_field(hexagon, np.eye(2)), ScalarFieldP1(hexagon, hexagon.vertices[:, 0]))
+            solve_periodic_cell(random_piecewise_field(build_periodic_cell(16), 5.0, 4, seed=2), np.eye(2))
+        assert orderings == [NESTED_DISSECTION] + [LU_ORDERING] * 4
+        assert re.findall(r"ordering=(\S+)", caplog.text) == ["nested_dissection"] + ["MMD_AT_PLUS_A"] * 4
 
 
 class TestLoadVector:

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltramilab.coefficients import random_piecewise_field
-from beltramilab.elliptic_solver import solve_periodic_cell
+from beltramilab.elliptic_solver import LU_ORDERING, LU_PANEL_SIZE, _assemble, solve_periodic_cell
 from beltramilab.errors import MeshBudgetError
 from beltramilab.grid import (
     CSV_BLOCK_ROWS,
@@ -29,6 +30,7 @@ from beltramilab.grid import (
     export_triangles_csv,
     export_vertex_values_csv,
     export_vertices_csv,
+    interior_dissection_order,
     lattice_resolution,
     row_blocks,
     write_csv,
@@ -218,6 +220,63 @@ class TestMeshBuilders:
             build_unit_square(1)
         with pytest.raises(MeshBudgetError):
             build_unit_square(1500)
+
+
+def recursive_dissection(n: int) -> list[int]:
+    """Box-by-box reference of ``interior_dissection_order``: left (lower) box, right (upper) box, separator."""
+    out = []
+
+    def visit(i0, j0, width, height):
+        if width <= 0 or height <= 0:
+            return
+        if width >= height:
+            cut = width // 2
+            visit(i0, j0, cut, height)
+            visit(i0 + cut + 1, j0, width - cut - 1, height)
+            out.extend((j0 + t) * (n + 1) + i0 + cut for t in range(height))
+        else:
+            cut = height // 2
+            visit(i0, j0, width, cut)
+            visit(i0, j0 + cut + 1, width, height - cut - 1)
+            out.extend((j0 + cut) * (n + 1) + i0 + t for t in range(width))
+
+    visit(1, 1, n - 1, n - 1)
+    return out
+
+
+class TestInteriorDissectionOrder:
+    @pytest.mark.parametrize("n", [*range(2, 41), 256])
+    def test_permutes_the_interior_vertices(self, n):
+        order = interior_dissection_order(n)
+        m = build_unit_square(n)
+        assert order.dtype == np.int64
+        assert np.array_equal(np.sort(order), np.flatnonzero(~m.boundary_mask))
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_the_recursive_reference(self, n):
+        assert interior_dissection_order(n).tolist() == recursive_dissection(n)
+
+    def test_separator_decouples_the_halves_of_the_top_split(self):
+        n = 16
+        m = build_unit_square(n)
+        full = _assemble(m, random_piecewise_field(m, 5.0, 4, seed=1008, symmetric=False).matrices)
+        order = interior_dissection_order(n)
+        # the 15 x 15 interior is cut at the column i = 8: 105 points each side, then the 15 of the line
+        i = order % (n + 1)
+        left, right, line = order[:105], order[105:210], order[210:]
+        assert (i[:105] < 8).all() and (i[105:210] > 8).all() and (i[210:] == 8).all()
+        assert full[left][:, right].nnz == 0 and full[right][:, left].nnz == 0
+        assert full[line][:, left].nnz > 0 and full[line][:, right].nnz > 0
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_fill_below_minimum_degree(self, n):
+        # measured: 186,642 against 210,658 at res 64 (seed 1001)
+        m = build_unit_square(n)
+        full = _assemble(m, random_piecewise_field(m, 5.0, 4, seed=1001).matrices)
+        free, order = np.flatnonzero(~m.boundary_mask), interior_dissection_order(n)
+        mmd = spla.splu(full[free][:, free].tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE).nnz
+        nd = spla.splu(full[order][:, order].tocsc(), permc_spec="NATURAL", panel_size=LU_PANEL_SIZE).nnz
+        assert nd < mmd
 
 
 class TestBarycenters:
