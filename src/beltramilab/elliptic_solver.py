@@ -22,11 +22,17 @@ every column is refined to float64 accuracy by iterative refinement against
 the float64 matrix (the scheme of LAPACK's DSGESV); the float64
 factorization is the one fallback, taken when the float32 cast overflows,
 the float32 factorization fails or a refined column misses the residual
-gate.  From ``splu`` to the last refinement step only three arrays are
-alive: the float64 free block (one CSC matrix), the float32 copy of its
-values, which shares its ``indices`` and ``indptr``, and one C-contiguous
-(k, n) float64 block of right-hand sides, one per row; the mesh keeps no
-barycenters (they are computed on demand).  The stream function's
+gate.  From ``splu`` to the last refinement step the solve keeps only
+three arrays alive: the float64 free block (one CSC matrix), the float32
+copy of its values, which shares its ``indices`` and ``indptr``, and one
+C-contiguous (k, n) float64 block of right-hand sides, one per row.  The
+mesh keeps only its own arrays there: it holds no barycenters (they are
+computed on demand), and its cached areas and hat gradients are released
+before the factorization (``TriMesh.release_geometry``) and rebuilt, bit
+for bit, on their next read.  Right before each ``splu`` call the freed
+heap pages go back to the OS (glibc's ``malloc_trim(0)``, a no-op where
+the C library has none), so the factors do not sit on top of the
+assembly's freed temporaries.  The stream function's
 identity-coefficient Laplacian needs no factorization on the exact
 unit-square and torus lattices: there it is the 5-point stencil, solved by
 DCT-I on the square and by the 2-D FFT on the torus (``numpy.fft``).  Every
@@ -35,6 +41,7 @@ other mesh keeps the sparse LU with dof 0 eliminated.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -199,6 +206,7 @@ def _lu_solve(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions,
         del data
     try:
         permc_spec = "NATURAL" if ordering == NESTED_DISSECTION else ordering
+        _return_freed_heap()
         lu = spla.splu(factored, permc_spec=permc_spec, panel_size=LU_PANEL_SIZE)
         del factored
         x, steps = np.empty_like(rhs), 0
@@ -218,6 +226,27 @@ def _lu_solve(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions,
                            panel_size=LU_PANEL_SIZE, precision=np.dtype(dtype).name,
                            refinement_steps=steps)
     return x, stats
+
+
+def _find_malloc_trim() -> Callable[[int], int] | None:
+    """glibc's ``malloc_trim``, or None where the C library has no such symbol."""
+    try:
+        return getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):  # no C library to open by the null name (Windows)
+        return None
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def _return_freed_heap() -> None:
+    """Hand the heap pages freed so far back to the OS, so the factors do not sit on top of them.
+
+    glibc keeps freed memory resident; ``malloc_trim(0)`` returns it (about
+    0.06 ms a call).  A no-op where the C library has no ``malloc_trim``.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def _refine(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -376,6 +405,8 @@ def _solve_fixed(mesh: TriMesh, mats: np.ndarray, load: np.ndarray | None,
         del load
     matrix = rows[:, free].tocsc()
     del rows, free
+    # nothing reads the areas and hat gradients until the solve returns
+    mesh.release_geometry()
     x, _ = _solve_system(matrix, rhs, opts, ordering)
     del matrix, rhs
     free, _ = _free_dofs(mesh, fixed)

@@ -41,7 +41,10 @@ class TriMesh:
     boundary_loop: np.ndarray  # ordered vertex indices
     periodic: bool = False
     free_index: np.ndarray | None = None
-    _geom: dict | None = field(default=None, repr=False, compare=False)
+    # Caches of the arrays above, never passed in: ``dataclasses.replace``
+    # builds a new mesh, which computes its own.
+    _geom: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _lattice: tuple[int | None] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -83,6 +86,10 @@ class TriMesh:
             grads /= (2.0 * areas)[:, None, None]
             self._geom = {"areas": areas, "grads": grads}
         return self._geom
+
+    def release_geometry(self) -> None:
+        """Drop the cached areas and hat gradients; the next read of either rebuilds both, bit for bit."""
+        self._geom = None
 
     @property
     def areas(self) -> np.ndarray:
@@ -200,8 +207,15 @@ def lattice_resolution(mesh: TriMesh) -> int | None:
     vertices and triangles must equal ``_square_lattice(n)``, so vertex i
     sits at lattice point (i % (n+1), i // (n+1)), and the dof map must be
     the identity on the square and ``_torus_free_index(n)`` on the torus.
-    Any other mesh, a permuted lattice included, gives None.
+    Any other mesh, a permuted lattice included, gives None.  The answer is
+    kept on the mesh, so each mesh is tested once.
     """
+    if mesh._lattice is None:
+        mesh._lattice = (_lattice_test(mesh),)
+    return mesh._lattice[0]
+
+
+def _lattice_test(mesh: TriMesh) -> int | None:
     n = round((mesh.n_triangles / 2) ** 0.5)
     if n < 1 or 2 * n * n != mesh.n_triangles or mesh.n_vertices != (n + 1) ** 2:
         return None

@@ -97,9 +97,13 @@ def cell_map(
     opts = opts or SolveOptions()
     A = np.asarray(A, dtype=float)
     mesh = sigma.mesh
-    # A[0], A[1], e1 and e2 stay separate right-hand sides, so the linearity
-    # check compares independent solves of one factorization.
-    u1, u2, e1, e2 = solve_periodic_cell(sigma, np.vstack([A, np.eye(2)]), opts)
+    # A[0], A[1], e1 and e2 are separate right-hand sides of one
+    # factorization, so the linearity check compares independent solves; a
+    # row of A equal to e1 or e2 is solved once, as each row is refined on
+    # its own and a second solve would repeat it bit for bit.
+    distinct, inverse = np.unique(np.vstack([A, np.eye(2)]), axis=0, return_inverse=True)
+    solved = solve_periodic_cell(sigma, distinct, opts)
+    u1, u2, e1, e2 = (solved[i] for i in inverse.ravel())
     lin1 = A[0, 0] * e1.values + A[0, 1] * e2.values
     lin2 = A[1, 0] * e1.values + A[1, 1] * e2.values
     err = max(

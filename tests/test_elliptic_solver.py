@@ -719,33 +719,19 @@ class TestLoadVector:
 
 
 class TestLiveSetAtFactorization:
-    """At ``splu`` only the operator, its float32 values and one right-hand-side block are alive.
+    """At ``splu`` only the mesh, the coefficient, the operator, its float32 values and one right-hand-side block are alive.
 
-    ``tracemalloc`` is read at the entry of ``spla.splu``.  It starts after the
-    mesh and the coefficient are built, so it counts only what the solve
-    allocated.  The budget is the float64 free block (float64 data, int32
-    indices and indptr), its float32 ``data``, one (k, n) float64 block and
-    a slack of half a column for the small arrays (the free-dof mask, the
-    boundary values) and the Python objects.
+    ``tracemalloc`` is read at the entry of ``spla.splu``.  It starts before
+    the mesh is built.  The budget is the mesh's own arrays (not its areas
+    and hat gradients, which the solve releases), the coefficient and the
+    solve's data, the float64 free block (float64 data, int32 indices and
+    indptr), its float32 ``data``, one (k, n) float64 block and a slack of
+    half a column for the small arrays (the free-dof mask, the boundary
+    values) and the Python objects.
     """
 
     @pytest.mark.parametrize("case", ["torus_cell", "square_dirichlet"])
     def test_splu_entry(self, monkeypatch, case):
-        if case == "torus_cell":
-            m = build_periodic_cell(128)
-            sig = random_piecewise_field(m, 5.0, 4, seed=1008)
-            xis = np.array([[2.0, 0.5], [0.3, 1.0], [1.0, 0.0], [0.0, 1.0]])
-
-            def solve():
-                return solve_periodic_cell(sig, xis)
-        else:
-            m = build_unit_square(128)
-            sig = random_piecewise_field(m, 5.0, 4, seed=1008)
-            g = m.vertices[m.boundary_loop]
-
-            def solve():
-                return solve_dirichlet(sig, g)
-        k = 4 if case == "torus_cell" else 2
         entries = []
         splu = spla.splu
 
@@ -757,13 +743,85 @@ class TestLiveSetAtFactorization:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            solve()
+            if case == "torus_cell":
+                m = build_periodic_cell(128)
+                sig = random_piecewise_field(m, 5.0, 4, seed=1008)
+                data = np.array([[2.0, 0.5], [0.3, 1.0], [1.0, 0.0], [0.0, 1.0]])
+                solve_periodic_cell(sig, data)
+            else:
+                m = build_unit_square(128)
+                sig = random_piecewise_field(m, 5.0, 4, seed=1008)
+                data = m.vertices[m.boundary_loop]
+                solve_dirichlet(sig, data)
         finally:
             tracemalloc.stop()
         (live, nnz, n), = entries
+        k = len(data) if case == "torus_cell" else data.shape[1]
         column = 8 * n
-        budget = (8 + 4 + 4) * nnz + 4 * (n + 1) + k * column + column // 2
+        inputs = sum(a.nbytes for a in (m.vertices, m.triangles, m.boundary_loop, m.free_index,
+                                        sig.matrices, data))
+        budget = inputs + (8 + 4 + 4) * nnz + 4 * (n + 1) + k * column + column // 2
         assert live - base <= budget, (live - base, budget)
+
+
+class TestHeapReturn:
+    """Freed heap pages go back to the OS right before each ``splu`` call."""
+
+    def record(self, monkeypatch):
+        events = []
+        splu = spla.splu
+        monkeypatch.setattr(elliptic_solver, "_MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
+        monkeypatch.setattr(spla, "splu", lambda a, **k: events.append(("splu", a.dtype.name)) or splu(a, **k))
+        return events
+
+    def test_once_per_factorization(self, monkeypatch):
+        events = self.record(monkeypatch)
+        solve_dirichlet(random_piecewise_field(build_unit_square(16), 5.0, 4, seed=2), lambda q: q)
+        assert events == [("trim", 0), ("splu", "float32")]
+
+    def test_float64_fallbacks(self, monkeypatch):
+        events = self.record(monkeypatch)
+        # the float32 cast overflows, so only the float64 factorization is made
+        solve_dirichlet(constant_field(build_unit_square(8), 1e39 * np.array([[2.0, 1.0], [0.2, 1.5]])),
+                        lambda q: q)
+        assert events == [("trim", 0), ("splu", "float64")]
+        # a singular float32 factorization, then the float64 one
+        events.clear()
+        _solve_system(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])), np.eye(2), SolveOptions())
+        assert events == [("trim", 0), ("splu", "float32"), ("trim", 0), ("splu", "float64")]
+
+    def test_no_op_without_the_symbol(self, monkeypatch):
+        class NoTrim:  # a C library without malloc_trim
+            pass
+
+        monkeypatch.setattr(elliptic_solver.ctypes, "CDLL", lambda name: NoTrim())
+        assert elliptic_solver._find_malloc_trim() is None
+
+        def unloadable(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(elliptic_solver.ctypes, "CDLL", unloadable)
+        assert elliptic_solver._find_malloc_trim() is None
+        monkeypatch.setattr(elliptic_solver, "_MALLOC_TRIM", None)
+        sig = random_piecewise_field(build_unit_square(16), 5.0, 4, seed=2)
+        u1, u2 = solve_dirichlet(sig, lambda q: q)
+        monkeypatch.undo()
+        w1, w2 = solve_dirichlet(sig, lambda q: q)
+        assert u1.values.tobytes() == w1.values.tobytes() and u2.values.tobytes() == w2.values.tobytes()
+
+    @pytest.mark.parametrize("case", ["square", "torus", "hexagon"])
+    def test_geometry_after_a_solve_is_the_one_before(self, case):
+        mesh = {"square": build_unit_square, "torus": build_periodic_cell,
+                "hexagon": lambda n: build_regular_ngon(6, 1.0, n)}[case](12)
+        areas, grads = mesh.areas.copy(), mesh.hat_gradients.copy()
+        sig = constant_field(mesh, [[2.0, 0.5], [-0.3, 1.0]])
+        if mesh.periodic:
+            solve_periodic_cell(sig, np.eye(2))
+        else:
+            solve_dirichlet(sig, lambda q: q)
+            assert mesh._geom is None  # released at the factorization, not yet read again
+        assert np.array_equal(mesh.areas.view(np.uint64), areas.view(np.uint64))
+        assert np.array_equal(mesh.hat_gradients.view(np.uint64), grads.view(np.uint64))
 
 
 class TestLUResidualProperty:

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beltramilab import grid
 from beltramilab.coefficients import random_piecewise_field
 from beltramilab.elliptic_solver import LU_ORDERING, LU_PANEL_SIZE, _assemble, solve_periodic_cell
 from beltramilab.errors import MeshBudgetError
@@ -184,6 +185,19 @@ class TestMeshBuilders:
         with pytest.raises(ValueError, match="periodic=True disagrees"):
             replace(square, periodic=True)
 
+    def test_lattice_resolution_is_tested_once_per_mesh(self, monkeypatch):
+        square = build_unit_square(16)
+        builds = []
+        square_lattice = grid._square_lattice
+        monkeypatch.setattr(grid, "_square_lattice", lambda n: builds.append(n) or square_lattice(n))
+        # the coefficient, the Dirichlet block's ordering before and after the LU, and the stream transform
+        primary_pair(random_piecewise_field(square, 5.0, 4, seed=1001))
+        assert builds == [16]
+        # a replaced mesh is a new mesh: it is tested again, and its own arrays decide
+        moved = replace(square, vertices=square.vertices + 0.5)
+        assert lattice_resolution(moved) is None and builds == [16, 16]
+        assert lattice_resolution(replace(moved, vertices=square.vertices)) == 16 and builds == [16, 16, 16]
+
     @pytest.mark.parametrize("build, periodic", [(build_unit_square, True), (build_periodic_cell, False)])
     def test_periodic_flag_must_match_free_index(self, build, periodic):
         # a square flagged periodic has no fixed dofs: its identity conductivity came out ~4e-15
@@ -293,6 +307,27 @@ class TestBarycenters:
         assert mesh.barycenters is not mesh.barycenters
 
 
+class TestGeometryCache:
+    def test_replace_computes_its_own_geometry(self):
+        m = build_unit_square(2)  # its areas are cached by the positivity check
+        assert replace(m, vertices=3 * m.vertices).areas.sum() == 9.0
+        # the positivity check reads the new mesh's areas: mirrored, every triangle is clockwise
+        with pytest.raises(ValueError, match="non-positive signed area"):
+            replace(m, vertices=m.vertices * [-1.0, 1.0])
+        with pytest.raises(ValueError, match="init=False"):
+            replace(m, _geom=None)
+
+    @pytest.mark.parametrize("build", [build_unit_square, build_periodic_cell, lambda n: build_regular_ngon(7, 1.3, n)],
+                             ids=["square", "torus", "heptagon"])
+    def test_released_geometry_rebuilds_bit_for_bit(self, build):
+        m = build(12)
+        areas, grads = m.areas.copy(), m.hat_gradients.copy()
+        m.release_geometry()
+        assert m._geom is None
+        assert np.array_equal(m.areas.view(np.uint64), areas.view(np.uint64))
+        assert np.array_equal(m.hat_gradients.view(np.uint64), grads.view(np.uint64))
+
+
 class TestFields:
     def test_affine_gradient_exact(self):
         m = build_unit_square(6)
@@ -373,7 +408,7 @@ class TestDyadicSquares:
     def test_reference_square_is_the_bounding_square(self):
         # a [0, 2]^2 lattice: level-1 squares of side 1 hold a quarter of the area each
         m = build_unit_square(8)
-        scaled = replace(m, vertices=2 * m.vertices, _geom=None)
+        scaled = replace(m, vertices=2 * m.vertices)
         ds = dyadic_squares(scaled, 1)
         assert ds.side[0] == 2.0 and np.array_equal(ds.corner[0], [0.0, 0.0])
         assert np.array_equal(ds.area[ds.level == 1], [1.0, 1.0, 1.0, 1.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beltramilab import elliptic_solver
 from beltramilab.coefficients import (
     checkerboard_field,
     constant_field,
@@ -142,6 +143,23 @@ class TestCellMap:
         cm = cell_map(sig, np.eye(2))
         assert cm.U.det_DU.min() > 0.0
         assert injectivity_check(cm.U) == (True, True)
+
+    @pytest.mark.parametrize("A, refined", [(np.eye(2), 2), ([[2.0, 0.5], [0.3, 1.0]], 4)])
+    def test_each_distinct_row_is_solved_once(self, monkeypatch, A, refined):
+        m = build_periodic_cell(16)
+        sig = random_piecewise_field(m, 5.0, 4, seed=1001)
+        rows = []
+        refine = elliptic_solver._refine
+        monkeypatch.setattr(elliptic_solver, "_refine", lambda lu, a, b: rows.append(b) or refine(lu, a, b))
+        cm = cell_map(sig, A)
+        assert len(rows) == refined
+        # the same fields as one solve per row of [A; I]
+        u1, u2, e1, e2 = solve_periodic_cell(sig, np.vstack([A, np.eye(2)]))
+        assert cm.U.u1.values.tobytes() == u1.values.tobytes()
+        assert cm.U.u2.values.tobytes() == u2.values.tobytes()
+        lin = np.asarray(A) @ np.stack([e1.values, e2.values])
+        assert cm.linearity_error == max(float(np.max(np.abs(u1.values - lin[0]))),
+                                         float(np.max(np.abs(u2.values - lin[1]))))
 
     def test_singular_affine_part_still_solves(self):
         m = build_periodic_cell(8)
