@@ -3,12 +3,17 @@
 The coefficient matrix may be non-symmetric, so the assembled system is
 genuinely non-symmetric (test gradient . sigma . trial gradient ordering),
 and it is solved exactly by sparse LU (SuperLU), the one linear solver.
-Assembly order is the triangle index order so results are bit-reproducible
-at a fixed thread count.  Each solver takes a stack of right-hand sides for
-one operator and assembles, validates and factors it once per call.
-Dirichlet data and the additive constant of a cell or Neumann problem are
-imposed the same way: the fixed dofs (the boundary loop, or dof 0) are
-eliminated and the free block is factored.  SuperLU orders the columns by
+Each solver takes a stack of right-hand sides for one operator and
+assembles, validates and factors it once per call.  Dirichlet data and the
+additive constant of a cell or Neumann problem are imposed the same way:
+the fixed dofs (the boundary loop, or dof 0) are eliminated and the free
+block is factored.  The whole operator is never built: one function
+(``_free_block``) makes the free block, a CSC matrix with int32 indices in
+the order it is factored, and the fixed dofs' coupling to the right-hand
+side straight from the element blocks, a few thousand triangles at a time.
+Each entry sums its element contributions in triangle index order, then
+local row, then local column (``np.bincount``'s order over the element
+entries), so results are bit-reproducible.  SuperLU orders the columns by
 minimum degree (``LU_ORDERING``), except on the Dirichlet block of an exact
 unit-square lattice: its free dofs are taken in geometric nested-dissection
 order (``grid.interior_dissection_order``), which SuperLU keeps
@@ -87,7 +92,11 @@ NESTED_DISSECTION = "nested_dissection"
 # fell from 382 to 314 MB (square) and from 388 to 320 MB (torus) with float64
 # factors, and the factor time was no slower (medians of 6: 3.40 vs 3.60 s and
 # 3.65 vs 3.75 s).  The float32 factors keep the panel; with them a res-512
-# solve's peak above its inputs is about 220 MB instead of 300 MB.
+# solve's peak above its inputs is about 220 MB instead of 300 MB.  Panel 2
+# saves another 1.5 MB at res 256 and 6-7 MB at res 512 with the same fill,
+# but it factored the res-512 torus block 4.5, 9.6 and 13.1 % slower in three
+# medians of 7, 9 and 9 alternated float32 factorizations (1.83 -> 1.91,
+# 1.76 -> 1.93 and 1.61 -> 1.82 s), so the panel stays at 4.
 LU_PANEL_SIZE = 4
 
 # Most refinement steps per column beyond the first float32 solve.  Each step
@@ -96,6 +105,11 @@ LU_PANEL_SIZE = 4
 # at res 64 and 256, on random blocks and on laminates and checkerboards of
 # contrast 1e9; their refined residuals were below the float64 LU's own.
 MAX_REFINEMENT_STEPS = 10
+
+# Triangles per step of the free block's build (``_free_block``): each step
+# makes and scatters their element blocks (0.3 MB), so the build makes no
+# float array the size of the mesh but the block it returns.
+_BLOCK_STEP = 4096
 
 
 @dataclass
@@ -130,28 +144,129 @@ def validate_coefficient(sigma: ElementMatrixField) -> None:
         )
 
 
-def _element_matrices(mesh: TriMesh, mats: np.ndarray) -> np.ndarray:
-    """(nt, 3, 3) element stiffness blocks A_e * grad_i . sigma_e grad_j."""
-    grads = mesh.hat_gradients
-    blocks = np.einsum("tia,tab,tjb->tij", grads, mats, grads)
-    blocks *= mesh.areas[:, None, None]
+def _element_matrices(grads: np.ndarray, mats: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """(t, 3, 3) element stiffness blocks A_e * grad_i . sigma_e grad_j of a run of t triangles.
+
+    Entry (i, j) is A_e * ((((g_i0 s_00) g_j0 + (g_i0 s_01) g_j1) + (g_i1 s_10) g_j0) + (g_i1 s_11) g_j1),
+    evaluated elementwise in that order, so a run of triangles gets the bits
+    of the whole mesh's blocks.
+    """
+    gi, gj, s = grads[:, :, None, :], grads[:, None, :, :], mats[:, None, None]
+    blocks = (gi[..., 0] * s[..., 0, 0]) * gj[..., 0]
+    blocks += (gi[..., 0] * s[..., 0, 1]) * gj[..., 1]
+    blocks += (gi[..., 1] * s[..., 1, 0]) * gj[..., 0]
+    blocks += (gi[..., 1] * s[..., 1, 1]) * gj[..., 1]
+    blocks *= areas[:, None, None]
     return blocks
 
 
-def _assemble(mesh: TriMesh, mats: np.ndarray) -> sp.csr_matrix:
-    """Stiffness matrix on the free dofs (quotient map applied on the torus).
+def _block_pattern(pos: np.ndarray, nf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC pattern of the free block, and the place of every element entry in its data.
 
-    The COO indices are int32, the index type scipy gives the CSR anyway
-    (``TRIANGLE_BUDGET`` keeps ``n_free`` far below 2**31): int64 ones would
-    be copied down, and the copies would set the assembly's peak memory.
+    ``pos`` (nt, 3) holds the free position of each triangle vertex's dof,
+    negative for a fixed dof.  Column c of the block holds c and every free
+    dof that shares a triangle edge with it, rows ascending; ``indices`` and
+    ``indptr`` are int32.  ``scatter`` (nt, 3, 3) int32 gives the data index
+    of entry (t, a, b), at row ``pos[t, a]`` and column ``pos[t, b]``, or -1
+    where either dof is fixed.  The edges are found by one sort of the
+    3 nt local edge keys; nothing of size 9 nt is built.
     """
-    blocks = _element_matrices(mesh, mats)
-    dofs = mesh.vertex_dofs().astype(np.int32)
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    n = mesh.n_free
-    mat = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+    nt = len(pos)
+    nxt = np.roll(pos, -1, axis=1)  # local edge a joins local vertices a and a + 1 (mod 3)
+    lo, hi = np.minimum(pos, nxt), np.maximum(pos, nxt)
+    keys = lo.astype(np.int64) * nf + hi
+    keys[(lo < 0) | (lo == hi)] = -1  # a fixed end, or both ends one dof: no off-diagonal entry
+    del nxt, lo, hi
+    order = np.argsort(keys, axis=None)
+    keys = keys.ravel()[order]
+    new = np.empty(len(keys), dtype=bool)  # the first local edge of each free edge, in key order
+    new[:1] = keys[:1] >= 0
+    np.greater(keys[1:], keys[:-1], out=new[1:])
+    edges = keys[new]
+    edge = np.empty(3 * nt, dtype=np.int32)  # each local edge's free edge, -1 for none
+    edge[order] = np.cumsum(new, dtype=np.int32) - 1
+    edge = edge.reshape(nt, 3)
+    del keys, order, new
+    # column-major keys (column * nf + row): edge (lo, hi) gives the entries (hi, lo) and (lo, hi)
+    lo, hi = np.divmod(edges, nf)
+    upper = hi * nf + lo
+    del lo, hi
+    diagonal = np.arange(nf, dtype=np.int64) * (nf + 1)
+    column_keys = np.concatenate([edges, upper, diagonal])
+    column_keys.sort()
+
+    def places(keys: np.ndarray) -> np.ndarray:
+        """int32 data index of each key, then a -1 for index -1 to read."""
+        out = np.empty(len(keys) + 1, dtype=np.int32)
+        out[:-1], out[-1] = np.searchsorted(column_keys, keys), -1
+        return out
+
+    lower = places(edges)
+    del edges
+    upper, diagonal = places(upper), places(diagonal)
+    indptr = np.searchsorted(column_keys, np.arange(nf + 1, dtype=np.int64) * nf).astype(np.int32)
+    indices = np.empty(len(column_keys), dtype=np.int32)
+    np.remainder(column_keys, nf, out=indices, casting="unsafe")
+    del column_keys
+    scatter = np.empty((nt, 3, 3), dtype=np.int32)
+    for a in range(3):
+        b = (a + 1) % 3
+        e, above = edge[:, a], pos[:, a] < pos[:, b]  # above: row a's dof before column b's
+        scatter[:, a, b] = np.where(above, upper[e], lower[e])
+        scatter[:, b, a] = np.where(above, lower[e], upper[e])
+        scatter[:, a, a] = diagonal[np.maximum(pos[:, a], -1)]  # a fixed dof reads the last -1
+        same = pos[:, a] == pos[:, b]  # both ends one dof: both entries are on the diagonal
+        scatter[same, a, b] = scatter[same, b, a] = diagonal[np.maximum(pos[same, a], -1)]
+    return scatter, indices, indptr
+
+
+def _free_block(mesh: TriMesh, mats: np.ndarray, free: np.ndarray, fixed: np.ndarray | list[int],
+                values: np.ndarray, load: np.ndarray | None = None) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The free block ``A[free][:, free]`` as one CSC matrix, and the free rows of the right-hand side.
+
+    ``A`` is the stiffness matrix on the dofs (quotient map applied on the
+    torus).  It is never built: the block comes straight from the element
+    blocks (``_element_matrices``), in the order of ``free``, with int32
+    indices.  Each entry is the sum of its element contributions in
+    triangle index order, then local row, then local column, as
+    ``np.bincount`` over the element entries in that order would give it.
+    The (k, len(free)) right-hand side is
+    ``load[:, free] - (A[free, fixed] @ values).T`` for ``values`` (m, k)
+    of the dofs ``fixed``, where each coupling row is summed over its
+    element entries (the entry times its fixed value) in the same order,
+    starting from zero, before ``load`` (None for none) is added.  The
+    element blocks are made ``_BLOCK_STEP`` triangles at a time, so the
+    build's transient is its index arrays: about 60 bytes per triangle
+    beyond the block and the right-hand side.
+    """
+    nf = len(free)
+    where = np.empty(mesh.n_free, dtype=np.int32)  # free position, or -1 - (row of ``values``)
+    where[free] = np.arange(nf, dtype=np.int32)
+    where[fixed] = -1 - np.arange(len(fixed), dtype=np.int32)
+    pos = where[mesh.vertex_dofs()]
+    del where
+    scatter, indices, indptr = _block_pattern(pos, nf)
+    grads, areas = mesh.hat_gradients, mesh.areas
+    # the couplings of free rows to fixed columns sit on the triangles with a fixed vertex
+    touch = np.flatnonzero((pos < 0).any(axis=1))
+    near = pos[touch]
+    del pos
+    coupled = (near[:, :, None] >= 0) & (near[:, None, :] < 0)
+    rows = np.broadcast_to(near[:, :, None], coupled.shape)[coupled]
+    cols = -1 - np.broadcast_to(near[:, None, :], coupled.shape)[coupled]
+    couplings = _element_matrices(grads[touch], mats[touch], areas[touch])[coupled]
+    rhs = np.zeros((values.shape[1], nf))
+    for row, g in zip(rhs, values.T):
+        np.subtract.at(row, rows, couplings * g[cols])
+    del touch, near, coupled, rows, cols, couplings
+    if load is not None:
+        rhs += load[:, free]
+    # entries with a fixed dof land in a last, spare slot, which the block leaves out
+    data = np.zeros(len(indices) + 1)
+    for start in range(0, len(scatter), _BLOCK_STEP):
+        t = slice(start, start + _BLOCK_STEP)
+        np.add.at(data, scatter[t].ravel(), _element_matrices(grads[t], mats[t], areas[t]).ravel())
+    return sp.csc_matrix((data[:-1], indices, indptr), shape=(nf, nf)), rhs
 
 
 def _solve_system(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions,
@@ -342,9 +457,14 @@ def interior_residual(sigma: ElementMatrixField, u) -> np.ndarray:
     each column bit-equal to the residual of that column alone.
     """
     mesh = sigma.mesh
+    if mesh.periodic:
+        raise ValueError("interior residual needs a mesh with boundary; got a periodic cell")
     values = u.values if isinstance(u, ScalarFieldP1) else np.asarray(u, dtype=float)
-    full = _assemble(mesh, sigma.matrices)
-    return (full @ values)[~mesh.boundary_mask]
+    stack = values.reshape(len(values), -1)
+    interior, boundary = np.flatnonzero(~mesh.boundary_mask), np.flatnonzero(mesh.boundary_mask)
+    block, coupling = _free_block(mesh, sigma.matrices, interior, boundary, stack[boundary])
+    # A[interior] @ u = A[interior][:, interior] @ u[interior] + A[interior][:, boundary] @ u[boundary]
+    return (block @ stack[interior] - coupling.T).reshape((len(interior),) + values.shape[1:])
 
 
 def _load_vector(mesh: TriMesh, element_loads: Iterable[np.ndarray], k: int) -> np.ndarray:
@@ -390,21 +510,16 @@ def _solve_fixed(mesh: TriMesh, mats: np.ndarray, load: np.ndarray | None,
     constant of a cell or Neumann problem (dof 0 at 0) alike: that singular
     system is consistent, with the constants in both kernels, so deleting
     dof 0's row and column leaves a nonsingular matrix whose solution solves
-    every original equation, row 0 included.  Only the free block, as one CSC
+    every original equation, row 0 included.  ``_free_block`` builds both
+    from the element blocks.  Only the free block, as one CSC
     matrix, and one (k, n_free - m) right-hand-side block are alive through
     the factorization, provided the caller keeps no reference to ``mats`` or
     ``load`` (pass them inline); the free-dof index is built again to scatter
     the solution.
     """
     free, ordering = _free_dofs(mesh, fixed)
-    rows = _assemble(mesh, mats)[free]
-    del mats
-    rhs = np.ascontiguousarray(-(rows[:, fixed] @ values).T)
-    if load is not None:
-        rhs += load[:, free]
-        del load
-    matrix = rows[:, free].tocsc()
-    del rows, free
+    matrix, rhs = _free_block(mesh, mats, free, fixed, values, load)
+    del mats, load, free
     # nothing reads the areas and hat gradients until the solve returns
     mesh.release_geometry()
     x, _ = _solve_system(matrix, rhs, opts, ordering)

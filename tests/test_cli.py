@@ -307,13 +307,13 @@ class TestRunTasks:
         run(ExperimentConfig.from_dict({**raw, "output_dir": str(tmp_path / "before")}))
         monkeypatch.undo()
         assemblies = []
-        assemble = elliptic_solver._assemble
+        free_block = elliptic_solver._free_block
 
-        def counting_assemble(mesh, mats):
+        def counting_build(mesh, *args):
             assemblies.append(mesh.n_vertices)
-            return assemble(mesh, mats)
+            return free_block(mesh, *args)
 
-        monkeypatch.setattr(elliptic_solver, "_assemble", counting_assemble)
+        monkeypatch.setattr(elliptic_solver, "_free_block", counting_build)
         record = run(ExperimentConfig.from_dict({**raw, "output_dir": str(tmp_path / "after")}))
         # the Dirichlet solve, then the residuals of u and of the boundary lift together
         assert len(assemblies) == 2

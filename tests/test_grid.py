@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from beltramilab import grid
 from beltramilab.coefficients import random_piecewise_field
-from beltramilab.elliptic_solver import LU_ORDERING, LU_PANEL_SIZE, _assemble, solve_periodic_cell
+from beltramilab.elliptic_solver import LU_ORDERING, LU_PANEL_SIZE, _free_block, solve_periodic_cell
 from beltramilab.errors import MeshBudgetError
 from beltramilab.grid import (
     CSV_BLOCK_ROWS,
@@ -273,23 +273,27 @@ class TestInteriorDissectionOrder:
     def test_separator_decouples_the_halves_of_the_top_split(self):
         n = 16
         m = build_unit_square(n)
-        full = _assemble(m, random_piecewise_field(m, 5.0, 4, seed=1008, symmetric=False).matrices)
+        mats = random_piecewise_field(m, 5.0, 4, seed=1008, symmetric=False).matrices
         order = interior_dissection_order(n)
+        block = _free_block(m, mats, order, m.boundary_loop, np.zeros((4 * n, 0)))[0]
         # the 15 x 15 interior is cut at the column i = 8: 105 points each side, then the 15 of the line
         i = order % (n + 1)
-        left, right, line = order[:105], order[105:210], order[210:]
-        assert (i[:105] < 8).all() and (i[105:210] > 8).all() and (i[210:] == 8).all()
-        assert full[left][:, right].nnz == 0 and full[right][:, left].nnz == 0
-        assert full[line][:, left].nnz > 0 and full[line][:, right].nnz > 0
+        left, right, line = slice(0, 105), slice(105, 210), slice(210, None)
+        assert (i[left] < 8).all() and (i[right] > 8).all() and (i[line] == 8).all()
+        assert block[left, right].nnz == 0 and block[right, left].nnz == 0
+        assert block[line, left].nnz > 0 and block[line, right].nnz > 0
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_fill_below_minimum_degree(self, n):
         # measured: 186,642 against 210,658 at res 64 (seed 1001)
         m = build_unit_square(n)
-        full = _assemble(m, random_piecewise_field(m, 5.0, 4, seed=1001).matrices)
+        mats = random_piecewise_field(m, 5.0, 4, seed=1001).matrices
         free, order = np.flatnonzero(~m.boundary_mask), interior_dissection_order(n)
-        mmd = spla.splu(full[free][:, free].tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE).nnz
-        nd = spla.splu(full[order][:, order].tocsc(), permc_spec="NATURAL", panel_size=LU_PANEL_SIZE).nnz
+        no_data = np.zeros((4 * n, 0))
+        mmd = spla.splu(_free_block(m, mats, free, m.boundary_loop, no_data)[0],
+                        permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE).nnz
+        nd = spla.splu(_free_block(m, mats, order, m.boundary_loop, no_data)[0],
+                       permc_spec="NATURAL", panel_size=LU_PANEL_SIZE).nnz
         assert nd < mmd
 
 
