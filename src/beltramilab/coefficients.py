@@ -21,8 +21,11 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def constant_field(mesh: TriMesh, matrix) -> ElementMatrixField:
-    matrix = np.asarray(matrix, dtype=float)
-    return ElementMatrixField(mesh, np.broadcast_to(matrix, (mesh.n_triangles, 2, 2)).copy())
+    """One matrix on every triangle: a one-entry table."""
+    matrix = np.array(matrix, dtype=float)  # a copy: the field does not share the caller's array
+    if matrix.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {matrix.shape}")
+    return ElementMatrixField(mesh, matrix[None], np.zeros(mesh.n_triangles, dtype=np.uint8))
 
 
 def hall_field(mesh: TriMesh, a: float, b: float) -> ElementMatrixField:
@@ -44,6 +47,8 @@ def _lattice_field(mesh: TriMesh, table: np.ndarray, n: int | None = None) -> El
 
     Every block edge must sit on a mesh line, so ``rows`` and ``cols`` must
     both divide the resolution n; then each triangle lies in exactly one block.
+    The field keeps the rows * cols blocks as its table and each triangle's
+    block number (row * cols + column) as its index.
     """
     rows, cols = table.shape[:2]
     if rows == 0 or cols == 0:
@@ -54,7 +59,7 @@ def _lattice_field(mesh: TriMesh, table: np.ndarray, n: int | None = None) -> El
     bary = mesh.barycenters
     bi = np.floor(bary[:, 0] % 1.0 * cols).astype(int)
     bj = np.floor(bary[:, 1] % 1.0 * rows).astype(int)
-    return ElementMatrixField(mesh, table[bj, bi])
+    return ElementMatrixField(mesh, table.reshape(rows * cols, 2, 2), bj * cols + bi)
 
 
 def _strip_table(strips: np.ndarray, direction: str) -> np.ndarray:

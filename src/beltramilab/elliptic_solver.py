@@ -31,7 +31,12 @@ gate.  From ``splu`` to the last refinement step the solve keeps only
 three arrays alive: the float64 free block (one CSC matrix), the float32
 copy of its values, which shares its ``indices`` and ``indptr``, and one
 C-contiguous (k, n) float64 block of right-hand sides, one per row.  The
-mesh keeps only its own arrays there: it holds no barycenters (they are
+coefficient is read as its table of distinct matrices and its per-triangle
+index (``grid.ElementMatrixField``): the build gathers the matrices of one
+run of triangles at a time, so no per-triangle matrix array is alive at
+``splu``, only the table and the index (at res 256, 16 matrices and 128 kB
+of uint8 for a 4 x 4 block field, against 4.2 MB for an (nt, 2, 2) stack).
+The mesh keeps only its own arrays there: it holds no barycenters (they are
 computed on demand), and its cached areas and hat gradients are released
 before the factorization (``TriMesh.release_geometry``) and rebuilt, bit
 for bit, on their next read.  Right before each ``splu`` call the freed
@@ -56,7 +61,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coeff_algebra import _checked_constants, _gauge
-from .errors import SolverError
+from .errors import NonEllipticError, SolverError
 from .grid import (
     ROT90,
     ElementMatrixField,
@@ -134,9 +139,21 @@ def validate_coefficient(sigma: ElementMatrixField) -> None:
 
     Also asserts the positivity of 1 + tr(sigma) + det(sigma), which every
     admissible matrix satisfies and which the dilatation transform divides by.
+    The checks run on the field's table, one matrix per distinct entry; only
+    a table with a bad entry is checked again triangle by triangle, so the
+    error names the first triangle that uses one (and an entry no triangle
+    uses rejects nothing).
     """
-    _, _, det = _checked_constants(sigma.matrices)
-    gauge = _gauge(sigma.matrices, det)
+    try:
+        _check_elliptic(sigma.table)
+    except (NonEllipticError, AssertionError):
+        _check_elliptic(sigma.matrices)
+
+
+def _check_elliptic(mats: np.ndarray) -> None:
+    """The checks of ``validate_coefficient`` on an (n, 2, 2) stack; errors name the stack's entry."""
+    _, _, det = _checked_constants(mats)
+    gauge = _gauge(mats, det)
     if np.any(gauge <= 0):
         bad = int(np.argmin(gauge))
         raise AssertionError(
@@ -164,7 +181,8 @@ def _block_pattern(pos: np.ndarray, nf: int) -> tuple[np.ndarray, np.ndarray, np
     """CSC pattern of the free block, and the place of every element entry in its data.
 
     ``pos`` (nt, 3) holds the free position of each triangle vertex's dof,
-    negative for a fixed dof.  Column c of the block holds c and every free
+    negative for a fixed dof; a triangle's three dofs are distinct (``TriMesh``
+    rejects any other).  Column c of the block holds c and every free
     dof that shares a triangle edge with it, rows ascending; ``indices`` and
     ``indptr`` are int32.  ``scatter`` (nt, 3, 3) int32 gives the data index
     of entry (t, a, b), at row ``pos[t, a]`` and column ``pos[t, b]``, or -1
@@ -175,7 +193,7 @@ def _block_pattern(pos: np.ndarray, nf: int) -> tuple[np.ndarray, np.ndarray, np
     nxt = np.roll(pos, -1, axis=1)  # local edge a joins local vertices a and a + 1 (mod 3)
     lo, hi = np.minimum(pos, nxt), np.maximum(pos, nxt)
     keys = lo.astype(np.int64) * nf + hi
-    keys[(lo < 0) | (lo == hi)] = -1  # a fixed end, or both ends one dof: no off-diagonal entry
+    keys[lo < 0] = -1  # a fixed end: no entry in the block
     del nxt, lo, hi
     order = np.argsort(keys, axis=None)
     keys = keys.ravel()[order]
@@ -215,29 +233,31 @@ def _block_pattern(pos: np.ndarray, nf: int) -> tuple[np.ndarray, np.ndarray, np
         scatter[:, a, b] = np.where(above, upper[e], lower[e])
         scatter[:, b, a] = np.where(above, lower[e], upper[e])
         scatter[:, a, a] = diagonal[np.maximum(pos[:, a], -1)]  # a fixed dof reads the last -1
-        same = pos[:, a] == pos[:, b]  # both ends one dof: both entries are on the diagonal
-        scatter[same, a, b] = scatter[same, b, a] = diagonal[np.maximum(pos[same, a], -1)]
     return scatter, indices, indptr
 
 
-def _free_block(mesh: TriMesh, mats: np.ndarray, free: np.ndarray, fixed: np.ndarray | list[int],
-                values: np.ndarray, load: np.ndarray | None = None) -> tuple[sp.csc_matrix, np.ndarray]:
+def _free_block(mesh: TriMesh, table: np.ndarray, index: np.ndarray, free: np.ndarray,
+                fixed: np.ndarray | list[int], values: np.ndarray,
+                load: np.ndarray | None = None) -> tuple[sp.csc_matrix, np.ndarray]:
     """The free block ``A[free][:, free]`` as one CSC matrix, and the free rows of the right-hand side.
 
     ``A`` is the stiffness matrix on the dofs (quotient map applied on the
-    torus).  It is never built: the block comes straight from the element
-    blocks (``_element_matrices``), in the order of ``free``, with int32
-    indices.  Each entry is the sum of its element contributions in
-    triangle index order, then local row, then local column, as
-    ``np.bincount`` over the element entries in that order would give it.
+    torus), with triangle t's coefficient ``table[index[t]]``
+    (``ElementMatrixField``).  It is never built: the block comes straight
+    from the element blocks (``_element_matrices``), in the order of
+    ``free``, with int32 indices.  Each entry is the sum of its element
+    contributions in triangle index order, then local row, then local
+    column, as ``np.bincount`` over the element entries in that order would
+    give it.
     The (k, len(free)) right-hand side is
     ``load[:, free] - (A[free, fixed] @ values).T`` for ``values`` (m, k)
     of the dofs ``fixed``, where each coupling row is summed over its
     element entries (the entry times its fixed value) in the same order,
     starting from zero, before ``load`` (None for none) is added.  The
-    element blocks are made ``_BLOCK_STEP`` triangles at a time, so the
-    build's transient is its index arrays: about 60 bytes per triangle
-    beyond the block and the right-hand side.
+    element blocks, and the coefficient matrices they read, are gathered
+    ``_BLOCK_STEP`` triangles at a time, so the build's transient is its
+    index arrays: about 60 bytes per triangle beyond the block and the
+    right-hand side.
     """
     nf = len(free)
     where = np.empty(mesh.n_free, dtype=np.int32)  # free position, or -1 - (row of ``values``)
@@ -254,7 +274,7 @@ def _free_block(mesh: TriMesh, mats: np.ndarray, free: np.ndarray, fixed: np.nda
     coupled = (near[:, :, None] >= 0) & (near[:, None, :] < 0)
     rows = np.broadcast_to(near[:, :, None], coupled.shape)[coupled]
     cols = -1 - np.broadcast_to(near[:, None, :], coupled.shape)[coupled]
-    couplings = _element_matrices(grads[touch], mats[touch], areas[touch])[coupled]
+    couplings = _element_matrices(grads[touch], np.take(table, index[touch], axis=0), areas[touch])[coupled]
     rhs = np.zeros((values.shape[1], nf))
     for row, g in zip(rhs, values.T):
         np.subtract.at(row, rows, couplings * g[cols])
@@ -265,7 +285,8 @@ def _free_block(mesh: TriMesh, mats: np.ndarray, free: np.ndarray, fixed: np.nda
     data = np.zeros(len(indices) + 1)
     for start in range(0, len(scatter), _BLOCK_STEP):
         t = slice(start, start + _BLOCK_STEP)
-        np.add.at(data, scatter[t].ravel(), _element_matrices(grads[t], mats[t], areas[t]).ravel())
+        mats = np.take(table, index[t], axis=0)
+        np.add.at(data, scatter[t].ravel(), _element_matrices(grads[t], mats, areas[t]).ravel())
     return sp.csc_matrix((data[:-1], indices, indptr), shape=(nf, nf)), rhs
 
 
@@ -445,7 +466,8 @@ def solve_dirichlet(
         raise ValueError("Dirichlet solve needs a mesh with boundary; got a periodic cell")
     validate_coefficient(sigma)
     values = _boundary_values(mesh, g)
-    u = _solve_fixed(mesh, sigma.matrices, None, mesh.boundary_loop, values.reshape(len(values), -1), opts)
+    u = _solve_fixed(mesh, sigma.table, sigma.index, None, mesh.boundary_loop,
+                     values.reshape(len(values), -1), opts)
     return ScalarFieldP1(mesh, u[0]) if values.ndim == 1 else [ScalarFieldP1(mesh, v) for v in u]
 
 
@@ -462,7 +484,7 @@ def interior_residual(sigma: ElementMatrixField, u) -> np.ndarray:
     values = u.values if isinstance(u, ScalarFieldP1) else np.asarray(u, dtype=float)
     stack = values.reshape(len(values), -1)
     interior, boundary = np.flatnonzero(~mesh.boundary_mask), np.flatnonzero(mesh.boundary_mask)
-    block, coupling = _free_block(mesh, sigma.matrices, interior, boundary, stack[boundary])
+    block, coupling = _free_block(mesh, sigma.table, sigma.index, interior, boundary, stack[boundary])
     # A[interior] @ u = A[interior][:, interior] @ u[interior] + A[interior][:, boundary] @ u[boundary]
     return (block @ stack[interior] - coupling.T).reshape((len(interior),) + values.shape[1:])
 
@@ -499,7 +521,7 @@ def _free_dofs(mesh: TriMesh, fixed: np.ndarray | list[int]) -> tuple[np.ndarray
     return np.flatnonzero(free), LU_ORDERING
 
 
-def _solve_fixed(mesh: TriMesh, mats: np.ndarray, load: np.ndarray | None,
+def _solve_fixed(mesh: TriMesh, table: np.ndarray, index: np.ndarray, load: np.ndarray | None,
                  fixed: np.ndarray | list[int], values: np.ndarray, opts: SolveOptions) -> np.ndarray:
     """Solve with the dofs ``fixed`` held at ``values`` (m, k); returns (k, n_free), a row per column.
 
@@ -511,15 +533,18 @@ def _solve_fixed(mesh: TriMesh, mats: np.ndarray, load: np.ndarray | None,
     system is consistent, with the constants in both kernels, so deleting
     dof 0's row and column leaves a nonsingular matrix whose solution solves
     every original equation, row 0 included.  ``_free_block`` builds both
-    from the element blocks.  Only the free block, as one CSC
-    matrix, and one (k, n_free - m) right-hand-side block are alive through
-    the factorization, provided the caller keeps no reference to ``mats`` or
-    ``load`` (pass them inline); the free-dof index is built again to scatter
-    the solution.
+    from the element blocks, triangle t's coefficient being
+    ``table[index[t]]``.  Through the factorization the solve keeps alive
+    the free block, as one CSC matrix, one (k, n_free - m) right-hand-side
+    block and the coefficient's table and index (b matrices and nt small
+    integers; no per-triangle matrix array is made but a ``_BLOCK_STEP``
+    run at a time), provided the caller keeps no reference to ``load``
+    (pass it inline); the free-dof index is built again to scatter the
+    solution.
     """
     free, ordering = _free_dofs(mesh, fixed)
-    matrix, rhs = _free_block(mesh, mats, free, fixed, values, load)
-    del mats, load, free
+    matrix, rhs = _free_block(mesh, table, index, free, fixed, values, load)
+    del load, free
     # nothing reads the areas and hat gradients until the solve returns
     mesh.release_geometry()
     x, _ = _solve_system(matrix, rhs, opts, ordering)
@@ -625,11 +650,11 @@ def solve_periodic_cell(
     xi = np.asarray(xi, dtype=float)
     xis = xi.reshape(-1, 2)
 
-    # rhs_i = - sum_e A_e grad(phi_i) . sigma_e xi
+    # rhs_i = - sum_e A_e grad(phi_i) . sigma_e xi; each load gathers its own matrices, so none outlives the build
     loads = (-np.einsum("tia,ta,t->ti", mesh.hat_gradients,
                         np.einsum("tab,b->ta", sigma.matrices, x), mesh.areas)
              for x in xis)
-    w = _solve_fixed(mesh, sigma.matrices, _load_vector(mesh, loads, len(xis)), [0],
+    w = _solve_fixed(mesh, sigma.table, sigma.index, _load_vector(mesh, loads, len(xis)), [0],
                      np.zeros((1, len(xis))), opts)
 
     fields = []
@@ -707,8 +732,8 @@ def stream_function(
              for target, linear in zip(targets, linears))
     n = lattice_resolution(mesh)
     if n is None:
-        # the identity coefficient and the load go inline: the solve releases both before the LU
-        w = _solve_fixed(mesh, np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy(),
+        # the identity coefficient is a one-entry table; the load goes inline, so the solve releases it before the LU
+        w = _solve_fixed(mesh, np.eye(2)[None], np.zeros(mesh.n_triangles, dtype=np.uint8),
                          _load_vector(mesh, loads, len(us)), [0], np.zeros((1, len(us))), opts)
     else:
         w, _ = _solve_lattice(_load_vector(mesh, loads, len(us)), n, mesh.periodic, opts)

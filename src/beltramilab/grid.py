@@ -30,7 +30,8 @@ class TriMesh:
     ``free_index`` maps every vertex to its degree-of-freedom index; on a
     periodic mesh identified copies share one index, otherwise it is the
     identity.  It must use every dof 0..n_free-1, so ``n_free`` is read from
-    it, and ``periodic`` says whether it identifies any vertices.
+    it, and ``periodic`` says whether it identifies any vertices.  No
+    identification may put two vertices of one triangle on one dof.
     ``boundary_loop`` is the counterclockwise geometric boundary of the
     (fundamental) domain; on the torus it is kept for unwrapped geometry but
     carries no topological boundary meaning.
@@ -59,6 +60,12 @@ class TriMesh:
         if self.periodic != (self.n_free < self.n_vertices):
             raise ValueError(f"periodic={self.periodic} disagrees with free_index, which gives "
                              f"{self.n_free} dofs for {self.n_vertices} vertices")
+        if self.periodic:  # without identification, distinct vertices are distinct dofs
+            dofs = self.vertex_dofs()
+            collapsed = (dofs[:, 0] == dofs[:, 1]) | (dofs[:, 1] == dofs[:, 2]) | (dofs[:, 2] == dofs[:, 0])
+            if collapsed.any():
+                bad = int(np.argmax(collapsed))
+                raise ValueError(f"triangle {bad} has two vertices on one dof ({dofs[bad].tolist()})")
         areas = self.areas
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -147,17 +154,44 @@ class ScalarFieldP1:
 
 @dataclass
 class ElementMatrixField:
-    """Per-triangle constant 2x2 matrix field (a measurable coefficient)."""
+    """Per-triangle constant 2x2 matrix field (a measurable coefficient), as a table of its distinct matrices.
+
+    ``table`` (b, 2, 2) holds the matrices and ``index`` (nt,) the entry of
+    each triangle, in the smallest unsigned dtype that holds b - 1: a
+    piecewise-constant coefficient of b blocks costs b matrices and nt small
+    integers, not nt matrices.  ``index`` defaults to one entry per
+    triangle, so ``ElementMatrixField(mesh, mats)`` takes an (nt, 2, 2)
+    stack.  ``matrices`` gathers the (nt, 2, 2) stack on each read, read-only;
+    the solvers gather a few thousand triangles at a time instead, so keep
+    no gathered stack alive across a solve.
+    """
 
     mesh: TriMesh
-    matrices: np.ndarray
+    table: np.ndarray
+    index: np.ndarray | None = None
 
     def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=float)
-        if self.matrices.shape != (self.mesh.n_triangles, 2, 2):
-            raise ValueError(
-                f"expected shape ({self.mesh.n_triangles}, 2, 2), got {self.matrices.shape}"
-            )
+        self.table = np.asarray(self.table, dtype=float)
+        nt = self.mesh.n_triangles
+        if self.index is None:
+            if self.table.shape != (nt, 2, 2):
+                raise ValueError(f"expected shape ({nt}, 2, 2), got {self.table.shape}")
+            self.index = np.arange(nt)
+        elif self.table.ndim != 3 or self.table.shape[1:] != (2, 2) or not len(self.table):
+            raise ValueError(f"expected a (b, 2, 2) table with b >= 1, got shape {self.table.shape}")
+        index = np.asarray(self.index)
+        b = len(self.table)
+        if (index.shape != (nt,) or index.dtype.kind not in "iu"
+                or index.min(initial=0) < 0 or index.max(initial=0) >= b):
+            raise ValueError(f"index must give each of the {nt} triangles an entry in 0..{b - 1}")
+        self.index = index.astype(np.min_scalar_type(b - 1), copy=False)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """(nt, 2, 2) matrix of each triangle, gathered from the table on each read; read-only."""
+        mats = np.take(self.table, self.index, axis=0)  # about a tenth of the time of table[index]
+        mats.flags.writeable = False
+        return mats
 
 
 def element_gradient(f: ScalarFieldP1) -> np.ndarray:

@@ -5,6 +5,7 @@ from beltramilab import coefficients
 from beltramilab.coeff_algebra import sigma_from_beltrami
 from beltramilab.coefficients import (
     checkerboard_field,
+    constant_field,
     explicit_field,
     hall_laminate_field,
     laminate_field,
@@ -173,6 +174,46 @@ class TestBlockTablesMatchReference:
             calls.clear()
             laminate_field(mesh, 1.0, 5.0, direction, fraction=0.25)
             assert len(calls) == 1
+
+
+class TestFieldIsItsBlockTable:
+    """Each family keeps one table entry per block of its block table and a uint8 index.
+
+    The gathered ``matrices`` are the per-triangle reference's, bit for bit.
+    """
+
+    @pytest.mark.parametrize("build", [build_unit_square, build_periodic_cell], ids=["unit_square", "periodic_cell"])
+    def test_one_entry_per_block(self, build):
+        mesh = build(16)
+        # laminates keep one strip per lattice row or column
+        blocks = {laminate_field: 16, checkerboard_field: 4, hall_laminate_field: 2}
+        for family, reference, args in CASES:
+            try:
+                expected = reference(mesh, *args).matrices
+            except ValueError:
+                continue  # blocks off the res-16 mesh lines
+            field = family(mesh, *args)
+            b = blocks[family] if family in blocks else args[1] ** 2  # cells x cells
+            assert field.table.shape == (b, 2, 2) and field.index.dtype == np.uint8, (family.__name__, args)
+            assert np.array_equal(np.unique(field.index), np.arange(b))
+            assert field.matrices.tobytes() == expected.tobytes()
+
+    def test_random_piecewise_has_sixteen_entries(self):
+        field = random_piecewise_field(build_periodic_cell(256), 5.0, 4, seed=1)
+        assert field.table.shape == (16, 2, 2) and field.index.dtype == np.uint8
+        assert field.table.nbytes + field.index.nbytes == 16 * 32 + 2 * 256 * 256
+
+    def test_constant_field_is_one_entry(self):
+        mesh = build_unit_square(8)
+        matrix = np.array([[2.0, 0.5], [-0.3, 1.0]])
+        field = constant_field(mesh, matrix)
+        matrix[0, 0] = 9.0  # the field keeps its own copy
+        assert field.table.shape == (1, 2, 2) and field.index.dtype == np.uint8
+        assert not field.index.any()
+        want = np.broadcast_to([[2.0, 0.5], [-0.3, 1.0]], (mesh.n_triangles, 2, 2))
+        assert field.matrices.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="2x2"):
+            constant_field(mesh, np.eye(3))
 
 
 class TestLatticeRejections:

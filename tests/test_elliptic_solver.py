@@ -39,6 +39,7 @@ from beltramilab.elliptic_solver import (
     solve_dirichlet,
     solve_periodic_cell,
     stream_function,
+    validate_coefficient,
     vertex_circulations,
 )
 from beltramilab.errors import NonEllipticError, SolverError
@@ -146,10 +147,23 @@ class TestDirichlet:
     def test_non_finite_coefficient_rejected_by_element(self, bad):
         # NaN compares False with 0, so the eigenvalue checks alone let it through
         m = build_periodic_cell(4)
-        sig = random_piecewise_field(m, 5.0, 2, seed=0)
-        sig.matrices[5, 1, 0] = bad
+        mats = random_piecewise_field(m, 5.0, 2, seed=0).matrices.copy()
+        mats[5, 1, 0] = bad
+        sig = ElementMatrixField(m, mats)
         with pytest.raises(NonEllipticError, match="element 5: non-finite coefficient"):
             solve_periodic_cell(sig, np.array([1.0, 0.0]))
+
+    def test_table_validation_names_the_first_triangle_of_a_bad_entry(self):
+        m = build_unit_square(4)
+        table = np.array([np.eye(2), [[1.0, 3.0], [3.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+        index = np.zeros(m.n_triangles, dtype=int)
+        validate_coefficient(ElementMatrixField(m, table, index))  # bad entries that no triangle uses
+        index[[9, 7]] = 1
+        with pytest.raises(NonEllipticError, match="element 7: symmetric part not positive definite"):
+            validate_coefficient(ElementMatrixField(m, table, index))
+        index[12] = 2
+        with pytest.raises(NonEllipticError, match="element 12: non-finite coefficient"):
+            validate_coefficient(ElementMatrixField(m, table, index))
 
     def test_boundary_data_as_array(self):
         m = build_unit_square(4)
@@ -332,7 +346,9 @@ class TestLatticeStreamSolve:
         m = build_unit_square(8)
         sig = random_piecewise_field(m, 5.0, 4, seed=3)
         u = solve_dirichlet(sig, lambda p: p[:, 0])
-        sig.matrices[5, 0, 1] = np.nan
+        mats = sig.matrices.copy()
+        mats[5, 0, 1] = np.nan
+        sig = ElementMatrixField(m, mats)
         if not lattice:
             monkeypatch.setattr(elliptic_solver, "lattice_resolution", lambda mesh: None)
         with pytest.raises(SolverError, match="relative residual nan"):
@@ -487,7 +503,7 @@ class TestPinDof:
             load -= load.mean(axis=0)  # consistent: orthogonal to the constants
             load = np.ascontiguousarray(load.T)
         opts = SolveOptions()
-        w = _solve_fixed(m, mats, load, [0], np.zeros((1, 2)), opts)
+        w = _solve_fixed(m, mats, np.arange(m.n_triangles), load, [0], np.zeros((1, 2)), opts)
         assert np.all(w[:, 0] == 0.0)
         full = reference_operator(m, mats)
         for wj, bj in zip(w, load):  # every row, the eliminated row 0 included
@@ -597,13 +613,13 @@ class TestLeanAssemblyAndFactorization:
 
     @pytest.mark.parametrize("mesh", [
         build_unit_square(16), build_periodic_cell(16), build_regular_ngon(6, 1.0, 6),
-        permuted_lattice(12), collapsed_cell()], ids=["square", "torus", "hexagon", "permuted", "collapsed"])
+        permuted_lattice(12)], ids=["square", "torus", "hexagon", "permuted"])
     def test_block_matches_the_triangle_order_reference(self, mesh):
         mats, fixed, values, load = self.system(mesh)
         order = _free_dofs(mesh, fixed)[0]
         for free in (order, np.random.default_rng(3).permutation(order)):
             for b in (None, load):
-                got, rhs = _free_block(mesh, mats, free, fixed, values, b)
+                got, rhs = _free_block(mesh, mats, np.arange(mesh.n_triangles), free, fixed, values, b)
                 want, want_rhs = reference_system(mesh, mats, free, fixed, values, b)
                 assert got.format == "csc" and got.indices.dtype == got.indptr.dtype == np.int32
                 assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
@@ -611,14 +627,20 @@ class TestLeanAssemblyAndFactorization:
                 assert rhs.shape == (3, len(free)) and rhs.flags.c_contiguous
                 assert np.array_equal(rhs.view(np.uint64), want_rhs.view(np.uint64))
 
+    def test_a_collapsed_periodic_mesh_is_rejected(self):
+        # two vertices of one triangle on one dof would put their coupling on the diagonal
+        with pytest.raises(ValueError, match=r"triangle 0 has two vertices on one dof"):
+            collapsed_cell()
+
     def test_summation_order_shows_in_the_bits(self):
         # the reference's order is pinned by data whose sums depend on it: summed in reverse
         # triangle order, some entries of the same block differ
         m = build_unit_square(16)
         mats, fixed, values, _ = self.system(m)
-        block = _free_block(m, mats, np.flatnonzero(~m.boundary_mask), fixed, values)[0]
+        every = np.arange(m.n_triangles)
+        block = _free_block(m, mats, every, np.flatnonzero(~m.boundary_mask), fixed, values)[0]
         mesh = TriMesh(m.vertices, m.triangles[::-1], m.boundary_loop)
-        reverse = _free_block(mesh, mats[::-1], np.flatnonzero(~m.boundary_mask), fixed, values)[0]
+        reverse = _free_block(mesh, mats, every[::-1], np.flatnonzero(~m.boundary_mask), fixed, values)[0]
         assert np.array_equal(block.indices, reverse.indices)
         assert np.abs(block.data - reverse.data).max() > 0.0
         assert np.allclose(block.data, reverse.data, rtol=1e-12, atol=0.0)
@@ -633,9 +655,10 @@ class TestLeanAssemblyAndFactorization:
                      for s in range(0, m.n_triangles, run)]
             assert np.array_equal(np.concatenate(parts).view(np.uint64), whole.view(np.uint64))
         free = _free_dofs(m, fixed)[0]
-        block, rhs = _free_block(m, mats, free, fixed, values, load)
+        every = np.arange(m.n_triangles)
+        block, rhs = _free_block(m, mats, every, free, fixed, values, load)
         monkeypatch.setattr(elliptic_solver, "_BLOCK_STEP", 5)
-        stepped, stepped_rhs = _free_block(m, mats, free, fixed, values, load)
+        stepped, stepped_rhs = _free_block(m, mats, every, free, fixed, values, load)
         assert np.array_equal(block.data.view(np.uint64), stepped.data.view(np.uint64))
         assert np.array_equal(rhs.view(np.uint64), stepped_rhs.view(np.uint64))
 
@@ -686,7 +709,7 @@ class TestLeanAssemblyAndFactorization:
         m.hat_gradients  # the mesh's geometry cache, filled before the build
         tracemalloc.start()
         try:
-            block, rhs = _free_block(m, sig.matrices, free, fixed, values, load)
+            block, rhs = _free_block(m, sig.table, sig.index, free, fixed, values, load)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -824,11 +847,12 @@ class TestLiveSetAtFactorization:
 
     ``tracemalloc`` is read at the entry of ``spla.splu``.  It starts before
     the mesh is built.  The budget is the mesh's own arrays (not its areas
-    and hat gradients, which the solve releases), the coefficient and the
-    solve's data, the float64 free block (float64 data, int32 indices and
-    indptr), its float32 ``data``, one (k, n) float64 block and a slack of
-    half a column for the small arrays (the free-dof mask, the boundary
-    values) and the Python objects.
+    and hat gradients, which the solve releases), the coefficient's table
+    and index (no per-triangle matrix array: at res 128 an (nt, 2, 2) stack
+    would overrun the budget by 1 MB), the solve's data, the float64 free
+    block (float64 data, int32 indices and indptr), its float32 ``data``,
+    one (k, n) float64 block and a slack of half a column for the small
+    arrays (the free-dof mask, the boundary values) and the Python objects.
     """
 
     @pytest.mark.parametrize("case", ["torus_cell", "square_dirichlet"])
@@ -860,7 +884,7 @@ class TestLiveSetAtFactorization:
         k = len(data) if case == "torus_cell" else data.shape[1]
         column = 8 * n
         inputs = sum(a.nbytes for a in (m.vertices, m.triangles, m.boundary_loop, m.free_index,
-                                        sig.matrices, data))
+                                        sig.table, sig.index, data))
         budget = inputs + (8 + 4 + 4) * nnz + 4 * (n + 1) + k * column + column // 2
         assert live - base <= budget, (live - base, budget)
 

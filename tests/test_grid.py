@@ -273,9 +273,9 @@ class TestInteriorDissectionOrder:
     def test_separator_decouples_the_halves_of_the_top_split(self):
         n = 16
         m = build_unit_square(n)
-        mats = random_piecewise_field(m, 5.0, 4, seed=1008, symmetric=False).matrices
+        sig = random_piecewise_field(m, 5.0, 4, seed=1008, symmetric=False)
         order = interior_dissection_order(n)
-        block = _free_block(m, mats, order, m.boundary_loop, np.zeros((4 * n, 0)))[0]
+        block = _free_block(m, sig.table, sig.index, order, m.boundary_loop, np.zeros((4 * n, 0)))[0]
         # the 15 x 15 interior is cut at the column i = 8: 105 points each side, then the 15 of the line
         i = order % (n + 1)
         left, right, line = slice(0, 105), slice(105, 210), slice(210, None)
@@ -287,12 +287,12 @@ class TestInteriorDissectionOrder:
     def test_fill_below_minimum_degree(self, n):
         # measured: 186,642 against 210,658 at res 64 (seed 1001)
         m = build_unit_square(n)
-        mats = random_piecewise_field(m, 5.0, 4, seed=1001).matrices
+        sig = random_piecewise_field(m, 5.0, 4, seed=1001)
         free, order = np.flatnonzero(~m.boundary_mask), interior_dissection_order(n)
         no_data = np.zeros((4 * n, 0))
-        mmd = spla.splu(_free_block(m, mats, free, m.boundary_loop, no_data)[0],
+        mmd = spla.splu(_free_block(m, sig.table, sig.index, free, m.boundary_loop, no_data)[0],
                         permc_spec=LU_ORDERING, panel_size=LU_PANEL_SIZE).nnz
-        nd = spla.splu(_free_block(m, mats, order, m.boundary_loop, no_data)[0],
+        nd = spla.splu(_free_block(m, sig.table, sig.index, order, m.boundary_loop, no_data)[0],
                        permc_spec="NATURAL", panel_size=LU_PANEL_SIZE).nnz
         assert nd < mmd
 
@@ -352,6 +352,25 @@ class TestFields:
             ScalarFieldP1(m, np.zeros(5))
         with pytest.raises(ValueError):
             ElementMatrixField(m, np.zeros((3, 2, 2)))
+
+    def test_element_field_table_and_index(self):
+        m = build_unit_square(2)
+        table = np.array([np.eye(2), 2.0 * np.eye(2)])
+        index = np.arange(m.n_triangles) % 2
+        field = ElementMatrixField(m, table, index)
+        assert field.index.dtype == np.uint8 and np.array_equal(field.index, index)
+        assert np.array_equal(field.matrices, table[index])
+        with pytest.raises(ValueError, match="read-only"):
+            field.matrices[0, 0, 0] = 5.0  # a gathered copy: writing to it would change nothing
+        # one entry per triangle by default, in the smallest unsigned dtype that numbers them
+        big = build_unit_square(256)
+        stack = np.broadcast_to(np.eye(2), (big.n_triangles, 2, 2))
+        assert ElementMatrixField(big, stack).index.dtype == np.uint32
+        for bad in (index + 1, index[:-1], -index, index.astype(float)):
+            with pytest.raises(ValueError, match="index must give each"):
+                ElementMatrixField(m, table, bad)
+        with pytest.raises(ValueError, match="table"):
+            ElementMatrixField(m, np.zeros((0, 2, 2)), np.zeros(m.n_triangles, dtype=int))
 
 
 class TestDyadicSquares:
