@@ -9,7 +9,6 @@ from .coeff_algebra import (
     astala_exponent,
     beltrami_from_sigma,
     ellipticity_constants,
-    normalize_sigma,
     sigma_from_beltrami,
     tau_bound_oracle,
     tau_ellipticity_bound,
@@ -35,7 +34,6 @@ from .grid import (
 from .homogenization import (
     CellMap,
     EffectiveTensor,
-    area_formula_check,
     cell_map,
     effective_conductivity,
     image_area,
@@ -48,10 +46,8 @@ from .sigma_harmonic import (
     injectivity_check,
     primary_pair,
     pushforward_tau,
-    reduce_nu_to_zero,
     sigma_harmonic_map,
     unimodality_check,
-    wirtinger,
 )
 from .weights_diagnostics import (
     AinftyFit,

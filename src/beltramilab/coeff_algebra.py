@@ -212,19 +212,6 @@ def astala_exponent(alpha: float, beta: float) -> EllipticityReport:
     )
 
 
-def normalize_sigma(sigma) -> tuple[np.ndarray, float]:
-    """Rescale so the best constants become reciprocal: alpha~ = 1/beta~ = sqrt(alpha/beta).
-
-    Solutions are unchanged by a positive scalar factor on the matrix, so
-    the scaling is free.  Best constants scale linearly, hence the factor
-    ``1/sqrt(alpha*beta)`` is the unique one that makes them reciprocal.
-    Returns the scaled matrix and the factor used.
-    """
-    alpha, beta = ellipticity_constants(sigma)
-    scale = 1.0 / math.sqrt(alpha * beta)
-    return scale * np.asarray(sigma, dtype=float), scale
-
-
 # ---------------------------------------------------------------------------
 # Sharp lower ellipticity bound of the straightened coefficient.
 #

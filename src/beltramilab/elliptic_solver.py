@@ -21,8 +21,8 @@ order (``grid.interior_dissection_order``), which SuperLU keeps
 line).  The torus, the polygons and every dof-0 block keep minimum degree.
 SuperLU factors with a panel of ``LU_PANEL_SIZE`` = 4 columns, not its
 default 20: the panel workspace grows with n times the panel size, and the
-narrow panel lowers the peak memory of a factorization (by a sixth of
-SuperLU's own peak at res 512) with no slower factor time.  The factors are float32, half the bytes of float64 ones, and
+narrow panel lowers the peak memory of a factorization with no slower
+factor time.  The factors are float32, half the bytes of float64 ones, and
 every column is refined to float64 accuracy by iterative refinement against
 the float64 matrix (the scheme of LAPACK's DSGESV); the float64
 factorization is the one fallback, taken when the float32 cast overflows,
@@ -34,8 +34,7 @@ C-contiguous (k, n) float64 block of right-hand sides, one per row.  The
 coefficient is read as its table of distinct matrices and its per-triangle
 index (``grid.ElementMatrixField``): the build gathers the matrices of one
 run of triangles at a time, so no per-triangle matrix array is alive at
-``splu``, only the table and the index (at res 256, 16 matrices and 128 kB
-of uint8 for a 4 x 4 block field, against 4.2 MB for an (nt, 2, 2) stack).
+``splu``, only the table and the index.
 The mesh keeps only its own arrays there: it holds no barycenters (they are
 computed on demand), and its cached areas and hat gradients are released
 before the factorization (``TriMesh.release_geometry``) and rebuilt, bit
@@ -86,22 +85,16 @@ LU_ORDERING = "MMD_AT_PLUS_A"
 
 # The ordering of the unit-square lattice's Dirichlet block, as the solve
 # stats name it: ``grid.interior_dissection_order``, folded into the free-dof
-# index, so SuperLU keeps the block's own order (permc_spec "NATURAL").  Its
-# fill is 14 % below MMD's at res 256 (4.90 against 5.67 Mnnz, seed 1001) and
-# 21 % below at res 512 (23.6 against 30.0 Mnnz), factored in about half the
-# time.  SuperLU has no nested dissection of its own.
+# index, so SuperLU keeps the block's own order (permc_spec "NATURAL").  It
+# keeps less fill than MMD on that block, and SuperLU has no nested
+# dissection of its own.
 NESTED_DISSECTION = "nested_dissection"
 
 # SuperLU panel width (columns factored together).  Its workspace grows with
-# n * panel_size; at 4 instead of the default 20, SuperLU's own peak at res 512
-# fell from 382 to 314 MB (square) and from 388 to 320 MB (torus) with float64
-# factors, and the factor time was no slower (medians of 6: 3.40 vs 3.60 s and
-# 3.65 vs 3.75 s).  The float32 factors keep the panel; with them a res-512
-# solve's peak above its inputs is about 220 MB instead of 300 MB.  Panel 2
-# saves another 1.5 MB at res 256 and 6-7 MB at res 512 with the same fill,
-# but it factored the res-512 torus block 4.5, 9.6 and 13.1 % slower in three
-# medians of 7, 9 and 9 alternated float32 factorizations (1.83 -> 1.91,
-# 1.76 -> 1.93 and 1.61 -> 1.82 s), so the panel stays at 4.
+# n * panel_size, so 4 instead of the default 20 lowers SuperLU's own peak
+# with no slower factor time; panel 2 saves a little more memory but factors
+# the torus block more slowly.  The float32 and float64 factors use the same
+# panel.
 LU_PANEL_SIZE = 4
 
 # Most refinement steps per column beyond the first float32 solve.  Each step
@@ -679,25 +672,6 @@ def mean_flux(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
     grad = element_gradient(u)
     flux = np.einsum("tab,tb->ta", sigma.matrices, grad)
     return np.tensordot(sigma.mesh.areas, flux, axes=(0, 0)) / sigma.mesh.areas.sum()
-
-
-def vertex_circulations(mesh: TriMesh, field: np.ndarray) -> np.ndarray:
-    """Discrete circulation of a per-element constant vector field around interior vertices.
-
-    The loop around vertex i is the chain of opposite edges of its incident
-    triangles; zero circulation for the rotated flux is algebraically the
-    interior weak equation, which is what makes the stream function exist.
-    """
-    tri = mesh.triangles
-    p = mesh.vertices
-    circ = np.zeros(mesh.n_vertices)
-    for local in range(3):
-        i = tri[:, local]
-        j = tri[:, (local + 1) % 3]
-        k = tri[:, (local + 2) % 3]
-        seg = p[k] - p[j]
-        np.add.at(circ, i, np.einsum("ta,ta->t", field, seg))
-    return circ[~mesh.boundary_mask]
 
 
 def stream_function(

@@ -1,4 +1,4 @@
-"""Periodic cell problems, effective conductivity, and area formulas.
+"""Periodic cell problems, effective conductivity, and image areas.
 
 The primary definition of the effective tensor is the average flux per
 unit applied mean gradient (column construction); the variational
@@ -150,37 +150,6 @@ def image_area(U: PlanarMap, region: np.ndarray | None = None, detailed: bool = 
     if detailed:
         return unsigned, abs(signed), injective
     return unsigned
-
-
-def area_formula_check(
-    U: PlanarMap, phi, region: np.ndarray | None = None
-) -> tuple[float, float, float]:
-    """Compare the two sides of the change-of-variables formula for phi.
-
-    Left side: one-point (barycenter) rule on the source elements of
-    phi(U(x)) |det DU|.  Right side: degree-2 (edge-midpoint) rule for phi
-    over the image triangles.  Returns (lhs, rhs, relative gap); the gap
-    measures the one-point quadrature error and decays under refinement.
-    """
-    mesh = U.mesh
-    if region is None:
-        region = np.arange(mesh.n_triangles)
-    tris = mesh.triangles[region]
-    areas = mesh.areas[region]
-    d = U.det_DU[region]
-
-    img = np.stack([U.u1.values[tris], U.u2.values[tris]], axis=-1)  # (m, 3, 2) image vertices
-    img_bary = img.mean(axis=1)
-    lhs = float(np.dot(phi(img_bary) * np.abs(d), areas))
-
-    mids = 0.5 * (img + np.roll(img, -1, axis=1))        # (m, 3, 2) image edge midpoints
-    phi_mid = np.mean(
-        np.stack([phi(mids[:, k, :]) for k in range(3)], axis=0), axis=0
-    )
-    img_areas = np.abs(d) * areas
-    rhs = float(np.dot(phi_mid, img_areas))
-    gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return lhs, rhs, gap
 
 
 def mean_matrices(sigma: ElementMatrixField) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeff_algebra import BeltramiPair, _det, _gauge
+from .coeff_algebra import _det, _gauge
 from .elliptic_solver import SolveOptions, rotated_flux, solve_dirichlet, stream_function
 from .grid import ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
 
@@ -80,46 +80,21 @@ def wirtinger_from_gradients(grad_re: np.ndarray, grad_im: np.ndarray, mesh: Tri
     return WirtingerField(mesh=mesh, f_z=f_z, f_zbar=f_zbar)
 
 
-def wirtinger(F: PlanarMap) -> WirtingerField:
-    """Per-element Wirtinger derivatives of a P1 complex map (recovered convention)."""
-    return wirtinger_from_gradients(
-        element_gradient(F.u1), element_gradient(F.u2), F.mesh
-    )
-
-
 def wirtinger_exact(sigma: ElementMatrixField, u: ScalarFieldP1) -> WirtingerField:
     """Wirtinger derivatives of u + i*utilde with the exact rotated-flux gradient."""
     return wirtinger_from_gradients(element_gradient(u), rotated_flux(sigma, u), sigma.mesh)
 
 
-def beltrami_residual(
-    F: PlanarMap | WirtingerField,
-    pair: BeltramiPair | tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
+def beltrami_residual(w: WirtingerField, pair: tuple[np.ndarray | complex, np.ndarray | complex]) -> np.ndarray:
     """Per-element |f_zbar - mu f_z - nu conj(f_z)|.
 
-    ``pair`` is either one dilatation pair used on every element, or a
-    tuple of per-element (mu, nu) arrays.  For F built from a solution and
-    its exact rotated flux, the residual vanishes identically when the
-    pair is the per-element dilatation transform of the coefficient.
+    ``pair`` is (mu, nu): per-element arrays or scalars used on every
+    element.  For w built from a solution and its exact rotated flux, the
+    residual vanishes identically when the pair is the per-element
+    dilatation transform of the coefficient.
     """
-    w = F if isinstance(F, WirtingerField) else wirtinger(F)
-    if isinstance(pair, BeltramiPair):
-        mu, nu = pair.mu, pair.nu
-    else:
-        mu, nu = pair
+    mu, nu = pair
     return np.abs(w.f_zbar - mu * w.f_z - nu * np.conj(w.f_z))
-
-
-def reduce_nu_to_zero(pair: BeltramiPair, f_z: complex) -> complex:
-    """Fold the conjugate-coefficient into a single dilatation at one point.
-
-    mu~ = mu + (conj(f_z)/f_z) nu, valid wherever f_z != 0; the modulus is
-    bounded by |mu| + |nu|.
-    """
-    if f_z == 0:
-        raise ZeroDivisionError("reduction undefined where f_z vanishes")
-    return pair.mu + (np.conj(f_z) / f_z) * pair.nu
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +108,19 @@ def _polygon_signed_area(pts: np.ndarray) -> float:
 
 
 def _polygon_is_convex(pts: np.ndarray, tol: float = 1e-12) -> bool:
-    """Convex and positively oriented; collinear consecutive edges allowed."""
+    """Convex, positively oriented and once around; collinear consecutive edges allowed.
+
+    Left turns alone admit loops that wind more than once (a pentagram, a
+    pentagon traversed twice), so the turning angles must also sum to 2*pi.
+    A repeated point is skipped, so the turn across it is still checked.
+    """
     e = np.roll(pts, -1, axis=0) - pts
-    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-    scale = np.max(np.abs(e)) ** 2 + 1e-300
-    return bool(np.all(cross >= -tol * scale)) and _polygon_signed_area(pts) > 0
+    e = e[np.any(e != 0, axis=1)]
+    nxt = np.roll(e, -1, axis=0)
+    cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
+    scale = np.max(np.abs(e), initial=0.0) ** 2 + 1e-300
+    turns = np.arctan2(cross, np.einsum("ta,ta->t", e, nxt)).sum() / (2 * np.pi)
+    return bool(np.all(cross >= -tol * scale)) and _polygon_signed_area(pts) > 0 and round(turns) == 1
 
 
 def check_convex_domain(mesh: TriMesh) -> None:
@@ -163,11 +146,6 @@ def primary_pair(
     return PlanarMap(u1, ut1), PlanarMap(u2, ut2), PlanarMap(u1, u2)
 
 
-def boundary_embedding_is_convex(points: np.ndarray) -> bool:
-    """Is the mapped boundary loop a sense-preserving embedding onto a convex polygon?"""
-    return _polygon_is_convex(points)
-
-
 def sigma_harmonic_map(
     sigma: ElementMatrixField,
     phi1,
@@ -186,7 +164,7 @@ def sigma_harmonic_map(
     loop_pts = mesh.vertices[mesh.boundary_loop]
     v1 = np.asarray(phi1(loop_pts) if callable(phi1) else phi1, dtype=float)
     v2 = np.asarray(phi2(loop_pts) if callable(phi2) else phi2, dtype=float)
-    if not boundary_embedding_is_convex(np.column_stack([v1, v2])):
+    if not _polygon_is_convex(np.column_stack([v1, v2])):
         log.warning(
             "boundary data is not a sense-preserving convex embedding; "
             "injectivity is not guaranteed"

@@ -26,11 +26,13 @@ from beltramilab.coefficients import (
     checkerboard_field,
     constant_field,
     laminate_field,
+    random_piecewise_field,
     rng_from_seed,
 )
 from beltramilab.grid import build_periodic_cell, build_unit_square, dyadic_squares
 from beltramilab.homogenization import (
     cell_complex_map,
+    cell_map,
     effective_conductivity,
     image_area,
 )
@@ -54,6 +56,15 @@ JACOBIAN_SUITE_SEEDS = 20  # seeds 0..9 symmetric, 10..19 non-symmetric
 JACOBIAN_SUITE_RESOLUTION = 64
 JACOBIAN_SUITE_CELLS = 4   # 16 mesh cells per coefficient block at res 64
 JACOBIAN_SUITE_K_MAX = 5.0
+
+# Criterion 14: the BMO norm of det DU of the periodic cell map U with
+# affine part I, over random non-symmetric 4 x 4 block coefficients.  The
+# draws whose discrete det DU is not positive everywhere are pinned by seed:
+# they are faults of U itself on the torus, so their log det is undefined.
+BMO_BOUND_SEEDS = range(1000, 1020)
+BMO_BOUND_K = (2.0, 5.0, 10.0)
+BMO_BOUND_RESOLUTIONS = (32, 64)
+BMO_BOUND_FAULTS = {2.0: [], 5.0: [1008], 10.0: [1006, 1008]}
 
 
 def report(number: int, description: str, passed: bool, detail: str = "") -> None:
@@ -335,3 +346,39 @@ def test_criterion_13_determinism(jacobian_sweep, tmp_path):
     path2 = sweep(jacobian_suite_configs(), tmp_path / "rerun")
     identical = path1.read_bytes() == path2.read_bytes()
     report(13, "bit-identical reruns", identical, f"{path1.stat().st_size} bytes compared")
+
+
+def test_criterion_14_quantitative_jacobian_bound():
+    # The paper bounds the Jacobian of periodic sigma-harmonic homeomorphisms
+    # in terms of the ellipticity alone, so the largest BMO norm of det DU
+    # over the draws must hold still under refinement and grow with K.
+    maxima = {}
+    faults = {}
+    for n in BMO_BOUND_RESOLUTIONS:
+        mesh = build_periodic_cell(n)
+        squares = dyadic_squares(mesh, 4)
+        for k in BMO_BOUND_K:
+            norms = []
+            faults[n, k] = []
+            for seed in BMO_BOUND_SEEDS:
+                sigma = random_piecewise_field(mesh, k, 4, seed=seed, symmetric=False)
+                det = cell_map(sigma, np.eye(2)).U.det_DU
+                if det.min() > 0.0:
+                    norms.append(bmo_norm(det, squares))
+                else:
+                    faults[n, k].append(seed)
+            maxima[n, k] = max(norms)
+    coarse, fine = BMO_BOUND_RESOLUTIONS
+    flat = all(abs(maxima[fine, k] - maxima[coarse, k]) <= 0.1 * min(maxima[fine, k], maxima[coarse, k])
+               for k in BMO_BOUND_K)
+    rising = all(maxima[n, a] < maxima[n, b]
+                 for n in BMO_BOUND_RESOLUTIONS for a, b in zip(BMO_BOUND_K, BMO_BOUND_K[1:]))
+    pinned = all(faults[n, k] == BMO_BOUND_FAULTS[k] for n in BMO_BOUND_RESOLUTIONS for k in BMO_BOUND_K)
+    details = [
+        f"K={k:g} max {maxima[coarse, k]:.3f}/{maxima[fine, k]:.3f}, "
+        f"faulting seeds {faults[coarse, k]}/{faults[fine, k]}"
+        for k in BMO_BOUND_K
+    ]
+    report(14, "quantitative Jacobian bound", flat and rising and pinned,
+           f"res {coarse}/{fine}, {len(BMO_BOUND_SEEDS)} draws per K, "
+           f"{sum(map(len, BMO_BOUND_FAULTS.values()))} pinned faulting draws: " + "; ".join(details))

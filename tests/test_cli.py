@@ -682,6 +682,17 @@ class TestMainEntry:
         record = json.loads((out_dir / "run_record.json").read_text())
         assert record["config"]["resolution"] == 4
 
+    def test_convert_with_tau_oracle(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"task": "convert", "coefficient": {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]},
+             "diagnostics": {"tau_oracle": True}},
+        )
+        out_dir = tmp_path / "out"
+        assert main(["convert", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        record = json.loads((out_dir / "run_record.json").read_text())
+        assert record["metrics"]["tau_bound_oracle"]["agrees_with_closed_form"] is True
+
     def test_invalid_config_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"task": "solve",
                                                 "coefficient": {"family": "random_piecewise"}})

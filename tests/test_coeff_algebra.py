@@ -10,7 +10,6 @@ from beltramilab.coeff_algebra import (
     astala_exponent,
     beltrami_from_sigma,
     ellipticity_constants,
-    normalize_sigma,
     sigma_from_beltrami,
     tau_bound_oracle,
     tau_ellipticity_bound,
@@ -198,28 +197,6 @@ class TestDistortionFormulas:
             astala_exponent(0.0, 1.0)
 
 
-class TestNormalizeSigma:
-    def test_identity(self):
-        tilde, scale = normalize_sigma(np.eye(2))
-        assert scale == 1.0
-        assert np.allclose(tilde, np.eye(2))
-
-    def test_reciprocal_constants(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            mat = rng.normal(size=(2, 2)) + 2.5 * np.eye(2)
-            try:
-                alpha, beta = ellipticity_constants(mat)
-            except NonEllipticError:
-                continue
-            tilde, scale = normalize_sigma(mat)
-            at, bt = ellipticity_constants(tilde)
-            lam = math.sqrt(alpha / beta)
-            assert abs(at - lam) < 1e-12
-            assert abs(bt - 1.0 / lam) < 1e-12
-            assert abs(scale * math.sqrt(alpha * beta) - 1.0) < 1e-12
-
-
 class TestRoundTrip:
     def test_pair_round_trip(self):
         rng = np.random.default_rng(3)
@@ -281,9 +258,10 @@ class TestSharpConstantsProperties:
         while checked < 200:
             mat = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
             try:
-                tilde, _ = normalize_sigma(mat)
+                alpha, beta = ellipticity_constants(mat)
             except NonEllipticError:
                 continue
+            tilde = mat / math.sqrt(alpha * beta)
             checked += 1
             lam, _ = ellipticity_constants(tilde)
             k = K_of_beltrami(beltrami_from_sigma(tilde))

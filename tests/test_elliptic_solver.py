@@ -35,12 +35,10 @@ from beltramilab.elliptic_solver import (
     _solve_system,
     interior_residual,
     mean_flux,
-    rotated_flux,
     solve_dirichlet,
     solve_periodic_cell,
     stream_function,
     validate_coefficient,
-    vertex_circulations,
 )
 from beltramilab.errors import NonEllipticError, SolverError
 from beltramilab.grid import (
@@ -239,15 +237,6 @@ class TestStreamFunction:
         u = solve_dirichlet(sig, lambda p: p[:, 0])
         ut, _ = stream_function(sig, u)
         assert ut.values[0] == 0.0
-
-    def test_curl_identity_circulations(self):
-        # zero discrete circulation of the rotated flux around interior
-        # vertices is algebraically the interior weak equation
-        m = build_unit_square(16)
-        sig = random_piecewise_field(m, 5.0, 4, seed=11)
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
-        circ = vertex_circulations(m, rotated_flux(sig, u))
-        assert np.abs(circ).max() < 1e-10
 
     def test_residual_decreases_under_refinement(self):
         resids = []

@@ -18,7 +18,6 @@ from beltramilab.grid import (
     build_unit_square,
 )
 from beltramilab.homogenization import (
-    area_formula_check,
     cell_complex_map,
     cell_map,
     effective_conductivity,
@@ -216,36 +215,3 @@ class TestImageArea:
         unsigned, corrected, injective = image_area(f, detailed=True)
         assert not injective
         assert unsigned == corrected == pytest.approx(13.3337, abs=1e-4)
-
-
-class TestAreaFormula:
-    def test_constant_function_reduces_to_image_area(self):
-        m = build_unit_square(8)
-        ident = PlanarMap(
-            ScalarFieldP1(m, m.vertices[:, 0].copy()),
-            ScalarFieldP1(m, m.vertices[:, 1].copy()),
-        )
-        lhs, rhs, gap = area_formula_check(ident, lambda y: np.ones(len(y)))
-        assert gap < 1e-10
-        assert lhs == pytest.approx(image_area(ident), rel=1e-12)
-
-    def test_linear_function_identity_map(self):
-        m = build_unit_square(8)
-        ident = PlanarMap(
-            ScalarFieldP1(m, m.vertices[:, 0].copy()),
-            ScalarFieldP1(m, m.vertices[:, 1].copy()),
-        )
-        lhs, rhs, gap = area_formula_check(ident, lambda y: y[:, 0])
-        assert lhs == pytest.approx(0.5, abs=1e-12)
-        assert rhs == pytest.approx(0.5, abs=1e-12)
-
-    def test_quadratic_function_converges(self):
-        gaps = []
-        for n in (16, 32, 64):
-            m = build_periodic_cell(n)
-            sig = laminate_field(m, 1.0, 5.0)
-            f1, _ = cell_complex_map(sig, solve_periodic_cell(sig, np.array([1.0, 0.0])))
-            _, _, gap = area_formula_check(f1, lambda y: y[:, 0] ** 2)
-            gaps.append(gap)
-        assert gaps[2] < gaps[0]
-        assert gaps[2] < 0.02

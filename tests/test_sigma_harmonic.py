@@ -1,30 +1,41 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beltramilab.coeff_algebra import BeltramiPair, beltrami_from_sigma_batch
+from beltramilab.coeff_algebra import beltrami_from_sigma_batch
 from beltramilab.coefficients import constant_field, hall_field, laminate_field, random_piecewise_field
 from beltramilab.elliptic_solver import solve_dirichlet
-from beltramilab.grid import ScalarFieldP1, _square_boundary_loop, build_unit_square, element_gradient
+from beltramilab.grid import (
+    ScalarFieldP1,
+    _square_boundary_loop,
+    build_regular_ngon,
+    build_unit_square,
+    element_gradient,
+)
 from beltramilab.sigma_harmonic import (
     PlanarMap,
     _box_pairs_sharing_a_cell,
+    _polygon_is_convex,
     _segments_cross,
     beltrami_residual,
-    boundary_embedding_is_convex,
     change_coordinates,
     equival_residual,
     injectivity_check,
     polygon_is_simple,
     primary_pair,
     pushforward_tau,
-    reduce_nu_to_zero,
     sigma_harmonic_map,
     unimodality_check,
-    wirtinger,
     wirtinger_exact,
+    wirtinger_from_gradients,
 )
+
+
+# the warning sigma_harmonic_map logs for boundary data that void the homeomorphism guarantee
+NOT_CONVEX = "not a sense-preserving convex embedding"
 
 
 def coordinate_map(mesh):
@@ -85,11 +96,11 @@ class TestWirtinger:
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
         z = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, y.copy()))
-        w = wirtinger(z)
+        w = wirtinger_from_gradients(element_gradient(z.u1), element_gradient(z.u2), m)
         assert np.abs(w.f_z - 1.0).max() < 1e-14
         assert np.abs(w.f_zbar).max() < 1e-14
         zbar = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, -y))
-        w = wirtinger(zbar)
+        w = wirtinger_from_gradients(element_gradient(zbar.u1), element_gradient(zbar.u2), m)
         assert np.abs(w.f_z).max() < 1e-14
         assert np.abs(w.f_zbar - 1.0).max() < 1e-14
 
@@ -98,7 +109,7 @@ class TestWirtinger:
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
         F = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, b * x + a * y))
-        w = wirtinger(F)
+        w = wirtinger_from_gradients(element_gradient(F.u1), element_gradient(F.u2), m)
         assert np.abs(w.f_z - (1 + a + 1j * b) / 2).max() < 1e-14
         assert np.abs(w.f_zbar - (1 - a + 1j * b) / 2).max() < 1e-14
 
@@ -108,7 +119,8 @@ class TestBeltramiResidual:
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
         F = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, y.copy()))
-        res = beltrami_residual(F, BeltramiPair(0, 0))
+        w = wirtinger_from_gradients(element_gradient(F.u1), element_gradient(F.u2), m)
+        res = beltrami_residual(w, (0.0, 0.0))
         assert res.max() < 1e-14
 
     def test_exact_convention_vanishes_for_transformed_pair(self):
@@ -124,25 +136,8 @@ class TestBeltramiResidual:
         sig = constant_field(m, np.diag([3.0, 1.0]))
         u = solve_dirichlet(sig, lambda p: p[:, 0])
         w = wirtinger_exact(sig, u)
-        res = beltrami_residual(w, BeltramiPair(0, 0))
+        res = beltrami_residual(w, (0.0, 0.0))
         assert res.max() > 1e-2
-
-
-class TestReduceNu:
-    def test_nu_zero_passthrough(self):
-        assert reduce_nu_to_zero(BeltramiPair(0.2 + 0.1j, 0), 3.0 + 1j) == 0.2 + 0.1j
-
-    def test_real_positive_fz(self):
-        assert reduce_nu_to_zero(BeltramiPair(0.1, 0.2), 2.5) == pytest.approx(0.3)
-
-    def test_imaginary_fz(self):
-        out = reduce_nu_to_zero(BeltramiPair(0, 0.5j), 1j)
-        assert out == pytest.approx(-0.5j)
-        assert abs(out) <= 0.5 + 1e-15
-
-    def test_vanishing_fz_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            reduce_nu_to_zero(BeltramiPair(0, 0.5j), 0)
 
 
 class TestJacobianAndEquival:
@@ -223,12 +218,13 @@ class TestInjectivity:
         )
         assert injectivity_check(fold) == (False, False)
 
-    def test_disk_homeomorphism_map(self):
+    def test_disk_homeomorphism_map(self, caplog):
         m = build_unit_square(12)
         sig = constant_field(m, np.eye(2))
         c, s, _ = circle_trace(m)
-        assert boundary_embedding_is_convex(np.column_stack([c, s]))
-        U = sigma_harmonic_map(sig, c, s)
+        with caplog.at_level(logging.WARNING, logger="beltramilab.sigma_harmonic"):
+            U = sigma_harmonic_map(sig, c, s)
+        assert NOT_CONVEX not in caplog.text
         assert U.det_DU.min() > 0.0
         assert injectivity_check(U) == (True, True)
 
@@ -238,7 +234,7 @@ class TestInjectivity:
         _, _, U = primary_pair(sig)
         assert injectivity_check(U) == (True, True)
 
-    def test_nonconvex_target_negative_control(self):
+    def test_nonconvex_target_negative_control(self, caplog):
         # expected-negative: the guarantee needs a convex target, so the
         # check is only recorded, not asserted true
         m = build_unit_square(12)
@@ -246,11 +242,49 @@ class TestInjectivity:
         _, _, theta = circle_trace(m)
         tx = np.cos(theta) + 0.8 * np.cos(2 * theta)
         ty = np.sin(theta) - 0.8 * np.sin(2 * theta)
-        assert not boundary_embedding_is_convex(np.column_stack([tx, ty]))
-        U = sigma_harmonic_map(sig, tx, ty)
+        with caplog.at_level(logging.WARNING, logger="beltramilab.sigma_harmonic"):
+            U = sigma_harmonic_map(sig, tx, ty)
+        assert NOT_CONVEX in caplog.text
         locally, globally = injectivity_check(U)
         assert isinstance(locally, bool) and isinstance(globally, bool)
         assert not globally
+
+
+def pentagram(samples):
+    """``samples`` points (a multiple of 5) along the five edges of a counter-clockwise pentagram."""
+    star = np.exp(1j * (np.pi / 2 + 4 * np.pi * np.arange(5) / 5))
+    t = 5 * np.arange(samples) / samples
+    k = t.astype(int)
+    z = (k + 1 - t) * star[k] + (t - k) * star[(k + 1) % 5]
+    return np.column_stack([z.real, z.imag])
+
+
+class TestConvexLoop:
+    def test_loops_that_wind_twice_are_rejected(self):
+        # both turn left at every corner and have positive signed area
+        twice = np.exp(2j * np.pi * np.arange(10) / 5)
+        assert not _polygon_is_convex(pentagram(5))
+        assert not _polygon_is_convex(np.column_stack([twice.real, twice.imag]))
+
+    def test_repeated_reflex_corner_is_rejected(self):
+        # the zero-length edge at the repeated point hid the right turn there
+        dented = np.array([[0, 0], [1, 0], [1, 1], [0.5, 0.5], [0.5, 0.5], [0, 1]], dtype=float)
+        assert not _polygon_is_convex(dented)
+        # a loop of one point repeated has no edge left, and reads as not convex
+        assert not _polygon_is_convex(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("mesh", [build_unit_square(256), build_regular_ngon(6, 1.0, 8)],
+                             ids=["square-256", "hexagon"])
+    def test_mesh_boundary_loops_pass(self, mesh):
+        # the square's loop has collinear points along each side
+        assert _polygon_is_convex(mesh.vertices[mesh.boundary_loop])
+
+    def test_sigma_harmonic_map_warns_on_pentagram(self, caplog):
+        m = build_unit_square(5)
+        star = pentagram(len(m.boundary_loop))
+        with caplog.at_level(logging.WARNING, logger="beltramilab.sigma_harmonic"):
+            sigma_harmonic_map(constant_field(m, np.eye(2)), star[:, 0], star[:, 1])
+        assert NOT_CONVEX in caplog.text
 
 
 def pairwise_polygon_is_simple(pts):
