@@ -249,6 +249,21 @@ class TestSharpConstantsProperties:
         assert abs(beta - k) < 1e-12
         assert np.abs(sig_neg - sig_neg.T).max() < 1e-14
 
+    def test_scaling_makes_constants_reciprocal(self):
+        # best constants scale linearly, so the factor 1/sqrt(alpha*beta)
+        # normalizes them to alpha~ = 1/beta~ = sqrt(alpha/beta)
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            mat = rng.normal(size=(2, 2)) + 2.5 * np.eye(2)
+            try:
+                alpha, beta = ellipticity_constants(mat)
+            except NonEllipticError:
+                continue
+            at, bt = ellipticity_constants(mat / math.sqrt(alpha * beta))
+            lam = math.sqrt(alpha / beta)
+            assert abs(at - lam) < 1e-12
+            assert abs(bt - 1.0 / lam) < 1e-12
+
     def test_backward_bound_with_extremal_near_equality(self):
         # Matrices normalized to alpha = 1/beta = lam produce pairs with
         # distortion at most (1 + sqrt(1 - lam^2))/lam; the rotation-like

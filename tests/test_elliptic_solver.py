@@ -35,6 +35,7 @@ from beltramilab.elliptic_solver import (
     _solve_system,
     interior_residual,
     mean_flux,
+    rotated_flux,
     solve_dirichlet,
     solve_periodic_cell,
     stream_function,
@@ -237,6 +238,22 @@ class TestStreamFunction:
         u = solve_dirichlet(sig, lambda p: p[:, 0])
         ut, _ = stream_function(sig, u)
         assert ut.values[0] == 0.0
+
+    def test_curl_identity_circulations(self):
+        # zero discrete circulation of the rotated flux around interior
+        # vertices is algebraically the interior weak equation; the loop
+        # around vertex i is the chain of opposite edges of its triangles
+        m = build_unit_square(16)
+        sig = random_piecewise_field(m, 5.0, 4, seed=11)
+        u = solve_dirichlet(sig, lambda p: p[:, 0])
+        field = rotated_flux(sig, u)
+        circ = np.zeros(m.n_vertices)
+        for local in range(3):
+            i = m.triangles[:, local]
+            j = m.triangles[:, (local + 1) % 3]
+            k = m.triangles[:, (local + 2) % 3]
+            np.add.at(circ, i, np.einsum("ta,ta->t", field, m.vertices[k] - m.vertices[j]))
+        assert np.abs(circ[~m.boundary_mask]).max() < 1e-10
 
     def test_residual_decreases_under_refinement(self):
         resids = []

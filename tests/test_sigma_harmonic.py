@@ -139,6 +139,22 @@ class TestBeltramiResidual:
         res = beltrami_residual(w, (0.0, 0.0))
         assert res.max() > 1e-2
 
+    def test_nu_folds_into_mu(self):
+        # where f_z != 0 the conjugate term folds into one dilatation,
+        # mu~ = mu + (conj(f_z)/f_z) nu, with |mu~| <= |mu| + |nu|
+        m = build_unit_square(8)
+        sig = random_piecewise_field(m, 5.0, 4, seed=3)
+        w = wirtinger_exact(sig, solve_dirichlet(sig, lambda p: p[:, 0]))
+        rng = np.random.default_rng(4)
+        mu = 0.3 * (rng.random(m.n_triangles) + 1j * rng.random(m.n_triangles))
+        nu = 0.3 * (rng.random(m.n_triangles) - 1j * rng.random(m.n_triangles))
+        assert np.abs(w.f_z).min() > 0.0
+        mu_t = mu + np.conj(w.f_z) / w.f_z * nu
+        res = beltrami_residual(w, (mu, nu))
+        assert res.max() > 1e-2
+        assert np.abs(beltrami_residual(w, (mu_t, 0.0)) - res).max() < 1e-12
+        assert np.all(np.abs(mu_t) <= np.abs(mu) + np.abs(nu) + 1e-15)
+
 
 class TestJacobianAndEquival:
     def test_identity_and_affine(self):
