@@ -435,7 +435,7 @@ def _task_solve(cfg: ExperimentConfig, out: Path) -> RunRecord:
     rhs_norm = float(np.linalg.norm(lift_res))
     res_max = float(np.abs(res).max())
     limit = 1e-10 * max(rhs_norm, 1.0)
-    unimodal, strict, _ = unimodality_check(g)
+    unimodal, strict = unimodality_check(g)
     metrics = {
         "interior_residual_max": res_max,
         "rhs_norm": rhs_norm,
@@ -465,7 +465,7 @@ def _primary_pair_metrics(sigma, Phi, Psi, U) -> tuple[dict, list[dict]]:
     br = beltrami_residual(w, (mu_e, nu_e))
     metrics, positive = _map_report(U)
     loop = U.mesh.boundary_loop
-    unimodal, strict, _ = unimodality_check(U.u1.values[loop])
+    unimodal, strict = unimodality_check(U.u1.values[loop])
     metrics.update({
         "max_det": float(U.det_DU.max()),
         "equival_max": float(eq.max()),

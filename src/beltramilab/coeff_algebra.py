@@ -48,16 +48,14 @@ class BeltramiPair:
 class EllipticityReport:
     """Distortion and integrability exponents attached to constants (alpha, beta).
 
-    ``lam = sqrt(alpha/beta)`` is the normalized lower constant after
-    rescaling the matrix so that alpha~ = 1/beta~.  ``k_beltrami`` is the
-    distortion of the associated first-order system and ``p_sup`` the
-    critical gradient-integrability exponent ``2K/(K-1)`` (``inf`` at K=1).
+    ``k_beltrami`` is the distortion of the associated first-order system
+    and ``p_sup`` the critical gradient-integrability exponent ``2K/(K-1)``
+    (``inf`` at K=1).
     """
 
     alpha: float
     beta: float
     k_beltrami: float
-    lam: float
     p_sup: float
 
 
@@ -207,9 +205,7 @@ def astala_exponent(alpha: float, beta: float) -> EllipticityReport:
     ratio = beta / alpha
     k = math.sqrt(ratio) + math.sqrt(ratio - 1.0)
     p_sup = math.inf if k == 1.0 else 2.0 * k / (k - 1.0)
-    return EllipticityReport(
-        alpha=alpha, beta=beta, k_beltrami=k, lam=math.sqrt(alpha / beta), p_sup=p_sup
-    )
+    return EllipticityReport(alpha=alpha, beta=beta, k_beltrami=k, p_sup=p_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -268,37 +264,27 @@ def tau_bound_oracle(
 ) -> TauBoundOracleReport:
     """Dense grid search plus coordinate refinement for the sharp bound at distortion k.
 
-    Searches (D, H, T) on a ``grid``^3 lattice over [0,1] x [0,4] x [0,10],
-    additionally probing for each (D, H) the trace that maximizes
-    feasibility, then refines (D, H) by shrinking coordinate scans until
-    the objective moves by less than ``refine_tol``.
+    Searches (D, H) on a ``grid``^2 lattice over [0,1] x [0,4], each with
+    the trace that maximizes feasibility, then refines (D, H) by shrinking
+    coordinate scans until the objective moves by less than ``refine_tol``.
     """
-    if k < 1.0:
+    if not k >= 1.0:
         raise ValueError(f"distortion must be >= 1, got {k}")
     dd = np.linspace(0.0, 1.0, grid)
     hh = np.linspace(0.0, 4.0, grid)
     dmesh, hmesh = np.meshgrid(dd, hh, indexing="ij")
-    fmesh = _tau_objective(dmesh, hmesh)
-
-    best_val = math.inf
-    best = (1.0, 0.0, 2.0)
-    # Feasibility-maximizing trace for each (D, H): the smallest trace with
-    # a real discriminant.  The objective does not depend on T, so scanning
-    # the T grid only widens the feasible (D, H) set.
-    t0 = np.sqrt(np.maximum(4.0 * dmesh - hmesh, 0.0))
-    for tval in list(np.linspace(0.0, 10.0, grid)) + [None]:
-        tmesh = t0 if tval is None else np.full_like(dmesh, tval)
-        mask = _tau_feasible(dmesh, hmesh, tmesh, k)
-        if mask.any():
-            vals = np.where(mask, fmesh, math.inf)
-            idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            if vals[idx] < best_val:
-                best_val = float(vals[idx])
-                best = (float(dmesh[idx]), float(hmesh[idx]), float(tmesh[idx]))
+    # The objective does not depend on T, and wherever T - sqrt(T^2 + H - 4D)
+    # is real it falls as T grows: the smallest trace with a real
+    # discriminant is the most feasible one for each (D, H).  The lattice
+    # corner (D, H) = (1, 0) is feasible for every k, so the minimum is finite.
+    tmesh = np.sqrt(np.maximum(4.0 * dmesh - hmesh, 0.0))
+    vals = np.where(_tau_feasible(dmesh, hmesh, tmesh, k), _tau_objective(dmesh, hmesh), math.inf)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    best_val = float(vals[idx])
+    d_best, h_best = float(dmesh[idx]), float(hmesh[idx])
 
     # Coordinate refinement on (D, H); the trace is re-picked as the
     # feasibility-maximizing value and verified against both constraints.
-    d_best, h_best, _ = best
     d_radius, h_radius = 1.5 / grid, 6.0 / grid
     for _ in range(200):
         moved = best_val

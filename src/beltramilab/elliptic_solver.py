@@ -416,7 +416,7 @@ def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
         rhs_norm = float(np.linalg.norm(b))
         col_rel = col_residual / rhs_norm if rhs_norm > 0 else col_residual
         if not col_rel <= max(opts.tolerance, 1e-8):
-            raise SolverError(f"relative residual {col_rel:.3e} above tolerance", residual=col_residual)
+            raise SolverError(f"relative residual {col_rel:.3e} above tolerance")
         residual, rel = max(residual, col_residual), max(rel, col_rel)
     stats = {**stats, "nrhs": len(xs), "residual": residual, "relative_residual": rel}
     log.info(

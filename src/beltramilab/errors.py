@@ -14,11 +14,7 @@ class MeshBudgetError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed or stagnated; carries the last residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Linear solve failed or missed its residual gate."""
 
 
 class ConfigError(ValueError):

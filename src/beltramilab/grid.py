@@ -30,7 +30,7 @@ class TriMesh:
     ``free_index`` maps every vertex to its degree-of-freedom index; on a
     periodic mesh identified copies share one index, otherwise it is the
     identity.  It must use every dof 0..n_free-1, so ``n_free`` is read from
-    it, and ``periodic`` says whether it identifies any vertices.  No
+    it, and so is ``periodic``: whether it identifies any vertices.  No
     identification may put two vertices of one triangle on one dof.
     ``boundary_loop`` is the counterclockwise geometric boundary of the
     (fundamental) domain; on the torus it is kept for unwrapped geometry but
@@ -40,7 +40,6 @@ class TriMesh:
     vertices: np.ndarray      # (nv, 2)
     triangles: np.ndarray     # (nt, 3), counterclockwise
     boundary_loop: np.ndarray  # ordered vertex indices
-    periodic: bool = False
     free_index: np.ndarray | None = None
     # Caches of the arrays above, never passed in: ``dataclasses.replace``
     # builds a new mesh, which computes its own.
@@ -57,9 +56,6 @@ class TriMesh:
         if free.shape != (len(self.vertices),) or free.min(initial=0) < 0 or not np.bincount(free).all():
             raise ValueError(f"free_index must give each of the {len(self.vertices)} vertices a dof "
                              f"in 0..n_free-1 and use every dof")
-        if self.periodic != (self.n_free < self.n_vertices):
-            raise ValueError(f"periodic={self.periodic} disagrees with free_index, which gives "
-                             f"{self.n_free} dofs for {self.n_vertices} vertices")
         if self.periodic:  # without identification, distinct vertices are distinct dofs
             dofs = self.vertex_dofs()
             collapsed = (dofs[:, 0] == dofs[:, 1]) | (dofs[:, 1] == dofs[:, 2]) | (dofs[:, 2] == dofs[:, 0])
@@ -120,6 +116,10 @@ class TriMesh:
     @property
     def n_free(self) -> int:
         return int(self.free_index.max(initial=-1)) + 1
+
+    @property
+    def periodic(self) -> bool:
+        return self.n_free < self.n_vertices
 
     @property
     def n_triangles(self) -> int:
@@ -321,7 +321,6 @@ def build_periodic_cell(resolution: int) -> TriMesh:
         vertices=vertices,
         triangles=tris,
         boundary_loop=_square_boundary_loop(resolution),
-        periodic=True,
         free_index=_torus_free_index(resolution),
     )
 

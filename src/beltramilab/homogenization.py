@@ -122,33 +122,20 @@ def cell_complex_map(
     return PlanarMap(u, ut), resid
 
 
-def image_area(U: PlanarMap, region: np.ndarray | None = None, detailed: bool = False):
-    """Area of the image of a region: sum of |det| times element area.
+def image_area(U: PlanarMap) -> float:
+    """Area of the image of the map: the sum of |det DU| times element area.
 
-    ``region`` is an element index array (default: the whole mesh).  On the
-    whole mesh a locally injective map must also pass the global
-    ``injectivity_check``.  If the map is not injective on the region the
-    unsigned integral overcounts folds; a warning is emitted and, with
-    ``detailed=True``, the signed (overlap-corrected) estimate is returned
-    alongside.
+    If the map fails the global ``injectivity_check``, the unsigned integral
+    overcounts folds; a warning gives it with the signed (overlap-corrected)
+    estimate.
     """
-    mesh = U.mesh
-    if region is None:
-        region = np.arange(mesh.n_triangles)
-    areas = mesh.areas[region]
-    d = U.det_DU[region]
-    unsigned = float(np.dot(np.abs(d), areas))
-    signed = float(np.dot(d, areas))
-    injective = bool(np.all(d > 0))
-    if len(region) == mesh.n_triangles and injective:
-        _, injective = injectivity_check(U)
-    if not injective:
+    areas = U.mesh.areas
+    unsigned = float(np.dot(np.abs(U.det_DU), areas))
+    if not injectivity_check(U)[1]:
         log.warning(
-            "map not injective on the region: unsigned image area %.6g, "
-            "overlap-corrected estimate %.6g", unsigned, abs(signed),
+            "map not injective: unsigned image area %.6g, overlap-corrected estimate %.6g",
+            unsigned, abs(float(np.dot(U.det_DU, areas))),
         )
-    if detailed:
-        return unsigned, abs(signed), injective
     return unsigned
 
 

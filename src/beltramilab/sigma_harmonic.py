@@ -198,38 +198,22 @@ def equival_residual(
     return np.abs(lhs - rhs)
 
 
-def unimodality_check(g: np.ndarray) -> tuple[bool, bool, tuple[int, int] | None]:
+def unimodality_check(g: np.ndarray) -> tuple[bool, bool]:
     """Detect one-max-arc/one-min-arc structure of a cyclic boundary sample.
 
-    Returns (is_unimodal, is_strict, split_indices): unimodal means the
-    cyclic difference signs form exactly one positive and one negative
-    block (plateaus allowed); strict additionally forbids plateaus.  The
-    split indices point at the first sample of the falling arc (peak) and
-    of the rising arc (valley).  Constant data is degenerate, not unimodal.
+    Returns (is_unimodal, is_strict): unimodal means the cyclic difference
+    signs form exactly one positive and one negative block (plateaus
+    allowed); strict additionally forbids plateaus.  Constant data is
+    degenerate, not unimodal.
     """
     g = np.asarray(g, dtype=float)
-    n = len(g)
-    if n < 3:
+    if len(g) < 3:
         raise ValueError("need at least 3 boundary samples")
-    diffs = np.roll(g, -1) - g
-    signs = np.sign(diffs)
-    nz = np.nonzero(signs)[0]
-    if len(nz) == 0:
-        return False, False, None
-    seq = signs[nz]
-    changes = int(np.sum(seq != np.roll(seq, 1)))
-    is_unimodal = changes == 2
-    if not is_unimodal:
-        return False, False, None
-    is_strict = bool(np.all(signs != 0))
-    peak = valley = None
-    for k in range(len(nz)):
-        nxt = (k + 1) % len(nz)
-        if seq[k] > 0 and seq[nxt] < 0:
-            peak = int((nz[k] + 1) % n)
-        if seq[k] < 0 and seq[nxt] > 0:
-            valley = int((nz[k] + 1) % n)
-    return True, is_strict, (peak, valley)
+    signs = np.sign(np.roll(g, -1) - g)
+    seq = signs[signs != 0]
+    if int(np.sum(seq != np.roll(seq, 1))) != 2:
+        return False, False
+    return True, bool(np.all(signs != 0))
 
 
 def _segments_cross(p0, p1, q0, q1, tol_scale) -> np.ndarray:
@@ -344,20 +328,15 @@ def injectivity_check(U: PlanarMap) -> tuple[bool, bool]:
     """Local and global injectivity flags for a P1 map.
 
     Local: det DU > 0 on every triangle (strict, no tolerance).  Global:
-    additionally the image of the boundary loop is a simple polygon and
-    its enclosed area matches the summed signed element image areas to
-    1e-8 relative; for orientation-positive P1 maps this degree argument
-    replaces the quadratic-cost pairwise triangle-overlap test.
+    additionally the image of the boundary loop is a simple polygon.  A P1
+    map of a triangulated disk with positive det on every triangle and a
+    simple image of the boundary loop is one-to-one onto the region that
+    polygon bounds (Floater 2003, *Math. Comp.* 72), so the two tests
+    decide it without a pairwise triangle-overlap test.
     """
     locally = bool(np.all(U.det_DU > 0.0))
-    mesh = U.mesh
-    loop = mesh.boundary_loop
-    img = np.column_stack([U.u1.values[loop], U.u2.values[loop]])
-    simple = polygon_is_simple(img)
-    signed_sum = float(np.dot(U.det_DU, mesh.areas))
-    shoelace = _polygon_signed_area(img)
-    area_ok = abs(signed_sum - shoelace) <= 1e-8 * max(abs(shoelace), 1e-300)
-    return locally, bool(locally and simple and area_ok)
+    loop = U.mesh.boundary_loop
+    return locally, locally and polygon_is_simple(np.column_stack([U.u1.values[loop], U.u2.values[loop]]))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +360,6 @@ class TauPushforward:
     c: np.ndarray
     resid_diag: np.ndarray     # |tau11 - 1|
     resid_lower: np.ndarray    # |tau21|
-    excluded: np.ndarray       # near-degenerate elements, excluded from norms
     l1_resid_diag: float
     l1_resid_lower: float
 
@@ -425,9 +403,8 @@ def pushforward_tau(
     the imaginary-part gradient by the rotated flux of the real part, in
     which case the triangular structure holds to machine precision.
     Near-degenerate image elements (det Df below 1e-12 of the median) are
-    flagged and excluded from the reported L1 norms.
+    left out of the reported L1 norms.
     """
-    mesh = f.mesh
     grad_re = element_gradient(f.u1)
     if convention == "recovered":
         grad_im = element_gradient(f.u2)
@@ -439,10 +416,9 @@ def pushforward_tau(
         raise ValueError(f"unknown convention {convention!r}")
 
     df = np.stack([grad_re, grad_im], axis=1)  # rows: gradients of the components
-    if np.any(det_df <= 0):
+    if not np.all(det_df > 0):  # as in injectivity_check, a NaN det fails too
         raise ValueError("coordinate map is not locally injective (det Df <= 0 somewhere)")
-    scale = float(np.median(det_df))
-    excluded = det_df < 1e-12 * scale
+    keep = det_df >= 1e-12 * float(np.median(det_df))
     tau = np.einsum("tia,tab,tjb->tij", df, sigma.matrices, df) / det_df[:, None, None]
 
     img = image_mesh_of(f)
@@ -450,7 +426,6 @@ def pushforward_tau(
     c = _det(tau)
     resid_diag = np.abs(tau[:, 0, 0] - 1.0)
     resid_lower = np.abs(tau[:, 1, 0])
-    keep = ~excluded
     img_areas = img.areas
     total = float(img_areas[keep].sum())
     l1_diag = float(np.dot(img_areas[keep], resid_diag[keep]) / total)
@@ -462,7 +437,6 @@ def pushforward_tau(
         c=c,
         resid_diag=resid_diag,
         resid_lower=resid_lower,
-        excluded=excluded,
         l1_resid_diag=l1_diag,
         l1_resid_lower=l1_lower,
     )

@@ -185,6 +185,34 @@ class TestRunTasks:
         assert record.metrics["laminate_oracle_error"] < 1e-9
         assert record.all_passed
 
+    @pytest.mark.parametrize("resolution, coefficient, diagnostics, invariant", [
+        (16, {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]}, {}, "constant_passthrough"),
+        (16, {"family": "hall", "a": 2, "b": 0.5}, {}, "constant_passthrough"),
+        (64, {"family": "checkerboard", "a": 1, "b": 4}, {}, "checkerboard_oracle"),
+        (32, {"family": "random_piecewise", "seed": 7, "symmetric": True}, {}, "arithmetic_upper_bound"),
+        (128, {"family": "laminate", "a": 1, "b": 5}, {"area_check": True}, "area_formula"),
+    ], ids=["constant", "hall", "checkerboard-64", "symmetric-random-32", "laminate-area-128"])
+    def test_homogenize_invariant(self, tmp_path, resolution, coefficient, diagnostics, invariant):
+        cfg = ExperimentConfig.from_dict(
+            {"task": "homogenize", "domain": "periodic_cell", "resolution": resolution,
+             "coefficient": coefficient, "diagnostics": diagnostics, "output_dir": str(tmp_path / "out")}
+        )
+        record = run(cfg)
+        assert invariant in [inv["name"] for inv in record.invariants]
+        assert record.all_passed
+
+    @pytest.mark.parametrize("count", [0, 1, 31, 33])
+    def test_solve_with_samples_of_the_wrong_length(self, tmp_path, count):
+        # the res-8 square's boundary loop has 32 vertices
+        cfg = ExperimentConfig.from_dict(
+            {"task": "solve", "resolution": 8,
+             "coefficient": {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]},
+             "boundary": {"kind": "samples", "values": [0.5] * count},
+             "output_dir": str(tmp_path / "out")}
+        )
+        with pytest.raises(ConfigError, match=rf"'boundary.values': need 32 samples, got \({count},\)"):
+            run(cfg)
+
     def test_solve_with_affine_boundary(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"task": "solve", "domain": "unit_square", "resolution": 8,
@@ -759,6 +787,14 @@ class TestMainEntry:
         cfg = write_config(tmp_path, "s.json", {"sweep": [good, good]})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw2")]) == 0
         assert "0 of 2 rows not ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry", [5, {"task": "convert"}, "run.json"])
+    def test_sweep_entry_that_is_not_a_list(self, tmp_path, caplog, entry):
+        cfg = write_config(tmp_path, "s.json", {"sweep": entry, "output_dir": str(tmp_path / "sw")})
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert any("config field 'sweep': sweep config must be a list" in m for m in errors)
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_verb_without_list(self, tmp_path, caplog):
         cfg = write_config(tmp_path, "s.json", {"output_dir": str(tmp_path / "sw")})

@@ -7,6 +7,7 @@ from beltramilab.coeff_algebra import (
     BeltramiPair,
     K_from_lambda,
     K_of_beltrami,
+    _tau_feasible,
     astala_exponent,
     beltrami_from_sigma,
     ellipticity_constants,
@@ -306,6 +307,28 @@ class TestTauBound:
         assert rep.candidates["sign_flipped"] == pytest.approx(1 + SQRT3 / 2)
         assert rep.candidates["at_reference_point"] == pytest.approx(1 - SQRT3 / 4)
         assert rep.agrees_with_closed_form
+
+    def test_smallest_real_trace_is_the_most_feasible(self):
+        # T - sqrt(T^2 + H - 4D) falls as T grows wherever it is real, so a feasible
+        # (D, H, T) stays feasible at the smallest real trace t0 = sqrt(max(4D - H, 0)),
+        # and the oracle scans no other trace.  D and t0 are dyadic, so H = 4D - t0^2
+        # and the square root are exact: a t0 rounded below the root would make the
+        # discriminant there a rounding error below 0.
+        rng = np.random.default_rng(12)
+        n = 200_000
+        d = rng.integers(0, 257, n) / 256
+        t0 = rng.integers(0, 129, n) / 64
+        h = 4 * d - t0 * t0
+        # where that is negative, draw H in [4D, 4] instead: no real discriminant below T = 0
+        above = h < 0
+        h[above] = 4 * d[above] + (4 - 4 * d[above]) * rng.random(above.sum())
+        t0[above] = 0.0
+        assert np.array_equal(np.sqrt(np.maximum(4 * d - h, 0.0)), t0)
+        t = np.where(rng.random(n) < 0.5, t0 + rng.exponential(0.05, n), 10 * rng.random(n))
+        k = 1 + rng.exponential(3.0, n)
+        feasible = _tau_feasible(d, h, t, k)
+        assert feasible.sum() > 1000
+        assert not (feasible & ~_tau_feasible(d, h, t0, k)).any()
 
     def test_oracle_monotone_nonincreasing(self):
         values = [tau_bound_oracle(k).value for k in (1.0, 1.5, 2.0, 4.0)]

@@ -175,8 +175,21 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             solve_dirichlet(constant_field(m, np.eye(2)), lambda p: p[:, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_boundary_data_rejected(self, bad):
+        m = build_unit_square(4)
+        vals = m.vertices[m.boundary_loop, 0].copy()
+        vals[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_dirichlet(constant_field(m, np.eye(2)), vals)
+
 
 class TestPeriodicCell:
+    def test_bounded_mesh_rejected(self):
+        m = build_unit_square(4)
+        with pytest.raises(ValueError, match="cell solve needs a periodic mesh"):
+            solve_periodic_cell(constant_field(m, np.eye(2)), np.array([1.0, 0.0]))
+
     def test_constant_sigma_affine_solution(self):
         m = build_periodic_cell(8)
         sig = constant_field(m, [[2.0, 1.0], [0.2, 1.5]])
@@ -594,7 +607,7 @@ def permuted_lattice(n: int) -> TriMesh:
 def collapsed_cell() -> TriMesh:
     """The res-2 lattice with the dof of lattice point (i, j) set to i % 2: every triangle has two vertices on one dof."""
     m = build_unit_square(2)
-    return TriMesh(m.vertices, m.triangles, m.boundary_loop, periodic=True, free_index=np.arange(9) % 3 % 2)
+    return TriMesh(m.vertices, m.triangles, m.boundary_loop, free_index=np.arange(9) % 3 % 2)
 
 
 class TestLeanAssemblyAndFactorization:

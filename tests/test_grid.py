@@ -99,6 +99,11 @@ def reference_regular_ngon(n_sides, radius, resolution):
     return np.asarray(vertices), np.asarray(tris, dtype=np.int64), loop.astype(np.int64)
 
 
+def bare_mesh(mesh: TriMesh) -> TriMesh:
+    """The mesh rebuilt from its arrays alone, without a builder."""
+    return TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop, free_index=mesh.free_index)
+
+
 class TestMeshBuilders:
     def test_unit_square_counts(self):
         m = build_unit_square(2)
@@ -179,11 +184,6 @@ class TestMeshBuilders:
         # the torus with a different quotient map
         assert lattice_resolution(replace(torus, free_index=n * n - 1 - torus.free_index)) is None
         assert lattice_resolution(build_regular_ngon(8, 1.0, n)) is None
-        # a periodic flag that disagrees with the quotient map is no mesh at all
-        with pytest.raises(ValueError, match="periodic=False disagrees"):
-            replace(torus, periodic=False)
-        with pytest.raises(ValueError, match="periodic=True disagrees"):
-            replace(square, periodic=True)
 
     def test_lattice_resolution_is_tested_once_per_mesh(self, monkeypatch):
         square = build_unit_square(16)
@@ -199,20 +199,32 @@ class TestMeshBuilders:
         assert lattice_resolution(replace(moved, vertices=square.vertices)) == 16 and builds == [16, 16, 16]
 
     @pytest.mark.parametrize("build, periodic", [(build_unit_square, True), (build_periodic_cell, False)])
-    def test_periodic_flag_must_match_free_index(self, build, periodic):
-        # a square flagged periodic has no fixed dofs: its identity conductivity came out ~4e-15
+    def test_periodic_is_not_an_input(self, build, periodic):
+        # a square flagged periodic had no fixed dofs (its identity conductivity came out ~4e-15):
+        # the flag is read from free_index, so it cannot be written
         mesh = build(8)
-        with pytest.raises(ValueError, match=f"{mesh.n_free} dofs for {mesh.n_vertices} vertices"):
-            replace(mesh, periodic=periodic)
-        with pytest.raises(ValueError, match=f"periodic={periodic} disagrees"):
+        with pytest.raises(TypeError, match="periodic"):
             TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop, periodic=periodic,
                     free_index=mesh.free_index)
+        with pytest.raises(TypeError, match="periodic"):
+            replace(mesh, periodic=periodic)
+        with pytest.raises(AttributeError):
+            mesh.periodic = periodic
+
+    @pytest.mark.parametrize("build, periodic", [
+        (lambda: build_unit_square(8), False),
+        (lambda: build_periodic_cell(8), True),
+        (lambda: build_regular_ngon(6, 1.0, 4), False),
+        (lambda: bare_mesh(build_periodic_cell(8)), True),
+    ], ids=["square", "torus", "hexagon", "bare-torus"])
+    def test_periodic_is_read_from_free_index(self, build, periodic):
+        mesh = build()
+        assert mesh.periodic == (mesh.n_free < mesh.n_vertices) == periodic
 
     def test_free_index_from_arrays_alone(self):
         # n_free is read from free_index: a torus built without the builder solves bit for bit like it
         cell = build_periodic_cell(8)
-        bare = TriMesh(cell.vertices, cell.triangles, cell.boundary_loop, periodic=True,
-                       free_index=cell.free_index)
+        bare = bare_mesh(cell)
         assert bare.n_free == 64
         sigma = random_piecewise_field(cell, 5.0, 4, seed=3).matrices
         xis = np.array([[1.0, 0.0], [0.3, 1.0]])
@@ -226,14 +238,20 @@ class TestMeshBuilders:
     def test_free_index_must_number_every_vertex_onto_every_dof(self, free_index):
         cell = build_periodic_cell(4)
         with pytest.raises(ValueError, match="free_index"):
-            TriMesh(cell.vertices, cell.triangles, cell.boundary_loop, periodic=True,
-                    free_index=free_index(cell.free_index))
+            TriMesh(cell.vertices, cell.triangles, cell.boundary_loop, free_index=free_index(cell.free_index))
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             build_unit_square(1)
         with pytest.raises(MeshBudgetError):
             build_unit_square(1500)
+
+    @pytest.mark.parametrize("sides, radius, message", [
+        (2, 1.0, "at least 3 sides"), (6, 0.0, "radius must be positive"), (6, -1.0, "radius must be positive"),
+    ])
+    def test_regular_ngon_validation(self, sides, radius, message):
+        with pytest.raises(ValueError, match=message):
+            build_regular_ngon(sides, radius, 4)
 
 
 def recursive_dissection(n: int) -> list[int]:
@@ -378,6 +396,10 @@ class TestDyadicSquares:
         m = build_unit_square(8)
         assert len(dyadic_squares(m, 0)) == 1
         assert len(dyadic_squares(m, 2)) == 21
+
+    def test_negative_max_level_rejected(self):
+        with pytest.raises(ValueError, match="max_level must be >= 0"):
+            dyadic_squares(build_unit_square(8), -1)
 
     def test_membership_partitions_every_level(self):
         m = build_unit_square(12)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -173,16 +175,16 @@ class TestImageArea:
         cm = cell_map(constant_field(m, np.eye(2)), np.eye(2))
         assert image_area(cm.U) == pytest.approx(1.0, abs=1e-12)
 
-    def test_affine_region(self):
+    def test_affine_map(self, caplog):
         m = build_unit_square(8)
         A = np.array([[2.0, 1.0], [0.0, 1.5]])
         aff = PlanarMap(
             ScalarFieldP1(m, m.vertices @ A[0]),
             ScalarFieldP1(m, m.vertices @ A[1]),
         )
-        region = np.arange(0, m.n_triangles, 2)
-        expected = np.linalg.det(A) * m.areas[region].sum()
-        assert image_area(aff, region) == pytest.approx(expected, rel=1e-12)
+        with caplog.at_level(logging.WARNING, logger="beltramilab.homogenization"):
+            assert image_area(aff) == pytest.approx(np.linalg.det(A), rel=1e-12)
+        assert not caplog.records
 
     def test_laminate_area_equals_quadratic_form(self):
         m = build_periodic_cell(64)
@@ -193,18 +195,19 @@ class TestImageArea:
         qf = eff.matrix[0, 0]
         assert abs(area - qf) / qf < 0.02
 
-    def test_non_injective_warns_with_corrected_estimate(self):
+    def test_non_injective_warns_with_corrected_estimate(self, caplog):
         m = build_unit_square(8)
         fold = PlanarMap(
             ScalarFieldP1(m, m.vertices[:, 0].copy()),
             ScalarFieldP1(m, np.abs(m.vertices[:, 1] - 0.5)),
         )
-        unsigned, corrected, injective = image_area(fold, detailed=True)
-        assert not injective
+        with caplog.at_level(logging.WARNING, logger="beltramilab.homogenization"):
+            unsigned = image_area(fold)
+        (record,) = caplog.records
+        assert record.args == (unsigned, pytest.approx(0.0, abs=1e-12))  # signed cancellation
         assert unsigned == pytest.approx(1.0)          # both folds counted
-        assert corrected == pytest.approx(0.0, abs=1e-12)  # signed cancellation
 
-    def test_locally_positive_map_that_wraps_is_not_injective(self):
+    def test_locally_positive_map_that_wraps_is_not_injective(self, caplog):
         # angle 3*pi*x, radius 2 - y: det DU = 3*pi*r > 0 on every triangle,
         # but the image winds 1.5 turns and its boundary crosses itself
         m = build_unit_square(16)
@@ -212,6 +215,8 @@ class TestImageArea:
         r, theta = 2 - y, 3 * np.pi * x
         f = PlanarMap(ScalarFieldP1(m, r * np.cos(theta)), ScalarFieldP1(m, r * np.sin(theta)))
         assert f.det_DU.min() > 0.0
-        unsigned, corrected, injective = image_area(f, detailed=True)
-        assert not injective
-        assert unsigned == corrected == pytest.approx(13.3337, abs=1e-4)
+        with caplog.at_level(logging.WARNING, logger="beltramilab.homogenization"):
+            unsigned = image_area(f)
+        (record,) = caplog.records
+        assert record.args == (unsigned, unsigned)
+        assert unsigned == pytest.approx(13.3337, abs=1e-4)

@@ -11,10 +11,12 @@ from beltramilab.elliptic_solver import solve_dirichlet
 from beltramilab.grid import (
     ScalarFieldP1,
     _square_boundary_loop,
+    build_periodic_cell,
     build_regular_ngon,
     build_unit_square,
     element_gradient,
 )
+from beltramilab.homogenization import cell_map
 from beltramilab.sigma_harmonic import (
     PlanarMap,
     _box_pairs_sharing_a_cell,
@@ -51,6 +53,41 @@ def circle_trace(mesh):
     s = np.concatenate([[0.0], np.cumsum(seg)[:-1]]) / seg.sum()
     theta = 2 * np.pi * s
     return np.cos(theta), np.sin(theta), theta
+
+
+def fold_map(mesh):
+    return PlanarMap(ScalarFieldP1(mesh, mesh.vertices[:, 0].copy()),
+                     ScalarFieldP1(mesh, np.abs(mesh.vertices[:, 1] - 0.5)))
+
+
+def wrapping_map(mesh):
+    """Angle 3*pi*x, radius 2 - y: det DU > 0 on every triangle, but the boundary image winds 1.5 turns."""
+    x, y = mesh.vertices.T
+    r, theta = 2 - y, 3 * np.pi * x
+    return PlanarMap(ScalarFieldP1(mesh, r * np.cos(theta)), ScalarFieldP1(mesh, r * np.sin(theta)))
+
+
+def disk_map(mesh):
+    c, s, _ = circle_trace(mesh)
+    return sigma_harmonic_map(constant_field(mesh, np.eye(2)), c, s)
+
+
+def nonconvex_target_map(mesh):
+    _, _, theta = circle_trace(mesh)
+    tx, ty = np.cos(theta) + 0.8 * np.cos(2 * theta), np.sin(theta) - 0.8 * np.sin(2 * theta)
+    return sigma_harmonic_map(constant_field(mesh, np.eye(2)), tx, ty)
+
+
+# every map whose injectivity the suite checks
+INJECTIVITY_CASES = {
+    "identity": lambda: coordinate_map(build_unit_square(8)),
+    "fold": lambda: fold_map(build_unit_square(8)),
+    "disk": lambda: disk_map(build_unit_square(12)),
+    "primary-pair": lambda: primary_pair(random_piecewise_field(build_unit_square(32), 5.0, 4, seed=6))[2],
+    "nonconvex-target": lambda: nonconvex_target_map(build_unit_square(12)),
+    "wrapping": lambda: wrapping_map(build_unit_square(16)),
+    "cell-map": lambda: cell_map(random_piecewise_field(build_periodic_cell(32), 5.0, 4, seed=3), np.eye(2)).U,
+}
 
 
 class TestPrimaryPair:
@@ -156,6 +193,13 @@ class TestBeltramiResidual:
         assert np.all(np.abs(mu_t) <= np.abs(mu) + np.abs(nu) + 1e-15)
 
 
+class TestPlanarMap:
+    def test_components_on_two_meshes_rejected(self):
+        a, b = build_unit_square(4), build_unit_square(4)
+        with pytest.raises(ValueError, match="same mesh"):
+            PlanarMap(ScalarFieldP1(a, a.vertices[:, 0]), ScalarFieldP1(b, b.vertices[:, 1]))
+
+
 class TestJacobianAndEquival:
     def test_identity_and_affine(self):
         m = build_unit_square(6)
@@ -195,25 +239,18 @@ class TestUnimodality:
     def test_coordinate_on_square_boundary(self):
         m = build_unit_square(8)
         g = m.vertices[m.boundary_loop, 0]
-        unimodal, strict, splits = unimodality_check(g)
-        assert unimodal and not strict
-        assert splits is not None
+        assert unimodality_check(g) == (True, False)
 
     def test_strict_cosine(self):
         theta = np.linspace(0, 2 * np.pi, 41)[:-1]
-        unimodal, strict, splits = unimodality_check(np.cos(theta))
-        assert unimodal and strict
-        peak, valley = splits
-        assert peak == 0
-        assert valley == 20
+        assert unimodality_check(np.cos(theta)) == (True, True)
 
     def test_two_humps_rejected(self):
         theta = np.linspace(0, 2 * np.pi, 41)[:-1]
-        unimodal, strict, _ = unimodality_check(np.cos(2 * theta))
-        assert not unimodal
+        assert unimodality_check(np.cos(2 * theta)) == (False, False)
 
     def test_constant_degenerate(self):
-        assert unimodality_check(np.ones(8)) == (False, False, None)
+        assert unimodality_check(np.ones(8)) == (False, False)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -227,19 +264,11 @@ class TestInjectivity:
         assert injectivity_check(U) == (True, True)
 
     def test_folding_map(self):
-        m = build_unit_square(8)
-        fold = PlanarMap(
-            ScalarFieldP1(m, m.vertices[:, 0].copy()),
-            ScalarFieldP1(m, np.abs(m.vertices[:, 1] - 0.5)),
-        )
-        assert injectivity_check(fold) == (False, False)
+        assert injectivity_check(fold_map(build_unit_square(8))) == (False, False)
 
     def test_disk_homeomorphism_map(self, caplog):
-        m = build_unit_square(12)
-        sig = constant_field(m, np.eye(2))
-        c, s, _ = circle_trace(m)
         with caplog.at_level(logging.WARNING, logger="beltramilab.sigma_harmonic"):
-            U = sigma_harmonic_map(sig, c, s)
+            U = disk_map(build_unit_square(12))
         assert NOT_CONVEX not in caplog.text
         assert U.det_DU.min() > 0.0
         assert injectivity_check(U) == (True, True)
@@ -253,17 +282,34 @@ class TestInjectivity:
     def test_nonconvex_target_negative_control(self, caplog):
         # expected-negative: the guarantee needs a convex target, so the
         # check is only recorded, not asserted true
-        m = build_unit_square(12)
-        sig = constant_field(m, np.eye(2))
-        _, _, theta = circle_trace(m)
-        tx = np.cos(theta) + 0.8 * np.cos(2 * theta)
-        ty = np.sin(theta) - 0.8 * np.sin(2 * theta)
         with caplog.at_level(logging.WARNING, logger="beltramilab.sigma_harmonic"):
-            U = sigma_harmonic_map(sig, tx, ty)
+            U = nonconvex_target_map(build_unit_square(12))
         assert NOT_CONVEX in caplog.text
         locally, globally = injectivity_check(U)
         assert isinstance(locally, bool) and isinstance(globally, bool)
         assert not globally
+
+    @pytest.mark.parametrize("mesh", [build_unit_square(16), build_periodic_cell(16), build_regular_ngon(6, 1.0, 8)],
+                             ids=["square", "torus", "hexagon"])
+    def test_signed_image_area_is_the_boundary_loop_area(self, mesh):
+        # Green's theorem for every P1 map, injective or not: the sum of det DU
+        # times area is the shoelace area of the boundary image, so comparing
+        # the two decides nothing about injectivity
+        rng = np.random.default_rng(2024)
+        loop = mesh.boundary_loop
+        for _ in range(50):
+            U = PlanarMap(*(ScalarFieldP1(mesh, rng.standard_normal(mesh.n_vertices)) for _ in range(2)))
+            x, y = U.u1.values[loop], U.u2.values[loop]
+            shoelace = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+            unsigned = np.dot(np.abs(U.det_DU), mesh.areas)
+            assert abs(np.dot(U.det_DU, mesh.areas) - shoelace) <= 1e-12 * unsigned
+
+    @pytest.mark.parametrize("case", list(INJECTIVITY_CASES))
+    def test_global_flag_is_local_and_a_simple_loop(self, case):
+        U = INJECTIVITY_CASES[case]()
+        locally = bool(np.all(U.det_DU > 0.0))
+        image = np.column_stack([U.u1.values, U.u2.values])[U.mesh.boundary_loop]
+        assert injectivity_check(U) == (locally, locally and polygon_is_simple(image))
 
 
 def pentagram(samples):
@@ -384,6 +430,16 @@ class TestPolygonIsSimple:
 
 
 class TestPushforwardTau:
+    def test_unknown_convention_rejected(self):
+        m = build_unit_square(8)
+        with pytest.raises(ValueError, match="unknown convention 'wirtinger'"):
+            pushforward_tau(constant_field(m, np.eye(2)), coordinate_map(m), convention="wirtinger")
+
+    def test_non_injective_map_rejected(self):
+        m = build_unit_square(8)
+        with pytest.raises(ValueError, match="not locally injective"):
+            pushforward_tau(constant_field(m, np.eye(2)), fold_map(m))
+
     def test_identity(self):
         m = build_unit_square(8)
         sig = constant_field(m, np.eye(2))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,6 +398,12 @@ class TestQuantitativeCheck:
                 k = max(1, round(frac * len(P)))
                 sub = np.sort(rng.choice(P, size=k, replace=False))
                 assert quantitative_jacobian_check(cm, sub, P, fit).passes
+
+    def test_singular_affine_part_rejected(self, cell_setup):
+        cm, squares, fit = cell_setup
+        P = squares.elements(squares.admissible()[3])
+        with pytest.raises(ValueError, match="affine part is singular"):
+            quantitative_jacobian_check(replace(cm, A=np.array([[1.0, 0.0], [0.0, 0.0]])), P, P, fit)
 
     def test_foreign_elements_rejected(self, cell_setup):
         cm, squares, fit = cell_setup
