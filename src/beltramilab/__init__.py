@@ -14,7 +14,6 @@ from .coeff_algebra import (
     tau_ellipticity_bound,
 )
 from .elliptic_solver import (
-    SolveOptions,
     solve_dirichlet,
     solve_periodic_cell,
     stream_function,

@@ -39,7 +39,7 @@ from .coeff_algebra import (
     tau_ellipticity_bound,
 )
 from .elliptic_solver import (
-    SolveOptions,
+    RESIDUAL_GATE,
     interior_residual,
     solve_dirichlet,
 )
@@ -148,7 +148,6 @@ class ExperimentConfig:
     resolution: int
     coefficient: dict
     boundary: dict | None
-    solver: SolveOptions
     output_dir: str
     diagnostics: dict
     raw: dict = field(repr=False)
@@ -189,17 +188,16 @@ class ExperimentConfig:
             if any(p <= 0 for p in diagnostics["p_list"] or ()):
                 raise ConfigError("diagnostics.p_list", f"exponents must be positive, got {diagnostics['p_list']!r}")
 
-        # Every solve is one sparse LU; a config naming the removed iterative solver fails.
-        if isinstance(top["solver"], dict) and "max_iterations" in top["solver"]:
-            raise ConfigError("solver.max_iterations", "removed with the iterative solver; every solve is a sparse LU")
-        solver_section = _section("solver", top["solver"], CONFIG_KEYS["solver"])
-        if solver_section["method"] != "direct_lu":
+        # Every solve is one sparse LU, gated at the fixed RESIDUAL_GATE; the section only
+        # confirms that, and a looser tolerance would be misread as loosening the gate.
+        solver = _section("solver", top["solver"], CONFIG_KEYS["solver"])
+        if solver["method"] != "direct_lu":
             raise ConfigError("solver.method", f"only 'direct_lu' is accepted (the iterative solver was removed), "
-                                               f"got {solver_section['method']!r}")
-        try:
-            solver = SolveOptions(tolerance=float(solver_section["tolerance"]))
-        except ValueError as exc:
-            raise ConfigError("solver", str(exc)) from exc
+                                               f"got {solver['method']!r}")
+        tolerance = solver["tolerance"]
+        if not 0 < tolerance <= RESIDUAL_GATE:
+            raise ConfigError("solver.tolerance", f"must lie in (0, {RESIDUAL_GATE:g}]: every solve meets the "
+                                                  f"fixed relative residual gate {RESIDUAL_GATE:g}, got {tolerance!r}")
 
         boundary = top["boundary"]
         if boundary is not None:
@@ -209,7 +207,7 @@ class ExperimentConfig:
             boundary = _section("boundary", boundary, CONFIG_KEYS["boundary"][task], tag="kind")
 
         return cls(task=task, domain=domain, resolution=top["resolution"], coefficient=coefficient, boundary=boundary,
-                   solver=solver, output_dir=top["output_dir"], diagnostics=diagnostics, raw=raw)
+                   output_dir=top["output_dir"], diagnostics=diagnostics, raw=raw)
 
 
 _TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
@@ -426,7 +424,7 @@ def _mesh_and_coefficient(cfg: ExperimentConfig):
 def _task_solve(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
     g = boundary_scalar_values(mesh, cfg.boundary)
-    u = solve_dirichlet(sigma, g, cfg.solver)
+    u = solve_dirichlet(sigma, g)
     # The reduced right-hand side is minus the residual of the boundary lift
     # (g on the boundary, 0 inside).
     lift = np.zeros(mesh.n_vertices)
@@ -490,7 +488,7 @@ def _task_primary_pair(cfg: ExperimentConfig, out: Path) -> RunRecord:
     if cfg.boundary is not None:  # kind "polygon_trace", the one from_dict admits here
         v1, v2 = _trace_by_arclength(mesh, cfg.boundary["vertices"])
         _check_boundary_triangles(mesh, v1, v2)
-        U = sigma_harmonic_map(sigma, v1, v2, cfg.solver)
+        U = sigma_harmonic_map(sigma, v1, v2)
         metrics, positive = _map_report(U)
         artifacts = _export_mesh(mesh, out)
         export_vertex_values_csv(
@@ -499,7 +497,7 @@ def _task_primary_pair(cfg: ExperimentConfig, out: Path) -> RunRecord:
         artifacts.append("map.csv")
         return RunRecord("primary-pair", metrics, [positive], artifacts)
 
-    Phi, Psi, U = primary_pair(sigma, cfg.solver)
+    Phi, Psi, U = primary_pair(sigma)
     metrics, invariants = _primary_pair_metrics(sigma, Phi, Psi, U)
     artifacts = _export_mesh(mesh, out)
     export_vertex_values_csv(
@@ -516,7 +514,7 @@ def _task_primary_pair(cfg: ExperimentConfig, out: Path) -> RunRecord:
 def _task_cell(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
     A = np.asarray(cfg.diagnostics["affine_part"], dtype=float)
-    cm = cell_map(sigma, A, cfg.solver)
+    cm = cell_map(sigma, A)
     metrics, positive = _map_report(cm.U)
     metrics.update(affine_part=A.tolist(), linearity_error=cm.linearity_error)
     invariants = [
@@ -533,7 +531,7 @@ def _task_cell(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
 def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
-    eff = effective_conductivity(sigma, cfg.solver)
+    eff = effective_conductivity(sigma)
     tensor = eff.matrix
     gap = eff.quadratic_form_gap()
     scale = float(np.abs(tensor).max())
@@ -579,7 +577,7 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
             invariants.append(_invariant("arithmetic_upper_bound", upper_ok, upper_ok, True))
 
     if cfg.diagnostics["area_check"]:
-        f1, stream_resid = cell_complex_map(sigma, eff.solutions["e1"], cfg.solver)
+        f1, stream_resid = cell_complex_map(sigma, eff.solutions["e1"])
         area = image_area(f1)
         qf = float(tensor[0, 0])
         area_gap = abs(area - qf) / abs(qf)
@@ -608,11 +606,11 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     max_level, subset_seed = diag["max_level"], diag["subset_seed"]
 
     if mesh.periodic:
-        cm = cell_map(sigma, np.eye(2), cfg.solver)
+        cm = cell_map(sigma, np.eye(2))
         U = cm.U
-        Phi, _ = cell_complex_map(sigma, U.u1, cfg.solver)  # U.u1 is the e1 cell solution
+        Phi, _ = cell_complex_map(sigma, U.u1)  # U.u1 is the e1 cell solution
     else:
-        Phi, Psi, U = primary_pair(sigma, cfg.solver)
+        Phi, Psi, U = primary_pair(sigma)
     det = U.det_DU
 
     squares = dyadic_squares(mesh, max_level)
@@ -637,7 +635,7 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     p_list = diag["p_list"]
     if p_list is None:
         p_list = [2.0, 0.5 * report.p_sup if np.isfinite(report.p_sup) else 4.0]
-    rows = higher_integrability_probe([(cfg.resolution, mesh, grads)], p_list, report.p_sup)
+    rows = higher_integrability_probe(cfg.resolution, mesh, grads, p_list, report.p_sup)
 
     stats = square_stats(det, squares, theta_grid=tuple(diag["theta_grid"]))
     stats.export_csv(out / "square_stats.csv")

@@ -231,7 +231,20 @@ def astala_exponent(alpha: float, beta: float) -> EllipticityReport:
 # the reference point T = 2/K, D = 1, H = 1 - 1/K^2), so the oracle
 # settles the true constrained minimum numerically and reports all three
 # candidates side by side rather than silently reconciling them.
+#
+# The objective does not depend on T, and wherever T - sqrt(T^2 + H - 4D)
+# is real it falls as T grows, so the smallest real trace
+# t0 = sqrt(max(4D - H, 0)) is the most feasible one for each (D, H).  At
+# t0 the lower constant is sqrt(4D - H) where 4D - H >= 0, and not real
+# elsewhere, so the search reads it without forming the discriminant.
 # ---------------------------------------------------------------------------
+
+# Points per axis of the oracle's (D, H) lattice over [0, 1] x [0, 4].
+TAU_ORACLE_GRID = 200
+
+# The oracle's refinement stops once the objective moves, and the D scan
+# radius falls, below this.
+TAU_ORACLE_REFINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -251,56 +264,47 @@ def _tau_objective(d: np.ndarray, h: np.ndarray) -> np.ndarray:
     return 0.5 * (d + 1.0 - np.sqrt((d - 1.0) ** 2 + h))
 
 
-def _tau_feasible(d: np.ndarray, h: np.ndarray, t: np.ndarray, k: float) -> np.ndarray:
-    disc = t * t + h - 4.0 * d
-    ok = disc >= 0.0
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    low = t - root
-    return ok & (low >= 2.0 / k - 1e-15) & (low >= 2.0 * d / k - 1e-15)
+def _tau_feasible(d: np.ndarray, h: np.ndarray, k: float) -> np.ndarray:
+    """Do (D, H) meet both constraints at the smallest real trace sqrt(max(4D - H, 0))?"""
+    gap = 4.0 * d - h
+    low = np.sqrt(np.maximum(gap, 0.0))  # the lower constant T - sqrt(T^2 + H - 4D) at that trace
+    return (gap >= 0.0) & (low >= 2.0 / k - 1e-15) & (low >= 2.0 * d / k - 1e-15)
 
 
-def tau_bound_oracle(
-    k: float, grid: int = 200, refine_tol: float = 1e-8
-) -> TauBoundOracleReport:
+def tau_bound_oracle(k: float) -> TauBoundOracleReport:
     """Dense grid search plus coordinate refinement for the sharp bound at distortion k.
 
-    Searches (D, H) on a ``grid``^2 lattice over [0,1] x [0,4], each with
-    the trace that maximizes feasibility, then refines (D, H) by shrinking
-    coordinate scans until the objective moves by less than ``refine_tol``.
+    Searches (D, H) on a ``TAU_ORACLE_GRID``^2 lattice over [0,1] x [0,4],
+    each at the trace that maximizes feasibility, then refines (D, H) by
+    shrinking coordinate scans until the objective moves by less than
+    ``TAU_ORACLE_REFINE_TOL``.
     """
     if not k >= 1.0:
         raise ValueError(f"distortion must be >= 1, got {k}")
-    dd = np.linspace(0.0, 1.0, grid)
-    hh = np.linspace(0.0, 4.0, grid)
+    dd = np.linspace(0.0, 1.0, TAU_ORACLE_GRID)
+    hh = np.linspace(0.0, 4.0, TAU_ORACLE_GRID)
     dmesh, hmesh = np.meshgrid(dd, hh, indexing="ij")
-    # The objective does not depend on T, and wherever T - sqrt(T^2 + H - 4D)
-    # is real it falls as T grows: the smallest trace with a real
-    # discriminant is the most feasible one for each (D, H).  The lattice
-    # corner (D, H) = (1, 0) is feasible for every k, so the minimum is finite.
-    tmesh = np.sqrt(np.maximum(4.0 * dmesh - hmesh, 0.0))
-    vals = np.where(_tau_feasible(dmesh, hmesh, tmesh, k), _tau_objective(dmesh, hmesh), math.inf)
+    # The lattice corner (D, H) = (1, 0) is feasible for every k, so the minimum is finite.
+    vals = np.where(_tau_feasible(dmesh, hmesh, k), _tau_objective(dmesh, hmesh), math.inf)
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
     best_val = float(vals[idx])
     d_best, h_best = float(dmesh[idx]), float(hmesh[idx])
 
-    # Coordinate refinement on (D, H); the trace is re-picked as the
-    # feasibility-maximizing value and verified against both constraints.
-    d_radius, h_radius = 1.5 / grid, 6.0 / grid
+    # Coordinate refinement on (D, H), each at its feasibility-maximizing trace.
+    d_radius, h_radius = 1.5 / TAU_ORACLE_GRID, 6.0 / TAU_ORACLE_GRID
     for _ in range(200):
         moved = best_val
         ds = np.clip(np.linspace(d_best - d_radius, d_best + d_radius, 41), 0.0, 1.0)
         hs = np.clip(np.linspace(h_best - h_radius, h_best + h_radius, 41), 0.0, 4.0)
         dgrid, hgrid = np.meshgrid(ds, hs, indexing="ij")
-        tgrid = np.sqrt(np.maximum(4.0 * dgrid - hgrid, 0.0))
-        mask = _tau_feasible(dgrid, hgrid, tgrid, k)
-        vals = np.where(mask, _tau_objective(dgrid, hgrid), math.inf)
+        vals = np.where(_tau_feasible(dgrid, hgrid, k), _tau_objective(dgrid, hgrid), math.inf)
         idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
         if vals[idx] < best_val:
             best_val = float(vals[idx])
             d_best, h_best = float(dgrid[idx]), float(hgrid[idx])
         d_radius *= 0.5
         h_radius *= 0.5
-        if abs(moved - best_val) < refine_tol and d_radius < refine_tol:
+        if abs(moved - best_val) < TAU_ORACLE_REFINE_TOL and d_radius < TAU_ORACLE_REFINE_TOL:
             break
     t_best = math.sqrt(max(4.0 * d_best - h_best, 0.0))
 

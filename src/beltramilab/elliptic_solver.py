@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import ctypes
 import logging
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -110,21 +109,11 @@ MAX_REFINEMENT_STEPS = 10
 _BLOCK_STEP = 4096
 
 
-@dataclass
-class SolveOptions:
-    """Options of every linear solve.
-
-    ``tolerance`` is the relative residual each column must meet, with a
-    floor of 1e-8: the gate is max(tolerance, 1e-8), so the default 1e-10
-    acts as 1e-8.
-    """
-
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        # a NaN or infinite tolerance would fail every solve or turn the residual gate off
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+# The relative residual every solved column must meet, on every path: the
+# float32 LU after refinement, the float64 LU and the lattice transforms.
+# A column that misses it fails the float32 attempt (the float64 LU is
+# tried next) or the solve (``SolverError``).
+RESIDUAL_GATE = 1e-8
 
 
 def validate_coefficient(sigma: ElementMatrixField) -> None:
@@ -283,8 +272,7 @@ def _free_block(mesh: TriMesh, table: np.ndarray, index: np.ndarray, free: np.nd
     return sp.csc_matrix((data[:-1], indices, indptr), shape=(nf, nf)), rhs
 
 
-def _solve_system(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions,
-                  ordering: str = LU_ORDERING) -> tuple[np.ndarray, dict]:
+def _solve_system(matrix: sp.csc_matrix, rhs: np.ndarray, ordering: str = LU_ORDERING) -> tuple[np.ndarray, dict]:
     """Solve for a (k, n) block of right-hand sides, one per row, with one LU factorization.
 
     Returns the (k, n) solutions and the stats.  SuperLU factors the matrix
@@ -293,29 +281,27 @@ def _solve_system(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions,
     the residual gate, the matrix is factored in float64 instead, the one
     other path, with the same ``ordering``: ``LU_ORDERING``, or
     ``NESTED_DISSECTION`` for a matrix already in that order, which SuperLU
-    keeps.  Every row must meet the relative residual
-    max(opts.tolerance, 1e-8); the stats report the worst row, the factor
-    fill (nonzeros of L and U), the column ordering, the panel size, the
-    precision of the factors and the most refinement steps a row took.  A
-    CSC matrix and a C-contiguous float64 block are used as they are:
-    neither is copied.
+    keeps.  Every row must meet the relative residual ``RESIDUAL_GATE``;
+    the stats report the worst row, the factor fill (nonzeros of L and U),
+    the column ordering, the panel size, the precision of the factors and
+    the most refinement steps a row took.  A CSC matrix and a C-contiguous
+    float64 block are used as they are: neither is copied.
     """
     matrix = matrix.tocsc()
     # canonical before its index arrays are shared with the float32 values (a no-op on assembled matrices)
     matrix.sum_duplicates()
     rhs = np.ascontiguousarray(rhs, dtype=float)
     try:
-        x, stats = _lu_solve(matrix, rhs, opts, np.float32, ordering)
+        x, stats = _lu_solve(matrix, rhs, np.float32, ordering)
     except SolverError as exc:
         x, reason = None, str(exc)
     if x is None:  # outside the handler, which would keep the float32 attempt's frames alive
         log.info("float32 LU rejected (%s); factoring in float64", reason)
-        x, stats = _lu_solve(matrix, rhs, opts, np.float64, ordering)
+        x, stats = _lu_solve(matrix, rhs, np.float64, ordering)
     return x, stats
 
 
-def _lu_solve(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions,
-              dtype: type, ordering: str) -> tuple[np.ndarray, dict]:
+def _lu_solve(matrix: sp.csc_matrix, rhs: np.ndarray, dtype: type, ordering: str) -> tuple[np.ndarray, dict]:
     """Factor ``matrix`` in ``dtype`` (float32 or float64) with ``ordering`` and solve each row of ``rhs``, through the residual gate.
 
     Float64 factors solve each row once.  Float32 factors take half the
@@ -350,7 +336,7 @@ def _lu_solve(matrix: sp.csc_matrix, rhs: np.ndarray, opts: SolveOptions,
     # SuperLU.nnz counts the factors in place; reading .L or .U would copy them.
     fill = int(lu.nnz)
     del lu
-    stats = _checked_stats(lambda x: matrix @ x, x, rhs, opts, n=matrix.shape[0],
+    stats = _checked_stats(lambda x: matrix @ x, x, rhs, n=matrix.shape[0],
                            nnz=matrix.nnz, method="direct_lu", fill=fill, ordering=ordering,
                            panel_size=LU_PANEL_SIZE, precision=np.dtype(dtype).name,
                            refinement_steps=steps)
@@ -402,12 +388,12 @@ def _refine(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> tuple[np.
 
 
 def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
-                   rhs: np.ndarray, opts: SolveOptions, **stats) -> dict:
+                   rhs: np.ndarray, **stats) -> dict:
     """Residual gate and solve stats shared by the sparse and the lattice transform solves.
 
     Every row of the (k, n) solutions ``xs`` must meet the relative residual
-    max(opts.tolerance, 1e-8) against its row of ``rhs`` (a NaN residual
-    fails too); the stats report the worst row and are logged as one
+    ``RESIDUAL_GATE`` against its row of ``rhs`` (a NaN residual fails
+    too); the stats report the worst row and are logged as one
     parseable ``linear solve:`` line.
     """
     residual = rel = 0.0
@@ -415,8 +401,8 @@ def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
         col_residual = float(np.linalg.norm(apply(x) - b))
         rhs_norm = float(np.linalg.norm(b))
         col_rel = col_residual / rhs_norm if rhs_norm > 0 else col_residual
-        if not col_rel <= max(opts.tolerance, 1e-8):
-            raise SolverError(f"relative residual {col_rel:.3e} above tolerance")
+        if not col_rel <= RESIDUAL_GATE:
+            raise SolverError(f"relative residual {col_rel:.3e} above the gate {RESIDUAL_GATE:g}")
         residual, rel = max(residual, col_residual), max(rel, col_rel)
     stats = {**stats, "nrhs": len(xs), "residual": residual, "relative_residual": rel}
     log.info(
@@ -442,9 +428,7 @@ def _boundary_values(mesh: TriMesh, g: BoundaryData) -> np.ndarray:
     return vals
 
 
-def solve_dirichlet(
-    sigma: ElementMatrixField, g: BoundaryData, opts: SolveOptions | None = None
-) -> ScalarFieldP1 | list[ScalarFieldP1]:
+def solve_dirichlet(sigma: ElementMatrixField, g: BoundaryData) -> ScalarFieldP1 | list[ScalarFieldP1]:
     """Discrete weak solution with Dirichlet data g at the boundary vertices.
 
     ``g`` is either a callable taking an (m, 2) array of boundary vertex
@@ -453,14 +437,13 @@ def solve_dirichlet(
     of shape (m, k) give a list of k solutions of the same operator,
     assembled and factored once.
     """
-    opts = opts or SolveOptions()
     mesh = sigma.mesh
     if mesh.periodic:
         raise ValueError("Dirichlet solve needs a mesh with boundary; got a periodic cell")
     validate_coefficient(sigma)
     values = _boundary_values(mesh, g)
     u = _solve_fixed(mesh, sigma.table, sigma.index, None, mesh.boundary_loop,
-                     values.reshape(len(values), -1), opts)
+                     values.reshape(len(values), -1))
     return ScalarFieldP1(mesh, u[0]) if values.ndim == 1 else [ScalarFieldP1(mesh, v) for v in u]
 
 
@@ -515,7 +498,7 @@ def _free_dofs(mesh: TriMesh, fixed: np.ndarray | list[int]) -> tuple[np.ndarray
 
 
 def _solve_fixed(mesh: TriMesh, table: np.ndarray, index: np.ndarray, load: np.ndarray | None,
-                 fixed: np.ndarray | list[int], values: np.ndarray, opts: SolveOptions) -> np.ndarray:
+                 fixed: np.ndarray | list[int], values: np.ndarray) -> np.ndarray:
     """Solve with the dofs ``fixed`` held at ``values`` (m, k); returns (k, n_free), a row per column.
 
     With ``free`` the free dofs in their factoring order (``_free_dofs``), the
@@ -540,7 +523,7 @@ def _solve_fixed(mesh: TriMesh, table: np.ndarray, index: np.ndarray, load: np.n
     del load, free
     # nothing reads the areas and hat gradients until the solve returns
     mesh.release_geometry()
-    x, _ = _solve_system(matrix, rhs, opts, ordering)
+    x, _ = _solve_system(matrix, rhs, ordering)
     del matrix, rhs
     free, _ = _free_dofs(mesh, fixed)
     u = np.empty((len(x), mesh.n_free))
@@ -583,7 +566,7 @@ def _end_weights(n: int) -> np.ndarray:
     return w
 
 
-def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) -> tuple[np.ndarray, dict]:
+def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool) -> tuple[np.ndarray, dict]:
     """Solve the singular lattice Laplacian system for a (k, n_free) block of rows by a fast transform.
 
     The square's Neumann matrix is diagonalised by DCT-I, the torus's
@@ -592,9 +575,9 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) 
     torus.  The constant mode (the kernel) is dropped, so the solution is
     fixed only up to the constant the caller anchors.  Each row is
     transformed on its own, so stacked and single solves are bit-equal.
-    The residual gate of ``_solve_system`` applies, at
-    max(opts.tolerance, 1e-8), on the full singular system.  Returns the
-    (k, n_free) solutions and the stats.
+    The residual gate of ``_solve_system``, ``RESIDUAL_GATE``, applies on
+    the full singular system.  Returns the (k, n_free) solutions and the
+    stats.
     """
     if periodic:
         lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -618,15 +601,13 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool, opts: SolveOptions) 
             x = _dct1(_dct1(hat / denom, 0), 1)
         x_row[:] = x.ravel()
     stats = _checked_stats(lambda x: _lattice_laplacian(x.reshape(shape), periodic).ravel(),
-                           xs, rhs, opts, n=rhs.shape[1], nnz=nnz, method=method,
+                           xs, rhs, n=rhs.shape[1], nnz=nnz, method=method,
                            fill=None, ordering=None, panel_size=None, precision=None,
                            refinement_steps=None)
     return xs, stats
 
 
-def solve_periodic_cell(
-    sigma: ElementMatrixField, xi: np.ndarray, opts: SolveOptions | None = None
-) -> ScalarFieldP1 | list[ScalarFieldP1]:
+def solve_periodic_cell(sigma: ElementMatrixField, xi: np.ndarray) -> ScalarFieldP1 | list[ScalarFieldP1]:
     """Cell solution u = xi . x + w with w periodic and of zero mean over the cell.
 
     Returns u on the unwrapped fundamental domain (identified vertices share
@@ -635,7 +616,6 @@ def solve_periodic_cell(
     shape (2,) gives one solution; stacked rows of shape (k, 2) give a list
     of k solutions of the same operator, assembled and factored once.
     """
-    opts = opts or SolveOptions()
     mesh = sigma.mesh
     if not mesh.periodic:
         raise ValueError("cell solve needs a periodic mesh")
@@ -648,7 +628,7 @@ def solve_periodic_cell(
                         np.einsum("tab,b->ta", sigma.matrices, x), mesh.areas)
              for x in xis)
     w = _solve_fixed(mesh, sigma.table, sigma.index, _load_vector(mesh, loads, len(xis)), [0],
-                     np.zeros((1, len(xis))), opts)
+                     np.zeros((1, len(xis))))
 
     fields = []
     for x, w_free in zip(xis, w):
@@ -675,9 +655,7 @@ def mean_flux(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
 
 
 def stream_function(
-    sigma: ElementMatrixField,
-    u: ScalarFieldP1 | list[ScalarFieldP1],
-    opts: SolveOptions | None = None,
+    sigma: ElementMatrixField, u: ScalarFieldP1 | list[ScalarFieldP1]
 ) -> tuple[ScalarFieldP1, float] | list[tuple[ScalarFieldP1, float]]:
     """Least-squares potential of the rotated flux, anchored to zero at vertex 0.
 
@@ -691,11 +669,9 @@ def stream_function(
     mismatch (decreases under refinement; zero when the target is exact).
     A list of fields gives a list of (field, residual) pairs from one solve
     of the mesh Laplacian: a DCT-I (square) or FFT (torus) transform when
-    ``lattice_resolution`` recognises the mesh, gated at
-    max(opts.tolerance, 1e-8) like the LU, else one factorization with dof
-    0 eliminated.
+    ``lattice_resolution`` recognises the mesh, gated at ``RESIDUAL_GATE``
+    like the LU, else one factorization with dof 0 eliminated.
     """
-    opts = opts or SolveOptions()
     mesh = sigma.mesh
     us = [u] if isinstance(u, ScalarFieldP1) else list(u)
     targets = [rotated_flux(sigma, f) for f in us]
@@ -708,9 +684,9 @@ def stream_function(
     if n is None:
         # the identity coefficient is a one-entry table; the load goes inline, so the solve releases it before the LU
         w = _solve_fixed(mesh, np.eye(2)[None], np.zeros(mesh.n_triangles, dtype=np.uint8),
-                         _load_vector(mesh, loads, len(us)), [0], np.zeros((1, len(us))), opts)
+                         _load_vector(mesh, loads, len(us)), [0], np.zeros((1, len(us))))
     else:
-        w, _ = _solve_lattice(_load_vector(mesh, loads, len(us)), n, mesh.periodic, opts)
+        w, _ = _solve_lattice(_load_vector(mesh, loads, len(us)), n, mesh.periodic)
 
     results = []
     for w_j, target, linear in zip(w, targets, linears):

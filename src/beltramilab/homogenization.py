@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic_solver import SolveOptions, mean_flux, solve_periodic_cell, stream_function
+from .elliptic_solver import mean_flux, solve_periodic_cell, stream_function
 from .grid import ElementMatrixField, ScalarFieldP1, element_gradient
 from .sigma_harmonic import PlanarMap, injectivity_check
 
@@ -57,17 +57,14 @@ def _energy(sigma: ElementMatrixField, u: ScalarFieldP1) -> float:
     return float(np.dot(sigma.mesh.areas, np.einsum("ta,ta->t", grad, flux)))
 
 
-def effective_conductivity(
-    sigma: ElementMatrixField, opts: SolveOptions | None = None
-) -> EffectiveTensor:
+def effective_conductivity(sigma: ElementMatrixField) -> EffectiveTensor:
     """Cell solves for the coordinate directions; columns are average fluxes.
 
     Also records the energy quadratic form for the probes e1, e2 and
     e1 + e2 (the last by discrete superposition, which is exact).
     """
-    opts = opts or SolveOptions()
     mesh = sigma.mesh
-    u1, u2 = solve_periodic_cell(sigma, np.eye(2), opts)
+    u1, u2 = solve_periodic_cell(sigma, np.eye(2))
     col1 = mean_flux(sigma, u1)
     col2 = mean_flux(sigma, u2)
     u12 = ScalarFieldP1(mesh, u1.values + u2.values)
@@ -85,16 +82,13 @@ def effective_conductivity(
     return result
 
 
-def cell_map(
-    sigma: ElementMatrixField, A: np.ndarray, opts: SolveOptions | None = None
-) -> CellMap:
+def cell_map(sigma: ElementMatrixField, A: np.ndarray) -> CellMap:
     """Componentwise periodic cell solves for the affine part A x.
 
-    Verifies the linearity relation U^A = A U^I (exact up to solver
-    tolerance because the discrete problems are linear).  A singular A is
+    Verifies the linearity relation U^A = A U^I (exact up to the solver's
+    residual gate because the discrete problems are linear).  A singular A is
     solved as given; only the homeomorphism interpretation is void then.
     """
-    opts = opts or SolveOptions()
     A = np.asarray(A, dtype=float)
     mesh = sigma.mesh
     # A[0], A[1], e1 and e2 are separate right-hand sides of one
@@ -102,7 +96,7 @@ def cell_map(
     # row of A equal to e1 or e2 is solved once, as each row is refined on
     # its own and a second solve would repeat it bit for bit.
     distinct, inverse = np.unique(np.vstack([A, np.eye(2)]), axis=0, return_inverse=True)
-    solved = solve_periodic_cell(sigma, distinct, opts)
+    solved = solve_periodic_cell(sigma, distinct)
     u1, u2, e1, e2 = (solved[i] for i in inverse.ravel())
     lin1 = A[0, 0] * e1.values + A[0, 1] * e2.values
     lin2 = A[1, 0] * e1.values + A[1, 1] * e2.values
@@ -114,11 +108,9 @@ def cell_map(
     return CellMap(A=A, U=PlanarMap(u1, u2), linearity_error=err)
 
 
-def cell_complex_map(
-    sigma: ElementMatrixField, u: ScalarFieldP1, opts: SolveOptions | None = None
-) -> tuple[PlanarMap, float]:
+def cell_complex_map(sigma: ElementMatrixField, u: ScalarFieldP1) -> tuple[PlanarMap, float]:
     """u + i * (recovered stream of u) on the unwrapped cell, for a solved cell field u."""
-    ut, resid = stream_function(sigma, u, opts)
+    ut, resid = stream_function(sigma, u)
     return PlanarMap(u, ut), resid
 
 

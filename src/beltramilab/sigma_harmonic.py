@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .coeff_algebra import _det, _gauge
-from .elliptic_solver import SolveOptions, rotated_flux, solve_dirichlet, stream_function
+from .elliptic_solver import rotated_flux, solve_dirichlet, stream_function
 from .grid import ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
 
 log = logging.getLogger(__name__)
@@ -107,7 +107,13 @@ def _polygon_signed_area(pts: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _polygon_is_convex(pts: np.ndarray, tol: float = 1e-12) -> bool:
+# Relative slack of the left-turn test: a cross product of consecutive edges
+# down to -CONVEX_TURN_TOL times the squared longest edge coordinate still
+# reads as collinear.
+CONVEX_TURN_TOL = 1e-12
+
+
+def _polygon_is_convex(pts: np.ndarray) -> bool:
     """Convex, positively oriented and once around; collinear consecutive edges allowed.
 
     Left turns alone admit loops that wind more than once (a pentagram, a
@@ -120,7 +126,7 @@ def _polygon_is_convex(pts: np.ndarray, tol: float = 1e-12) -> bool:
     cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
     scale = np.max(np.abs(e), initial=0.0) ** 2 + 1e-300
     turns = np.arctan2(cross, np.einsum("ta,ta->t", e, nxt)).sum() / (2 * np.pi)
-    return bool(np.all(cross >= -tol * scale)) and _polygon_signed_area(pts) > 0 and round(turns) == 1
+    return bool(np.all(cross >= -CONVEX_TURN_TOL * scale)) and _polygon_signed_area(pts) > 0 and round(turns) == 1
 
 
 def check_convex_domain(mesh: TriMesh) -> None:
@@ -128,9 +134,7 @@ def check_convex_domain(mesh: TriMesh) -> None:
         raise ValueError("mesh boundary is not a convex polygon")
 
 
-def primary_pair(
-    sigma: ElementMatrixField, opts: SolveOptions | None = None
-) -> tuple[PlanarMap, PlanarMap, PlanarMap]:
+def primary_pair(sigma: ElementMatrixField) -> tuple[PlanarMap, PlanarMap, PlanarMap]:
     """Coordinate-data solution pair on a convex domain.
 
     Solves the two Dirichlet problems with data x1 and x2, reconstructs
@@ -139,19 +143,13 @@ def primary_pair(
     """
     mesh = sigma.mesh
     check_convex_domain(mesh)
-    opts = opts or SolveOptions()
-    u1, u2 = solve_dirichlet(sigma, lambda p: p, opts)
-    (ut1, res1), (ut2, res2) = stream_function(sigma, [u1, u2], opts)
+    u1, u2 = solve_dirichlet(sigma, lambda p: p)
+    (ut1, res1), (ut2, res2) = stream_function(sigma, [u1, u2])
     log.info("primary pair stream residuals: %.3e %.3e", res1, res2)
     return PlanarMap(u1, ut1), PlanarMap(u2, ut2), PlanarMap(u1, u2)
 
 
-def sigma_harmonic_map(
-    sigma: ElementMatrixField,
-    phi1,
-    phi2,
-    opts: SolveOptions | None = None,
-) -> PlanarMap:
+def sigma_harmonic_map(sigma: ElementMatrixField, phi1, phi2) -> PlanarMap:
     """Dirichlet solves for the two components of vector boundary data (phi1, phi2).
 
     When the sampled boundary data is not a sense-preserving convex
@@ -160,7 +158,6 @@ def sigma_harmonic_map(
     :func:`injectivity_check` on the result.
     """
     mesh = sigma.mesh
-    opts = opts or SolveOptions()
     loop_pts = mesh.vertices[mesh.boundary_loop]
     v1 = np.asarray(phi1(loop_pts) if callable(phi1) else phi1, dtype=float)
     v2 = np.asarray(phi2(loop_pts) if callable(phi2) else phi2, dtype=float)
@@ -169,7 +166,7 @@ def sigma_harmonic_map(
             "boundary data is not a sense-preserving convex embedding; "
             "injectivity is not guaranteed"
         )
-    return PlanarMap(*solve_dirichlet(sigma, np.column_stack([v1, v2]), opts))
+    return PlanarMap(*solve_dirichlet(sigma, np.column_stack([v1, v2])))
 
 
 # ---------------------------------------------------------------------------

@@ -322,29 +322,30 @@ class IntegrabilityRow:
     above_critical: bool  # p >= the critical exponent of the ellipticity report
 
 
-def higher_integrability_probe(
-    gradient_fields: list[tuple[int, "np.ndarray", "np.ndarray"]],
-    p_list,
-    p_critical: float,
-    margin: float = 1 / 8,
-) -> list[IntegrabilityRow]:
-    """Interior L^p means of |grad u| per resolution.
+# Distance from the domain's bounding box inside which elements are left out
+# of the interior L^p norms.
+INTERIOR_MARGIN = 1 / 8
 
-    ``gradient_fields`` holds (resolution, mesh, per-element gradient)
-    triples; only elements with barycenter at distance >= margin from the
-    domain edge enter the norms.  Rows annotate each p against
-    ``p_critical``.
+
+def higher_integrability_probe(
+    resolution: int, mesh, grad: np.ndarray, p_list, p_critical: float
+) -> list[IntegrabilityRow]:
+    """Interior L^p means of |grad u| for each p of ``p_list``, one row each.
+
+    ``grad`` is the per-element gradient on ``mesh``, and ``resolution``
+    labels the rows.  Only elements with barycenter at distance >=
+    ``INTERIOR_MARGIN`` from the domain's bounding box enter the norms.
+    Rows annotate each p against ``p_critical``.
     """
+    bary = mesh.barycenters
+    lo = mesh.vertices.min(axis=0) + INTERIOR_MARGIN
+    hi = mesh.vertices.max(axis=0) - INTERIOR_MARGIN
+    mask = np.all((bary >= lo) & (bary <= hi), axis=1)
+    areas = mesh.areas[mask]
+    mag = np.linalg.norm(grad[mask], axis=1)
+    total = areas.sum()
     rows = []
-    for resolution, mesh, grad in gradient_fields:
-        bary = mesh.barycenters
-        lo = mesh.vertices.min(axis=0) + margin
-        hi = mesh.vertices.max(axis=0) - margin
-        mask = np.all((bary >= lo) & (bary <= hi), axis=1)
-        areas = mesh.areas[mask]
-        mag = np.linalg.norm(grad[mask], axis=1)
-        total = areas.sum()
-        for p in p_list:
-            norm = float((np.dot(areas, mag ** p) / total) ** (1.0 / p))
-            rows.append(IntegrabilityRow(resolution, float(p), norm, bool(p >= p_critical)))
+    for p in p_list:
+        norm = float((np.dot(areas, mag ** p) / total) ** (1.0 / p))
+        rows.append(IntegrabilityRow(resolution, float(p), norm, bool(p >= p_critical)))
     return rows

@@ -479,15 +479,17 @@ class TestSweep:
         ({"tolerance": float("nan")}, "'solver.tolerance': must be a finite number"),
         ({"tolerance": "1e-3"}, "'solver.tolerance': must be a finite number"),
         ({"tolerance": True}, "'solver.tolerance': must be a finite number"),
-        ({"tolerance": 0}, "tolerance must be finite and positive"),
-        # the iterative solver is gone: any max_iterations, valid or not before, is rejected
-        ({"method": "iterative_nonsymmetric", "max_iterations": 0}, "'solver.max_iterations': removed"),
-        ({"max_iterations": 2.7}, "'solver.max_iterations': removed"),
-        ({"max_iterations": True}, "'solver.max_iterations': removed"),
-        ({"max_iterations": "10"}, "'solver.max_iterations': removed"),
+        ({"tolerance": 0}, "'solver.tolerance': must lie in (0, 1e-08]"),
+        # a tolerance looser than the fixed gate would be misread as loosening it
+        ({"tolerance": 1e-6}, "'solver.tolerance': must lie in (0, 1e-08]"),
+        # the iterative solver is gone: max_iterations, valid or not before, is an unknown key
+        ({"method": "iterative_nonsymmetric", "max_iterations": 0}, "'solver.max_iterations': unknown key"),
+        ({"max_iterations": 2.7}, "'solver.max_iterations': unknown key"),
+        ({"max_iterations": True}, "'solver.max_iterations': unknown key"),
+        ({"max_iterations": "10"}, "'solver.max_iterations': unknown key"),
         ({"method": "iterative_nonsymmetric"}, "'solver.method': only 'direct_lu' is accepted"),
-    ], ids=["inf", "nan", "string_tolerance", "bool_tolerance", "zero_tolerance", "zero_iterations",
-            "float_iterations", "bool_iterations", "string_iterations", "iterative_method"])
+    ], ids=["inf", "nan", "string_tolerance", "bool_tolerance", "zero_tolerance", "loose_tolerance",
+            "zero_iterations", "float_iterations", "bool_iterations", "string_iterations", "iterative_method"])
     def test_bad_solver_option_recorded_and_sweep_continues(self, tmp_path, solver, message):
         good = {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
                 "coefficient": {"family": "laminate", "a": 1, "b": 5}}
@@ -503,6 +505,23 @@ class TestSweep:
                 "solver": {"method": "direct_lu", "tolerance": 1e-10}}
         lines = sweep([good], tmp_path / "sweep").read_text().splitlines()
         assert len(lines) == 2 and ",ok," in lines[1]
+
+    def test_every_accepted_tolerance_gives_the_same_artifacts(self, tmp_path):
+        # every solve meets the one fixed gate: the tolerance is only checked, never read
+        def output(tolerance):
+            out = tmp_path / str(tolerance)
+            run(ExperimentConfig.from_dict({
+                "task": "primary-pair", "resolution": 16, "seed": 1, "output_dir": str(out),
+                "coefficient": {"family": "random_piecewise", "k_max": 5, "cells": 4},
+                "solver": {"method": "direct_lu", "tolerance": tolerance}}))
+            record = json.loads((out / "run_record.json").read_text())
+            del record["config"]
+            return record, {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+        (loose, loose_csv), (tight, tight_csv) = output(1e-8), output(1e-10)
+        assert loose == tight
+        assert sorted(loose_csv) == ["det.csv", "pair.csv", "triangles.csv", "vertices.csv"]
+        assert loose_csv == tight_csv
 
     # One good config per section; each case sets one scalar of it to a value of the wrong type,
     # or adds a key its section does not know.

@@ -309,11 +309,10 @@ class TestTauBound:
         assert rep.agrees_with_closed_form
 
     def test_smallest_real_trace_is_the_most_feasible(self):
-        # T - sqrt(T^2 + H - 4D) falls as T grows wherever it is real, so a feasible
-        # (D, H, T) stays feasible at the smallest real trace t0 = sqrt(max(4D - H, 0)),
-        # and the oracle scans no other trace.  D and t0 are dyadic, so H = 4D - t0^2
-        # and the square root are exact: a t0 rounded below the root would make the
-        # discriminant there a rounding error below 0.
+        # T - sqrt(T^2 + H - 4D) falls as T grows wherever it is real, so a (D, H, T)
+        # feasible under the general-trace constraints stays feasible at the smallest real
+        # trace t0 = sqrt(max(4D - H, 0)), the one trace the oracle reads.  D and t0 are
+        # dyadic, so H = 4D - t0^2 and the square root are exact.
         rng = np.random.default_rng(12)
         n = 200_000
         d = rng.integers(0, 257, n) / 256
@@ -326,9 +325,28 @@ class TestTauBound:
         assert np.array_equal(np.sqrt(np.maximum(4 * d - h, 0.0)), t0)
         t = np.where(rng.random(n) < 0.5, t0 + rng.exponential(0.05, n), 10 * rng.random(n))
         k = 1 + rng.exponential(3.0, n)
-        feasible = _tau_feasible(d, h, t, k)
+        disc = t * t + h - 4 * d
+        low = t - np.sqrt(np.maximum(disc, 0.0))
+        feasible = (disc >= 0) & (low >= 2 / k - 1e-15) & (low >= 2 * d / k - 1e-15)
         assert feasible.sum() > 1000
-        assert not (feasible & ~_tau_feasible(d, h, t0, k)).any()
+        assert not (feasible & ~_tau_feasible(d, h, k)).any()
+
+    def test_rounded_smallest_trace_reads_feasible(self):
+        # For non-dyadic (D, H), t0 = sqrt(4D - H) often squares to a value rounded below
+        # 4D - H, and the general-trace discriminant t0^2 + H - 4D at t0 then comes out a
+        # few ulp below 0, where it is 0 exactly.  The lower constant at t0 is t0 itself,
+        # so every such draw with room above both constraints reads feasible.
+        rng = np.random.default_rng(29)
+        n = 100_000
+        d = rng.random(n)
+        h = 4 * d * rng.random(n)
+        t0 = np.sqrt(4 * d - h)
+        below = t0 * t0 < 4 * d - h
+        d, h, t0 = d[below], h[below], t0[below]
+        assert (t0 * t0 + h - 4 * d < 0).sum() > 1000
+        # 1/K at most 0.9 of both t0 / 2 and t0 / (2D)
+        k = np.maximum(1.0, 1 / (0.9 * np.minimum(t0 / 2, t0 / (2 * d))))
+        assert _tau_feasible(d, h, k).all()
 
     def test_oracle_monotone_nonincreasing(self):
         values = [tau_bound_oracle(k).value for k in (1.0, 1.5, 2.0, 4.0)]

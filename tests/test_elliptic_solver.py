@@ -25,7 +25,6 @@ from beltramilab.elliptic_solver import (
     LU_PANEL_SIZE,
     MAX_REFINEMENT_STEPS,
     NESTED_DISSECTION,
-    SolveOptions,
     _element_matrices,
     _free_block,
     _free_dofs,
@@ -355,7 +354,7 @@ class TestLatticeStreamSolve:
         laplacian = reference_operator(m, np.broadcast_to(np.eye(2), (m.n_triangles, 2, 2)))
         rhs = np.random.default_rng(0).normal(size=(m.n_free, 3))
         rhs -= rhs.mean(axis=0)
-        x, stats = _solve_lattice(np.ascontiguousarray(rhs.T), 8, periodic, SolveOptions())
+        x, stats = _solve_lattice(np.ascontiguousarray(rhs.T), 8, periodic)
         assert stats["nnz"] == np.count_nonzero(laplacian.toarray())
         assert stats["fill"] is None and stats["ordering"] is None
         assert np.abs(laplacian @ x.T - rhs).max() < 1e-12
@@ -478,13 +477,6 @@ def cell_load(sig: ElementMatrixField, xis: np.ndarray) -> np.ndarray:
                             for xi in xis], len(xis))
 
 
-@pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
-def test_non_finite_tolerance_rejected(tolerance):
-    # config files reject these before they get here; the Python API must too
-    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-        SolveOptions(tolerance=tolerance)
-
-
 class TestPinDof:
     """dof 0 of a cell or Neumann problem is anchored at 0 by eliminating its row and column."""
 
@@ -521,12 +513,11 @@ class TestPinDof:
             load = np.random.default_rng(5).normal(size=(m.n_free, 2))
             load -= load.mean(axis=0)  # consistent: orthogonal to the constants
             load = np.ascontiguousarray(load.T)
-        opts = SolveOptions()
-        w = _solve_fixed(m, mats, np.arange(m.n_triangles), load, [0], np.zeros((1, 2)), opts)
+        w = _solve_fixed(m, mats, np.arange(m.n_triangles), load, [0], np.zeros((1, 2)))
         assert np.all(w[:, 0] == 0.0)
         full = reference_operator(m, mats)
         for wj, bj in zip(w, load):  # every row, the eliminated row 0 included
-            assert np.linalg.norm(full @ wj - bj) <= opts.tolerance * np.linalg.norm(bj)
+            assert np.linalg.norm(full @ wj - bj) <= 1e-10 * np.linalg.norm(bj)
 
     def test_solve_stats_report_fill_and_ordering(self, caplog):
         m = build_periodic_cell(8)
@@ -534,7 +525,7 @@ class TestPinDof:
         reduced = reference_operator(m, sig.matrices)[1:][:, 1:]
         rhs = np.ones((1, m.n_free - 1))
         with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
-            _, stats = _solve_system(reduced, rhs, SolveOptions())
+            _, stats = _solve_system(reduced, rhs)
         assert stats["ordering"] == "MMD_AT_PLUS_A" and stats["panel_size"] == LU_PANEL_SIZE == 4
         assert stats["precision"] == "float32" and 1 <= stats["refinement_steps"] <= MAX_REFINEMENT_STEPS
         assert stats["fill"] == spla.splu(reduced.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
@@ -687,8 +678,7 @@ class TestLeanAssemblyAndFactorization:
         sig = random_piecewise_field(m, 5.0, 4, seed=1008)
         g = m.vertices[m.boundary_loop]
         free = interior_dissection_order(32)
-        x, _ = _solve_system(*reference_system(m, sig.matrices, free, m.boundary_loop, g),
-                             SolveOptions(), NESTED_DISSECTION)
+        x, _ = _solve_system(*reference_system(m, sig.matrices, free, m.boundary_loop, g), NESTED_DISSECTION)
         for k, u in enumerate(solve_dirichlet(sig, g)):
             assert np.array_equal(u.values[free], x[k])
             assert np.array_equal(u.values[m.boundary_loop], g[:, k])
@@ -700,8 +690,7 @@ class TestLeanAssemblyAndFactorization:
         xis = np.array([[1.0, 0.0], [0.3, 1.0]])
         w = np.zeros((len(xis), m.n_free))
         w[:, 1:], _ = _solve_system(*reference_system(m, sig.matrices, np.arange(1, m.n_free), [0],
-                                                      np.zeros((1, len(xis))), cell_load(sig, xis)),
-                                    SolveOptions())
+                                                      np.zeros((1, len(xis))), cell_load(sig, xis)))
         for xi, wj, u in zip(xis, w, solve_periodic_cell(sig, xis)):
             mean_w = float(np.dot(m.areas, wj[m.vertex_dofs()].mean(axis=1)) / m.areas.sum())
             assert np.array_equal(u.values, m.vertices @ xi + (wj - mean_w)[m.free_index])
@@ -761,7 +750,7 @@ class TestMixedPrecisionLU:
             matrix, rhs = reference_operator(m, sig.matrices)[1:][:, 1:], cell_load(sig, np.eye(2))[:, 1:]
         else:
             matrix, rhs, _ = dirichlet_system(sig)
-        x, stats = _solve_system(matrix, rhs, SolveOptions())
+        x, stats = _solve_system(matrix, rhs)
         assert stats["precision"] == "float32" and stats["refinement_steps"] <= MAX_REFINEMENT_STEPS
         for got, want, b in zip(x, float64_lu_solve(matrix, rhs), rhs):
             assert np.linalg.norm(matrix @ got - b) <= np.linalg.norm(matrix @ want - b)
@@ -770,10 +759,10 @@ class TestMixedPrecisionLU:
         m = build_unit_square(32)
         matrix, rhs, _ = dirichlet_system(random_piecewise_field(m, 5.0, 4, seed=1008))
         rhs = np.vstack([rhs, np.random.default_rng(3).normal(size=rhs.shape[1])])
-        x, stats = _solve_system(matrix, rhs, SolveOptions())
+        x, stats = _solve_system(matrix, rhs)
         assert stats["precision"] == "float32" and stats["nrhs"] == 3
         for got, b in zip(x, rhs):
-            single, single_stats = _solve_system(matrix, b[None], SolveOptions())
+            single, single_stats = _solve_system(matrix, b[None])
             assert single_stats["precision"] == "float32"
             assert np.array_equal(got, single[0])
 
@@ -782,7 +771,7 @@ class TestMixedPrecisionLU:
         matrix = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]]))
         rhs = np.array([[1.0, 2.0], [0.0, 1.0]])  # one right-hand side per row
         with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
-            x, stats = _solve_system(matrix, rhs, SolveOptions())
+            x, stats = _solve_system(matrix, rhs)
         assert "float32 LU rejected (sparse LU factorization failed" in caplog.text
         assert stats["precision"] == "float64" and stats["refinement_steps"] == 0
         assert np.array_equal(x, float64_lu_solve(matrix, rhs))
@@ -931,7 +920,7 @@ class TestHeapReturn:
         assert events == [("trim", 0), ("splu", "float64")]
         # a singular float32 factorization, then the float64 one
         events.clear()
-        _solve_system(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])), np.eye(2), SolveOptions())
+        _solve_system(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])), np.eye(2))
         assert events == [("trim", 0), ("splu", "float32"), ("trim", 0), ("splu", "float64")]
 
     def test_no_op_without_the_symbol(self, monkeypatch):
@@ -979,7 +968,7 @@ class TestLUResidualProperty:
         res=st.sampled_from([8, 16]),
     )
     def test_random_piecewise(self, seed, k_max, symmetric, res):
-        tol = SolveOptions().tolerance
+        tol = 1e-10
         square = build_unit_square(res)
         sig = random_piecewise_field(square, k_max, 4, seed=seed, symmetric=symmetric)
         p = square.vertices[square.boundary_loop]

@@ -423,9 +423,7 @@ class TestHigherIntegrability:
         for n in (8, 16):
             m = build_unit_square(n)
             u = solve_dirichlet(constant_field(m, np.eye(2)), lambda p: p[:, 0])
-            rows += higher_integrability_probe(
-                [(n, m, element_gradient(u))], [2.0, 3.0, 5.0], math.inf
-            )
+            rows += higher_integrability_probe(n, m, element_gradient(u), [2.0, 3.0, 5.0], math.inf)
         for row in rows:
             assert row.norm == pytest.approx(1.0, abs=1e-12)
             assert not row.above_critical
@@ -442,9 +440,7 @@ class TestHigherIntegrability:
         for n in (32, 64, 128):
             m = build_unit_square(n)
             u = solve_dirichlet(laminate_field(m, 1.0, 5.0), lambda p_: p_[:, 0])
-            (row,) = higher_integrability_probe(
-                [(n, m, element_gradient(u))], [p], report.p_sup
-            )
+            (row,) = higher_integrability_probe(n, m, element_gradient(u), [p], report.p_sup)
             norms[n] = row.norm
             assert not row.above_critical
         base = norms[32]
