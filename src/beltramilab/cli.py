@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,9 +117,8 @@ CONFIG_KEYS = {
     "diagnostics": {
         "convert": {"tau_oracle": (False, bool)}, "solve": {}, "primary-pair": {},
         "cell": {"affine_part": ([[1, 0], [0, 1]], (2, 2))}, "homogenize": {"area_check": (False, bool)},
-        # subset_seed None: the top-level seed or 0; p_list None: 2 and half the critical exponent
-        "diagnose": {"max_level": (4, int), "subset_seed": (None, int), "theta_grid": ((0.5, 1.0), (None,)),
-                     "p_list": (None, (None,))},
+        # subset_seed None: the top-level seed or 0
+        "diagnose": {"max_level": (4, int), "subset_seed": (None, int)},
     },
     "sweep": {"sweep": (REQUIRED, None), "output_dir": ("sweep_out", str)},
 }
@@ -132,11 +133,15 @@ DOMAIN_NEEDS = {
 # other ValueErrors of bad input, SolverError and MeshBudgetError.
 _RUN_ERRORS = (ValueError, RuntimeError)
 
-SWEEP_COLUMNS = [
-    "index", "label", "task", "status", "error", "resolution", "seed",
-    "min_det", "equival_max", "s_eff_11", "s_eff_12", "s_eff_21", "s_eff_22",
-    "bmo_log_det", "c_upper", "delta", "m_lower", "eta", "rh_det_dv",
-]
+# Sweep column -> the path of its value in a run record's metrics; a run without it leaves the cell empty.
+SWEEP_METRICS = {
+    "min_det": ("min_det",), "equival_max": ("equival_max",),
+    "s_eff_11": ("sigma_eff", 0, 0), "s_eff_12": ("sigma_eff", 0, 1),
+    "s_eff_21": ("sigma_eff", 1, 0), "s_eff_22": ("sigma_eff", 1, 1),
+    "bmo_log_det": ("bmo_log_det",), "c_upper": ("ainfty", "c_upper"), "delta": ("ainfty", "delta"),
+    "m_lower": ("ainfty", "m_lower"), "eta": ("ainfty", "eta"), "rh_det_dv": ("rh_det_dv_exp2",),
+}
+SWEEP_COLUMNS = ["index", "label", "task", "status", "error", "resolution", "seed", *SWEEP_METRICS]
 
 
 @dataclass
@@ -182,11 +187,8 @@ class ExperimentConfig:
             coefficient["seed"] = seed
 
         diagnostics = _section("diagnostics", top["diagnostics"], CONFIG_KEYS["diagnostics"][task])
-        if task == "diagnose":
-            if diagnostics["subset_seed"] is None:
-                diagnostics["subset_seed"] = seed or 0
-            if any(p <= 0 for p in diagnostics["p_list"] or ()):
-                raise ConfigError("diagnostics.p_list", f"exponents must be positive, got {diagnostics['p_list']!r}")
+        if task == "diagnose" and diagnostics["subset_seed"] is None:
+            diagnostics["subset_seed"] = seed or 0
 
         # Every solve is one sparse LU, gated at the fixed RESIDUAL_GATE; the section only
         # confirms that, and a looser tolerance would be misread as loosening the gate.
@@ -602,8 +604,7 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
 def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
-    diag = cfg.diagnostics
-    max_level, subset_seed = diag["max_level"], diag["subset_seed"]
+    max_level, subset_seed = cfg.diagnostics["max_level"], cfg.diagnostics["subset_seed"]
 
     if mesh.periodic:
         cm = cell_map(sigma, np.eye(2))
@@ -619,7 +620,7 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
     img, V = change_coordinates(U, Phi)
     img_squares = dyadic_squares(img, max_level)
-    rh = reverse_holder_constant(V.det_DU, img_squares, 2.0)
+    rh = reverse_holder_constant(V.det_DU, img_squares)
 
     checks = []
     if mesh.periodic:
@@ -632,12 +633,9 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     grads = element_gradient(U.u1)
     alpha, beta = ellipticity_constants(sigma.matrices)
     report = astala_exponent(float(alpha.min()), float(beta.max()))
-    p_list = diag["p_list"]
-    if p_list is None:
-        p_list = [2.0, 0.5 * report.p_sup if np.isfinite(report.p_sup) else 4.0]
-    rows = higher_integrability_probe(cfg.resolution, mesh, grads, p_list, report.p_sup)
+    rows = higher_integrability_probe(cfg.resolution, mesh, grads, report.p_sup)
 
-    stats = square_stats(det, squares, theta_grid=tuple(diag["theta_grid"]))
+    stats = square_stats(det, squares)
     stats.export_csv(out / "square_stats.csv")
 
     metrics = {
@@ -712,18 +710,9 @@ def sweep(raw_configs: list[dict], out_dir) -> Path:
             cfg = ExperimentConfig.from_dict(raw)
             record = run(cfg)
             row["status"] = "ok" if record.all_passed else "invariant_failed"
-            m = record.metrics
-            row["min_det"] = m.get("min_det", "")
-            row["equival_max"] = m.get("equival_max", "")
-            if "sigma_eff" in m:
-                (row["s_eff_11"], row["s_eff_12"]), (row["s_eff_21"], row["s_eff_22"]) = m["sigma_eff"]
-            row["bmo_log_det"] = m.get("bmo_log_det", "")
-            if "ainfty" in m:
-                row["c_upper"] = m["ainfty"]["c_upper"]
-                row["delta"] = m["ainfty"]["delta"]
-                row["m_lower"] = m["ainfty"]["m_lower"]
-                row["eta"] = m["ainfty"]["eta"]
-            row["rh_det_dv"] = m.get("rh_det_dv_exp2", "")
+            for column, (key, *rest) in SWEEP_METRICS.items():
+                if key in record.metrics:
+                    row[column] = functools.reduce(operator.getitem, rest, record.metrics[key])
         except _RUN_ERRORS as exc:
             row["status"] = "error"
             row["error"] = str(exc)

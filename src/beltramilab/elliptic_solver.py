@@ -324,19 +324,21 @@ def _lu_solve(matrix: sp.csc_matrix, rhs: np.ndarray, dtype: type, ordering: str
         _return_freed_heap()
         lu = spla.splu(factored, permc_spec=permc_spec, panel_size=LU_PANEL_SIZE)
         del factored
-        x, steps = np.empty_like(rhs), 0
+        x, residuals, steps = np.empty_like(rhs), [], 0
         for x_row, b in zip(x, rhs):
             if dtype is np.float32:
-                x_row[:], step = _refine(lu, matrix, b)
+                x_row[:], step, residual = _refine(lu, matrix, b)
                 steps = max(steps, step)
             else:
                 x_row[:] = lu.solve(b)
+                residual = np.linalg.norm(matrix @ x_row - b)
+            residuals.append(residual)
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
     # SuperLU.nnz counts the factors in place; reading .L or .U would copy them.
     fill = int(lu.nnz)
     del lu
-    stats = _checked_stats(lambda x: matrix @ x, x, rhs, n=matrix.shape[0],
+    stats = _checked_stats(residuals, [np.linalg.norm(b) for b in rhs], n=matrix.shape[0],
                            nnz=matrix.nnz, method="direct_lu", fill=fill, ordering=ordering,
                            panel_size=LU_PANEL_SIZE, precision=np.dtype(dtype).name,
                            refinement_steps=steps)
@@ -364,47 +366,47 @@ def _return_freed_heap() -> None:
         _MALLOC_TRIM(0)
 
 
-def _refine(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Float64 solution of ``matrix @ x = b`` from float32 factors, and its refinement steps.
+def _refine(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Float64 solution of ``matrix @ x = b`` from float32 factors, its refinement steps and its residual norm.
 
     Starting from x = 0, each step adds ``lu.solve`` of the float32-cast
     float64 residual.  A step is kept if it lowers the residual norm, and
     the refinement stops once a step fails to halve it, or after
     ``MAX_REFINEMENT_STEPS`` steps beyond the first solve.  The count
-    returned is the number of steps taken beyond the first solve.
+    returned is the number of steps taken beyond the first solve, and the
+    norm is that of ``b - matrix @ x`` for the x returned, as the step
+    computed it (``norm(b)`` for x = 0).
     """
-    x = np.zeros_like(b)
-    r, r_norm = b, np.linalg.norm(b)
+    x, x_norm = np.zeros_like(b), np.linalg.norm(b)
+    r, r_norm = b, x_norm
     for step in range(MAX_REFINEMENT_STEPS + 1):
         x_new = x + lu.solve(r.astype(np.float32))
         r_new = b - matrix @ x_new
         new_norm = np.linalg.norm(r_new)
         if new_norm < r_norm:
-            x = x_new
+            x, x_norm = x_new, new_norm
         if not new_norm < 0.5 * r_norm:
             break
         r, r_norm = r_new, new_norm
-    return x, step
+    return x, step, x_norm
 
 
-def _checked_stats(apply: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
-                   rhs: np.ndarray, **stats) -> dict:
+def _checked_stats(residuals: list[float], rhs_norms: list[float], **stats) -> dict:
     """Residual gate and solve stats shared by the sparse and the lattice transform solves.
 
-    Every row of the (k, n) solutions ``xs`` must meet the relative residual
-    ``RESIDUAL_GATE`` against its row of ``rhs`` (a NaN residual fails
-    too); the stats report the worst row and are logged as one
-    parseable ``linear solve:`` line.
+    ``residuals`` and ``rhs_norms`` hold, per solved row, the norms of its
+    residual and of its right-hand side.  Every row must meet the relative
+    residual ``RESIDUAL_GATE`` (a NaN residual fails too); the stats report
+    the worst row and are logged as one parseable ``linear solve:`` line.
     """
     residual = rel = 0.0
-    for x, b in zip(xs, rhs):
-        col_residual = float(np.linalg.norm(apply(x) - b))
-        rhs_norm = float(np.linalg.norm(b))
+    for col_residual, rhs_norm in zip(residuals, rhs_norms, strict=True):
+        col_residual, rhs_norm = float(col_residual), float(rhs_norm)
         col_rel = col_residual / rhs_norm if rhs_norm > 0 else col_residual
         if not col_rel <= RESIDUAL_GATE:
             raise SolverError(f"relative residual {col_rel:.3e} above the gate {RESIDUAL_GATE:g}")
         residual, rel = max(residual, col_residual), max(rel, col_rel)
-    stats = {**stats, "nrhs": len(xs), "residual": residual, "relative_residual": rel}
+    stats = {**stats, "nrhs": len(residuals), "residual": residual, "relative_residual": rel}
     log.info(
         "linear solve: n=%d nnz=%d nrhs=%d method=%s fill=%s ordering=%s panel=%s precision=%s "
         "refinement_steps=%s residual=%.3e",
@@ -600,8 +602,9 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool) -> tuple[np.ndarray,
             hat = _dct1(_dct1(b / weights, 0), 1)
             x = _dct1(_dct1(hat / denom, 0), 1)
         x_row[:] = x.ravel()
-    stats = _checked_stats(lambda x: _lattice_laplacian(x.reshape(shape), periodic).ravel(),
-                           xs, rhs, n=rhs.shape[1], nnz=nnz, method=method,
+    residuals = [np.linalg.norm(_lattice_laplacian(x.reshape(shape), periodic).ravel() - b)
+                 for x, b in zip(xs, rhs)]
+    stats = _checked_stats(residuals, [np.linalg.norm(b) for b in rhs], n=rhs.shape[1], nnz=nnz, method=method,
                            fill=None, ordering=None, panel_size=None, precision=None,
                            refinement_steps=None)
     return xs, stats
@@ -634,7 +637,8 @@ def solve_periodic_cell(sigma: ElementMatrixField, xi: np.ndarray) -> ScalarFiel
     for x, w_free in zip(xis, w):
         # Shift the periodic part to zero mean over the cell.
         w_at_tri = w_free[mesh.vertex_dofs()]
-        mean_w = float(np.dot(mesh.areas, w_at_tri.mean(axis=1)) / mesh.areas.sum())
+        # einsum sums in its own fixed order; np.dot's BLAS sum changes with the thread count
+        mean_w = float(np.einsum("t,t->", mesh.areas, w_at_tri.mean(axis=1)) / mesh.areas.sum())
         w_free = w_free - mean_w
         fields.append(ScalarFieldP1(mesh, mesh.vertices @ x + w_free[mesh.free_index]))
     return fields[0] if xi.ndim == 1 else fields

@@ -21,6 +21,14 @@ from .homogenization import CellMap
 
 log = logging.getLogger(__name__)
 
+# The diagnose protocol, fixed: square statistics hold the power means of w^(1 + theta) for each
+# theta of THETA_GRID; the random envelope sampler draws REPEATS subsets per square at each of
+# RANDOM_FRACTIONS, and the extreme one takes the lightest and heaviest members at EXTREME_FRACTIONS.
+THETA_GRID = (0.5, 1.0)
+RANDOM_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4)
+EXTREME_FRACTIONS = (1 / 8, 1 / 4, 1 / 2)
+REPEATS = 3
+
 
 def _check_positive(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
@@ -46,7 +54,6 @@ class SquareStatsTable:
     mean_w2: np.ndarray
     power_means: dict[float, np.ndarray]   # exponent 1+theta -> per-square mean of w^(1+theta)
     log_oscillation: np.ndarray
-    theta_grid: tuple[float, ...] = ()
 
     def export_csv(self, path) -> None:
         sq = self.squares
@@ -55,24 +62,25 @@ class SquareStatsTable:
             "side": sq.side, "n_elements": np.diff(sq.offsets), "mean_w": self.mean_w,
             "mean_w2": self.mean_w2, "log_oscillation": self.log_oscillation,
             "too_few": sq.too_few.astype(int), "twice_inside": sq.twice_inside.astype(int),
-            **{f"mean_w_pow_{1.0 + t}": self.power_means[1.0 + t] for t in self.theta_grid},
+            **{f"mean_w_pow_{p}": mean for p, mean in self.power_means.items()},
         }
         rows = zip(range(len(sq)), *(c.tolist() for c in columns.values()))
         write_csv(path, ["square", *columns], rows)
 
 
-def square_stats(
-    w: np.ndarray, squares: DyadicSquareSet, theta_grid: tuple[float, ...] = ()
-) -> SquareStatsTable:
-    """Per-square area-weighted moments of a positive per-element weight."""
+def square_stats(w: np.ndarray, squares: DyadicSquareSet) -> SquareStatsTable:
+    """Per-square area-weighted moments of a positive per-element weight.
+
+    The power means are those of w^(1 + theta) for each theta of ``THETA_GRID``.
+    """
     w = _check_positive(w)
-    exponents = [1.0 + t for t in theta_grid]
+    exponents = [1.0 + t for t in THETA_GRID]
     logw = np.log(w)
     fields = np.vstack([w, w * w, logw, *[w ** p for p in exponents]])
     mean_w, mean_w2, mean_log, *powers = _square_means(squares, fields)
     return SquareStatsTable(
         squares=squares, mean_w=mean_w, mean_w2=mean_w2, power_means=dict(zip(exponents, powers)),
-        log_oscillation=_square_means(squares, logw, shift=mean_log), theta_grid=tuple(theta_grid),
+        log_oscillation=_square_means(squares, logw, shift=mean_log),
     )
 
 
@@ -82,34 +90,25 @@ def bmo_norm(w: np.ndarray, squares: DyadicSquareSet) -> float:
     return float(np.max(osc[squares.admissible()], initial=0.0))
 
 
-def reverse_holder_constant(
-    w: np.ndarray, squares: DyadicSquareSet, exponent: float
-) -> float:
-    """Sup over admissible squares of (mean of w^p)^(1/p) / (mean of w).
+def reverse_holder_constant(w: np.ndarray, squares: DyadicSquareSet) -> float:
+    """Sup over the admissible twice-inside squares of sqrt(mean of w^2) / (mean of w).
 
-    Always >= 1 by the power-mean inequality, with equality only for
-    square-constant weights.  For exponent 2 the supremum runs over the
-    squares whose concentric double stays inside the domain, matching the
-    interior-margin hypothesis of the adjoint-equation bound.  With no such
-    square the supremum is undefined and ``ValueError`` is raised.
+    The exponent-2 reverse-Hoelder constant: always >= 1 by the power-mean
+    inequality, with equality only for square-constant weights.  The
+    supremum runs over the admissible squares whose concentric double stays
+    inside the domain, matching the interior-margin hypothesis of the
+    adjoint-equation bound.  With no such square the supremum is undefined
+    and ``ValueError`` is raised.
     """
-    if exponent <= 1.0:
-        raise ValueError("exponent must exceed 1")
     w = _check_positive(w)
-    twice_inside = exponent == 2.0
-    rows = squares.admissible(require_twice_inside=twice_inside)
+    rows = squares.admissible(require_twice_inside=True)
     if len(rows) == 0:
-        kind = "admissible twice-inside square" if twice_inside else "admissible square"
         raise ValueError(
-            f"reverse-Hoelder constant undefined: no {kind} among the {len(squares)} dyadic "
-            f"squares (admissible: at least {MIN_ELEMENTS_PER_SQUARE} elements)"
+            f"reverse-Hoelder constant undefined: no admissible twice-inside square among the "
+            f"{len(squares)} dyadic squares (admissible: at least {MIN_ELEMENTS_PER_SQUARE} elements)"
         )
-    mean_w, mean_p = _square_means(squares, np.vstack([w, w ** exponent]))[:, rows]
-    ratio = np.power(mean_p, 1.0 / exponent) / mean_w
-    # numpy's vectorized power can differ from C pow in the last bit: the ratios
-    # near the largest are redone with the scalar power a square loop would use.
-    near = np.flatnonzero(ratio >= np.max(ratio) * (1.0 - 1e-12))
-    return max(mean_p[s].item() ** (1.0 / exponent) / mean_w[s].item() for s in near)
+    mean_w, mean_w2 = _square_means(squares, np.vstack([w, w * w]))[:, rows]
+    return float(np.max(np.sqrt(mean_w2) / mean_w))
 
 
 # ---------------------------------------------------------------------------
@@ -138,65 +137,54 @@ class AinftyFit:
         return len(self.area_fractions)
 
 
-def _check_fractions(fractions) -> tuple[float, ...]:
-    fractions = tuple(float(f) for f in fractions)
-    bad = [f for f in fractions if not 0.0 < f < 1.0]
-    if bad:
-        raise ValueError(f"area fractions must lie in (0, 1), got {bad}")
-    return fractions
-
-
-def random_subset_sampler(seed: int, fractions=(1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4), repeats: int = 3):
-    """Sampler of uniformly random sub-collections of squares at the given area fractions.
+def random_subset_sampler(seed: int):
+    """Sampler of uniformly random sub-collections of squares at the area fractions ``RANDOM_FRACTIONS``.
 
     ``sample(members, offsets, rows)`` draws, for each square s in ``rows``
     (non-empty rows of the CSR member table) with n members and for each
-    fraction f, ``repeats`` uniform k-subsets of its members with
+    fraction f, ``REPEATS`` uniform k-subsets of its members with
     k = max(1, round(f * n)), then adds the full row.  It yields pieces
     ``(owner, subsets)``: row i of the (R, k) array ``subsets`` (ascending)
     belongs to square ``owner[i]``.  Squares of one length are drawn as one
     block (see ``grid.row_blocks``): per fraction one piece, from one
-    ``rng.random((G, repeats, n))`` draw of keys, of which the k smallest per
+    ``rng.random((G, REPEATS, n))`` draw of keys, of which the k smallest per
     row pick the subset, square by square, repeat by repeat; each block ends
     with the piece of its full rows.  The sampler owns one Philox stream from
     ``seed``, so a fresh sampler yields the same pieces on every run.
-    Fractions outside (0, 1) raise ``ValueError``.
     """
     from .coefficients import rng_from_seed
 
-    fractions = _check_fractions(fractions)
     rng = rng_from_seed(seed)
 
     def sample(members: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
         for sel, idx in row_blocks(members, offsets, rows):
             g, n = idx.shape
-            for frac in fractions:
+            for frac in RANDOM_FRACTIONS:
                 k = max(1, round(frac * n))
-                keys = rng.random((g, repeats, n))
+                keys = rng.random((g, REPEATS, n))
                 pos = np.sort(np.argpartition(keys, k - 1, axis=-1)[..., :k], axis=-1)
                 picked = np.take_along_axis(idx[:, None, :], pos, axis=-1)
-                yield np.repeat(sel, repeats), picked.reshape(g * repeats, k)
+                yield np.repeat(sel, REPEATS), picked.reshape(g * REPEATS, k)
             yield sel, idx
 
     return sample
 
 
-def extreme_subset_sampler(w: np.ndarray, fractions=(1 / 8, 1 / 4, 1 / 2)):
+def extreme_subset_sampler(w: np.ndarray):
     """Sampler of the exact extreme subsets (smallest/largest weight first) of squares.
 
     Same protocol as ``random_subset_sampler``: for each square in ``rows``
-    and each fraction, the k = max(1, round(f * n)) members of smallest
-    weight, then the k of largest weight (ties broken by a stable
-    ``argsort`` of w per block), then the full row.
+    and each fraction f of ``EXTREME_FRACTIONS``, the k = max(1, round(f * n))
+    members of smallest weight, then the k of largest weight (ties broken by
+    a stable ``argsort`` of w per block), then the full row.
     """
     w = np.asarray(w, dtype=float)
-    fractions = _check_fractions(fractions)
 
     def sample(members: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
         for sel, idx in row_blocks(members, offsets, rows):
             n = idx.shape[1]
             order = np.take_along_axis(idx, np.argsort(w[idx], axis=-1, kind="stable"), axis=-1)
-            for frac in fractions:
+            for frac in EXTREME_FRACTIONS:
                 k = max(1, round(frac * n))
                 yield sel, np.sort(order[:, :k], axis=-1)
                 yield sel, np.sort(order[:, n - k:], axis=-1)
@@ -328,14 +316,15 @@ INTERIOR_MARGIN = 1 / 8
 
 
 def higher_integrability_probe(
-    resolution: int, mesh, grad: np.ndarray, p_list, p_critical: float
+    resolution: int, mesh, grad: np.ndarray, p_critical: float
 ) -> list[IntegrabilityRow]:
-    """Interior L^p means of |grad u| for each p of ``p_list``, one row each.
+    """Interior L^p means of |grad u|, one row each at p = 2 and p = ``p_critical`` / 2.
 
-    ``grad`` is the per-element gradient on ``mesh``, and ``resolution``
-    labels the rows.  Only elements with barycenter at distance >=
-    ``INTERIOR_MARGIN`` from the domain's bounding box enter the norms.
-    Rows annotate each p against ``p_critical``.
+    An infinite ``p_critical`` gives p = 4 in place of its half.  ``grad``
+    is the per-element gradient on ``mesh``, and ``resolution`` labels the
+    rows.  Only elements with barycenter at distance >= ``INTERIOR_MARGIN``
+    from the domain's bounding box enter the norms.  Rows annotate each p
+    against ``p_critical``.
     """
     bary = mesh.barycenters
     lo = mesh.vertices.min(axis=0) + INTERIOR_MARGIN
@@ -345,7 +334,7 @@ def higher_integrability_probe(
     mag = np.linalg.norm(grad[mask], axis=1)
     total = areas.sum()
     rows = []
-    for p in p_list:
+    for p in (2.0, 0.5 * p_critical if np.isfinite(p_critical) else 4.0):
         norm = float((np.dot(areas, mag ** p) / total) ** (1.0 / p))
         rows.append(IntegrabilityRow(resolution, float(p), norm, bool(p >= p_critical)))
     return rows

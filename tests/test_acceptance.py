@@ -117,7 +117,7 @@ def checkerboard_diagnostics():
         squares = dyadic_squares(mesh, 4)
         fit = ainfty_probe(U.det_DU, squares, random_subset_sampler(seed=100))
         img, V = change_coordinates(U, Phi)
-        rh = reverse_holder_constant(V.det_DU, dyadic_squares(img, 4), 2.0)
+        rh = reverse_holder_constant(V.det_DU, dyadic_squares(img, 4))
         results[n] = {
             "bmo": bmo_norm(U.det_DU, squares),
             "c_upper": fit.c_upper,
@@ -299,11 +299,9 @@ def test_criterion_11_reverse_holder_closed_forms():
     w_bmo = np.where(mesh.barycenters[:, 0] < 0.5, 1.0, math.e)
     bmo_err = abs(bmo_norm(w_bmo, squares) - 0.5)
     w_rh = np.where(mesh.barycenters[:, 0] < 0.375, 1.0, 3.0)
-    rh_err = abs(reverse_holder_constant(w_rh, squares, 2.0) - math.sqrt(5.0) / 2.0)
+    rh_err = abs(reverse_holder_constant(w_rh, squares) - math.sqrt(5.0) / 2.0)
     w_env = np.where(mesh.barycenters[:, 0] < 0.5, 1.0, 3.0)
-    fit = ainfty_probe(
-        w_env, dyadic_squares(mesh, 0), extreme_subset_sampler(w_env, fractions=(1 / 8, 1 / 4, 1 / 2))
-    )
+    fit = ainfty_probe(w_env, dyadic_squares(mesh, 0), extreme_subset_sampler(w_env))
     env_err = max(
         abs(fit.c_upper - 1.5), abs(fit.m_lower - 0.5),
         abs(fit.delta - 1.0), abs(fit.eta - 1.0),

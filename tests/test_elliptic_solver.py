@@ -692,7 +692,7 @@ class TestLeanAssemblyAndFactorization:
         w[:, 1:], _ = _solve_system(*reference_system(m, sig.matrices, np.arange(1, m.n_free), [0],
                                                       np.zeros((1, len(xis))), cell_load(sig, xis)))
         for xi, wj, u in zip(xis, w, solve_periodic_cell(sig, xis)):
-            mean_w = float(np.dot(m.areas, wj[m.vertex_dofs()].mean(axis=1)) / m.areas.sum())
+            mean_w = float(np.einsum("t,t->", m.areas, wj[m.vertex_dofs()].mean(axis=1)) / m.areas.sum())
             assert np.array_equal(u.values, m.vertices @ xi + (wj - mean_w)[m.free_index])
 
     def test_splu_receives_the_panel_size(self, monkeypatch):

@@ -836,7 +836,7 @@ class TestCsvBytes:
     def test_square_stats_table(self, tmp_path):
         m = build_unit_square(8)
         w = np.exp(np.sin(7.0 * np.arange(m.n_triangles)))
-        table = square_stats(w, dyadic_squares(m, 3), theta_grid=(0.5, 1.0))
+        table = square_stats(w, dyadic_squares(m, 3))
         # one more square, empty, with values whose text form is easy to get wrong
         ds = table.squares
         ds = replace(
