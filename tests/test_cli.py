@@ -91,6 +91,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key, value", [("theta_grid", [0.5, 1.0]), ("p_list", [2.0, 4.0])],
+                             ids=["theta_grid", "p_list"])
+    def test_fixed_diagnose_protocol_keys_unknown(self, key, value):
+        # the theta grid and the L^p exponents are constants of the protocol, not settings
+        raw = {"task": "diagnose", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
+               "diagnostics": {key: value}}
+        with pytest.raises(ConfigError, match=f"'diagnostics.{key}'.*unknown key; known keys: max_level, subset_seed"):
+            ExperimentConfig.from_dict(raw)
+
     @pytest.mark.parametrize("task", ["solve", "primary-pair", "cell", "homogenize", "diagnose"])
     def test_beltrami_family_only_for_convert(self, task):
         spec = {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}

@@ -25,6 +25,8 @@ from beltramilab.elliptic_solver import (
     LU_PANEL_SIZE,
     MAX_REFINEMENT_STEPS,
     NESTED_DISSECTION,
+    RESIDUAL_GATE,
+    _checked_stats,
     _element_matrices,
     _free_block,
     _free_dofs,
@@ -755,6 +757,26 @@ class TestMixedPrecisionLU:
         for got, want, b in zip(x, float64_lu_solve(matrix, rhs), rhs):
             assert np.linalg.norm(matrix @ got - b) <= np.linalg.norm(matrix @ want - b)
 
+    @pytest.mark.parametrize("periodic", [False, True], ids=["square", "torus"])
+    def test_gate_reads_the_residual_of_each_returned_row(self, monkeypatch, periodic):
+        # the refinement's kept residual norm is the one the gate checks, bit for bit
+        m = build_periodic_cell(32) if periodic else build_unit_square(32)
+        sig = random_piecewise_field(m, 5.0, 4, seed=1004)
+        if periodic:
+            matrix, rhs = reference_operator(m, sig.matrices)[1:][:, 1:], cell_load(sig, np.eye(2))[:, 1:]
+        else:
+            matrix, rhs, _ = dirichlet_system(sig)
+        gated = []
+        checked = elliptic_solver._checked_stats
+        monkeypatch.setattr(elliptic_solver, "_checked_stats",
+                            lambda res, norms, **k: gated.append((res, norms)) or checked(res, norms, **k))
+        x, stats = _solve_system(matrix, rhs)
+        (residuals, rhs_norms), = gated
+        assert stats["precision"] == "float32"
+        assert [float(r) for r in residuals] == [float(np.linalg.norm(b - matrix @ got)) for got, b in zip(x, rhs)]
+        assert [float(r) for r in rhs_norms] == [float(np.linalg.norm(b)) for b in rhs]
+        assert stats["residual"] == max(float(r) for r in residuals)
+
     def test_stacked_solve_matches_single_solves(self):
         m = build_unit_square(32)
         matrix, rhs, _ = dirichlet_system(random_piecewise_field(m, 5.0, 4, seed=1008))
@@ -791,6 +813,28 @@ class TestMixedPrecisionLU:
         matrix, rhs, free = dirichlet_system(sig)
         want = float64_lu_solve(matrix, rhs, "NATURAL")
         assert np.array_equal(u1.values[free], want[0]) and np.array_equal(u2.values[free], want[1])
+
+
+class TestResidualGate:
+    """``_checked_stats`` on given per-row residual and right-hand-side norms."""
+
+    STATS = dict(n=4, nnz=10, method="direct_lu", fill=12, ordering="MMD_AT_PLUS_A", panel_size=4,
+                 precision="float64", refinement_steps=0)
+
+    @pytest.mark.parametrize("residuals, rhs_norms, match", [
+        ([0.0, np.nan], [1.0, 1.0], "relative residual nan"),
+        ([0.0, 2e-8], [1.0, 1.0], "relative residual 2.000e-08 above the gate 1e-08"),
+        ([2e-8], [0.0], "relative residual 2.000e-08 above the gate"),   # a zero right-hand side gates the residual itself
+    ], ids=["nan", "above_gate", "zero_rhs"])
+    def test_rejects_a_row_above_the_gate(self, residuals, rhs_norms, match):
+        with pytest.raises(SolverError, match=match):
+            _checked_stats(residuals, rhs_norms, **self.STATS)
+
+    def test_reports_the_worst_row(self):
+        # the largest residual and the largest relative residual come from different rows
+        stats = _checked_stats([3e-9, 5e-13, 0.0], [1.0, 1e-4, 0.0], **self.STATS)
+        assert stats["nrhs"] == 3 and stats["residual"] == 3e-9 and stats["relative_residual"] == 5e-13 / 1e-4
+        assert RESIDUAL_GATE == 1e-8
 
 
 class TestNestedDissection:

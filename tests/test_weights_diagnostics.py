@@ -81,6 +81,24 @@ class TestReverseHolder:
         w = np.exp(rng.normal(size=square_mesh.n_triangles))
         assert reverse_holder_constant(w, squares) >= 1.0
 
+    def test_only_twice_inside_squares_enter(self, square_mesh, squares):
+        # a weight that varies only off the twice-inside squares leaves the constant at 1
+        rows = squares.admissible(require_twice_inside=True)
+        inside = np.zeros(square_mesh.n_triangles, dtype=bool)
+        for s in rows:
+            inside[squares.elements(s)] = True
+        assert 0 < inside.sum() < square_mesh.n_triangles
+        w = np.where(inside, 1.0, np.exp(rng_from_seed(5).normal(size=square_mesh.n_triangles)))
+        assert reverse_holder_constant(w, squares) == 1.0
+        everywhere = [math.sqrt(np.mean(w[squares.elements(s)] ** 2)) / np.mean(w[squares.elements(s)])
+                      for s in squares.admissible()]
+        assert max(everywhere) > 1.0
+
+    def test_scale_invariance(self, square_mesh, squares):
+        w = np.exp(rng_from_seed(6).normal(size=square_mesh.n_triangles))
+        assert reverse_holder_constant(17.3 * w, squares) == pytest.approx(reverse_holder_constant(w, squares),
+                                                                           rel=1e-12)
+
     def test_no_twice_inside_square_rejected(self):
         # resolution 4 at max_level 1: the level-1 squares hold 8 elements but
         # their doubles leave the domain, and the reference square has no double
@@ -307,6 +325,14 @@ class TestSubsetSamplers:
                 want += [np.sort(order[:k]), np.sort(order[len(e) - k:])]
             assert len(got[s]) == len(want) + 1 and np.array_equal(got[s][-1], e)
             assert all(np.array_equal(a, b) for a, b in zip(got[s], want))
+
+
+    @pytest.mark.parametrize("name", ["RANDOM_FRACTIONS", "EXTREME_FRACTIONS"])
+    def test_protocol_fractions_inside_unit_interval(self, name):
+        # every fraction draws a proper, non-empty subset of a large square
+        fractions = getattr(weights_diagnostics, name)
+        assert fractions == tuple(sorted(set(fractions)))
+        assert all(0.0 < f < 1.0 for f in fractions)
 
 
 class TestProbeAgainstPackedTable:
