@@ -8,10 +8,11 @@ record listing every asserted invariant with its pass/fail state.  Verbs:
     convert | solve | primary-pair | cell | homogenize | diagnose | sweep
 
 All randomness flows through one explicit seed and a counter-based
-generator, and artifacts are written with full-precision repr floats in a
-fixed order, so reruns with the same config are bit-identical at thread
-count 1.  Exit code 0 only when every asserted invariant passes (for a
-sweep: when every row is ``ok``).
+generator, artifacts are written with full-precision repr floats in a
+fixed order, and every area-weighted sum runs in numpy's own order
+(``grid.integrate``, ``grid.row_dots``), so reruns with the same config are
+bit-identical, at 2 BLAS threads as at 1.  Exit code 0 only when every
+asserted invariant passes (for a sweep: when every row is ``ok``).
 """
 
 from __future__ import annotations

@@ -66,6 +66,7 @@ from .grid import (
     ScalarFieldP1,
     TriMesh,
     element_gradient,
+    integrate,
     interior_dissection_order,
     lattice_resolution,
 )
@@ -637,8 +638,7 @@ def solve_periodic_cell(sigma: ElementMatrixField, xi: np.ndarray) -> ScalarFiel
     for x, w_free in zip(xis, w):
         # Shift the periodic part to zero mean over the cell.
         w_at_tri = w_free[mesh.vertex_dofs()]
-        # einsum sums in its own fixed order; np.dot's BLAS sum changes with the thread count
-        mean_w = float(np.einsum("t,t->", mesh.areas, w_at_tri.mean(axis=1)) / mesh.areas.sum())
+        mean_w = float(integrate(mesh, w_at_tri.mean(axis=1)) / mesh.areas.sum())
         w_free = w_free - mean_w
         fields.append(ScalarFieldP1(mesh, mesh.vertices @ x + w_free[mesh.free_index]))
     return fields[0] if xi.ndim == 1 else fields
@@ -655,7 +655,7 @@ def mean_flux(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
     """Cell average of sigma grad u."""
     grad = element_gradient(u)
     flux = np.einsum("tab,tb->ta", sigma.matrices, grad)
-    return np.tensordot(sigma.mesh.areas, flux, axes=(0, 0)) / sigma.mesh.areas.sum()
+    return integrate(sigma.mesh, flux) / sigma.mesh.areas.sum()
 
 
 def stream_function(
@@ -701,6 +701,6 @@ def stream_function(
         field = ScalarFieldP1(mesh, values)
 
         mismatch = element_gradient(field) - target
-        residual = float(np.sqrt(np.dot(mesh.areas, np.einsum("ta,ta->t", mismatch, mismatch))))
+        residual = float(np.sqrt(integrate(mesh, np.einsum("ta,ta->t", mismatch, mismatch))))
         results.append((field, residual))
     return results[0] if isinstance(u, ScalarFieldP1) else results

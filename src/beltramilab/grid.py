@@ -200,6 +200,19 @@ def element_gradient(f: ScalarFieldP1) -> np.ndarray:
     return np.einsum("ti,tid->td", vals, f.mesh.hat_gradients)
 
 
+def integrate(mesh: TriMesh, values: np.ndarray, elements=None) -> np.ndarray | float:
+    """Sum of ``area_t * values[t]`` over the triangles t, or over ``elements`` (indices or a mask).
+
+    ``values`` is per triangle along its first axis; trailing axes are kept.
+    ``np.einsum`` sums in numpy's own fixed order and calls no BLAS, so the
+    result does not depend on the BLAS thread count, as a long ``np.dot`` does.
+    """
+    areas, values = mesh.areas, np.asarray(values)
+    if elements is not None:
+        areas, values = areas[elements], values[elements]
+    return np.einsum("t,t...->...", areas, values)
+
+
 # ---------------------------------------------------------------------------
 # Mesh builders
 # ---------------------------------------------------------------------------
@@ -457,25 +470,27 @@ def row_blocks(members: np.ndarray, offsets: np.ndarray, rows=None):
 def block_dots(a: np.ndarray, idx: np.ndarray, b=None, shift=None) -> np.ndarray:
     """``row_dots`` of the rows of one (R, n) index block, ``shift`` given per row of the block.
 
-    A row's value does not depend on the other rows of the block.
+    Products are summed by ``np.einsum``, as in ``integrate``, so a row's value
+    depends neither on the other rows of the block nor on the BLAS thread count.
     """
     if b is None:
         return a[idx].sum(axis=1)
-    bb = np.take(b, idx, axis=-1)  # C order; b[..., idx] is not, and strided dots differ
+    # C order, so each row is summed as it would be alone; b[..., idx] is strided and sums in another order
+    bb = np.take(b, idx, axis=-1)
     if shift is not None:
         bb = np.abs(bb - shift[:, None])
-    return (a[idx][:, None, :] @ bb[..., None])[..., 0, 0]
+    return np.einsum("rn,...rn->...r", a[idx], bb)
 
 
 def row_dots(members: np.ndarray, offsets: np.ndarray, a: np.ndarray, b=None, shift=None):
     """Per-row reductions over the CSR index rows ``idx = members[offsets[i]:offsets[i + 1]]``.
 
-    Row i is ``a[idx].sum()`` when ``b`` is None, else ``np.dot(a[idx], b[idx])``,
-    or ``np.dot(a[idx], np.abs(b[idx] - shift[i]))`` given a per-row ``shift``;
+    Row i is ``a[idx].sum()`` when ``b`` is None, else ``np.einsum("t,t->", a[idx], b[idx])``,
+    or the same with ``np.abs(b[idx] - shift[i])`` given a per-row ``shift``;
     a 2-D ``b`` stacks k fields and gives (k, rows), and empty rows give 0.
     Rows of one length are reduced as one ``row_blocks`` block: its row sums and
-    stacked ``(1, n) @ (n, 1)`` products (the BLAS dot of ``np.dot``) are
-    bit-equal to reducing the rows one by one.
+    einsum products (numpy's own fixed order, no BLAS) are bit-equal to
+    reducing the rows one by one.
     """
     out = np.zeros(np.shape(b)[:-1] + (len(offsets) - 1,))
     for rows, idx in row_blocks(members, offsets):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic_solver import mean_flux, solve_periodic_cell, stream_function
-from .grid import ElementMatrixField, ScalarFieldP1, element_gradient
+from .grid import ElementMatrixField, ScalarFieldP1, element_gradient, integrate
 from .sigma_harmonic import PlanarMap, injectivity_check
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ class CellMap:
 def _energy(sigma: ElementMatrixField, u: ScalarFieldP1) -> float:
     grad = element_gradient(u)
     flux = np.einsum("tab,tb->ta", sigma.matrices, grad)
-    return float(np.dot(sigma.mesh.areas, np.einsum("ta,ta->t", grad, flux)))
+    return float(integrate(sigma.mesh, np.einsum("ta,ta->t", grad, flux)))
 
 
 def effective_conductivity(sigma: ElementMatrixField) -> EffectiveTensor:
@@ -121,12 +121,11 @@ def image_area(U: PlanarMap) -> float:
     overcounts folds; a warning gives it with the signed (overlap-corrected)
     estimate.
     """
-    areas = U.mesh.areas
-    unsigned = float(np.dot(np.abs(U.det_DU), areas))
+    unsigned = float(integrate(U.mesh, np.abs(U.det_DU)))
     if not injectivity_check(U)[1]:
         log.warning(
             "map not injective: unsigned image area %.6g, overlap-corrected estimate %.6g",
-            unsigned, abs(float(np.dot(U.det_DU, areas))),
+            unsigned, abs(float(integrate(U.mesh, U.det_DU))),
         )
     return unsigned
 
@@ -145,7 +144,7 @@ def mean_matrices(sigma: ElementMatrixField) -> tuple[np.ndarray, np.ndarray]:
     """
     mats = sigma.matrices
     sym = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
-    w = sigma.mesh.areas / sigma.mesh.areas.sum()
-    arith = np.einsum("t,tab->ab", w, sym)
-    harm = np.linalg.inv(np.einsum("t,tab->ab", w, np.linalg.inv(sym)))
+    total = sigma.mesh.areas.sum()
+    arith = integrate(sigma.mesh, sym) / total
+    harm = np.linalg.inv(integrate(sigma.mesh, np.linalg.inv(sym)) / total)
     return harm, arith

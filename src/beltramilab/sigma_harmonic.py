@@ -29,7 +29,7 @@ import numpy as np
 
 from .coeff_algebra import _det, _gauge
 from .elliptic_solver import rotated_flux, solve_dirichlet, stream_function
-from .grid import ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient
+from .grid import ElementMatrixField, ScalarFieldP1, TriMesh, element_gradient, integrate
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +65,6 @@ class PlanarMap:
 class WirtingerField:
     """Per-element derivatives f_z = (f_x - i f_y)/2 and f_zbar = (f_x + i f_y)/2."""
 
-    mesh: TriMesh
     f_z: np.ndarray
     f_zbar: np.ndarray
 
@@ -74,15 +73,15 @@ def _det_from_gradients(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
 
 
-def wirtinger_from_gradients(grad_re: np.ndarray, grad_im: np.ndarray, mesh: TriMesh) -> WirtingerField:
+def wirtinger_from_gradients(grad_re: np.ndarray, grad_im: np.ndarray) -> WirtingerField:
     f_z = 0.5 * ((grad_re[:, 0] + grad_im[:, 1]) + 1j * (grad_im[:, 0] - grad_re[:, 1]))
     f_zbar = 0.5 * ((grad_re[:, 0] - grad_im[:, 1]) + 1j * (grad_im[:, 0] + grad_re[:, 1]))
-    return WirtingerField(mesh=mesh, f_z=f_z, f_zbar=f_zbar)
+    return WirtingerField(f_z=f_z, f_zbar=f_zbar)
 
 
 def wirtinger_exact(sigma: ElementMatrixField, u: ScalarFieldP1) -> WirtingerField:
     """Wirtinger derivatives of u + i*utilde with the exact rotated-flux gradient."""
-    return wirtinger_from_gradients(element_gradient(u), rotated_flux(sigma, u), sigma.mesh)
+    return wirtinger_from_gradients(element_gradient(u), rotated_flux(sigma, u))
 
 
 def beltrami_residual(w: WirtingerField, pair: tuple[np.ndarray | complex, np.ndarray | complex]) -> np.ndarray:
@@ -351,7 +350,6 @@ class TauPushforward:
     structural residuals |tau11 - 1| and |tau21| decay under refinement.
     """
 
-    image_mesh: TriMesh
     tau: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -390,29 +388,17 @@ def change_coordinates(U: PlanarMap, f: PlanarMap) -> tuple[TriMesh, PlanarMap]:
     return img, PlanarMap(v1, v2)
 
 
-def pushforward_tau(
-    sigma: ElementMatrixField, f: PlanarMap, convention: str = "recovered"
-) -> TauPushforward:
-    """Transported coefficient with the chosen gradient convention for Df.
+def pushforward_tau(sigma: ElementMatrixField, f: PlanarMap) -> TauPushforward:
+    """Transported coefficient with Df from the P1 gradients of both components of f.
 
-    ``recovered`` uses the P1 gradients of both components of f (the map
-    that actually produced the image triangulation); ``exact`` replaces
-    the imaginary-part gradient by the rotated flux of the real part, in
-    which case the triangular structure holds to machine precision.
-    Near-degenerate image elements (det Df below 1e-12 of the median) are
-    left out of the reported L1 norms.
+    This is the recovered convention: the gradients of the map that
+    actually produced the image triangulation.  Near-degenerate image
+    elements (det Df below 1e-12 of the median) are left out of the
+    reported L1 norms.
     """
-    grad_re = element_gradient(f.u1)
-    if convention == "recovered":
-        grad_im = element_gradient(f.u2)
-        det_df = f.det_DU
-    elif convention == "exact":
-        grad_im = rotated_flux(sigma, f.u1)
-        det_df = _det_from_gradients(grad_re, grad_im)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-
-    df = np.stack([grad_re, grad_im], axis=1)  # rows: gradients of the components
+    det_df = f.det_DU
+    # rows: gradients of the components
+    df = np.stack([element_gradient(f.u1), element_gradient(f.u2)], axis=1)
     if not np.all(det_df > 0):  # as in injectivity_check, a NaN det fails too
         raise ValueError("coordinate map is not locally injective (det Df <= 0 somewhere)")
     keep = det_df >= 1e-12 * float(np.median(det_df))
@@ -423,12 +409,10 @@ def pushforward_tau(
     c = _det(tau)
     resid_diag = np.abs(tau[:, 0, 0] - 1.0)
     resid_lower = np.abs(tau[:, 1, 0])
-    img_areas = img.areas
-    total = float(img_areas[keep].sum())
-    l1_diag = float(np.dot(img_areas[keep], resid_diag[keep]) / total)
-    l1_lower = float(np.dot(img_areas[keep], resid_lower[keep]) / total)
+    total = float(img.areas[keep].sum())
+    l1_diag = float(integrate(img, resid_diag, keep) / total)
+    l1_lower = float(integrate(img, resid_lower, keep) / total)
     return TauPushforward(
-        image_mesh=img,
         tau=tau,
         b=b,
         c=c,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import MIN_ELEMENTS_PER_SQUARE, DyadicSquareSet, block_dots, row_blocks, row_dots, write_csv
+from .grid import MIN_ELEMENTS_PER_SQUARE, DyadicSquareSet, block_dots, integrate, row_blocks, row_dots, write_csv
 from .homogenization import CellMap
 
 log = logging.getLogger(__name__)
@@ -282,15 +282,15 @@ def quantitative_jacobian_check(
     det_a = float(np.linalg.det(cell.A))
     if det_a == 0.0:
         raise ValueError("affine part is singular")
-    areas = cell.U.mesh.areas
+    mesh = cell.U.mesh
     E = np.asarray(E, dtype=np.int64)
     P = np.asarray(P, dtype=np.int64)
     if not np.isin(E, P).all():
         raise ValueError("E must be a sub-collection of the square's elements")
     w = cell.U.det_DU / det_a
-    lhs = float(np.dot(areas[E], w[E]))
-    mass_p = float(np.dot(areas[P], w[P]))
-    t = float(areas[E].sum() / areas[P].sum())
+    lhs = float(integrate(mesh, w, E))
+    mass_p = float(integrate(mesh, w, P))
+    t = float(mesh.areas[E].sum() / mesh.areas[P].sum())
     rhs_shape = (t ** fit.eta) * mass_p
     constant = lhs / rhs_shape if rhs_shape != 0 else np.inf
     passes = lhs >= fit.m_lower * rhs_shape * (1.0 - 1e-9)
@@ -310,8 +310,8 @@ class IntegrabilityRow:
     above_critical: bool  # p >= the critical exponent of the ellipticity report
 
 
-# Distance from the domain's bounding box inside which elements are left out
-# of the interior L^p norms.
+# Distance from the domain's bounding box, as a share of its longer side,
+# inside which elements are left out of the interior L^p norms.
 INTERIOR_MARGIN = 1 / 8
 
 
@@ -323,18 +323,17 @@ def higher_integrability_probe(
     An infinite ``p_critical`` gives p = 4 in place of its half.  ``grad``
     is the per-element gradient on ``mesh``, and ``resolution`` labels the
     rows.  Only elements with barycenter at distance >= ``INTERIOR_MARGIN``
-    from the domain's bounding box enter the norms.  Rows annotate each p
-    against ``p_critical``.
+    times the longer side of the domain's bounding box from that box enter
+    the norms.  Rows annotate each p against ``p_critical``.
     """
     bary = mesh.barycenters
-    lo = mesh.vertices.min(axis=0) + INTERIOR_MARGIN
-    hi = mesh.vertices.max(axis=0) - INTERIOR_MARGIN
-    mask = np.all((bary >= lo) & (bary <= hi), axis=1)
-    areas = mesh.areas[mask]
-    mag = np.linalg.norm(grad[mask], axis=1)
-    total = areas.sum()
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    margin = INTERIOR_MARGIN * float(np.max(hi - lo))
+    mask = np.all((bary >= lo + margin) & (bary <= hi - margin), axis=1)
+    mag = np.linalg.norm(grad, axis=1)
+    total = mesh.areas[mask].sum()
     rows = []
     for p in (2.0, 0.5 * p_critical if np.isfinite(p_critical) else 4.0):
-        norm = float((np.dot(areas, mag ** p) / total) ** (1.0 / p))
+        norm = float((integrate(mesh, mag ** p, mask) / total) ** (1.0 / p))
         rows.append(IntegrabilityRow(resolution, float(p), norm, bool(p >= p_critical)))
     return rows

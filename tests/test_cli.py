@@ -837,22 +837,32 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+RANDOM_128 = {"resolution": 128, "seed": 1001,
+              "coefficient": {"family": "random_piecewise", "k_max": 5, "cells": 4}}
+
+
 @pytest.mark.skipif(_usable_cpus() < 2, reason="BLAS runs one thread on a single CPU, so there is no second count")
-def test_cell_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+@pytest.mark.parametrize("config", [
+    {"task": "cell", "domain": "periodic_cell", "diagnostics": {"affine_part": [[2, 0.5], [0.3, 1]]}},
+    {"task": "diagnose", "domain": "unit_square", "diagnostics": {"max_level": 5}},
+    {"task": "diagnose", "domain": "periodic_cell", "diagnostics": {"max_level": 5}},
+    {"task": "homogenize", "domain": "periodic_cell", "diagnostics": {"area_check": True}},
+], ids=["cell", "diagnose-unit_square", "diagnose-periodic_cell", "homogenize"])
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     # OpenBLAS splits a long dot product across its threads, which moves its last bits
-    cfg = write_config(tmp_path, "cell.json", {
-        "task": "cell", "domain": "periodic_cell", "resolution": 128, "seed": 1001,
-        "coefficient": {"family": "random_piecewise", "k_max": 5, "cells": 4},
-        "diagnostics": {"affine_part": [[2, 0.5], [0.3, 1]]}})
+    cfg = write_config(tmp_path, "config.json", {**RANDOM_128, **config})
     src = str(Path(cli.__file__).parents[1])
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
-        subprocess.run([sys.executable, "-m", "beltramilab.cli", "cell", "--config", str(cfg), "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "beltramilab.cli", config["task"], "--config", str(cfg), "--out", str(out)],
                        env=env, check=True, capture_output=True)
         outs.append(out)
     one, two = outs
-    assert (one / "cell_map.csv").read_bytes() == (two / "cell_map.csv").read_bytes()
+    csvs = sorted(path.name for path in one.glob("*.csv"))
+    assert csvs and csvs == sorted(path.name for path in two.glob("*.csv"))
+    for name in csvs:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
     metrics = [json.loads((out / "run_record.json").read_text())["metrics"] for out in outs]
     assert json.dumps(metrics[0]) == json.dumps(metrics[1])

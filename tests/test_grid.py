@@ -364,6 +364,17 @@ class TestFields:
         fc = ScalarFieldP1(m, np.full(m.n_vertices, 4.2))
         assert np.abs(element_gradient(fc)).max() < 1e-13
 
+    def test_integrate_is_the_area_weighted_sum(self):
+        m = build_regular_ngon(6, 1.0, 8)
+        assert grid.integrate(m, np.ones(m.n_triangles)) == pytest.approx(regular_ngon_area(6, 1.0), rel=1e-14)
+        v = np.exp(np.sin(7.0 * m.barycenters))
+        total = grid.integrate(m, v)  # the trailing axis is kept
+        assert total.shape == (2,) and np.allclose(total, (m.areas[:, None] * v).sum(axis=0), rtol=1e-14, atol=0)
+        inner = m.barycenters[:, 0] > 0.0
+        by_mask = grid.integrate(m, v[:, 0], inner)
+        assert by_mask == grid.integrate(m, v[:, 0], np.flatnonzero(inner))
+        assert by_mask == np.einsum("t,t->", m.areas[inner], v[inner, 0])
+
     def test_field_shape_validation(self):
         m = build_unit_square(2)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from beltramilab.coeff_algebra import beltrami_from_sigma_batch
 from beltramilab.coefficients import constant_field, hall_field, laminate_field, random_piecewise_field
-from beltramilab.elliptic_solver import solve_dirichlet
+from beltramilab.elliptic_solver import rotated_flux, solve_dirichlet
 from beltramilab.grid import (
     ScalarFieldP1,
     _square_boundary_loop,
@@ -133,11 +133,11 @@ class TestWirtinger:
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
         z = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, y.copy()))
-        w = wirtinger_from_gradients(element_gradient(z.u1), element_gradient(z.u2), m)
+        w = wirtinger_from_gradients(element_gradient(z.u1), element_gradient(z.u2))
         assert np.abs(w.f_z - 1.0).max() < 1e-14
         assert np.abs(w.f_zbar).max() < 1e-14
         zbar = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, -y))
-        w = wirtinger_from_gradients(element_gradient(zbar.u1), element_gradient(zbar.u2), m)
+        w = wirtinger_from_gradients(element_gradient(zbar.u1), element_gradient(zbar.u2))
         assert np.abs(w.f_z).max() < 1e-14
         assert np.abs(w.f_zbar - 1.0).max() < 1e-14
 
@@ -146,7 +146,7 @@ class TestWirtinger:
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
         F = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, b * x + a * y))
-        w = wirtinger_from_gradients(element_gradient(F.u1), element_gradient(F.u2), m)
+        w = wirtinger_from_gradients(element_gradient(F.u1), element_gradient(F.u2))
         assert np.abs(w.f_z - (1 + a + 1j * b) / 2).max() < 1e-14
         assert np.abs(w.f_zbar - (1 - a + 1j * b) / 2).max() < 1e-14
 
@@ -156,7 +156,7 @@ class TestBeltramiResidual:
         m = build_unit_square(4)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
         F = PlanarMap(ScalarFieldP1(m, x.copy()), ScalarFieldP1(m, y.copy()))
-        w = wirtinger_from_gradients(element_gradient(F.u1), element_gradient(F.u2), m)
+        w = wirtinger_from_gradients(element_gradient(F.u1), element_gradient(F.u2))
         res = beltrami_residual(w, (0.0, 0.0))
         assert res.max() < 1e-14
 
@@ -430,11 +430,6 @@ class TestPolygonIsSimple:
 
 
 class TestPushforwardTau:
-    def test_unknown_convention_rejected(self):
-        m = build_unit_square(8)
-        with pytest.raises(ValueError, match="unknown convention 'wirtinger'"):
-            pushforward_tau(constant_field(m, np.eye(2)), coordinate_map(m), convention="wirtinger")
-
     def test_non_injective_map_rejected(self):
         m = build_unit_square(8)
         with pytest.raises(ValueError, match="not locally injective"):
@@ -464,14 +459,18 @@ class TestPushforwardTau:
         m = build_unit_square(16)
         sig = random_piecewise_field(m, 4.0, 4, seed=9)
         Phi, _, _ = primary_pair(sig)
-        pf = pushforward_tau(sig, Phi, convention="exact")
+        # Df with the exact rotated-flux gradient in place of the recovered one of Phi.u2
+        grad_re, grad_im = element_gradient(Phi.u1), rotated_flux(sig, Phi.u1)
+        df = np.stack([grad_re, grad_im], axis=1)
+        det_df = grad_re[:, 0] * grad_im[:, 1] - grad_re[:, 1] * grad_im[:, 0]
         mats = sig.matrices
+        tau = np.einsum("tia,tab,tjb->tij", df, mats, df) / det_df[:, None, None]
         det_sigma = np.linalg.det(mats)
         gap = mats[:, 0, 1] - mats[:, 1, 0]
-        assert pf.resid_diag.max() < 1e-12
-        assert pf.resid_lower.max() < 1e-12
-        assert np.abs(pf.c - det_sigma).max() < 1e-11
-        assert np.abs(pf.b - gap).max() < 1e-11
+        assert np.abs(tau[:, 0, 0] - 1.0).max() < 1e-12
+        assert np.abs(tau[:, 1, 0]).max() < 1e-12
+        assert np.abs(tau[:, 0, 0] * tau[:, 1, 1] - tau[:, 0, 1] * tau[:, 1, 0] - det_sigma).max() < 1e-11
+        assert np.abs(tau[:, 0, 1] - gap).max() < 1e-11
 
     def test_laminate_residuals_decrease(self):
         l1 = []

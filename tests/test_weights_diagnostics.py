@@ -434,6 +434,12 @@ class TestHigherIntegrability:
             assert row.norm == pytest.approx(1.0, abs=1e-12)
             assert not row.above_critical
 
+    def test_margin_scales_with_the_domain(self):
+        # a hexagon of radius 0.1 is narrower than two absolute margins of 1/8, yet keeps its interior
+        m = build_regular_ngon(6, 0.1, 16)
+        rows = higher_integrability_probe(16, m, np.tile([3.0, 4.0], (m.n_triangles, 1)), math.inf)
+        assert [row.norm for row in rows] == pytest.approx([5.0, 5.0], rel=1e-12)
+
     def test_laminate_norms_stable_below_critical(self):
         from beltramilab.coeff_algebra import astala_exponent
         from beltramilab.coefficients import laminate_field
@@ -469,7 +475,7 @@ class TestSquareStats:
 
 
 # ---------------------------------------------------------------------------
-# The array reductions against a square-by-square np.dot loop
+# The array reductions against a square-by-square np.einsum loop
 # ---------------------------------------------------------------------------
 
 
@@ -489,7 +495,7 @@ REFERENCE_MESHES = {
 
 
 def _loop_moments(w, ds, exponents):
-    """mean_w, mean_w2, power means and log-oscillation per square, one np.dot at a time."""
+    """mean_w, mean_w2, power means and log-oscillation per square, one np.einsum at a time."""
     areas = ds.mesh.areas
     logw = np.log(w)
     rows = []
@@ -501,7 +507,7 @@ def _loop_moments(w, ds, exponents):
             continue
 
         def mean(values):
-            return float(np.dot(areas[e], values[e]) / area)
+            return float(np.einsum("t,t->", areas[e], values[e]) / area)
 
         mean_log = mean(logw)
         rows.append([mean(w), mean(w * w), *[mean(w ** p) for p in exponents],
@@ -550,7 +556,8 @@ class TestAgainstSquareLoop:
             for s, subset in zip(owner, subsets):
                 e = ds.elements(s)
                 t_ref.append(float(areas[subset].sum() / float(areas[e].sum())))
-                r_ref.append(float(np.dot(areas[subset], w[subset]) / float(np.dot(areas[e], w[e]))))
+                r_ref.append(float(np.einsum("t,t->", areas[subset], w[subset])
+                                   / float(np.einsum("t,t->", areas[e], w[e]))))
         fit = ainfty_probe(w, ds, random_subset_sampler(seed=13))
         assert np.array_equal(fit.area_fractions, t_ref)
         assert np.array_equal(fit.mass_fractions, r_ref)
