@@ -65,8 +65,10 @@ from .homogenization import (
     mean_matrices,
 )
 from .sigma_harmonic import (
+    PlanarMap,
     beltrami_residual,
     change_coordinates,
+    check_convex_domain,
     equival_residual,
     injectivity_check,
     primary_pair,
@@ -609,17 +611,21 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
     if mesh.periodic:
         cm = cell_map(sigma, np.eye(2))
-        U = cm.U
-        Phi, _ = cell_complex_map(sigma, U.u1)  # U.u1 is the e1 cell solution
+        U = cm.U  # U.u1 is the e1 cell solution
     else:
-        Phi, Psi, U = primary_pair(sigma)
+        check_convex_domain(mesh)
+        U = PlanarMap(*solve_dirichlet(sigma, lambda p: p))  # the primary pair's U; nothing reads ut2
+    Phi, _ = cell_complex_map(sigma, U.u1)
     det = U.det_DU
 
+    # the cheap checks first: a non-positive weight (bmo_norm) or a coordinate map
+    # that is not locally injective (change_coordinates) fails the run before the
+    # envelope probe
     squares = dyadic_squares(mesh, max_level)
     bmo = bmo_norm(det, squares)
+    img, V = change_coordinates(U, Phi)
     fit = ainfty_probe(det, squares, random_subset_sampler(seed=subset_seed))
 
-    img, V = change_coordinates(U, Phi)
     img_squares = dyadic_squares(img, max_level)
     rh = reverse_holder_constant(V.det_DU, img_squares)
 
@@ -632,7 +638,7 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
             checks.append(quantitative_jacobian_check(cm, sub, P, fit))
 
     grads = element_gradient(U.u1)
-    alpha, beta = ellipticity_constants(sigma.matrices)
+    alpha, beta = ellipticity_constants(sigma.table[np.unique(sigma.index)])  # the matrices in use, once each
     report = astala_exponent(float(alpha.min()), float(beta.max()))
     rows = higher_integrability_probe(cfg.resolution, mesh, grads, report.p_sup)
 

@@ -498,47 +498,72 @@ def row_dots(members: np.ndarray, offsets: np.ndarray, a: np.ndarray, b=None, sh
     return out
 
 
-# (point or box, polygon edge) pairs per block of the array operations in
-# ``_double_square_inside_polygon``: bounds their temporaries (peak RSS).
+# (box, polygon edge) pairs per block of ``_segments_hit_boxes``: bounds its
+# temporaries (peak RSS).
 INSIDE_BLOCK_PAIRS = 1 << 15
 
 
-def _edge_blocks(n_rows: int, n_edges: int):
-    """Row slices of at most ``INSIDE_BLOCK_PAIRS // n_edges`` rows (at least one)."""
-    step = max(1, INSIDE_BLOCK_PAIRS // max(n_edges, 1))
-    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
-
-
 def _points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd point-in-polygon test, as (points x edges) blocks.
+    """Even-odd point-in-polygon test, one pass over the edges per distinct y.
 
-    The parity is the XOR over the edges of the crossings to the right of
-    each point; XOR does not depend on the order, so blocking is exact.
+    A point is inside iff an odd number of edges cross its horizontal line
+    (``(y0 > y) != (y1 > y)``) at an ``xint`` to its right (``x < xint``).
+    Points of one y share their crossings: per distinct y the crossing
+    ``xint`` are sorted once and each point counts those above its x by
+    ``searchsorted``.  The count's parity is the XOR of the per-edge tests,
+    so the answer is exact, point for point.  A NaN ``xint`` (non-finite
+    vertices) is below no x, as in the per-edge test.
     """
     x0, y0 = poly.T
     x1, y1 = np.roll(poly, -1, axis=0).T
+    ys, row = np.unique(points[:, 1], return_inverse=True)
+    by_row = np.argsort(row, kind="stable")
+    bounds = np.searchsorted(row[by_row], np.arange(len(ys) + 1))
     inside = np.empty(len(points), dtype=bool)
-    for rows in _edge_blocks(len(points), len(poly)):
-        x, y = points[rows, :1], points[rows, 1:]
+    for r, y in enumerate(ys):
         crosses = (y0 > y) != (y1 > y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        inside[rows] = np.logical_xor.reduce(crosses & (x < np.where(crosses, xint, np.inf)), axis=1)
+            xint = (x0 + (y - y0) * (x1 - x0) / (y1 - y0))[crosses]
+        xint = np.sort(xint[~np.isnan(xint)])
+        pts = by_row[bounds[r]:bounds[r + 1]]
+        inside[pts] = (len(xint) - np.searchsorted(xint, points[pts, 0], side="right")) % 2 == 1
     return inside
 
 
 def _segments_hit_boxes(lo: np.ndarray, hi: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Liang-Barsky clip test, as (boxes x edges) blocks: does any polygon edge meet box [lo[k], hi[k]]?
+    """Liang-Barsky clip test: does any polygon edge meet box [lo[k], hi[k]]?
 
     The boxes are closed; an edge that only touches one counts as a hit.
+    Only the (box, edge) pairs whose bounding boxes come within ``margin`` of
+    each other, 1e-9 of the largest vertex coordinate, go through the clip;
+    they are found from the boxes sorted by their lower x and go in blocks of
+    ``INSIDE_BLOCK_PAIRS``.  The answer is exact: a pair apart by a gap g
+    along one axis has its parallel test exact, or a clip parameter of
+    1 + g / |d| or more, for an edge extent |d| of at most twice the largest
+    coordinate, so up to rounding (a few ulps) it stays above 1 and misses.
     """
-    d = np.roll(poly, -1, axis=0) - poly
-    out = np.empty(len(lo), dtype=bool)
-    for rows in _edge_blocks(len(lo), len(poly)):
+    nxt = np.roll(poly, -1, axis=0)
+    d = nxt - poly
+    edge_lo, edge_hi = np.minimum(poly, nxt), np.maximum(poly, nxt)
+    margin = 1e-9 * float(np.abs(poly).max(initial=0.0))
+    # per edge, the boxes whose lower x lies in [edge x min - widest box - margin, edge x max + margin]
+    order = np.argsort(lo[:, 0], kind="stable")
+    sorted_lo = lo[order, 0]
+    widest = float((hi[:, 0] - lo[:, 0]).max(initial=0.0))
+    first = np.searchsorted(sorted_lo, edge_lo[:, 0] - widest - margin, side="left")
+    count = np.searchsorted(sorted_lo, edge_hi[:, 0] + margin, side="right") - first
+    ends, total = np.cumsum(count), int(count.sum())
+    out = np.zeros(len(lo), dtype=bool)
+    for start in range(0, total, INSIDE_BLOCK_PAIRS):
+        pair = np.arange(start, min(start + INSIDE_BLOCK_PAIRS, total))
+        edge = np.searchsorted(ends, pair, side="right")
+        box = order[first[edge] + pair - (ends[edge] - count[edge])]
+        near_enough = np.all((lo[box] <= edge_hi[edge] + margin) & (hi[box] >= edge_lo[edge] - margin), axis=1)
+        edge, box = edge[near_enough], box[near_enough]
         t0, t1, hits = 0.0, 1.0, True
         for axis in range(2):
-            dd, p0 = d[:, axis], poly[:, axis]
-            box_lo, box_hi = lo[rows, axis, None], hi[rows, axis, None]
+            dd, p0 = d[edge, axis], poly[edge, axis]
+            box_lo, box_hi = lo[box, axis], hi[box, axis]
             denom = np.where(dd == 0, 1, dd)
             near = np.where(dd != 0, (box_lo - p0) / denom, -np.inf)
             far = np.where(dd != 0, (box_hi - p0) / denom, np.inf)
@@ -546,7 +571,7 @@ def _segments_hit_boxes(lo: np.ndarray, hi: np.ndarray, poly: np.ndarray) -> np.
             t0 = np.maximum(t0, np.where(swap, far, near))
             t1 = np.minimum(t1, np.where(swap, near, far))
             hits = hits & ~((dd == 0) & ((p0 < box_lo) | (p0 > box_hi)))
-        out[rows] = (hits & (t0 <= t1)).any(axis=1)
+        out[box[hits & (t0 <= t1)]] = True
     return out
 
 
@@ -646,30 +671,41 @@ def write_csv(path, header: list[str], rows) -> None:
 CSV_BLOCK_ROWS = 2048
 
 
-def _csv_texts(column: np.ndarray) -> list[str]:
-    """Each value as ``csv`` writes it: a float's shortest repr, anything else's ``str``.
+def _decimal_table(size: int) -> np.ndarray:
+    """``str(i)`` for each i in 0..size-1, as one fixed-width numpy string array.
 
-    A float64 column calls ``repr`` once per distinct bit pattern, which keeps
-    ``-0.0`` apart from ``0.0``; ``repr`` reads every NaN payload as ``nan``.
+    Equal to ``np.arange(size).astype(f"U{len(str(size))}")``, built from
+    digit codes: the numbers of d digits fill a (count, d) block of uint32
+    character codes, one column per digit, and the code table is viewed as
+    strings, so nothing is formatted per entry.
     """
-    if column.dtype != np.float64:
-        return list(map(str, column.tolist()))
-    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    return np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+    width = len(str(size))
+    codes = np.zeros((size, width), dtype=np.uint32)
+    for digits in range(1, width + 1):
+        lo, hi = (0 if digits == 1 else 10 ** (digits - 1)), min(size, 10 ** digits)
+        numbers = np.arange(lo, hi)
+        for j in range(digits):
+            codes[lo:hi, j] = numbers // 10 ** (digits - 1 - j) % 10 + ord("0")
+    return codes.view(f"U{width}").reshape(size)
 
 
 def _write_indexed_csv(path, header: list[str], *arrays) -> None:
     """Row i is i followed by row i of each (n,) or (n, k) array, as ``write_csv`` writes them.
 
-    Integer text comes from one decimal table per file, ``str(i)`` for each
-    i below max(n, largest tabled entry + 1): the index column and every
-    integer column whose entries lie in 0..2n-1 (the vertex indices of a
-    triangle list) read it, any other column goes through ``_csv_texts``.
-    The table is one fixed-width numpy string array, not a Python string per
-    entry: 10^5 strings alive at once would leave the interpreter's small-object
-    arenas pinned by the few objects that outlive the write (peak RSS of later
-    solves).  Lines are joined ``CSV_BLOCK_ROWS`` rows at a time: joining the
-    whole file at once leaves its ~10^6 short-lived strings behind as heap.
+    Integer text comes from one decimal table per file (``_decimal_table``),
+    ``str(i)`` for each i below max(n, largest tabled entry + 1): the index
+    column and every integer column whose entries lie in 0..2n-1 (the vertex
+    indices of a triangle list) read it.  A float64 column whose first block
+    holds at most a quarter distinct bit patterns (the coordinate columns)
+    reads one table of the ``repr`` of each distinct bit pattern in the file,
+    which keeps ``-0.0`` apart from ``0.0`` (``repr`` reads every NaN payload
+    as ``nan``); every other column gets one ``str`` per value, a float's
+    shortest repr.  The tables are fixed-width numpy string arrays, not a
+    Python string per entry: 10^5 strings alive at once would leave the
+    interpreter's small-object arenas pinned by the few objects that outlive
+    the write (peak RSS of later solves).  Lines are joined ``CSV_BLOCK_ROWS``
+    rows at a time: joining the whole file at once leaves its ~10^6
+    short-lived strings behind as heap.
     """
     n = len(arrays[0])
     columns = []
@@ -681,14 +717,29 @@ def _write_indexed_csv(path, header: list[str], *arrays) -> None:
     # a bounded range keeps the table the size of the file it writes
     tabled = [c.dtype.kind in "iu" and c.min(initial=0) >= 0 and c.max(initial=0) < 2 * n for c in columns]
     size = max([n, *(int(c.max(initial=-1)) + 1 for c, t in zip(columns, tabled) if t)])
-    decimals = np.arange(size).astype(f"U{len(str(size))}")
+    decimals = _decimal_table(size)
+    # per column: its text table (None: one ``str`` per value), the sorted bit patterns
+    # that the table lists (None: the column indexes the table) and the column
+    lookups = []
+    for c, t in zip(columns, tabled):
+        if t:
+            lookups.append((decimals, None, c))
+        elif c.dtype == np.float64 and 4 * len(np.unique(c[:CSV_BLOCK_ROWS].view(np.uint64))) <= min(n, CSV_BLOCK_ROWS):
+            keys = np.unique(c.view(np.uint64))
+            lookups.append((np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=str), keys, c))
+        else:
+            lookups.append((None, None, c))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, n, CSV_BLOCK_ROWS):
             stop = min(lo + CSV_BLOCK_ROWS, n)
-            texts = [decimals[lo:stop].tolist(),
-                     *(decimals[c[lo:stop]].tolist() if t else _csv_texts(c[lo:stop])
-                       for c, t in zip(columns, tabled))]
+            texts = [decimals[lo:stop].tolist()]
+            for table, keys, c in lookups:
+                block = c[lo:stop]
+                if table is None:
+                    texts.append(list(map(str, block.tolist())))
+                else:
+                    texts.append(table[block if keys is None else np.searchsorted(keys, block.view(np.uint64))].tolist())
             fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 

@@ -109,7 +109,12 @@ def cell_map(sigma: ElementMatrixField, A: np.ndarray) -> CellMap:
 
 
 def cell_complex_map(sigma: ElementMatrixField, u: ScalarFieldP1) -> tuple[PlanarMap, float]:
-    """u + i * (recovered stream of u) on the unwrapped cell, for a solved cell field u."""
+    """u + i * (recovered stream of u), and the stream's gradient mismatch, for a solved field u.
+
+    On the periodic cell the map lives on the unwrapped cell; on a domain
+    with boundary it is the primary pair's Phi = u1 + i*ut1 when u is its u1,
+    bit for bit, without reconstructing the conjugate of u2.
+    """
     ut, resid = stream_function(sigma, u)
     return PlanarMap(u, ut), resid
 

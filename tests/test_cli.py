@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from beltramilab import cli, elliptic_solver, weights_diagnostics
+from beltramilab import cli, elliptic_solver, homogenization, weights_diagnostics
 from beltramilab.cli import ExperimentConfig, main, run, sweep
 from beltramilab.elliptic_solver import interior_residual
 from beltramilab.errors import ConfigError
@@ -359,6 +359,61 @@ class TestRunTasks:
         assert (after / "solution.csv").read_bytes() == (before / "solution.csv").read_bytes()
         text = (before / "run_record.json").read_text().replace(str(before), str(after))
         assert (after / "run_record.json").read_text() == text
+
+
+def diagnose_config(tmp_path, seed, resolution, domain="unit_square"):
+    return ExperimentConfig.from_dict(
+        {"task": "diagnose", "domain": domain, "resolution": resolution, "seed": seed,
+         "coefficient": {"family": "random_piecewise", "k_max": 5, "cells": 4, "symmetric": False},
+         "diagnostics": {"max_level": 5}, "output_dir": str(tmp_path / "out")})
+
+
+class TestDiagnoseOrder:
+    """``diagnose`` rejects a bad weight or coordinate map before it samples the A-infinity envelopes."""
+
+    @pytest.fixture
+    def probe_calls(self, monkeypatch):
+        calls = []
+        probe = cli.ainfty_probe
+
+        def counting_probe(*args, **kwargs):
+            calls.append(args)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ainfty_probe", counting_probe)
+        return calls
+
+    def test_injectivity_fault_skips_the_probe(self, tmp_path, probe_calls):
+        # seed 106's f = u1 + i*ut1 folds a boundary triangle at res 32
+        with pytest.raises(ValueError, match="not locally injective"):
+            run(diagnose_config(tmp_path, 106, 32))
+        assert probe_calls == []
+
+    def test_weight_fault_is_found_first(self, tmp_path, probe_calls):
+        # seed 1008's U has det DU < 0 on one triangle, so the BMO norm rejects the weight
+        with pytest.raises(ValueError, match="weight must be positive"):
+            run(diagnose_config(tmp_path, 1008, 64))
+        assert probe_calls == []
+
+    @pytest.mark.parametrize("domain", ["unit_square", "periodic_cell"])
+    def test_passing_config_probes_once(self, tmp_path, probe_calls, domain):
+        record = run(diagnose_config(tmp_path, 1001, 32, domain))
+        assert record.all_passed
+        assert len(probe_calls) == 1
+
+    def test_square_solves_one_conjugate(self, tmp_path, monkeypatch):
+        # ut2 of the primary pair is never read, so only u1's conjugate is reconstructed
+        streamed = []
+        stream = elliptic_solver.stream_function
+
+        def counting_stream(sigma, u):
+            streamed.append(1 if isinstance(u, ScalarFieldP1) else len(u))
+            return stream(sigma, u)
+
+        monkeypatch.setattr(homogenization, "stream_function", counting_stream)
+        monkeypatch.setattr(cli, "primary_pair", None)
+        run(diagnose_config(tmp_path, 1001, 16))
+        assert streamed == [1]
 
 
 def reference_trace_by_arclength(mesh, vertices):

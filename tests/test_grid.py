@@ -17,6 +17,7 @@ from beltramilab.grid import (
     ElementMatrixField,
     ScalarFieldP1,
     TriMesh,
+    _decimal_table,
     _double_square_inside_polygon,
     _write_indexed_csv,
     _points_in_polygon,
@@ -528,6 +529,23 @@ def reference_segment_hits_box(p0, p1, lo, hi):
     return hits & (t0 <= t1)
 
 
+def reference_segments_hit_boxes(lo, hi, poly):
+    """The former dense clip test: every box against every edge, as one (boxes x edges) array."""
+    d = np.roll(poly, -1, axis=0) - poly
+    t0, t1, hits = 0.0, 1.0, True
+    for axis in range(2):
+        dd, p0 = d[:, axis], poly[:, axis]
+        box_lo, box_hi = lo[:, axis, None], hi[:, axis, None]
+        denom = np.where(dd == 0, 1, dd)
+        near = np.where(dd != 0, (box_lo - p0) / denom, -np.inf)
+        far = np.where(dd != 0, (box_hi - p0) / denom, np.inf)
+        swap = near > far
+        t0 = np.maximum(t0, np.where(swap, far, near))
+        t1 = np.minimum(t1, np.where(swap, near, far))
+        hits = hits & ~((dd == 0) & ((p0 < box_lo) | (p0 > box_hi)))
+    return (hits & (t0 <= t1)).any(axis=1)
+
+
 def reference_double_square_inside(corners_lo, h, poly):
     """The former square-by-square double-square test: the reference."""
     n = len(corners_lo)
@@ -632,8 +650,8 @@ class TestDoubleSquareInside:
         assert np.array_equal(flags, reference_double_square_inside(corners, 1.0 / n, poly))
 
     def test_several_blocks_with_a_partial_last_block(self):
-        # points and boxes strewn over the star fill three blocks and part of
-        # a fourth, and the last block holds both answers
+        # points and boxes strewn over the star, as many as 3 1/3 row blocks of
+        # the former (rows x edges) test, and the last third holds both answers
         poly = star_polygon()
         rows_per_block = INSIDE_BLOCK_PAIRS // len(poly)
         n = 3 * rows_per_block + rows_per_block // 3
@@ -648,6 +666,86 @@ class TestDoubleSquareInside:
         for flags in (inside, hits):
             last = flags[3 * rows_per_block:]
             assert last.any() and not last.all()
+
+
+@st.composite
+def grid_polygons(draw):
+    """Star-shaped polygons on a grid: convex or not, with repeated vertices and axis-parallel edges.
+
+    Vertices sit at integer points within radius 16, ordered by angle about
+    the origin, then are scaled by ``scale`` (a power of two) and moved by
+    ``shift``; a repeated vertex gives a zero-length edge.  Returns the
+    polygon, ``scale`` and ``shift``.
+    """
+    n = draw(st.integers(3, 14))
+    angles = np.sort(draw(st.lists(st.integers(0, 63), min_size=n, max_size=n, unique=True)))
+    if draw(st.booleans()):  # on one circle: convex, up to the rounding to the grid
+        radii = np.full(n, 12)
+    else:
+        radii = np.array(draw(st.lists(st.integers(1, 16), min_size=n, max_size=n)))
+    poly = np.round(radii[:, None] * np.column_stack([np.cos(angles * np.pi / 32), np.sin(angles * np.pi / 32)]))
+    repeat = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        poly = np.insert(poly, repeat, poly[repeat], axis=0)
+    scale = 2.0 ** draw(st.sampled_from([-20, -3, 0, 20]))
+    shift = draw(st.sampled_from([0.0, 1.0, -(2.0 ** 30)]))
+    return poly * scale + shift, scale, shift
+
+
+class TestPrunedInsideTests:
+    """The pruned point and clip tests against the dense per-edge references, flag for flag."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grid_polygons(), st.data())
+    def test_points_on_and_off_the_polygon(self, polygon, data):
+        poly, scale, shift = polygon
+        # grid points (vertices, points on edges and on vertex lines) and points between them
+        coords = st.integers(-34, 34).map(lambda k: k / 2 * scale + shift)
+        points = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=60)))
+        points = np.concatenate([points, poly, 0.5 * (poly + np.roll(poly, -1, axis=0))])
+        assert np.array_equal(_points_in_polygon(points, poly), reference_points_in_polygon(points, poly))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grid_polygons(), st.data())
+    def test_boxes_on_vertices_and_edges(self, polygon, data):
+        poly, scale, shift = polygon
+        # box sides on vertex coordinates (so through vertices and along axis-parallel edges) or on the grid
+        coords = st.one_of(st.sampled_from(sorted(set(poly.ravel().tolist()))),
+                           st.integers(-34, 34).map(lambda k: k / 2 * scale + shift))
+        corners = data.draw(st.lists(st.tuples(coords, coords, coords, coords), min_size=1, max_size=40))
+        a, b = np.array(corners).reshape(-1, 2, 2).transpose(1, 0, 2)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        assert np.array_equal(_segments_hit_boxes(lo, hi, poly), reference_segments_hit_boxes(lo, hi, poly))
+
+    @pytest.mark.parametrize("near", [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.5 - 1e-12, 0.5 - 1e-6])
+    def test_long_edges_ending_within_rounding_of_a_box(self, near):
+        # long edges of extent 2**40 whose tips end an ulp to a micron from boxes of side 1
+        big = 2.0 ** 40
+        poly = np.array([[-big, -big], [big, -big], [big, big], [-big, big], [-big, 1.5], [near, 1.0], [-big, 0.5]])
+        lo = np.array([[0.5, 0.5], [0.5, 0.0], [near, 2.0], [1.0, -3.0]])
+        hi = lo + 1.0
+        got = _segments_hit_boxes(lo, hi, poly)
+        assert np.array_equal(got, reference_segments_hit_boxes(lo, hi, poly))
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 64])
+    def test_any_block_size_gives_the_same_flags(self, monkeypatch, block_pairs):
+        # blocks that split one edge's candidate boxes over several blocks
+        poly = star_polygon()
+        rng = np.random.default_rng(8)
+        lo = rng.uniform(-1.2, 1.2, (300, 2))
+        hi = lo + rng.uniform(0.0, 0.5, (300, 2))
+        hits = reference_segments_hit_boxes(lo, hi, poly)
+        assert hits.any() and not hits.all()
+        monkeypatch.setattr(grid, "INSIDE_BLOCK_PAIRS", block_pairs)
+        assert np.array_equal(_segments_hit_boxes(lo, hi, poly), hits)
+
+    @pytest.mark.parametrize("domain", ["square", "torus"])
+    @pytest.mark.parametrize("seed", range(1001, 1006))
+    def test_image_meshes_match_the_dense_test(self, seed, domain):
+        img = image_meshes(64, seed)[domain == "torus"]
+        ds = dyadic_squares(img, 5)
+        assert 0 < ds.twice_inside.sum() < len(ds)
+        assert np.array_equal(ds.twice_inside, reference_twice_inside(ds))
 
 
 def reference_row_blocks(members, offsets, rows=None):
@@ -837,6 +935,31 @@ class TestCsvBytes:
         write_csv(tmp_path / "w.csv", header, [(i, *row, f) for i, (row, f) in
                                                 enumerate(zip(ints.tolist(), floats.tolist()))])
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+    def test_float_columns_with_and_without_a_key_table(self, tmp_path):
+        # a column whose first block is all distinct and whose rest repeats (one repr per
+        # value), the reverse (one key table for the file), and one that repeats throughout
+        n = 3 * CSV_BLOCK_ROWS + 17
+        special = np.array([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, -1e16, 0.1])
+        distinct = np.random.default_rng(6).standard_normal(n)
+        repeats = np.resize(special, n)
+        block = slice(0, CSV_BLOCK_ROWS)
+        first_distinct, first_repeats = repeats.copy(), distinct.copy()
+        first_distinct[block], first_repeats[block] = distinct[block], repeats[block]
+        columns = np.column_stack([first_distinct, first_repeats, repeats])
+        header = ["index", "a", "b", "c"]
+        _write_indexed_csv(tmp_path / "t.csv", header, columns)
+        write_csv(tmp_path / "w.csv", header, [(i, *row) for i, row in enumerate(columns.tolist())])
+        text = (tmp_path / "t.csv").read_bytes()
+        assert text == (tmp_path / "w.csv").read_bytes()
+        for word in (b"-0.0", b"nan", b"-inf", b"5e-324", b"1e+16", b"-1e+16"):
+            assert word in text
+
+    @pytest.mark.parametrize("size", [0, 1, 9, 10, 11, 99, 100, 101, 99999, 100000, 100001])
+    def test_decimal_table_is_the_astype_table(self, size):
+        table, want = _decimal_table(size), np.arange(size).astype(f"U{len(str(size))}")
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert np.array_equal(table, want)
 
     def test_write_csv(self, tmp_path):
         rows = [[i, "lbl", True, *SPECIAL_VALUES[i:], *SPECIAL_VALUES[:i]] for i in range(3)]

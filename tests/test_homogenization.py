@@ -13,6 +13,7 @@ from beltramilab.coefficients import (
 )
 from beltramilab.elliptic_solver import solve_periodic_cell
 from beltramilab.grid import (
+    ElementMatrixField,
     ScalarFieldP1,
     TriMesh,
     build_periodic_cell,
@@ -26,7 +27,7 @@ from beltramilab.homogenization import (
     image_area,
     mean_matrices,
 )
-from beltramilab.sigma_harmonic import PlanarMap, injectivity_check
+from beltramilab.sigma_harmonic import PlanarMap, injectivity_check, primary_pair
 
 
 class TestEffectiveConductivity:
@@ -167,6 +168,20 @@ class TestCellMap:
         sig = random_piecewise_field(m, 3.0, 4, seed=4)
         cm = cell_map(sig, np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert cm.linearity_error < 1e-9
+
+
+class TestCellComplexMap:
+    @pytest.mark.parametrize("mesh", [build_unit_square(32), build_regular_ngon(6, 1.0, 12)],
+                             ids=["square", "hexagon"])
+    def test_equals_the_primary_pair_on_a_domain_with_boundary(self, mesh):
+        # the conjugate of u1 alone has the bits of the primary pair's stacked solve
+        # a non-symmetric elliptic matrix per triangle: sym part diag(a, b), antisymmetric part c
+        a, b, c = np.random.default_rng(3).uniform([1.0, 1.0, -1.0], [5.0, 5.0, 1.0], (mesh.n_triangles, 3)).T
+        sigma = ElementMatrixField(mesh, np.stack([np.column_stack([a, c]), np.column_stack([-c, b])], axis=1))
+        Phi, _, U = primary_pair(sigma)
+        f, _ = cell_complex_map(sigma, U.u1)
+        assert f.u1 is U.u1
+        assert np.array_equal(f.u2.values, Phi.u2.values)
 
 
 class TestImageArea:
