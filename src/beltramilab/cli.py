@@ -120,8 +120,7 @@ CONFIG_KEYS = {
     "diagnostics": {
         "convert": {"tau_oracle": (False, bool)}, "solve": {}, "primary-pair": {},
         "cell": {"affine_part": ([[1, 0], [0, 1]], (2, 2))}, "homogenize": {"area_check": (False, bool)},
-        # subset_seed None: the top-level seed or 0
-        "diagnose": {"max_level": (4, int), "subset_seed": (None, int)},
+        "diagnose": {"max_level": (4, int)},
     },
     "sweep": {"sweep": (REQUIRED, None), "output_dir": ("sweep_out", str)},
 }
@@ -154,6 +153,7 @@ class ExperimentConfig:
     task: str
     domain: object
     resolution: int
+    seed: int | None
     coefficient: dict
     boundary: dict | None
     output_dir: str
@@ -190,8 +190,6 @@ class ExperimentConfig:
             coefficient["seed"] = seed
 
         diagnostics = _section("diagnostics", top["diagnostics"], CONFIG_KEYS["diagnostics"][task])
-        if task == "diagnose" and diagnostics["subset_seed"] is None:
-            diagnostics["subset_seed"] = seed or 0
 
         # Every solve is one sparse LU, gated at the fixed RESIDUAL_GATE; the section only
         # confirms that, and a looser tolerance would be misread as loosening the gate.
@@ -211,8 +209,8 @@ class ExperimentConfig:
                                               f"not {task}")
             boundary = _section("boundary", boundary, CONFIG_KEYS["boundary"][task], tag="kind")
 
-        return cls(task=task, domain=domain, resolution=top["resolution"], coefficient=coefficient, boundary=boundary,
-                   output_dir=top["output_dir"], diagnostics=diagnostics, raw=raw)
+        return cls(task=task, domain=domain, resolution=top["resolution"], seed=seed, coefficient=coefficient,
+                   boundary=boundary, output_dir=top["output_dir"], diagnostics=diagnostics, raw=raw)
 
 
 _TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
@@ -429,7 +427,7 @@ def _mesh_and_coefficient(cfg: ExperimentConfig):
 def _task_solve(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
     g = boundary_scalar_values(mesh, cfg.boundary)
-    u = solve_dirichlet(sigma, g)
+    u, = solve_dirichlet(sigma, g[:, None])
     # The reduced right-hand side is minus the residual of the boundary lift
     # (g on the boundary, 0 inside).
     lift = np.zeros(mesh.n_vertices)
@@ -607,14 +605,15 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
 
 def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     mesh, sigma = _mesh_and_coefficient(cfg)
-    max_level, subset_seed = cfg.diagnostics["max_level"], cfg.diagnostics["subset_seed"]
+    max_level, seed = cfg.diagnostics["max_level"], cfg.seed or 0
 
     if mesh.periodic:
         cm = cell_map(sigma, np.eye(2))
         U = cm.U  # U.u1 is the e1 cell solution
     else:
         check_convex_domain(mesh)
-        U = PlanarMap(*solve_dirichlet(sigma, lambda p: p))  # the primary pair's U; nothing reads ut2
+        # the primary pair's U; nothing reads ut2
+        U = PlanarMap(*solve_dirichlet(sigma, mesh.vertices[mesh.boundary_loop]))
     Phi, _ = cell_complex_map(sigma, U.u1)
     det = U.det_DU
 
@@ -624,14 +623,14 @@ def _task_diagnose(cfg: ExperimentConfig, out: Path) -> RunRecord:
     squares = dyadic_squares(mesh, max_level)
     bmo = bmo_norm(det, squares)
     img, V = change_coordinates(U, Phi)
-    fit = ainfty_probe(det, squares, random_subset_sampler(seed=subset_seed))
+    fit = ainfty_probe(det, squares, random_subset_sampler(seed=seed))
 
     img_squares = dyadic_squares(img, max_level)
     rh = reverse_holder_constant(V.det_DU, img_squares)
 
     checks = []
     if mesh.periodic:
-        rng = coeff.rng_from_seed(subset_seed + 1)
+        rng = coeff.rng_from_seed(seed + 1)
         for s in squares.admissible()[:8]:
             P = squares.elements(s)
             sub = np.sort(rng.choice(P, size=max(1, len(P) // 4), replace=False))
@@ -734,17 +733,6 @@ def sweep(raw_configs: list[dict], out_dir) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _apply_overrides(raw: dict, args) -> dict:
-    raw = dict(raw)
-    if args.out is not None:
-        raw["output_dir"] = args.out
-    if args.resolution is not None:
-        raw["resolution"] = args.resolution
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    return raw
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="beltramilab",
@@ -755,8 +743,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
@@ -772,8 +758,10 @@ def main(argv=None) -> int:
                 not_ok = sum(row["status"] != "ok" for row in csv.DictReader(fh))
             print(f"sweep aggregate written to {path}; {not_ok} of {len(configs)} rows not ok")
             return 0 if not_ok == 0 else 1
-        raw = _apply_overrides(raw, args)
-        raw["task"] = args.verb
+        if isinstance(raw, dict):  # from_dict reports any other document as an error
+            raw = {**raw, "task": args.verb}
+            if args.out is not None:
+                raw["output_dir"] = args.out
         config = ExperimentConfig.from_dict(raw)
         record = run(config)
         for inv in record.invariants:

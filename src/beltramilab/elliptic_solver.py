@@ -73,8 +73,6 @@ from .grid import (
 
 log = logging.getLogger(__name__)
 
-BoundaryData = Callable[[np.ndarray], np.ndarray] | np.ndarray
-
 # SuperLU column ordering of every free block but one: minimum degree on the
 # pattern of A^T + A.  P1 stiffness matrices are structurally symmetric for
 # every sigma, symmetric or not, and so is every free block a solver factors
@@ -417,55 +415,46 @@ def _checked_stats(residuals: list[float], rhs_norms: list[float], **stats) -> d
     return stats
 
 
-def _boundary_values(mesh: TriMesh, g: BoundaryData) -> np.ndarray:
-    """Boundary values (m,), or stacked (m, k), ordered like the boundary loop."""
-    loop = mesh.boundary_loop
-    if callable(g):
-        vals = np.asarray(g(mesh.vertices[loop]), dtype=float)
-    else:
-        vals = np.asarray(g, dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[0] != len(loop):
-        raise ValueError(f"boundary data must give {len(loop)} values, got {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("boundary data contains non-finite values")
-    return vals
+def solve_dirichlet(sigma: ElementMatrixField, values: np.ndarray) -> list[ScalarFieldP1]:
+    """Discrete weak solutions with Dirichlet data at the boundary vertices, one per column of ``values``.
 
-
-def solve_dirichlet(sigma: ElementMatrixField, g: BoundaryData) -> ScalarFieldP1 | list[ScalarFieldP1]:
-    """Discrete weak solution with Dirichlet data g at the boundary vertices.
-
-    ``g`` is either a callable taking an (m, 2) array of boundary vertex
-    positions or an array of per-boundary-vertex values ordered like the
-    boundary loop.  Values of shape (m,) give one solution; stacked values
-    of shape (m, k) give a list of k solutions of the same operator,
-    assembled and factored once.
+    ``values`` is an (m, k) array: column j holds the data of solution j at
+    the m vertices of the boundary loop, in its order.  The k solutions share
+    one operator, assembled and factored once, and come back as a list.
+    Data of any other shape, or non-finite data, raises ``ValueError``.
     """
     mesh = sigma.mesh
     if mesh.periodic:
         raise ValueError("Dirichlet solve needs a mesh with boundary; got a periodic cell")
+    values = np.asarray(values, dtype=float)
+    m = len(mesh.boundary_loop)
+    if values.ndim != 2 or values.shape[0] != m:
+        raise ValueError(f"boundary data must be an ({m}, k) array, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("boundary data contains non-finite values")
     validate_coefficient(sigma)
-    values = _boundary_values(mesh, g)
-    u = _solve_fixed(mesh, sigma.table, sigma.index, None, mesh.boundary_loop,
-                     values.reshape(len(values), -1))
-    return ScalarFieldP1(mesh, u[0]) if values.ndim == 1 else [ScalarFieldP1(mesh, v) for v in u]
+    u = _solve_fixed(mesh, sigma.table, sigma.index, None, mesh.boundary_loop, values)
+    return [ScalarFieldP1(mesh, v) for v in u]
 
 
-def interior_residual(sigma: ElementMatrixField, u) -> np.ndarray:
-    """Assembled weak residual at every interior vertex (flux conservation check).
+def interior_residual(sigma: ElementMatrixField, values: np.ndarray) -> np.ndarray:
+    """Assembled weak residual at every interior vertex (flux conservation check), one column per field.
 
-    ``u`` is a P1 field or nodal values, (n_vertices,) or a stack
-    (n_vertices, k) that shares one assembly; a stack gives (n_interior, k),
-    each column bit-equal to the residual of that column alone.
+    ``values`` is an (n_vertices, k) array of nodal values, and the result
+    the (n_interior, k) residuals, rows in ascending interior vertex order,
+    from one assembly; each column is bit-equal to that column's residual
+    alone.  Values of any other shape raise ``ValueError``.
     """
     mesh = sigma.mesh
     if mesh.periodic:
         raise ValueError("interior residual needs a mesh with boundary; got a periodic cell")
-    values = u.values if isinstance(u, ScalarFieldP1) else np.asarray(u, dtype=float)
-    stack = values.reshape(len(values), -1)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != mesh.n_vertices:
+        raise ValueError(f"nodal values must be an ({mesh.n_vertices}, k) array, got shape {values.shape}")
     interior, boundary = np.flatnonzero(~mesh.boundary_mask), np.flatnonzero(mesh.boundary_mask)
-    block, coupling = _free_block(mesh, sigma.table, sigma.index, interior, boundary, stack[boundary])
+    block, coupling = _free_block(mesh, sigma.table, sigma.index, interior, boundary, values[boundary])
     # A[interior] @ u = A[interior][:, interior] @ u[interior] + A[interior][:, boundary] @ u[boundary]
-    return (block @ stack[interior] - coupling.T).reshape((len(interior),) + values.shape[1:])
+    return block @ values[interior] - coupling.T
 
 
 def _load_vector(mesh: TriMesh, element_loads: Iterable[np.ndarray], k: int) -> np.ndarray:
@@ -611,21 +600,23 @@ def _solve_lattice(rhs: np.ndarray, n: int, periodic: bool) -> tuple[np.ndarray,
     return xs, stats
 
 
-def solve_periodic_cell(sigma: ElementMatrixField, xi: np.ndarray) -> ScalarFieldP1 | list[ScalarFieldP1]:
-    """Cell solution u = xi . x + w with w periodic and of zero mean over the cell.
+def solve_periodic_cell(sigma: ElementMatrixField, xis: np.ndarray) -> list[ScalarFieldP1]:
+    """Cell solutions u = xi . x + w with w periodic and of zero mean over the cell, one per row of ``xis``.
 
-    Returns u on the unwrapped fundamental domain (identified vertices share
-    the periodic part but keep their own affine part).  For constant
-    coefficients the corrector w vanishes and u = xi . x exactly.  ``xi`` of
-    shape (2,) gives one solution; stacked rows of shape (k, 2) give a list
-    of k solutions of the same operator, assembled and factored once.
+    ``xis`` is a (k, 2) array of applied gradients; the k solutions share one
+    operator, assembled and factored once, and come back as a list.  Each u
+    lives on the unwrapped fundamental domain (identified vertices share the
+    periodic part but keep their own affine part).  For constant
+    coefficients the corrector w vanishes and u = xi . x exactly.  An array
+    of any other shape raises ``ValueError`` before anything is assembled.
     """
     mesh = sigma.mesh
     if not mesh.periodic:
         raise ValueError("cell solve needs a periodic mesh")
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[1] != 2:
+        raise ValueError(f"applied gradients must be a (k, 2) array, got shape {xis.shape}")
     validate_coefficient(sigma)
-    xi = np.asarray(xi, dtype=float)
-    xis = xi.reshape(-1, 2)
 
     # rhs_i = - sum_e A_e grad(phi_i) . sigma_e xi; each load gathers its own matrices, so none outlives the build
     loads = (-np.einsum("tia,ta,t->ti", mesh.hat_gradients,
@@ -641,7 +632,7 @@ def solve_periodic_cell(sigma: ElementMatrixField, xi: np.ndarray) -> ScalarFiel
         mean_w = float(integrate(mesh, w_at_tri.mean(axis=1)) / mesh.areas.sum())
         w_free = w_free - mean_w
         fields.append(ScalarFieldP1(mesh, mesh.vertices @ x + w_free[mesh.free_index]))
-    return fields[0] if xi.ndim == 1 else fields
+    return fields
 
 
 def rotated_flux(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
@@ -658,26 +649,24 @@ def mean_flux(sigma: ElementMatrixField, u: ScalarFieldP1) -> np.ndarray:
     return integrate(sigma.mesh, flux) / sigma.mesh.areas.sum()
 
 
-def stream_function(
-    sigma: ElementMatrixField, u: ScalarFieldP1 | list[ScalarFieldP1]
-) -> tuple[ScalarFieldP1, float] | list[tuple[ScalarFieldP1, float]]:
-    """Least-squares potential of the rotated flux, anchored to zero at vertex 0.
+def stream_function(sigma: ElementMatrixField, us: list[ScalarFieldP1]) -> list[tuple[ScalarFieldP1, float]]:
+    """Least-squares potentials of the rotated fluxes of the fields ``us``, each anchored to zero at vertex 0.
 
-    Solves the discrete Neumann problem
+    For each u, solves the discrete Neumann problem
     ``sum_e A_e grad(phi) . grad(utilde) = sum_e A_e grad(phi) . rot(sigma grad u)``
     over all P1 test functions; the global solve avoids the path-ordering
     error of line integration and is unique up to the anchored constant.
     On the torus the rotated mean flux is the gradient of a non-periodic
     linear part that is split off, solved around, and added back on the
-    unwrapped cell.  Returns the field and the L2 norm of the gradient
-    mismatch (decreases under refinement; zero when the target is exact).
-    A list of fields gives a list of (field, residual) pairs from one solve
-    of the mesh Laplacian: a DCT-I (square) or FFT (torus) transform when
-    ``lattice_resolution`` recognises the mesh, gated at ``RESIDUAL_GATE``
-    like the LU, else one factorization with dof 0 eliminated.
+    unwrapped cell.  ``us`` is a list of fields, and the result the list of
+    their (field, residual) pairs, the residual being the L2 norm of the
+    gradient mismatch (decreases under refinement; zero when the target is
+    exact).  All come from one solve of the mesh Laplacian: a DCT-I (square)
+    or FFT (torus) transform when ``lattice_resolution`` recognises the
+    mesh, gated at ``RESIDUAL_GATE`` like the LU, else one factorization
+    with dof 0 eliminated.
     """
     mesh = sigma.mesh
-    us = [u] if isinstance(u, ScalarFieldP1) else list(u)
     targets = [rotated_flux(sigma, f) for f in us]
     linears = [ROT90 @ mean_flux(sigma, f) if mesh.periodic else None for f in us]
 
@@ -703,4 +692,4 @@ def stream_function(
         mismatch = element_gradient(field) - target
         residual = float(np.sqrt(integrate(mesh, np.einsum("ta,ta->t", mismatch, mismatch))))
         results.append((field, residual))
-    return results[0] if isinstance(u, ScalarFieldP1) else results
+    return results

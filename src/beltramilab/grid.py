@@ -48,6 +48,10 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
+        finite = np.isfinite(self.vertices).all(axis=-1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"vertex {bad} has a non-finite coordinate {self.vertices[bad].tolist()}")
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
         self.boundary_loop = np.asarray(self.boundary_loop, dtype=np.int64)
         if self.free_index is None:
@@ -63,7 +67,7 @@ class TriMesh:
                 bad = int(np.argmax(collapsed))
                 raise ValueError(f"triangle {bad} has two vertices on one dof ({dofs[bad].tolist()})")
         areas = self.areas
-        if np.any(areas <= 0.0):
+        if not np.all(areas > 0.0):  # a NaN area fails too, and argmin finds the first NaN
             bad = int(np.argmin(areas))
             raise ValueError(f"triangle {bad} has non-positive signed area {areas[bad]:.3e}")
 
@@ -157,27 +161,23 @@ class ElementMatrixField:
     """Per-triangle constant 2x2 matrix field (a measurable coefficient), as a table of its distinct matrices.
 
     ``table`` (b, 2, 2) holds the matrices and ``index`` (nt,) the entry of
-    each triangle, in the smallest unsigned dtype that holds b - 1: a
+    each triangle, kept in the smallest unsigned dtype that holds b - 1: a
     piecewise-constant coefficient of b blocks costs b matrices and nt small
-    integers, not nt matrices.  ``index`` defaults to one entry per
-    triangle, so ``ElementMatrixField(mesh, mats)`` takes an (nt, 2, 2)
-    stack.  ``matrices`` gathers the (nt, 2, 2) stack on each read, read-only;
-    the solvers gather a few thousand triangles at a time instead, so keep
-    no gathered stack alive across a solve.
+    integers, not nt matrices.  A table of any other shape, or an index that
+    is not nt integers in 0..b-1, raises ``ValueError``.  ``matrices``
+    gathers the (nt, 2, 2) stack on each read, read-only; the solvers gather
+    a few thousand triangles at a time instead, so keep no gathered stack
+    alive across a solve.
     """
 
     mesh: TriMesh
     table: np.ndarray
-    index: np.ndarray | None = None
+    index: np.ndarray
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=float)
         nt = self.mesh.n_triangles
-        if self.index is None:
-            if self.table.shape != (nt, 2, 2):
-                raise ValueError(f"expected shape ({nt}, 2, 2), got {self.table.shape}")
-            self.index = np.arange(nt)
-        elif self.table.ndim != 3 or self.table.shape[1:] != (2, 2) or not len(self.table):
+        if self.table.ndim != 3 or self.table.shape[1:] != (2, 2) or not len(self.table):
             raise ValueError(f"expected a (b, 2, 2) table with b >= 1, got shape {self.table.shape}")
         index = np.asarray(self.index)
         b = len(self.table)
@@ -347,8 +347,8 @@ def build_regular_ngon(n_sides: int, radius: float, resolution: int) -> TriMesh:
     """
     if n_sides < 3:
         raise ValueError(f"polygon needs at least 3 sides, got {n_sides}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:  # NaN fails too
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     _check_resolution(resolution, n_sides * resolution * resolution)
     corners = np.array(
         [

@@ -85,12 +85,15 @@ def effective_conductivity(sigma: ElementMatrixField) -> EffectiveTensor:
 def cell_map(sigma: ElementMatrixField, A: np.ndarray) -> CellMap:
     """Componentwise periodic cell solves for the affine part A x.
 
-    Verifies the linearity relation U^A = A U^I (exact up to the solver's
-    residual gate because the discrete problems are linear).  A singular A is
-    solved as given; only the homeomorphism interpretation is void then.
+    ``A`` is a 2 x 2 array; any other shape raises ``ValueError`` before
+    anything is solved.  Verifies the linearity relation U^A = A U^I (exact
+    up to the solver's residual gate because the discrete problems are
+    linear).  A singular A is solved as given; only the homeomorphism
+    interpretation is void then.
     """
     A = np.asarray(A, dtype=float)
-    mesh = sigma.mesh
+    if A.shape != (2, 2):
+        raise ValueError(f"affine part must be a 2 x 2 matrix, got shape {A.shape}")
     # A[0], A[1], e1 and e2 are separate right-hand sides of one
     # factorization, so the linearity check compares independent solves; a
     # row of A equal to e1 or e2 is solved once, as each row is refined on
@@ -115,7 +118,7 @@ def cell_complex_map(sigma: ElementMatrixField, u: ScalarFieldP1) -> tuple[Plana
     with boundary it is the primary pair's Phi = u1 + i*ut1 when u is its u1,
     bit for bit, without reconstructing the conjugate of u2.
     """
-    ut, resid = stream_function(sigma, u)
+    (ut, resid), = stream_function(sigma, [u])
     return PlanarMap(u, ut), resid
 
 

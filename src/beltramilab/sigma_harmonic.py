@@ -142,30 +142,32 @@ def primary_pair(sigma: ElementMatrixField) -> tuple[PlanarMap, PlanarMap, Plana
     """
     mesh = sigma.mesh
     check_convex_domain(mesh)
-    u1, u2 = solve_dirichlet(sigma, lambda p: p)
+    u1, u2 = solve_dirichlet(sigma, mesh.vertices[mesh.boundary_loop])
     (ut1, res1), (ut2, res2) = stream_function(sigma, [u1, u2])
     log.info("primary pair stream residuals: %.3e %.3e", res1, res2)
     return PlanarMap(u1, ut1), PlanarMap(u2, ut2), PlanarMap(u1, u2)
 
 
-def sigma_harmonic_map(sigma: ElementMatrixField, phi1, phi2) -> PlanarMap:
-    """Dirichlet solves for the two components of vector boundary data (phi1, phi2).
+def sigma_harmonic_map(sigma: ElementMatrixField, v1: np.ndarray, v2: np.ndarray) -> PlanarMap:
+    """Dirichlet solves for the two components of vector boundary data (v1, v2).
 
-    When the sampled boundary data is not a sense-preserving convex
-    embedding the homeomorphism guarantee is void; a warning is emitted
-    and the computation proceeds (useful as a negative control).  Use
+    ``v1`` and ``v2`` are (m,) arrays of values at the m vertices of the
+    boundary loop, in its order; any other shape raises ``ValueError``.
+    When the data is not a sense-preserving convex embedding the
+    homeomorphism guarantee is void; a warning is emitted and the
+    computation proceeds (useful as a negative control).  Use
     :func:`injectivity_check` on the result.
     """
-    mesh = sigma.mesh
-    loop_pts = mesh.vertices[mesh.boundary_loop]
-    v1 = np.asarray(phi1(loop_pts) if callable(phi1) else phi1, dtype=float)
-    v2 = np.asarray(phi2(loop_pts) if callable(phi2) else phi2, dtype=float)
-    if not _polygon_is_convex(np.column_stack([v1, v2])):
+    m = len(sigma.mesh.boundary_loop)
+    values = np.column_stack([v1, v2]).astype(float)
+    if values.shape != (m, 2):
+        raise ValueError(f"boundary data must be two ({m},) arrays, got shape {values.shape}")
+    if not _polygon_is_convex(values):
         log.warning(
             "boundary data is not a sense-preserving convex embedding; "
             "injectivity is not guaranteed"
         )
-    return PlanarMap(*solve_dirichlet(sigma, np.column_stack([v1, v2])))
+    return PlanarMap(*solve_dirichlet(sigma, values))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from beltramilab import cli, elliptic_solver, homogenization, weights_diagnostic
 from beltramilab.cli import ExperimentConfig, main, run, sweep
 from beltramilab.elliptic_solver import interior_residual
 from beltramilab.errors import ConfigError
-from beltramilab.grid import ScalarFieldP1, build_mesh
+from beltramilab.grid import build_mesh
 
 
 def write_config(tmp_path, name, payload):
@@ -91,13 +91,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
             ExperimentConfig.from_dict(raw)
 
-    @pytest.mark.parametrize("key, value", [("theta_grid", [0.5, 1.0]), ("p_list", [2.0, 4.0])],
-                             ids=["theta_grid", "p_list"])
+    @pytest.mark.parametrize("key, value", [("theta_grid", [0.5, 1.0]), ("p_list", [2.0, 4.0]), ("subset_seed", 5)],
+                             ids=["theta_grid", "p_list", "subset_seed"])
     def test_fixed_diagnose_protocol_keys_unknown(self, key, value):
-        # the theta grid and the L^p exponents are constants of the protocol, not settings
+        # the theta grid and the L^p exponents are constants of the protocol, not settings, and the
+        # sampler seed is the top-level seed, not a second one
         raw = {"task": "diagnose", "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
                "diagnostics": {key: value}}
-        with pytest.raises(ConfigError, match=f"'diagnostics.{key}'.*unknown key; known keys: max_level, subset_seed"):
+        with pytest.raises(ConfigError, match=f"'diagnostics.{key}'.*unknown key; known keys: max_level$"):
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("task", ["solve", "primary-pair", "cell", "homogenize", "diagnose"])
@@ -338,7 +339,7 @@ class TestRunTasks:
 
         def one_by_one(sigma, values):
             # the former path: one assembly and one residual per field
-            return np.column_stack([interior_residual(sigma, ScalarFieldP1(sigma.mesh, v)) for v in values.T])
+            return np.column_stack([interior_residual(sigma, v[:, None])[:, 0] for v in values.T])
 
         monkeypatch.setattr(cli, "interior_residual", one_by_one)
         run(ExperimentConfig.from_dict({**raw, "output_dir": str(tmp_path / "before")}))
@@ -406,14 +407,27 @@ class TestDiagnoseOrder:
         streamed = []
         stream = elliptic_solver.stream_function
 
-        def counting_stream(sigma, u):
-            streamed.append(1 if isinstance(u, ScalarFieldP1) else len(u))
-            return stream(sigma, u)
+        def counting_stream(sigma, us):
+            streamed.append(len(us))
+            return stream(sigma, us)
 
         monkeypatch.setattr(homogenization, "stream_function", counting_stream)
         monkeypatch.setattr(cli, "primary_pair", None)
         run(diagnose_config(tmp_path, 1001, 16))
         assert streamed == [1]
+
+    @pytest.mark.parametrize("seed, sampler_seed", [(None, 0), (7, 7)], ids=["no_seed", "seed"])
+    def test_sampler_takes_the_top_level_seed(self, tmp_path, monkeypatch, seed, sampler_seed):
+        seeds = []
+        sampler = cli.random_subset_sampler
+        monkeypatch.setattr(cli, "random_subset_sampler", lambda seed: seeds.append(seed) or sampler(seed=seed))
+        raw = {"task": "diagnose", "domain": "periodic_cell", "resolution": 16,
+               "coefficient": {"family": "checkerboard", "a": 1, "b": 4},
+               "diagnostics": {"max_level": 3}, "output_dir": str(tmp_path / "out")}
+        if seed is not None:
+            raw["seed"] = seed
+        run(ExperimentConfig.from_dict(raw))
+        assert seeds == [sampler_seed]
 
 
 def reference_trace_by_arclength(mesh, vertices):
@@ -603,7 +617,7 @@ class TestSweep:
                  "diagnostics": {"affine_part": [[2.0, 0.5], [0.3, 1.0]]}},
         "diagnose": {"task": "diagnose", "domain": "unit_square", "resolution": 32, "seed": 0,
                      "coefficient": {"family": "checkerboard", "a": 1, "b": 4},
-                     "diagnostics": {"max_level": 3, "subset_seed": 5}},
+                     "diagnostics": {"max_level": 3}},
         "convert": {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]},
                     "diagnostics": {"tau_oracle": False}},
         # unit_square at resolution 4 has 16 boundary vertices
@@ -789,11 +803,20 @@ class TestMainEntry:
              "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]}},
         )
         out_dir = tmp_path / "elsewhere"
-        assert main([
-            "primary-pair", "--config", str(cfg), "--out", str(out_dir), "--resolution", "4",
-        ]) == 0
+        assert main(["primary-pair", "--config", str(cfg), "--out", str(out_dir)]) == 0
         record = json.loads((out_dir / "run_record.json").read_text())
-        assert record["config"]["resolution"] == 4
+        assert record["config"]["resolution"] == 8
+        # the resolution and the seed come from the config alone; the options that set them again are gone
+        for option in ("--resolution", "--seed"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["primary-pair", "--config", str(cfg), "--out", str(out_dir), option, "4"])
+            assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("document", [[], [{"task": "solve"}], "solve"], ids=["empty_list", "list", "string"])
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, caplog, document):
+        cfg = write_config(tmp_path, "c.json", document)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "config field '<root>': must be a JSON object" in caplog.text
 
     def test_convert_with_tau_oracle(self, tmp_path):
         cfg = write_config(

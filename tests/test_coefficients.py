@@ -14,7 +14,6 @@ from beltramilab.coefficients import (
     rng_from_seed,
 )
 from beltramilab.grid import (
-    ElementMatrixField,
     TriMesh,
     build_periodic_cell,
     build_unit_square,
@@ -25,7 +24,8 @@ from beltramilab.grid import (
 
 # ---------------------------------------------------------------------------
 # Reference: each lattice family working out its blocks from the barycenters
-# on its own, as it did before the families shared one block-table sampler.
+# on its own, as it did before the families shared one block-table sampler;
+# each returns the (nt, 2, 2) stack of per-triangle matrices.
 # ---------------------------------------------------------------------------
 
 
@@ -50,7 +50,7 @@ def ref_laminate(mesh, a, b, direction="x1", fraction=0.5):
     mats = np.zeros((mesh.n_triangles, 2, 2))
     mats[:, 0, 0] = vals
     mats[:, 1, 1] = vals
-    return ElementMatrixField(mesh, mats)
+    return mats
 
 
 def ref_checkerboard(mesh, a, b):
@@ -64,7 +64,7 @@ def ref_checkerboard(mesh, a, b):
     mats = np.zeros((mesh.n_triangles, 2, 2))
     mats[:, 0, 0] = vals
     mats[:, 1, 1] = vals
-    return ElementMatrixField(mesh, mats)
+    return mats
 
 
 def ref_hall_laminate(mesh, c, direction="x1"):
@@ -77,7 +77,7 @@ def ref_hall_laminate(mesh, c, direction="x1"):
     mats[:, 1, 1] = 1.0
     mats[:, 0, 1] = c * sign
     mats[:, 1, 0] = -c * sign
-    return ElementMatrixField(mesh, mats)
+    return mats
 
 
 def ref_random_piecewise(mesh, k_max, cells, seed, symmetric=False):
@@ -94,7 +94,7 @@ def ref_random_piecewise(mesh, k_max, cells, seed, symmetric=False):
     bary = mesh.barycenters
     bi = np.clip((bary[:, 0] % 1.0 * cells).astype(int), 0, cells - 1)
     bj = np.clip((bary[:, 1] % 1.0 * cells).astype(int), 0, cells - 1)
-    return ElementMatrixField(mesh, block_mats[bj, bi])
+    return block_mats[bj, bi]
 
 
 def ref_explicit(mesh, table, cells):
@@ -105,7 +105,7 @@ def ref_explicit(mesh, table, cells):
     bary = mesh.barycenters
     bi = np.clip((bary[:, 0] % 1.0 * cells).astype(int), 0, cells - 1)
     bj = np.clip((bary[:, 1] % 1.0 * cells).astype(int), 0, cells - 1)
-    return ElementMatrixField(mesh, table[bj, bi])
+    return table[bj, bi]
 
 
 EXPLICIT_TABLE = [[[1.0 + k, 0.1 * k], [-0.2 * k, 2.0 + 0.5 * k]] for k in range(16)]
@@ -128,7 +128,7 @@ RESOLUTIONS = (2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24, 32, 48, 64, 96, 128, 256)
 def assert_same_as_reference(mesh):
     for family, reference, args in CASES:
         try:
-            expected = reference(mesh, *args).matrices
+            expected = reference(mesh, *args)
         except ValueError:
             with pytest.raises(ValueError):
                 family(mesh, *args)
@@ -189,7 +189,7 @@ class TestFieldIsItsBlockTable:
         blocks = {laminate_field: 16, checkerboard_field: 4, hall_laminate_field: 2}
         for family, reference, args in CASES:
             try:
-                expected = reference(mesh, *args).matrices
+                expected = reference(mesh, *args)
             except ValueError:
                 continue  # blocks off the res-16 mesh lines
             field = family(mesh, *args)

@@ -58,6 +58,11 @@ from beltramilab.homogenization import cell_map, effective_conductivity
 from beltramilab.sigma_harmonic import primary_pair
 
 
+def boundary_points(mesh: TriMesh) -> np.ndarray:
+    """(m, 2) positions of the boundary loop's vertices, in its order: the data of the coordinate solves."""
+    return mesh.vertices[mesh.boundary_loop]
+
+
 def resistor_profile(x, a, b):
     """1D two-point oracle for equal strips of conductivity a then b."""
     sa = 2.0 * b / (a + b)
@@ -68,7 +73,7 @@ def resistor_profile(x, a, b):
 class TestDirichlet:
     def test_identity_coordinate_data(self):
         m = build_unit_square(8)
-        u = solve_dirichlet(constant_field(m, np.eye(2)), lambda p: p[:, 0])
+        u, = solve_dirichlet(constant_field(m, np.eye(2)), boundary_points(m)[:, :1])
         assert np.abs(u.values - m.vertices[:, 0]).max() < 1e-13
 
     def test_constant_sigma_affine_exactness_suite(self):
@@ -81,7 +86,8 @@ class TestDirichlet:
             sig = constant_field(m, mat)
             try:
                 c = rng.normal(size=3)
-                u = solve_dirichlet(sig, lambda p: c[0] + c[1] * p[:, 0] + c[2] * p[:, 1])
+                p = boundary_points(m)
+                u, = solve_dirichlet(sig, (c[0] + c[1] * p[:, 0] + c[2] * p[:, 1])[:, None])
             except NonEllipticError:
                 continue
             done += 1
@@ -93,7 +99,7 @@ class TestDirichlet:
         # exact solution; slopes are then in the 5:1 flux-continuity ratio.
         m = build_unit_square(2)
         sig = laminate_field(m, 1.0, 5.0)
-        u = solve_dirichlet(sig, lambda p: resistor_profile(p[:, 0], 1.0, 5.0))
+        u, = solve_dirichlet(sig, resistor_profile(boundary_points(m)[:, :1], 1.0, 5.0))
         g = element_gradient(u)
         left = m.barycenters[:, 0] < 0.5
         assert np.abs(g[left, 0] - 5.0 / 3.0).max() < 1e-12
@@ -103,29 +109,31 @@ class TestDirichlet:
     def test_interior_flux_conservation(self):
         m = build_unit_square(16)
         sig = random_piecewise_field(m, 5.0, 4, seed=8)
-        g = lambda p: p[:, 0]
-        u = solve_dirichlet(sig, g)
-        res = interior_residual(sig, u)
+        g = boundary_points(m)[:, :1]
+        u, = solve_dirichlet(sig, g)
+        res = interior_residual(sig, u.values[:, None])
         # the reduced right-hand side is minus the residual of the boundary lift
-        lift = np.zeros(m.n_vertices)
-        lift[m.boundary_loop] = g(m.vertices[m.boundary_loop])
-        rhs_norm = np.linalg.norm(interior_residual(sig, ScalarFieldP1(m, lift)))
+        lift = np.zeros((m.n_vertices, 1))
+        lift[m.boundary_loop] = g
+        rhs_norm = np.linalg.norm(interior_residual(sig, lift))
         assert np.abs(res).max() <= 1e-10 * rhs_norm
 
     def test_stacked_interior_residual_matches_columns(self):
         m = build_unit_square(16)
         sig = random_piecewise_field(m, 5.0, 4, seed=8)
-        u = solve_dirichlet(sig, lambda p: p[:, 0] * p[:, 1])
+        p = boundary_points(m)
+        u, = solve_dirichlet(sig, (p[:, 0] * p[:, 1])[:, None])
         lift = np.where(m.boundary_mask, u.values, 0.0)
         stacked = interior_residual(sig, np.column_stack([u.values, lift, -u.values]))
         assert stacked.shape == (m.n_vertices - len(m.boundary_loop), 3)
         for col, values in zip(stacked.T, (u.values, lift, -u.values)):
-            assert np.array_equal(col, interior_residual(sig, ScalarFieldP1(m, values)))
+            assert np.array_equal(col, interior_residual(sig, values[:, None])[:, 0])
 
     @pytest.mark.parametrize("mesh", [build_unit_square(16), build_regular_ngon(6, 1.0, 6)], ids=["square", "hexagon"])
     def test_interior_residual_is_the_operator_rows(self, mesh):
         # rows in ascending interior vertex order, whatever order the solves factor in
-        sig = ElementMatrixField(mesh, np.random.default_rng(1).uniform(0.5, 1.5, (mesh.n_triangles, 1, 1)) * np.eye(2))
+        sig = ElementMatrixField(mesh, np.random.default_rng(1).uniform(0.5, 1.5, (mesh.n_triangles, 1, 1)) * np.eye(2),
+                                 np.arange(mesh.n_triangles))
         values = np.random.default_rng(2).normal(size=(mesh.n_vertices, 2))
         want = (reference_operator(mesh, sig.matrices) @ values)[~mesh.boundary_mask]
         got = interior_residual(sig, values)
@@ -133,7 +141,7 @@ class TestDirichlet:
 
     def test_interior_residual_rejects_a_periodic_cell(self):
         with pytest.raises(ValueError, match="needs a mesh with boundary"):
-            interior_residual(constant_field(build_periodic_cell(4), np.eye(2)), np.zeros(25))
+            interior_residual(constant_field(build_periodic_cell(4), np.eye(2)), np.zeros((25, 1)))
 
     def test_non_elliptic_rejected_before_assembly(self):
         m = build_unit_square(4)
@@ -141,7 +149,7 @@ class TestDirichlet:
         mats[3] = [[1.0, 3.0], [3.0, 1.0]]
 
         with pytest.raises(NonEllipticError):
-            solve_dirichlet(ElementMatrixField(m, mats), lambda p: p[:, 0])
+            solve_dirichlet(ElementMatrixField(m, mats, np.arange(m.n_triangles)), boundary_points(m))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected_by_element(self, bad):
@@ -149,9 +157,9 @@ class TestDirichlet:
         m = build_periodic_cell(4)
         mats = random_piecewise_field(m, 5.0, 2, seed=0).matrices.copy()
         mats[5, 1, 0] = bad
-        sig = ElementMatrixField(m, mats)
+        sig = ElementMatrixField(m, mats, np.arange(m.n_triangles))
         with pytest.raises(NonEllipticError, match="element 5: non-finite coefficient"):
-            solve_periodic_cell(sig, np.array([1.0, 0.0]))
+            solve_periodic_cell(sig, np.eye(2))
 
     def test_table_validation_names_the_first_triangle_of_a_bad_entry(self):
         m = build_unit_square(4)
@@ -167,40 +175,83 @@ class TestDirichlet:
 
     def test_boundary_data_as_array(self):
         m = build_unit_square(4)
-        vals = m.vertices[m.boundary_loop, 1]
-        u = solve_dirichlet(constant_field(m, np.eye(2)), vals)
+        vals = m.vertices[m.boundary_loop, 1:]
+        u, = solve_dirichlet(constant_field(m, np.eye(2)), vals)
         assert np.abs(u.values - m.vertices[:, 1]).max() < 1e-13
 
     def test_periodic_mesh_rejected(self):
         m = build_periodic_cell(4)
         with pytest.raises(ValueError):
-            solve_dirichlet(constant_field(m, np.eye(2)), lambda p: p[:, 0])
+            solve_dirichlet(constant_field(m, np.eye(2)), boundary_points(m))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_boundary_data_rejected(self, bad):
         m = build_unit_square(4)
-        vals = m.vertices[m.boundary_loop, 0].copy()
-        vals[3] = bad
+        vals = boundary_points(m).copy()
+        vals[3, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             solve_dirichlet(constant_field(m, np.eye(2)), vals)
+
+
+class TestOneInputForm:
+    """Each solver entry point takes one stacked array form; any other shape raises before anything is assembled."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        free_block = elliptic_solver._free_block
+        monkeypatch.setattr(elliptic_solver, "_free_block", lambda *a: calls.append(1) or free_block(*a))
+        return calls
+
+    @pytest.mark.parametrize("xis", [[1.0, 0.0, 0.0, 1.0], np.ones((2, 3)), np.ones((2, 2, 2)), np.ones(2)],
+                             ids=["flat_4", "2x3", "2x2x2", "single_2"])
+    def test_cell_gradients_of_another_shape(self, builds, xis):
+        # once solved as 1, 3, 4 and 1 gradients by a reshape to (-1, 2)
+        sig = constant_field(build_periodic_cell(4), np.eye(2))
+        with pytest.raises(ValueError, match=r"applied gradients must be a \(k, 2\) array"):
+            solve_periodic_cell(sig, xis)
+        assert builds == []
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 2, 1)], ids=["single", "3d"])
+    def test_dirichlet_data_of_another_shape(self, builds, shape):
+        sig = constant_field(build_unit_square(4), np.eye(2))
+        with pytest.raises(ValueError, match=r"boundary data must be an \(16, k\) array"):
+            solve_dirichlet(sig, np.zeros(shape))
+        assert builds == []
+
+    @pytest.mark.parametrize("shape", [(25,), (24, 1)], ids=["single", "short"])
+    def test_residual_values_of_another_shape(self, builds, shape):
+        sig = constant_field(build_unit_square(4), np.eye(2))
+        with pytest.raises(ValueError, match=r"nodal values must be an \(25, k\) array"):
+            interior_residual(sig, np.zeros(shape))
+        assert builds == []
+
+    def test_stream_function_takes_a_list(self):
+        m = build_unit_square(4)
+        sig = constant_field(m, np.eye(2))
+        u = ScalarFieldP1(m, m.vertices[:, 0])
+        with pytest.raises(TypeError):
+            stream_function(sig, u)
+        (ut, _), = stream_function(sig, [u])
+        assert np.abs(ut.values - m.vertices[:, 1]).max() < 1e-12
 
 
 class TestPeriodicCell:
     def test_bounded_mesh_rejected(self):
         m = build_unit_square(4)
         with pytest.raises(ValueError, match="cell solve needs a periodic mesh"):
-            solve_periodic_cell(constant_field(m, np.eye(2)), np.array([1.0, 0.0]))
+            solve_periodic_cell(constant_field(m, np.eye(2)), np.eye(2))
 
     def test_constant_sigma_affine_solution(self):
         m = build_periodic_cell(8)
         sig = constant_field(m, [[2.0, 1.0], [0.2, 1.5]])
-        u = solve_periodic_cell(sig, np.array([1.0, 0.0]))
+        u, = solve_periodic_cell(sig, np.array([[1.0, 0.0]]))
         assert np.abs(u.values - m.vertices[:, 0]).max() < 1e-12
 
     def test_laminate_harmonic_mean(self):
         m = build_periodic_cell(8)
         sig = laminate_field(m, 1.0, 5.0)
-        u = solve_periodic_cell(sig, np.array([1.0, 0.0]))
+        u, = solve_periodic_cell(sig, np.array([[1.0, 0.0]]))
         g = element_gradient(u)
         left = m.barycenters[:, 0] < 0.5
         assert np.abs(g[left, 0] - 5.0 / 3.0).max() < 1e-11
@@ -212,16 +263,16 @@ class TestPeriodicCell:
     def test_linearity_in_the_applied_gradient(self):
         m = build_periodic_cell(8)
         sig = random_piecewise_field(m, 4.0, 4, seed=5)
-        u1 = solve_periodic_cell(sig, np.array([1.0, 0.0]))
-        u2 = solve_periodic_cell(sig, np.array([0.0, 1.0]))
-        mix = solve_periodic_cell(sig, np.array([2.0, -3.0]))
+        u1, = solve_periodic_cell(sig, np.array([[1.0, 0.0]]))
+        u2, = solve_periodic_cell(sig, np.array([[0.0, 1.0]]))
+        mix, = solve_periodic_cell(sig, np.array([[2.0, -3.0]]))
         combo = 2.0 * u1.values - 3.0 * u2.values
         assert np.abs(mix.values - combo).max() < 1e-9
 
     def test_corrector_zero_mean(self):
         m = build_periodic_cell(8)
         sig = laminate_field(m, 1.0, 5.0)
-        u = solve_periodic_cell(sig, np.array([1.0, 0.0]))
+        u, = solve_periodic_cell(sig, np.array([[1.0, 0.0]]))
         w = u.values - m.vertices[:, 0]
         tri_means = w[m.triangles].mean(axis=1)
         assert abs(np.dot(m.areas, tri_means)) < 1e-12
@@ -231,26 +282,26 @@ class TestStreamFunction:
     def test_rotation_of_coordinates(self):
         m = build_unit_square(8)
         sig = constant_field(m, np.eye(2))
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
-        ut, resid = stream_function(sig, u)
+        u, = solve_dirichlet(sig, boundary_points(m)[:, :1])
+        (ut, resid), = stream_function(sig, [u])
         assert np.abs(ut.values - m.vertices[:, 1]).max() < 1e-12
         assert resid < 1e-12
-        u2 = solve_dirichlet(sig, lambda p: p[:, 1])
-        ut2, _ = stream_function(sig, u2)
+        u2, = solve_dirichlet(sig, boundary_points(m)[:, 1:])
+        (ut2, _), = stream_function(sig, [u2])
         assert np.abs(ut2.values - (-m.vertices[:, 0] + m.vertices[0, 0])).max() < 1e-12
 
     def test_anisotropic_rotation(self):
         m = build_unit_square(8)
         sig = constant_field(m, np.diag([2.0, 1.0]))
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
-        ut, _ = stream_function(sig, u)
+        u, = solve_dirichlet(sig, boundary_points(m)[:, :1])
+        (ut, _), = stream_function(sig, [u])
         assert np.abs(ut.values - 2.0 * m.vertices[:, 1]).max() < 1e-12
 
     def test_anchor_vertex(self):
         m = build_unit_square(8)
         sig = constant_field(m, np.eye(2))
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
-        ut, _ = stream_function(sig, u)
+        u, = solve_dirichlet(sig, boundary_points(m)[:, :1])
+        (ut, _), = stream_function(sig, [u])
         assert ut.values[0] == 0.0
 
     def test_curl_identity_circulations(self):
@@ -259,7 +310,7 @@ class TestStreamFunction:
         # around vertex i is the chain of opposite edges of its triangles
         m = build_unit_square(16)
         sig = random_piecewise_field(m, 5.0, 4, seed=11)
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
+        u, = solve_dirichlet(sig, boundary_points(m)[:, :1])
         field = rotated_flux(sig, u)
         circ = np.zeros(m.n_vertices)
         for local in range(3):
@@ -274,8 +325,8 @@ class TestStreamFunction:
         for n in (8, 16, 32):
             m = build_unit_square(n)
             sig = laminate_field(m, 1.0, 5.0)
-            u = solve_dirichlet(sig, lambda p: p[:, 0])
-            _, r = stream_function(sig, u)
+            u, = solve_dirichlet(sig, boundary_points(m)[:, :1])
+            (_, r), = stream_function(sig, [u])
             resids.append(r)
         assert resids[0] > resids[1] > resids[2]
 
@@ -283,8 +334,8 @@ class TestStreamFunction:
         # on the torus the rotated mean flux is split off as a linear part
         m = build_periodic_cell(8)
         sig = laminate_field(m, 1.0, 5.0)
-        u = solve_periodic_cell(sig, np.array([1.0, 0.0]))
-        ut, resid = stream_function(sig, u)
+        u, = solve_periodic_cell(sig, np.array([[1.0, 0.0]]))
+        (ut, resid), = stream_function(sig, [u])
         # exact stream of the laminate solution: gradient (0, 5/3)
         assert resid < 1e-10
         g = element_gradient(ut)
@@ -299,7 +350,7 @@ class TestLatticeStreamSolve:
     def _fields(periodic, res, seed, symmetric):
         m = build_periodic_cell(res) if periodic else build_unit_square(res)
         sig = random_piecewise_field(m, 5.0, 4, seed=seed, symmetric=symmetric)
-        fields = solve_periodic_cell(sig, np.eye(2)) if periodic else solve_dirichlet(sig, lambda q: q)
+        fields = solve_periodic_cell(sig, np.eye(2)) if periodic else solve_dirichlet(sig, boundary_points(m))
         return sig, fields
 
     @pytest.mark.parametrize("periodic", [False, True], ids=["square", "torus"])
@@ -327,10 +378,10 @@ class TestLatticeStreamSolve:
         calls = []
         splu = spla.splu
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
-        ut, resid = stream_function(sig, u)
+        (ut, resid), = stream_function(sig, [u])
         assert calls == []
-        put, presid = stream_function(ElementMatrixField(pm, sig.matrices),
-                                      ScalarFieldP1(pm, u.values[perm]))
+        (put, presid), = stream_function(ElementMatrixField(pm, sig.table, sig.index),
+                                         [ScalarFieldP1(pm, u.values[perm])])
         assert calls == [1]
         assert np.abs(put.values - ut.values[perm]).max() < 1e-9
         assert abs(presid - resid) < 1e-9
@@ -365,14 +416,14 @@ class TestLatticeStreamSolve:
     def test_nan_coefficient_fails_the_residual_gate(self, monkeypatch, lattice):
         m = build_unit_square(8)
         sig = random_piecewise_field(m, 5.0, 4, seed=3)
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
+        u, = solve_dirichlet(sig, boundary_points(m)[:, :1])
         mats = sig.matrices.copy()
         mats[5, 0, 1] = np.nan
-        sig = ElementMatrixField(m, mats)
+        sig = ElementMatrixField(m, mats, np.arange(m.n_triangles))
         if not lattice:
             monkeypatch.setattr(elliptic_solver, "lattice_resolution", lambda mesh: None)
         with pytest.raises(SolverError, match="relative residual nan"):
-            stream_function(sig, u)
+            stream_function(sig, [u])
 
     def test_package_does_not_import_scipy_fft(self):
         src = str(Path(elliptic_solver.__file__).parents[1])
@@ -393,11 +444,8 @@ class TestStackedRightHandSides:
         stacked = solve_dirichlet(sig, data)
         assert len(stacked) == 3
         for k, u in enumerate(stacked):
-            assert np.array_equal(u.values, solve_dirichlet(sig, data[:, k]).values)
-        # a callable returning stacked data gives the same solves
-        u1, u2 = solve_dirichlet(sig, lambda q: q)
-        assert np.array_equal(u1.values, stacked[0].values)
-        assert np.array_equal(u2.values, stacked[1].values)
+            single, = solve_dirichlet(sig, data[:, k:k + 1])
+            assert np.array_equal(u.values, single.values)
 
     def test_periodic_cell_stack_matches_single_solves(self):
         m = build_periodic_cell(16)
@@ -406,7 +454,8 @@ class TestStackedRightHandSides:
         stacked = solve_periodic_cell(sig, xis)
         assert len(stacked) == 4
         for xi, u in zip(xis, stacked):
-            assert np.array_equal(u.values, solve_periodic_cell(sig, xi).values)
+            single, = solve_periodic_cell(sig, xi[None])
+            assert np.array_equal(u.values, single.values)
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_stream_stack_matches_single_solves(self, periodic):
@@ -417,11 +466,11 @@ class TestStackedRightHandSides:
         else:
             m = build_unit_square(16)
             sig = random_piecewise_field(m, 5.0, 4, seed=8)
-            fields = solve_dirichlet(sig, lambda q: q)
+            fields = solve_dirichlet(sig, boundary_points(m))
         stacked = stream_function(sig, fields)
         assert len(stacked) == 2
         for u, (ut, resid) in zip(fields, stacked):
-            single, single_resid = stream_function(sig, u)
+            (single, single_resid), = stream_function(sig, [u])
             assert np.array_equal(ut.values, single.values)
             assert resid == single_resid
 
@@ -432,7 +481,7 @@ class TestStackedRightHandSides:
         with pytest.raises(ValueError, match="boundary data"):
             solve_dirichlet(sig, np.zeros((n + 1, 2)))
         with pytest.raises(ValueError, match="boundary data"):
-            solve_dirichlet(sig, lambda q: np.zeros((n - 1, 2)))
+            solve_dirichlet(sig, np.zeros((n - 1, 2)))
 
 
 class TestOneFactorizationPerOperator:
@@ -494,7 +543,7 @@ class TestPinDof:
 
         monkeypatch.setattr(spla, "splu", recording)
         square = build_unit_square(12)
-        solve_dirichlet(random_piecewise_field(square, 5.0, 4, seed=1008), lambda q: q)
+        solve_dirichlet(random_piecewise_field(square, 5.0, 4, seed=1008), boundary_points(square))
         torus = build_periodic_cell(12)
         solve_periodic_cell(random_piecewise_field(torus, 5.0, 4, seed=1008), np.eye(2))
         # the hexagon factors its coefficient operator and the stream fallback's Laplacian
@@ -728,7 +777,7 @@ class TestLeanAssemblyAndFactorization:
 
 
 def dirichlet_system(sig: ElementMatrixField) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """Free block, (2, n) coordinate-data right-hand sides and free dofs of ``solve_dirichlet(sig, lambda q: q)``.
+    """Free block, (2, n) coordinate-data right-hand sides and free dofs of ``solve_dirichlet(sig, boundary_points(m))``.
 
     The free dofs are in nested-dissection order, the order ``solve_dirichlet``
     gives the unit-square lattice's block; block and right-hand sides are
@@ -806,7 +855,7 @@ class TestMixedPrecisionLU:
         monkeypatch.setattr(spla, "splu", lambda a, **k: dtypes.append(a.dtype) or splu(a, **k))
         with warnings.catch_warnings(), caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
             warnings.simplefilter("error")
-            u1, u2 = solve_dirichlet(sig, lambda q: q)
+            u1, u2 = solve_dirichlet(sig, boundary_points(sig.mesh))
         assert dtypes == [np.float64]
         assert "float32 LU rejected (matrix entries overflow float32)" in caplog.text
         assert "ordering=nested_dissection panel=4 precision=float64 refinement_steps=0 " in caplog.text
@@ -864,10 +913,11 @@ class TestNestedDissection:
         monkeypatch.setattr(elliptic_solver, "_solve_system", recording)
         hexagon = build_regular_ngon(6, 1.0, 6)
         with caplog.at_level(logging.INFO, logger="beltramilab.elliptic_solver"):
-            solve_dirichlet(random_piecewise_field(build_unit_square(16), 5.0, 4, seed=2), lambda q: q)
-            solve_dirichlet(constant_field(permuted_lattice(16), np.eye(2)), lambda q: q)
-            solve_dirichlet(constant_field(hexagon, [[2.0, 0.5], [-0.3, 1.0]]), lambda q: q)
-            stream_function(constant_field(hexagon, np.eye(2)), ScalarFieldP1(hexagon, hexagon.vertices[:, 0]))
+            square, permuted = build_unit_square(16), permuted_lattice(16)
+            solve_dirichlet(random_piecewise_field(square, 5.0, 4, seed=2), boundary_points(square))
+            solve_dirichlet(constant_field(permuted, np.eye(2)), boundary_points(permuted))
+            solve_dirichlet(constant_field(hexagon, [[2.0, 0.5], [-0.3, 1.0]]), boundary_points(hexagon))
+            stream_function(constant_field(hexagon, np.eye(2)), [ScalarFieldP1(hexagon, hexagon.vertices[:, 0])])
             solve_periodic_cell(random_piecewise_field(build_periodic_cell(16), 5.0, 4, seed=2), np.eye(2))
         assert orderings == [NESTED_DISSECTION] + [LU_ORDERING] * 4
         assert re.findall(r"ordering=(\S+)", caplog.text) == ["nested_dissection"] + ["MMD_AT_PLUS_A"] * 4
@@ -953,14 +1003,15 @@ class TestHeapReturn:
 
     def test_once_per_factorization(self, monkeypatch):
         events = self.record(monkeypatch)
-        solve_dirichlet(random_piecewise_field(build_unit_square(16), 5.0, 4, seed=2), lambda q: q)
+        m = build_unit_square(16)
+        solve_dirichlet(random_piecewise_field(m, 5.0, 4, seed=2), boundary_points(m))
         assert events == [("trim", 0), ("splu", "float32")]
 
     def test_float64_fallbacks(self, monkeypatch):
         events = self.record(monkeypatch)
         # the float32 cast overflows, so only the float64 factorization is made
-        solve_dirichlet(constant_field(build_unit_square(8), 1e39 * np.array([[2.0, 1.0], [0.2, 1.5]])),
-                        lambda q: q)
+        m = build_unit_square(8)
+        solve_dirichlet(constant_field(m, 1e39 * np.array([[2.0, 1.0], [0.2, 1.5]])), boundary_points(m))
         assert events == [("trim", 0), ("splu", "float64")]
         # a singular float32 factorization, then the float64 one
         events.clear()
@@ -981,9 +1032,9 @@ class TestHeapReturn:
         assert elliptic_solver._find_malloc_trim() is None
         monkeypatch.setattr(elliptic_solver, "_MALLOC_TRIM", None)
         sig = random_piecewise_field(build_unit_square(16), 5.0, 4, seed=2)
-        u1, u2 = solve_dirichlet(sig, lambda q: q)
+        u1, u2 = solve_dirichlet(sig, boundary_points(sig.mesh))
         monkeypatch.undo()
-        w1, w2 = solve_dirichlet(sig, lambda q: q)
+        w1, w2 = solve_dirichlet(sig, boundary_points(sig.mesh))
         assert u1.values.tobytes() == w1.values.tobytes() and u2.values.tobytes() == w2.values.tobytes()
 
     @pytest.mark.parametrize("case", ["square", "torus", "hexagon"])
@@ -995,7 +1046,7 @@ class TestHeapReturn:
         if mesh.periodic:
             solve_periodic_cell(sig, np.eye(2))
         else:
-            solve_dirichlet(sig, lambda q: q)
+            solve_dirichlet(sig, boundary_points(mesh))
             assert mesh._geom is None  # released at the factorization, not yet read again
         assert np.array_equal(mesh.areas.view(np.uint64), areas.view(np.uint64))
         assert np.array_equal(mesh.hat_gradients.view(np.uint64), grads.view(np.uint64))

@@ -227,10 +227,10 @@ class TestMeshBuilders:
         cell = build_periodic_cell(8)
         bare = bare_mesh(cell)
         assert bare.n_free == 64
-        sigma = random_piecewise_field(cell, 5.0, 4, seed=3).matrices
+        sigma = random_piecewise_field(cell, 5.0, 4, seed=3)
         xis = np.array([[1.0, 0.0], [0.3, 1.0]])
-        for got, want in zip(solve_periodic_cell(ElementMatrixField(bare, sigma), xis),
-                             solve_periodic_cell(ElementMatrixField(cell, sigma), xis)):
+        for got, want in zip(solve_periodic_cell(ElementMatrixField(bare, sigma.table, sigma.index), xis),
+                             solve_periodic_cell(sigma, xis)):
             assert got.values.tobytes() == want.values.tobytes()
 
     @pytest.mark.parametrize("free_index", [
@@ -249,10 +249,27 @@ class TestMeshBuilders:
 
     @pytest.mark.parametrize("sides, radius, message", [
         (2, 1.0, "at least 3 sides"), (6, 0.0, "radius must be positive"), (6, -1.0, "radius must be positive"),
+        (6, np.nan, "radius must be positive and finite"), (6, np.inf, "radius must be positive and finite"),
     ])
     def test_regular_ngon_validation(self, sides, radius, message):
         with pytest.raises(ValueError, match=message):
             build_regular_ngon(sides, radius, 4)
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([[0, 0], [1, 0], [np.nan, 1]], r"vertex 2 has a non-finite coordinate \[nan, 1.0\]"),
+        # a vertex that no triangle uses is checked too
+        ([[0, 0], [1, 0], [0, 1], [np.inf, 0]], r"vertex 3 has a non-finite coordinate \[inf, 0.0\]"),
+    ], ids=["nan_in_a_triangle", "inf_unused"])
+    def test_non_finite_vertices_rejected(self, vertices, message):
+        with pytest.raises(ValueError, match=message):
+            TriMesh(vertices, [[0, 1, 2]], [0, 1, 2])
+
+    def test_nan_area_rejected(self):
+        # finite coordinates whose cross product overflows: inf - inf is a NaN area
+        big = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="triangle 0 has non-positive signed area nan"):
+            TriMesh([[0, 0], [big, big], [big, big]], [[0, 1, 2]], [0, 1, 2])
 
 
 def recursive_dissection(n: int) -> list[int]:
@@ -380,8 +397,10 @@ class TestFields:
         m = build_unit_square(2)
         with pytest.raises(ValueError):
             ScalarFieldP1(m, np.zeros(5))
-        with pytest.raises(ValueError):
-            ElementMatrixField(m, np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="index must give each"):
+            ElementMatrixField(m, np.zeros((3, 2, 2)), np.arange(m.n_triangles))
+        with pytest.raises(TypeError, match="index"):  # no per-triangle stack without an index
+            ElementMatrixField(m, np.zeros((m.n_triangles, 2, 2)))
 
     def test_element_field_table_and_index(self):
         m = build_unit_square(2)
@@ -392,10 +411,10 @@ class TestFields:
         assert np.array_equal(field.matrices, table[index])
         with pytest.raises(ValueError, match="read-only"):
             field.matrices[0, 0, 0] = 5.0  # a gathered copy: writing to it would change nothing
-        # one entry per triangle by default, in the smallest unsigned dtype that numbers them
+        # one entry per triangle, indexed in the smallest unsigned dtype that numbers them
         big = build_unit_square(256)
         stack = np.broadcast_to(np.eye(2), (big.n_triangles, 2, 2))
-        assert ElementMatrixField(big, stack).index.dtype == np.uint32
+        assert ElementMatrixField(big, stack, np.arange(big.n_triangles)).index.dtype == np.uint32
         for bad in (index + 1, index[:-1], -index, index.astype(float)):
             with pytest.raises(ValueError, match="index must give each"):
                 ElementMatrixField(m, table, bad)

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from beltramilab import elliptic_solver
+from beltramilab import elliptic_solver, homogenization
 from beltramilab.coefficients import (
     checkerboard_field,
     constant_field,
@@ -163,6 +163,16 @@ class TestCellMap:
         assert cm.linearity_error == max(float(np.max(np.abs(u1.values - lin[0]))),
                                          float(np.max(np.abs(u2.values - lin[1]))))
 
+    @pytest.mark.parametrize("A", [[1.0, 0.0], np.eye(3), np.ones((1, 2, 2))], ids=["vector", "3x3", "stacked"])
+    def test_affine_part_of_another_shape_rejected_before_solving(self, monkeypatch, A):
+        # a (2,) A was once factored and solved, then failed to unpack
+        solves = []
+        monkeypatch.setattr(homogenization, "solve_periodic_cell", lambda *a: solves.append(a))
+        sig = constant_field(build_periodic_cell(4), np.eye(2))
+        with pytest.raises(ValueError, match="affine part must be a 2 x 2 matrix"):
+            cell_map(sig, A)
+        assert solves == []
+
     def test_singular_affine_part_still_solves(self):
         m = build_periodic_cell(8)
         sig = random_piecewise_field(m, 3.0, 4, seed=4)
@@ -177,7 +187,8 @@ class TestCellComplexMap:
         # the conjugate of u1 alone has the bits of the primary pair's stacked solve
         # a non-symmetric elliptic matrix per triangle: sym part diag(a, b), antisymmetric part c
         a, b, c = np.random.default_rng(3).uniform([1.0, 1.0, -1.0], [5.0, 5.0, 1.0], (mesh.n_triangles, 3)).T
-        sigma = ElementMatrixField(mesh, np.stack([np.column_stack([a, c]), np.column_stack([-c, b])], axis=1))
+        sigma = ElementMatrixField(mesh, np.stack([np.column_stack([a, c]), np.column_stack([-c, b])], axis=1),
+                                   np.arange(mesh.n_triangles))
         Phi, _, U = primary_pair(sigma)
         f, _ = cell_complex_map(sigma, U.u1)
         assert f.u1 is U.u1

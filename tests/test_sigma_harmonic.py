@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beltramilab import sigma_harmonic
 from beltramilab.coeff_algebra import beltrami_from_sigma_batch
 from beltramilab.coefficients import constant_field, hall_field, laminate_field, random_piecewise_field
 from beltramilab.elliptic_solver import rotated_flux, solve_dirichlet
@@ -163,7 +164,7 @@ class TestBeltramiResidual:
     def test_exact_convention_vanishes_for_transformed_pair(self):
         m = build_unit_square(16)
         sig = random_piecewise_field(m, 5.0, 4, seed=3)
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
+        u, = solve_dirichlet(sig, m.vertices[m.boundary_loop, :1])
         w = wirtinger_exact(sig, u)
         mu_e, nu_e = beltrami_from_sigma_batch(sig.matrices)
         assert beltrami_residual(w, (mu_e, nu_e)).max() < 1e-12
@@ -171,7 +172,7 @@ class TestBeltramiResidual:
     def test_wrong_pair_positive(self):
         m = build_unit_square(8)
         sig = constant_field(m, np.diag([3.0, 1.0]))
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
+        u, = solve_dirichlet(sig, m.vertices[m.boundary_loop, :1])
         w = wirtinger_exact(sig, u)
         res = beltrami_residual(w, (0.0, 0.0))
         assert res.max() > 1e-2
@@ -181,7 +182,8 @@ class TestBeltramiResidual:
         # mu~ = mu + (conj(f_z)/f_z) nu, with |mu~| <= |mu| + |nu|
         m = build_unit_square(8)
         sig = random_piecewise_field(m, 5.0, 4, seed=3)
-        w = wirtinger_exact(sig, solve_dirichlet(sig, lambda p: p[:, 0]))
+        u, = solve_dirichlet(sig, m.vertices[m.boundary_loop, :1])
+        w = wirtinger_exact(sig, u)
         rng = np.random.default_rng(4)
         mu = 0.3 * (rng.random(m.n_triangles) + 1j * rng.random(m.n_triangles))
         nu = 0.3 * (rng.random(m.n_triangles) - 1j * rng.random(m.n_triangles))
@@ -229,7 +231,7 @@ class TestJacobianAndEquival:
     def test_sense_preservation(self):
         m = build_unit_square(16)
         sig = random_piecewise_field(m, 5.0, 4, seed=4)
-        u = solve_dirichlet(sig, lambda p: p[:, 0])
+        u, = solve_dirichlet(sig, m.vertices[m.boundary_loop, :1])
         # |f_z|^2 - |f_zbar|^2, the Jacobian of f = u + i*utilde (exact convention)
         w = wirtinger_exact(sig, u)
         assert (np.abs(w.f_z) ** 2 - np.abs(w.f_zbar) ** 2).min() > 0.0
@@ -347,6 +349,15 @@ class TestConvexLoop:
         with caplog.at_level(logging.WARNING, logger="beltramilab.sigma_harmonic"):
             sigma_harmonic_map(constant_field(m, np.eye(2)), star[:, 0], star[:, 1])
         assert NOT_CONVEX in caplog.text
+
+    @pytest.mark.parametrize("rows, columns", [(slice(1, None), 0), (slice(None), slice(None))], ids=["short", "2d"])
+    def test_sigma_harmonic_map_rejects_data_of_another_shape(self, monkeypatch, rows, columns):
+        # two (m, 2) arrays would otherwise be solved as four fields
+        monkeypatch.setattr(sigma_harmonic, "solve_dirichlet", None)
+        m = build_unit_square(5)
+        star = pentagram(len(m.boundary_loop))
+        with pytest.raises(ValueError, match=r"boundary data must be two \(20,\) arrays"):
+            sigma_harmonic_map(constant_field(m, np.eye(2)), star[rows, columns], star[rows, columns])
 
 
 def pairwise_polygon_is_simple(pts):
