@@ -107,9 +107,7 @@ CONFIG_KEYS = {
         "laminate": {**_AB, "direction": ("x1", None), "fraction": (0.5, ())},
         "checkerboard": _AB, "hall": _AB,
         "hall_laminate": {"c": (REQUIRED, ()), "direction": ("x1", None)},
-        # seed None: the top-level seed
-        "random_piecewise": {"k_max": (5.0, ()), "cells": (4, int), "seed": (None, int),
-                             "symmetric": (False, bool)},
+        "random_piecewise": {"k_max": (5.0, ()), "cells": (4, int), "symmetric": (False, bool)},
         "explicit": {"table": (REQUIRED, (None, 2, 2)), "cells": (REQUIRED, int)},
         "beltrami": {"mu": (REQUIRED, (2,)), "nu": (REQUIRED, (2,))},
     },
@@ -118,8 +116,8 @@ CONFIG_KEYS = {
                  "primary-pair": {"polygon_trace": {"vertices": (REQUIRED, (None, 2))}}},
     "solver": {"method": ("direct_lu", None), "tolerance": (1e-10, ())},
     "diagnostics": {
-        "convert": {"tau_oracle": (False, bool)}, "solve": {}, "primary-pair": {},
-        "cell": {"affine_part": ([[1, 0], [0, 1]], (2, 2))}, "homogenize": {"area_check": (False, bool)},
+        "convert": {}, "solve": {}, "primary-pair": {},
+        "cell": {"affine_part": ([[1, 0], [0, 1]], (2, 2))}, "homogenize": {},
         "diagnose": {"max_level": (4, int)},
     },
     "sweep": {"sweep": (REQUIRED, None), "output_dir": ("sweep_out", str)},
@@ -177,14 +175,14 @@ class ExperimentConfig:
             raise ConfigError("resolution", f"must be an integer >= 2, got {top['resolution']!r}")
 
         families = CONFIG_KEYS["coefficient"]
-        if task == "convert":  # convert reads any family but beltrami as a constant matrix
-            families = {f: families["beltrami" if f == "beltrami" else "constant"] for f in families}
+        if task == "convert":  # convert reads one matrix, given as itself or as a Beltrami pair
+            families = {f: families[f] for f in ("constant", "beltrami")}
         coefficient = _section("coefficient", top["coefficient"], families, tag="family")
         family = coefficient["family"]
         if family == "beltrami" and task != "convert":
             raise ConfigError("coefficient.family", f"family 'beltrami' is read only by the convert task, not {task}")
         seed = top["seed"]
-        if coefficient.get("seed", 0) is None:  # only random_piecewise has a seed, and not under convert
+        if family == "random_piecewise":  # its builder's seed is the run's
             if seed is None:
                 raise ConfigError("seed", f"a seed is mandatory for the {family} family")
             coefficient["seed"] = seed
@@ -264,26 +262,19 @@ def load_config(path) -> dict:
 
 
 def build_coefficient(mesh, spec: dict):
-    """The coefficient field of a ``coefficient`` section that ``from_dict`` has completed."""
-    family = spec["family"]
-    if family == "constant":
-        return coeff.constant_field(mesh, np.asarray(spec["matrix"], dtype=float))
-    if family == "laminate":
-        return coeff.laminate_field(
-            mesh, float(spec["a"]), float(spec["b"]),
-            spec["direction"], float(spec["fraction"]),
-        )
-    if family == "checkerboard":
-        return coeff.checkerboard_field(mesh, float(spec["a"]), float(spec["b"]))
-    if family == "hall":
-        return coeff.hall_field(mesh, float(spec["a"]), float(spec["b"]))
-    if family == "hall_laminate":
-        return coeff.hall_laminate_field(mesh, float(spec["c"]), spec["direction"])
-    if family == "random_piecewise":
-        return coeff.random_piecewise_field(
-            mesh, float(spec["k_max"]), spec["cells"], seed=spec["seed"], symmetric=spec["symmetric"],
-        )
-    return coeff.explicit_field(mesh, spec["table"], spec["cells"])  # family "explicit": from_dict admits no other
+    """The coefficient field of a ``coefficient`` section that ``from_dict`` has completed.
+
+    The section's keys other than ``family`` are the keyword arguments of the family's builder.
+    """
+    # looked up on each call, so a builder wrapped on the coefficients module is the one called
+    builders = {
+        "constant": coeff.constant_field, "laminate": coeff.laminate_field,
+        "checkerboard": coeff.checkerboard_field, "hall": coeff.hall_field,
+        "hall_laminate": coeff.hall_laminate_field, "random_piecewise": coeff.random_piecewise_field,
+        "explicit": coeff.explicit_field,
+    }
+    args = {key: value for key, value in spec.items() if key != "family"}
+    return builders[spec["family"]](mesh, **args)
 
 
 def _trace_by_arclength(mesh, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,13 +395,12 @@ def _task_convert(cfg: ExperimentConfig, out: Path) -> RunRecord:
         k_astala=report.k_beltrami, p_sup=report.p_sup,
         tau_bound_closed_form=tau_ellipticity_bound(report.k_beltrami),
     )
-    if cfg.diagnostics["tau_oracle"]:
-        rep = tau_bound_oracle(report.k_beltrami)
-        metrics["tau_bound_oracle"] = {
-            "value": rep.value, "minimizer": list(rep.minimizer),
-            "candidates": rep.candidates, "agrees_with_closed_form": rep.agrees_with_closed_form,
-            "note": rep.note,
-        }
+    rep = tau_bound_oracle(report.k_beltrami)
+    metrics["tau_bound_oracle"] = {
+        "value": rep.value, "minimizer": list(rep.minimizer),
+        "candidates": rep.candidates, "agrees_with_closed_form": rep.agrees_with_closed_form,
+        "note": rep.note,
+    }
     return RunRecord("convert", metrics, invariants, [])
 
 
@@ -579,16 +569,14 @@ def _task_homogenize(cfg: ExperimentConfig, out: Path) -> RunRecord:
             upper_ok = bool(np.all(np.linalg.eigvalsh(0.5 * (arith + arith.T) - sym_eff) >= -1e-8))
             invariants.append(_invariant("arithmetic_upper_bound", upper_ok, upper_ok, True))
 
-    if cfg.diagnostics["area_check"]:
-        f1, stream_resid = cell_complex_map(sigma, eff.solutions["e1"])
-        area = image_area(f1)
-        qf = float(tensor[0, 0])
-        area_gap = abs(area - qf) / abs(qf)
-        metrics["image_area_e1"] = area
-        metrics["image_area_gap"] = area_gap
-        metrics["stream_residual"] = stream_resid
-        if cfg.resolution >= 128:
-            invariants.append(_invariant("area_formula", area_gap <= 0.02, area_gap, 0.02))
+    # the area identity: f1 = u1 + i*ut1 of the e1 cell solution has image area sigma_eff[0, 0] unless it folds
+    f1, stream_resid = cell_complex_map(sigma, eff.solutions["e1"])
+    area = image_area(f1)
+    qf = float(tensor[0, 0])
+    area_gap = abs(area - qf) / abs(qf)
+    metrics.update(image_area_e1=area, image_area_gap=area_gap, stream_residual=stream_resid)
+    if cfg.resolution >= 128:
+        invariants.append(_invariant("area_formula", area_gap <= 0.02, area_gap, 0.02))
 
     rows = [[
         cfg.resolution,

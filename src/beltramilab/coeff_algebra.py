@@ -100,17 +100,19 @@ def _checked_constants(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     if not np.isfinite(stack).all():
         bad = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
         raise NonEllipticError(f"{where.format(bad)}non-finite coefficient entries {stack[bad].tolist()}")
+    # "not > 0" rather than "<= 0", so a NaN (an overflowed sum or determinant) is bad too;
+    # argmin of the mask is the first bad element
     alpha = sym_min_eig(stack)
-    if (alpha <= 0).any():
-        bad = int(np.argmin(alpha))
+    if not (alpha > 0).all():
+        bad = int(np.argmin(alpha > 0))
         raise NonEllipticError(f"{where.format(bad)}symmetric part not positive definite (min eig {alpha[bad]:.3e})")
     det = _det(stack)
     # [[s22, s21], [s12, s11]] / det is inv(sigma) with its off-diagonal signs
     # flipped, a similarity by diag(1, -1): the same symmetric-part eigenvalues,
     # bit for bit, since sym_min_eig reads the off-diagonal only through hypot.
     alpha_inv = sym_min_eig(stack[:, ::-1, ::-1] / det[:, None, None])
-    if (alpha_inv <= 0).any():
-        bad = int(np.argmin(alpha_inv))
+    if not (alpha_inv > 0).all():
+        bad = int(np.argmin(alpha_inv > 0))
         raise NonEllipticError(f"{where.format(bad)}symmetric part of the inverse not positive definite")
     return alpha, 1.0 / alpha_inv, det
 

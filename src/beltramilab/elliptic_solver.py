@@ -58,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeff_algebra import _checked_constants, _gauge
+from .coeff_algebra import _checked_constants
 from .errors import NonEllipticError, SolverError
 from .grid import (
     ROT90,
@@ -118,28 +118,17 @@ RESIDUAL_GATE = 1e-8
 def validate_coefficient(sigma: ElementMatrixField) -> None:
     """Reject a coefficient field with any non-finite or non-elliptic element.
 
-    Also asserts the positivity of 1 + tr(sigma) + det(sigma), which every
-    admissible matrix satisfies and which the dilatation transform divides by.
-    The checks run on the field's table, one matrix per distinct entry; only
+    The check runs on the field's table, one matrix per distinct entry; only
     a table with a bad entry is checked again triangle by triangle, so the
     error names the first triangle that uses one (and an entry no triangle
-    uses rejects nothing).
+    uses rejects nothing).  A matrix that passes has tr > 0 and det > 0, so
+    1 + tr(sigma) + det(sigma), which the dilatation transform divides by,
+    is positive too.
     """
     try:
-        _check_elliptic(sigma.table)
-    except (NonEllipticError, AssertionError):
-        _check_elliptic(sigma.matrices)
-
-
-def _check_elliptic(mats: np.ndarray) -> None:
-    """The checks of ``validate_coefficient`` on an (n, 2, 2) stack; errors name the stack's entry."""
-    _, _, det = _checked_constants(mats)
-    gauge = _gauge(mats, det)
-    if np.any(gauge <= 0):
-        bad = int(np.argmin(gauge))
-        raise AssertionError(
-            f"element {bad}: 1 + tr + det = {gauge[bad]:.3e} <= 0 on an elliptic element"
-        )
+        _checked_constants(sigma.table)
+    except NonEllipticError:
+        _checked_constants(sigma.matrices)
 
 
 def _element_matrices(grads: np.ndarray, mats: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -421,15 +410,16 @@ def solve_dirichlet(sigma: ElementMatrixField, values: np.ndarray) -> list[Scala
     ``values`` is an (m, k) array: column j holds the data of solution j at
     the m vertices of the boundary loop, in its order.  The k solutions share
     one operator, assembled and factored once, and come back as a list.
-    Data of any other shape, or non-finite data, raises ``ValueError``.
+    Data of any other shape (k = 0 included), or non-finite data, raises
+    ``ValueError`` before anything is assembled.
     """
     mesh = sigma.mesh
     if mesh.periodic:
         raise ValueError("Dirichlet solve needs a mesh with boundary; got a periodic cell")
     values = np.asarray(values, dtype=float)
     m = len(mesh.boundary_loop)
-    if values.ndim != 2 or values.shape[0] != m:
-        raise ValueError(f"boundary data must be an ({m}, k) array, got shape {values.shape}")
+    if values.ndim != 2 or values.shape[0] != m or values.shape[1] == 0:
+        raise ValueError(f"boundary data must be an ({m}, k) array with k >= 1, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary data contains non-finite values")
     validate_coefficient(sigma)
@@ -443,14 +433,15 @@ def interior_residual(sigma: ElementMatrixField, values: np.ndarray) -> np.ndarr
     ``values`` is an (n_vertices, k) array of nodal values, and the result
     the (n_interior, k) residuals, rows in ascending interior vertex order,
     from one assembly; each column is bit-equal to that column's residual
-    alone.  Values of any other shape raise ``ValueError``.
+    alone.  Values of any other shape (k = 0 included) raise ``ValueError``.
     """
     mesh = sigma.mesh
     if mesh.periodic:
         raise ValueError("interior residual needs a mesh with boundary; got a periodic cell")
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != mesh.n_vertices:
-        raise ValueError(f"nodal values must be an ({mesh.n_vertices}, k) array, got shape {values.shape}")
+    if values.ndim != 2 or values.shape[0] != mesh.n_vertices or values.shape[1] == 0:
+        raise ValueError(f"nodal values must be an ({mesh.n_vertices}, k) array with k >= 1, "
+                         f"got shape {values.shape}")
     interior, boundary = np.flatnonzero(~mesh.boundary_mask), np.flatnonzero(mesh.boundary_mask)
     block, coupling = _free_block(mesh, sigma.table, sigma.index, interior, boundary, values[boundary])
     # A[interior] @ u = A[interior][:, interior] @ u[interior] + A[interior][:, boundary] @ u[boundary]
@@ -608,14 +599,17 @@ def solve_periodic_cell(sigma: ElementMatrixField, xis: np.ndarray) -> list[Scal
     lives on the unwrapped fundamental domain (identified vertices share the
     periodic part but keep their own affine part).  For constant
     coefficients the corrector w vanishes and u = xi . x exactly.  An array
-    of any other shape raises ``ValueError`` before anything is assembled.
+    of any other shape (k = 0 included), or non-finite gradients, raise
+    ``ValueError`` before anything is assembled.
     """
     mesh = sigma.mesh
     if not mesh.periodic:
         raise ValueError("cell solve needs a periodic mesh")
     xis = np.asarray(xis, dtype=float)
-    if xis.ndim != 2 or xis.shape[1] != 2:
-        raise ValueError(f"applied gradients must be a (k, 2) array, got shape {xis.shape}")
+    if xis.ndim != 2 or xis.shape[1] != 2 or len(xis) == 0:
+        raise ValueError(f"applied gradients must be a (k, 2) array with k >= 1, got shape {xis.shape}")
+    if not np.all(np.isfinite(xis)):
+        raise ValueError("applied gradients contain non-finite values")
     validate_coefficient(sigma)
 
     # rhs_i = - sum_e A_e grad(phi_i) . sigma_e xi; each load gathers its own matrices, so none outlives the build
@@ -664,8 +658,10 @@ def stream_function(sigma: ElementMatrixField, us: list[ScalarFieldP1]) -> list[
     exact).  All come from one solve of the mesh Laplacian: a DCT-I (square)
     or FFT (torus) transform when ``lattice_resolution`` recognises the
     mesh, gated at ``RESIDUAL_GATE`` like the LU, else one factorization
-    with dof 0 eliminated.
+    with dof 0 eliminated.  An empty list raises ``ValueError``.
     """
+    if len(us) == 0:
+        raise ValueError("stream function needs at least one field")
     mesh = sigma.mesh
     targets = [rotated_flux(sigma, f) for f in us]
     linears = [ROT90 @ mean_flux(sigma, f) if mesh.periodic else None for f in us]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from beltramilab import cli, elliptic_solver, homogenization, weights_diagnostics
+from beltramilab import cli, coefficients, elliptic_solver, homogenization, weights_diagnostics
 from beltramilab.cli import ExperimentConfig, main, run, sweep
 from beltramilab.elliptic_solver import interior_residual
 from beltramilab.errors import ConfigError
@@ -73,10 +73,10 @@ class TestConfigValidation:
         ("convert", {"family": "beltrami", "mu": [0.1], "nu": [0, 0]}, "mu"),
         ("convert", {"family": "beltrami", "mu": [0, 0], "nu": [0.1, float("nan")]}, "nu"),
         ("convert", {"family": "beltrami", "mu": [0, "0"], "nu": [0, 0]}, "mu"),
-        ("convert", {"family": "laminate", "matrix": [[1, 0]]}, "matrix"),
+        ("convert", {"family": "constant", "matrix": [[1, 0]]}, "matrix"),
         ("solve", {"family": "constant", "matrix": [[1, 0], [0, True]]}, "matrix"),
-        # convert reads any family but beltrami as a constant matrix, and nothing else
-        ("convert", {"family": "laminate", "a": 1, "b": 5, "matrix": [[1, 0], [0, 1]]}, "a"),
+        # convert reads the constant family's matrix and nothing else
+        ("convert", {"family": "constant", "a": 1, "b": 5, "matrix": [[1, 0], [0, 1]]}, "a"),
     ])
     def test_pair_and_matrix_shapes(self, task, spec, field):
         with pytest.raises(ConfigError, match=f"'coefficient.{field}'"):
@@ -107,6 +107,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="'coefficient.family'.*only by the convert task"):
             ExperimentConfig.from_dict({"task": task, "coefficient": spec})
         assert ExperimentConfig.from_dict({"task": "convert", "coefficient": spec}).coefficient == spec
+
+    LAMINATE = {"family": "laminate", "a": 1, "b": 5}
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"task": "convert", "coefficient": {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]},
+          "diagnostics": {"tau_oracle": True}}, "diagnostics.tau_oracle"),
+        ({"task": "homogenize", "domain": "periodic_cell", "coefficient": LAMINATE,
+          "diagnostics": {"area_check": True}}, "diagnostics.area_check"),
+        ({"task": "homogenize", "domain": "periodic_cell", "seed": 3,
+          "coefficient": {"family": "random_piecewise", "seed": 3}}, "coefficient.seed"),
+        ({"task": "convert", "coefficient": {**LAMINATE, "matrix": [[2, 1], [0.2, 1.5]]}}, "coefficient.family"),
+    ], ids=["tau_oracle", "area_check", "coefficient_seed", "convert_laminate"])
+    def test_removed_keys_name_themselves(self, raw, field):
+        # the oracle and the area check always run, a random_piecewise field takes the run's seed, and
+        # convert reads a matrix only as itself (constant) or as a Beltrami pair
+        with pytest.raises(ConfigError, match=f"'{field}': unknown"):
+            ExperimentConfig.from_dict(raw)
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="coefficient.family"):
@@ -195,21 +212,24 @@ class TestRunTasks:
         assert record.metrics["laminate_oracle_error"] < 1e-9
         assert record.all_passed
 
-    @pytest.mark.parametrize("resolution, coefficient, diagnostics, invariant", [
+    @pytest.mark.parametrize("resolution, coefficient, top, invariant", [
         (16, {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]}, {}, "constant_passthrough"),
         (16, {"family": "hall", "a": 2, "b": 0.5}, {}, "constant_passthrough"),
         (64, {"family": "checkerboard", "a": 1, "b": 4}, {}, "checkerboard_oracle"),
-        (32, {"family": "random_piecewise", "seed": 7, "symmetric": True}, {}, "arithmetic_upper_bound"),
-        (128, {"family": "laminate", "a": 1, "b": 5}, {"area_check": True}, "area_formula"),
+        (32, {"family": "random_piecewise", "symmetric": True}, {"seed": 7}, "arithmetic_upper_bound"),
+        (128, {"family": "laminate", "a": 1, "b": 5}, {}, "area_formula"),
     ], ids=["constant", "hall", "checkerboard-64", "symmetric-random-32", "laminate-area-128"])
-    def test_homogenize_invariant(self, tmp_path, resolution, coefficient, diagnostics, invariant):
+    def test_homogenize_invariant(self, tmp_path, resolution, coefficient, top, invariant):
         cfg = ExperimentConfig.from_dict(
-            {"task": "homogenize", "domain": "periodic_cell", "resolution": resolution,
-             "coefficient": coefficient, "diagnostics": diagnostics, "output_dir": str(tmp_path / "out")}
+            {"task": "homogenize", "domain": "periodic_cell", "resolution": resolution, **top,
+             "coefficient": coefficient, "output_dir": str(tmp_path / "out")}
         )
         record = run(cfg)
         assert invariant in [inv["name"] for inv in record.invariants]
         assert record.all_passed
+        # the area check runs on every family, at every resolution
+        assert {"image_area_e1", "image_area_gap", "stream_residual"} <= set(record.metrics)
+        assert record.metrics["image_area_gap"] < 1e-13
 
     @pytest.mark.parametrize("count", [0, 1, 31, 33])
     def test_solve_with_samples_of_the_wrong_length(self, tmp_path, count):
@@ -323,8 +343,7 @@ class TestRunTasks:
         monkeypatch.setattr(spla, "splu", counting_splu)
         cfg = ExperimentConfig.from_dict(
             {"task": "homogenize", "domain": "periodic_cell", "resolution": 32,
-             "coefficient": {"family": "laminate", "a": 1, "b": 5},
-             "diagnostics": {"area_check": True}, "output_dir": str(tmp_path / "out")}
+             "coefficient": {"family": "laminate", "a": 1, "b": 5}, "output_dir": str(tmp_path / "out")}
         )
         record = run(cfg)
         # the torus stiffness matrix (e1 and e2 together); the streams use the FFT, no LU
@@ -605,8 +624,7 @@ class TestSweep:
     # or adds a key its section does not know.
     SCALAR_GOOD = {
         "random": {"task": "homogenize", "domain": "periodic_cell", "resolution": 8, "seed": 3,
-                   "coefficient": {"family": "random_piecewise", "k_max": 3.0, "cells": 2, "seed": 4,
-                                   "symmetric": False}},
+                   "coefficient": {"family": "random_piecewise", "k_max": 3.0, "cells": 2, "symmetric": False}},
         "laminate": {"task": "homogenize", "domain": "periodic_cell", "resolution": 8,
                      "coefficient": {"family": "laminate", "a": 1, "b": 5, "fraction": 0.5}},
         "ngon": {"task": "solve", "domain": {"kind": "regular_ngon", "sides": 5, "radius": 1.0},
@@ -618,8 +636,7 @@ class TestSweep:
         "diagnose": {"task": "diagnose", "domain": "unit_square", "resolution": 32, "seed": 0,
                      "coefficient": {"family": "checkerboard", "a": 1, "b": 4},
                      "diagnostics": {"max_level": 3}},
-        "convert": {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]},
-                    "diagnostics": {"tau_oracle": False}},
+        "convert": {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}},
         # unit_square at resolution 4 has 16 boundary vertices
         "samples": {"task": "solve", "resolution": 4,
                     "coefficient": {"family": "constant", "matrix": [[1, 0], [0, 1]]},
@@ -652,7 +669,7 @@ class TestSweep:
         ("laminate", "coefficient.family", ["laminate"]), ("ngon", "boundary.kind", ["affine"]),
         # boundary data for a task that reads none
         ("laminate", "boundary", {"kind": "affine", "coefficients": [0.5, 1.0, -2.0]}),
-        # flags that a non-empty string would turn on
+        # removed flags: the oracle and the area check always run
         ("convert", "diagnostics.tau_oracle", "false"), ("laminate", "diagnostics.area_check", "no"),
         # arrays that numpy would read with booleans as 0/1, or fail on when ragged
         ("samples", "boundary.values", [k % 2 == 0 for k in range(16)]),
@@ -704,13 +721,15 @@ class TestSweep:
         ({"family": "random_piecewise"}, 3), ({"family": "explicit"}, None),
     ], ids=["laminate", "random_piecewise", "random_piecewise_seeded", "explicit"])
     def test_convert_reads_only_the_matrix_of_any_family(self, tmp_path, coefficient, seed):
+        # the matrix is read from the constant family only; another family name is no alias of it
         cfg = {"task": "convert", "coefficient": {**coefficient, "matrix": [[2, 0.5], [0.5, 1]]}}
         if seed is not None:
             cfg["seed"] = seed
-        good = {"task": "convert", "coefficient": {"family": "beltrami", "mu": [0.1, 0], "nu": [0, 0]}}
-        lines = sweep([cfg, good], tmp_path / "sweep").read_text().splitlines()
+        constant = {**cfg, "coefficient": {**cfg["coefficient"], "family": "constant"}}
+        lines = sweep([cfg, constant], tmp_path / "sweep").read_text().splitlines()
         assert len(lines) == 3
-        assert ",ok," in lines[1] and ",ok," in lines[2]
+        assert ",error," in lines[1] and "config field 'coefficient.family': unknown family" in lines[1]
+        assert ",ok," in lines[2]
 
     def test_scalar_mu_recorded_and_convert_sweep_continues(self, tmp_path):
         bad = {"task": "convert", "coefficient": {"family": "beltrami", "mu": 0.1, "nu": [0, 0]}}
@@ -821,8 +840,7 @@ class TestMainEntry:
     def test_convert_with_tau_oracle(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json",
-            {"task": "convert", "coefficient": {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]},
-             "diagnostics": {"tau_oracle": True}},
+            {"task": "convert", "coefficient": {"family": "constant", "matrix": [[2, 1], [0.2, 1.5]]}},
         )
         out_dir = tmp_path / "out"
         assert main(["convert", "--config", str(cfg), "--out", str(out_dir)]) == 0
@@ -924,7 +942,7 @@ RANDOM_128 = {"resolution": 128, "seed": 1001,
     {"task": "cell", "domain": "periodic_cell", "diagnostics": {"affine_part": [[2, 0.5], [0.3, 1]]}},
     {"task": "diagnose", "domain": "unit_square", "diagnostics": {"max_level": 5}},
     {"task": "diagnose", "domain": "periodic_cell", "diagnostics": {"max_level": 5}},
-    {"task": "homogenize", "domain": "periodic_cell", "diagnostics": {"area_check": True}},
+    {"task": "homogenize", "domain": "periodic_cell"},
 ], ids=["cell", "diagnose-unit_square", "diagnose-periodic_cell", "homogenize"])
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     # OpenBLAS splits a long dot product across its threads, which moves its last bits
@@ -944,3 +962,31 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, config):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
     metrics = [json.loads((out / "run_record.json").read_text())["metrics"] for out in outs]
     assert json.dumps(metrics[0]) == json.dumps(metrics[1])
+    if config["task"] == "homogenize":
+        assert "image_area_e1" in metrics[0]
+
+
+@pytest.mark.parametrize("domain, spec, builder, args", [
+    ("unit_square", {"family": "constant", "matrix": [[2, 1], [0, 3]]}, "constant_field", ([[2.0, 1.0], [0.0, 3.0]],)),
+    ("periodic_cell", {"family": "laminate", "a": 1, "b": 5, "direction": "x2", "fraction": 0.25},
+     "laminate_field", (1.0, 5.0, "x2", 0.25)),
+    ("periodic_cell", {"family": "laminate", "a": 2, "b": 3}, "laminate_field", (2.0, 3.0, "x1", 0.5)),
+    ("periodic_cell", {"family": "checkerboard", "a": 1, "b": 4}, "checkerboard_field", (1.0, 4.0)),
+    ("unit_square", {"family": "hall", "a": 2, "b": 0}, "hall_field", (2.0, 0.0)),
+    ("periodic_cell", {"family": "hall_laminate", "c": 1, "direction": "x2"}, "hall_laminate_field", (1.0, "x2")),
+    ("unit_square", {"family": "random_piecewise", "k_max": 4, "cells": 2, "symmetric": True},
+     "random_piecewise_field", (4.0, 2, 11, True)),
+    ("periodic_cell", {"family": "explicit", "table": [[[2, 0], [0, 1]], [[1, 0], [0, 2]]] * 2, "cells": 2},
+     "explicit_field", ([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]] * 2, 2)),
+], ids=["constant", "laminate", "laminate-defaults", "checkerboard", "hall", "hall_laminate", "random_piecewise",
+         "explicit"])
+def test_build_coefficient_calls_the_family_builder(domain, spec, builder, args):
+    # the completed section is the builder's keywords, integer values included; equal as numbers, since
+    # hall's -b is +0.0 for an integer 0 and -0.0 for 0.0
+    cfg = ExperimentConfig.from_dict({"task": "solve", "domain": domain, "resolution": 8, "seed": 11,
+                                      "coefficient": spec})
+    mesh = build_mesh(domain, 8)
+    built = cli.build_coefficient(mesh, cfg.coefficient)
+    direct = getattr(coefficients, builder)(mesh, *args)
+    assert np.array_equal(built.table, direct.table)
+    assert np.array_equal(built.index, direct.index)

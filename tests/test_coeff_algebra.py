@@ -133,15 +133,25 @@ class TestEllipticityConstants:
         ([[1.0, 0.0], [0.0, -1.0]], r"element 3: symmetric part not positive definite"),
         # positive definite in exact arithmetic, but the determinant overflows
         ([[1e-200, 1e200], [-1e200, 1e-200]], r"element 3: symmetric part of the inverse not positive definite$"),
+        # the determinant is inf - inf = nan, which no "<= 0" test catches
+        ([[1e200, 5e199], [5e199, 1e200]], r"element 3: symmetric part of the inverse not positive definite$"),
     ])
     def test_stack_names_its_first_bad_element(self, bad, message):
         mats = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
         mats[3] = mats[6] = bad
-        with np.errstate(over="ignore"), pytest.raises(NonEllipticError, match=message):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonEllipticError, match=message):
             ellipticity_constants(mats)
         # one matrix: the same words without the element
-        with np.errstate(over="ignore"), pytest.raises(NonEllipticError, match=message.replace("element 3: ", "^")):
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(NonEllipticError, match=message.replace("element 3: ", "^"))):
             ellipticity_constants(mats[3])
+
+    def test_stack_names_the_first_bad_element_not_the_worst(self):
+        mats = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
+        mats[2] = [[1.0, 3.0], [3.0, 1.0]]  # min eig -2
+        mats[5] = [[1.0, 5.0], [5.0, 1.0]]  # min eig -4
+        with pytest.raises(NonEllipticError, match=r"^element 2: .*min eig -2.000e\+00"):
+            ellipticity_constants(mats)
 
     @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2, 2, 2), (4, 2, 3)])
     def test_other_shapes_rejected(self, shape):

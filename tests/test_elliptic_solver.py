@@ -161,6 +161,19 @@ class TestDirichlet:
         with pytest.raises(NonEllipticError, match="element 5: non-finite coefficient"):
             solve_periodic_cell(sig, np.eye(2))
 
+    def test_overflowing_determinant_rejected_before_factoring(self, monkeypatch):
+        # det = 1e400 - 2.5e399 is inf - inf = nan; it once passed validation and failed only after two LUs
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        sig = constant_field(build_unit_square(4), [[1e200, 5e199], [5e199, 1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonEllipticError, match="element 0: symmetric part of the inverse"):
+                validate_coefficient(sig)
+            with pytest.raises(NonEllipticError, match="element 0: symmetric part of the inverse"):
+                solve_dirichlet(sig, boundary_points(sig.mesh))
+        assert calls == []
+
     def test_table_validation_names_the_first_triangle_of_a_bad_entry(self):
         m = build_unit_square(4)
         table = np.array([np.eye(2), [[1.0, 3.0], [3.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
@@ -225,6 +238,35 @@ class TestOneInputForm:
         with pytest.raises(ValueError, match=r"nodal values must be an \(25, k\) array"):
             interior_residual(sig, np.zeros(shape))
         assert builds == []
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        return calls
+
+    def test_empty_stacks_rejected(self, builds, factorizations):
+        square, cell = build_unit_square(4), build_periodic_cell(4)
+        ngon = build_regular_ngon(5, 1.0, 4)  # not a lattice: its stream function would factor
+        with pytest.raises(ValueError, match=r"boundary data must be an \(16, k\) array with k >= 1, got shape \(16, 0\)"):
+            solve_dirichlet(constant_field(square, np.eye(2)), np.zeros((16, 0)))
+        with pytest.raises(ValueError, match=r"applied gradients must be a \(k, 2\) array with k >= 1"):
+            solve_periodic_cell(constant_field(cell, np.eye(2)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="at least one field"):
+            stream_function(constant_field(ngon, np.eye(2)), [])
+        with pytest.raises(ValueError, match=r"nodal values must be an \(25, k\) array with k >= 1"):
+            interior_residual(constant_field(square, np.eye(2)), np.zeros((25, 0)))
+        assert builds == [] and factorizations == []
+
+    @pytest.mark.parametrize("xis", [[[np.nan, 0.0]], [[np.inf, 1.0]], [[1.0, 0.0], [0.0, -np.inf]]],
+                             ids=["nan", "inf", "second_row"])
+    def test_non_finite_cell_gradients_rejected(self, builds, factorizations, xis):
+        # once they reached the float32 LU, missed the residual gate and were factored again in float64
+        sig = constant_field(build_periodic_cell(4), np.eye(2))
+        with pytest.raises(ValueError, match="applied gradients contain non-finite values"):
+            solve_periodic_cell(sig, xis)
+        assert builds == [] and factorizations == []
 
     def test_stream_function_takes_a_list(self):
         m = build_unit_square(4)
